@@ -11,6 +11,7 @@ and the answer cue are injected and the answer phase is streamed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .client import (
     CAUSE_BACKEND_STOP,
@@ -182,6 +183,57 @@ def _partial_transcript(segments: list[Segment], injections: int, joiner: str) -
     )
 
 
+def render_context(prompt: str, segments: Sequence[Segment], policy: BudgetPolicy, joiner: str) -> str:
+    """The generation context the model continues after ``segments``.
+
+    Prompt, think marker, then each segment's tokens, with the forcing text
+    before every forced segment. A forced segment with no tokens yet ends
+    the context at its forcing text, which is how the request for the next
+    forced continuation is built. Parts are separated by the backend's
+    ``joiner``, and an empty context takes the next part as is.
+    """
+    parts = [prompt, policy.think_marker]
+    for seg in segments:
+        if seg.provenance != PROVENANCE_INITIAL:
+            parts.append(policy.forcing_text)
+        if seg.tokens:
+            parts.append(joiner.join(seg.tokens))
+    return _join(parts, joiner)
+
+
+def _join(parts: list[str], joiner: str) -> str:
+    context = ""
+    for part in parts:
+        context = context + joiner + part if context else part
+    return context
+
+
+def _answer_phase(
+    prompt: str,
+    segments: Sequence[Segment],
+    policy: BudgetPolicy,
+    backend,
+    joiner: str,
+    temperature: float,
+    seed: int,
+    partial: ReasoningTranscript | None,
+) -> str:
+    """Inject the end-of-think marker and the answer cue after ``segments``
+    and stream the answer; a backend failure carries ``partial``."""
+    context = render_context(prompt, segments, policy, joiner)
+    req = GenerationRequest(
+        prompt=_join([context, policy.end_of_think_marker, policy.answer_cue], joiner),
+        max_new_tokens=policy.answer_cap,
+        temperature=temperature,
+        seed=seed,
+    )
+    try:
+        answer_tokens, _ = collect(stream_generate(backend, req))
+    except BackendError as exc:
+        raise BudgetRunError(f"backend failed during answer phase: {exc}", partial) from exc
+    return joiner.join(answer_tokens)
+
+
 def run_with_budget(
     prompt: str,
     policy: BudgetPolicy,
@@ -198,11 +250,6 @@ def run_with_budget(
     transitions to the answer phase via marker + answer cue injection.
     """
     joiner = getattr(backend, "token_joiner", "")
-
-    def extend(context: str, text: str) -> str:
-        return context + joiner + text if context else text
-
-    context = extend(prompt, policy.think_marker)
     segments: list[Segment] = []
     injections = 0
     forced_left = (
@@ -210,7 +257,6 @@ def run_with_budget(
         if policy.aggregate_forcing_cap is not None
         else policy.forcing_count * policy.per_forcing_cap
     )
-    termination = TERMINATION_NATURAL
 
     while True:
         if not segments:
@@ -220,7 +266,7 @@ def run_with_budget(
             cap = min(policy.per_forcing_cap, forced_left)
             provenance = forced_provenance(injections)
         req = GenerationRequest(
-            prompt=context,
+            prompt=render_context(prompt, segments + [Segment(provenance, ())], policy, joiner),
             max_new_tokens=cap,
             temperature=temperature,
             seed=seed,
@@ -234,8 +280,6 @@ def run_with_budget(
                 _partial_transcript(segments, injections, joiner),
             ) from exc
         segments.append(Segment(provenance, tuple(tokens)))
-        if tokens:
-            context = extend(context, joiner.join(tokens))
         if len(segments) > 1:
             forced_left -= len(tokens)
 
@@ -248,7 +292,6 @@ def run_with_budget(
         # marker: the model signalled end of thinking
         if injections < policy.forcing_count and forced_left > 0:
             injections += 1
-            context = extend(context, policy.forcing_text)
             continue
         if policy.forcing_count > 0 and injections == policy.forcing_count:
             termination = TERMINATION_FORCING
@@ -256,23 +299,8 @@ def run_with_budget(
             termination = TERMINATION_NATURAL
         break
 
-    # answer phase: inject the end-of-think marker followed by the answer cue
-    context = extend(extend(context, policy.end_of_think_marker), policy.answer_cue)
-    answer_req = GenerationRequest(
-        prompt=context,
-        max_new_tokens=policy.answer_cap,
-        temperature=temperature,
-        seed=seed,
-    )
-    try:
-        answer_tokens, _ = collect(stream_generate(backend, answer_req))
-    except BackendError as exc:
-        raise BudgetRunError(
-            f"backend failed during answer phase: {exc}",
-            _partial_transcript(segments, injections, joiner),
-        ) from exc
-    answer_text = joiner.join(answer_tokens)
-
+    partial = _partial_transcript(segments, injections, joiner)
+    answer_text = _answer_phase(prompt, segments, policy, backend, joiner, temperature, seed, partial)
     return ReasoningTranscript(
         segments=tuple(segments),
         injections=injections,
@@ -327,35 +355,10 @@ def reelicit_answer(
 ) -> ReasoningTranscript:
     """Stream a fresh answer phase for a (typically truncated) transcript.
 
-    Rebuilds the generation context from the prompt and the transcript's
-    thinking tokens, replaying the forcing injections at segment
-    boundaries, then injects the marker + answer cue transition. Used by
-    the sweep fast mode; an approximation of a full re-run.
+    Sends the answer request ``run_with_budget`` would send after the
+    transcript's segments. Used by the sweep fast mode; an approximation of
+    a full re-run.
     """
     joiner = getattr(backend, "token_joiner", "")
-
-    def extend(context: str, text: str) -> str:
-        return context + joiner + text if context else text
-
-    context = extend(prompt, policy.think_marker)
-    for i, seg in enumerate(transcript.segments):
-        if i > 0:
-            context = extend(context, policy.forcing_text)
-        if seg.tokens:
-            context = extend(context, joiner.join(seg.tokens))
-    context = extend(extend(context, policy.end_of_think_marker), policy.answer_cue)
-    req = GenerationRequest(
-        prompt=context,
-        max_new_tokens=policy.answer_cap,
-        temperature=temperature,
-        seed=seed,
-    )
-    try:
-        answer_tokens, _ = collect(stream_generate(backend, req))
-    except BackendError as exc:
-        raise BudgetRunError(
-            f"backend failed during answer re-elicitation: {exc}",
-            transcript,
-        ) from exc
-    answer_text = joiner.join(answer_tokens)
+    answer_text = _answer_phase(prompt, transcript.segments, policy, backend, joiner, temperature, seed, transcript)
     return replace(transcript, answer_text=answer_text, empty_answer=not answer_text.strip())

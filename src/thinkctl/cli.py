@@ -14,9 +14,8 @@ import json
 import sys
 
 from . import curation, evaluation, plotting
-from .budget import BudgetPolicy
 from .client import BackendError, ScriptedModel, WireBackend
-from .config import Config, ConfigError, load_config
+from .config import CONFIG_FIELDS, Config, ConfigError, flag_for, load_config
 from .curation import CurationError, CurationReport, SamplingPlan
 from .evaluation import SweepResult
 from .jsonl import (
@@ -39,34 +38,13 @@ EXIT_USAGE = 2
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--base-url", dest="base_url", help="chat-completions base URL")
-    parser.add_argument("--model", help="model name sent to the backend")
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--budget", dest="thinking_budget", type=int, help="thinking token budget")
-    parser.add_argument("--forcing-count", dest="forcing_count", type=int)
-    parser.add_argument("--per-forcing-cap", dest="per_forcing_cap", type=int)
-    parser.add_argument("--forcing-text", dest="forcing_text")
-    parser.add_argument("--workers", type=int)
+    for key in CONFIG_FIELDS.values():
+        parser.add_argument(flag_for(key), dest=key.name, type=type(key.default), help=key.metadata["help"])
     parser.add_argument("--mock", action="append", default=None, help="scripted-model JSON; repeatable")
 
 
-_CONFIG_FLAGS = (
-    "base_url",
-    "model",
-    "temperature",
-    "seed",
-    "thinking_budget",
-    "forcing_count",
-    "per_forcing_cap",
-    "forcing_text",
-    "workers",
-)
-
-
 def _effective_config(args: argparse.Namespace) -> Config:
-    flags = {key: getattr(args, key, None) for key in _CONFIG_FLAGS}
-    return load_config(args.config, flags={k: v for k, v in flags.items() if v is not None})
+    return load_config(args.config, flags={name: getattr(args, name) for name in CONFIG_FIELDS})
 
 
 def _backend(args: argparse.Namespace, cfg: Config):
@@ -97,6 +75,28 @@ def _write_report(path: str, stages: list[curation.StageCount], cfg: Config, inp
     payload = report.to_dict()
     payload["_provenance"] = _provenance(cfg, inputs)
     write_json(path, payload)
+
+
+def _write_pool_stage(
+    args,
+    cfg: Config,
+    pool: list,
+    kept: list,
+    row: curation.StageCount,
+    inputs: list[str],
+    *,
+    out_inputs: list[str] | None = None,
+    header: dict | None = None,
+    verb: str = "kept",
+) -> None:
+    """Write the questions a stage kept, its ledger if ``--report`` was
+    given, and the one-line summary. ``out_inputs`` overrides the inputs
+    cited by the questions file."""
+    meta = _provenance(cfg, out_inputs or inputs)
+    write_jsonl(args.out, (question_to_record(q) for q in kept), meta=meta)
+    if args.report:
+        _write_report(args.report, [curation.initial_collection_row(pool), row], cfg, inputs, header)
+    print(f"{verb} {len(kept)} of {len(pool)} questions")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,11 +214,7 @@ def cmd_curate_filter(args, cfg: Config) -> int:
     pool = load_questions(args.pool)
     graders = _graders(args, cfg)
     kept, row = curation.difficulty_filter(pool, graders, workers=cfg.workers)
-    meta = _provenance(cfg, [args.pool] + (args.mock or []))
-    write_jsonl(args.out, (question_to_record(q) for q in kept), meta=meta)
-    if args.report:
-        _write_report(args.report, [curation.initial_collection_row(pool), row], cfg, [args.pool])
-    print(f"kept {len(kept)} of {len(pool)} questions")
+    _write_pool_stage(args, cfg, pool, kept, row, [args.pool], out_inputs=[args.pool] + (args.mock or []))
     return EXIT_OK
 
 
@@ -240,21 +236,14 @@ def cmd_curate_decontaminate(args, cfg: Config) -> int:
     pool = load_questions(args.pool)
     eval_sets = [load_questions(path) for path in args.eval_sets]
     clean, row = curation.decontaminate(pool, eval_sets, ngram_size=args.ngram)
-    inputs = [args.pool] + list(args.eval_sets)
-    write_jsonl(args.out, (question_to_record(q) for q in clean), meta=_provenance(cfg, inputs))
-    if args.report:
-        _write_report(args.report, [curation.initial_collection_row(pool), row], cfg, inputs)
-    print(f"kept {len(clean)} of {len(pool)} questions")
+    _write_pool_stage(args, cfg, pool, clean, row, [args.pool] + list(args.eval_sets))
     return EXIT_OK
 
 
 def cmd_curate_dedup(args, cfg: Config) -> int:
     pool = load_questions(args.pool)
     kept, row = curation.deduplicate(pool)
-    write_jsonl(args.out, (question_to_record(q) for q in kept), meta=_provenance(cfg, [args.pool]))
-    if args.report:
-        _write_report(args.report, [curation.initial_collection_row(pool), row], cfg, [args.pool])
-    print(f"kept {len(kept)} of {len(pool)} questions")
+    _write_pool_stage(args, cfg, pool, kept, row, [args.pool])
     return EXIT_OK
 
 
@@ -264,16 +253,8 @@ def cmd_curate_sample(args, cfg: Config) -> int:
     selected, row = curation.diversity_sample(plan)
     by_id = {q.id: q for q in pool}
     chosen = [by_id[item_id] for item_id, _ in selected]
-    write_jsonl(args.out, (question_to_record(q) for q in chosen), meta=_provenance(cfg, [args.pool]))
-    if args.report:
-        _write_report(
-            args.report,
-            [curation.initial_collection_row(pool), row],
-            cfg,
-            [args.pool],
-            header={"rng": curation.SAMPLER_RNG, "seed": cfg.seed},
-        )
-    print(f"sampled {len(chosen)} of {len(pool)} questions")
+    header = {"rng": curation.SAMPLER_RNG, "seed": cfg.seed}
+    _write_pool_stage(args, cfg, pool, chosen, row, [args.pool], header=header, verb="sampled")
     return EXIT_OK
 
 
@@ -281,6 +262,8 @@ def cmd_curate_annotate(args, cfg: Config) -> int:
     pool = load_questions(args.pool)
     with open(args.lexicon, encoding="utf-8") as fh:
         lexicon = json.load(fh)
+    if not isinstance(lexicon, dict) or not lexicon or not all(isinstance(v, str) for v in lexicon.values()):
+        raise CurationError(f"{args.lexicon}: lexicon must be a nonempty JSON object mapping term to qualifier string")
     annotated = curation.annotate_domains(pool, lexicon)
     inputs = [args.pool, args.lexicon]
     write_jsonl(args.out, (question_to_record(q) for q in annotated), meta=_provenance(cfg, inputs))
@@ -296,10 +279,6 @@ def cmd_curate_format_sft(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _policy_from(cfg: Config) -> BudgetPolicy:
-    return cfg.policy()
-
-
 def cmd_eval(args, cfg: Config) -> int:
     backend = _backend(args, cfg)
     results = {}
@@ -308,7 +287,7 @@ def cmd_eval(args, cfg: Config) -> int:
         results[path] = evaluation.evaluate(
             questions,
             backend,
-            _policy_from(cfg),
+            cfg.policy(),
             temperature=cfg.temperature,
             seed=cfg.seed,
             workers=cfg.workers,
@@ -400,7 +379,7 @@ def cmd_sweep(args, cfg: Config) -> int:
         questions,
         backend,
         budgets,
-        _policy_from(cfg),
+        cfg.policy(),
         dataset_name=args.dataset,
         reuse_transcripts=args.reuse_transcripts,
         temperature=cfg.temperature,
@@ -420,7 +399,7 @@ def cmd_force_sweep(args, cfg: Config) -> int:
         questions,
         backend,
         args.max_forcings,
-        _policy_from(cfg),
+        cfg.policy(),
         dataset_name=args.dataset,
         temperature=cfg.temperature,
         seed=cfg.seed,

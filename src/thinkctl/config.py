@@ -1,79 +1,70 @@
 """Configuration with precedence flags > environment > file > defaults.
 
 The file format is INI-style sections of flat key/value pairs; every key
-also exists as a command-line flag. Defaults carry the operating points
-used throughout: temperature 0, seed 42, thinking budget 4096, forcing
-text "Wait." with a 2048-token per-forcing limit.
+also exists as a command-line flag. The ``Config`` fields are the one key
+table: each field's metadata names its file section and, where it is not
+``--<name-with-dashes>``, its flag. Defaults are the operating points of
+the modules that use them (budget policy, sampling, worker count).
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from typing import Mapping
 
-from .budget import BudgetPolicy
+from .budget import DEFAULT_FORCING_TEXT, DEFAULT_PER_FORCING_CAP, DEFAULT_THINKING_BUDGET, BudgetPolicy
+from .client import DEFAULT_SEED, DEFAULT_TEMPERATURE
+from .evaluation import DEFAULT_WORKERS
 
 BASE_URL_ENV = "M1_BASE_URL"
+
+# the file section whose keys are exactly the BudgetPolicy keyword arguments
+POLICY_SECTION = "policy"
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _key(section: str, default, flag: str | None = None, help: str | None = None):
+    return field(default=default, metadata={"section": section, "flag": flag, "help": help})
+
+
 @dataclass
 class Config:
-    base_url: str = "http://localhost:8000"
-    model: str = "default"
-    temperature: float = 0.0
-    seed: int = 42
-    thinking_budget: int = 4096
-    forcing_count: int = 0
-    per_forcing_cap: int = 2048
-    forcing_text: str = "Wait."
-    workers: int = 8
-    output_dir: str = "."
+    base_url: str = _key("backend", "http://localhost:8000", help="chat-completions base URL")
+    model: str = _key("backend", "default", help="model name sent to the backend")
+    temperature: float = _key("backend", DEFAULT_TEMPERATURE)
+    seed: int = _key("backend", DEFAULT_SEED)
+    thinking_budget: int = _key(POLICY_SECTION, DEFAULT_THINKING_BUDGET, flag="--budget", help="thinking token budget")
+    forcing_count: int = _key(POLICY_SECTION, 0)
+    per_forcing_cap: int = _key(POLICY_SECTION, DEFAULT_PER_FORCING_CAP)
+    forcing_text: str = _key(POLICY_SECTION, DEFAULT_FORCING_TEXT)
+    workers: int = _key("run", DEFAULT_WORKERS)
 
     def policy(self) -> BudgetPolicy:
         return BudgetPolicy(
-            thinking_budget=self.thinking_budget,
-            forcing_count=self.forcing_count,
-            forcing_text=self.forcing_text,
-            per_forcing_cap=self.per_forcing_cap,
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.metadata["section"] == POLICY_SECTION}
         )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# file section for each key; flat keys, all also exposed as flags
-_SECTIONS = {
-    "base_url": "backend",
-    "model": "backend",
-    "temperature": "backend",
-    "seed": "backend",
-    "thinking_budget": "policy",
-    "forcing_count": "policy",
-    "per_forcing_cap": "policy",
-    "forcing_text": "policy",
-    "workers": "run",
-    "output_dir": "run",
-}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(Config)}
+CONFIG_FIELDS: dict[str, Field] = {f.name: f for f in fields(Config)}
 
 
-def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+def flag_for(key: Field) -> str:
+    return key.metadata["flag"] or "--" + key.name.replace("_", "-")
+
+
+def _coerce(key: Field, raw: str):
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return type(key.default)(raw)
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
+        raise ConfigError(f"config key {key.name!r}: cannot parse {raw!r}") from exc
 
 
 def _read_file(path: str) -> dict:
@@ -81,14 +72,16 @@ def _read_file(path: str) -> dict:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    sections = {key.metadata["section"] for key in CONFIG_FIELDS.values()}
     values = {}
     for section in parser.sections():
-        if section not in set(_SECTIONS.values()):
+        if section not in sections:
             raise ConfigError(f"unknown config section: {section}")
-        for key, raw in parser.items(section):
-            if key not in _SECTIONS or _SECTIONS[key] != section:
-                raise ConfigError(f"unknown config key: {key}")
-            values[key] = _coerce(key, raw)
+        for name, raw in parser.items(section):
+            key = CONFIG_FIELDS.get(name)
+            if key is None or key.metadata["section"] != section:
+                raise ConfigError(f"unknown config key: {name}")
+            values[name] = _coerce(key, raw)
     return values
 
 
@@ -109,7 +102,7 @@ def load_config(
     if BASE_URL_ENV in env:
         values["base_url"] = env[BASE_URL_ENV]
     for key, value in (flags or {}).items():
-        if key not in _FIELD_TYPES:
+        if key not in CONFIG_FIELDS:
             raise ConfigError(f"unknown config key: {key}")
         if value is not None:
             values[key] = value

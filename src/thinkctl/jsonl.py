@@ -67,6 +67,8 @@ def record_to_question(record: dict, path: str = "<memory>", lineno: int = 0) ->
     domains = record.get("domains", [])
     if not isinstance(domains, list) or not all(isinstance(d, str) for d in domains):
         raise SchemaError(path, lineno, "field 'domains' must be a list of strings")
+    if len(set(domains)) != len(domains):
+        raise SchemaError(path, lineno, f"field 'domains' repeats a label: {domains}")
     try:
         return McqQuestion(
             id=qid,

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from thinkctl.budget import (
@@ -17,6 +20,7 @@ from thinkctl.budget import (
     truncate_to_budget,
 )
 from thinkctl.client import ConnectionFailure, ScriptEntry, ScriptedModel
+from test_acceptance import random_scripted_model
 
 
 def words(prefix: str, n: int) -> str:
@@ -273,3 +277,44 @@ def test_reelicit_answer_after_truncation():
     answered = reelicit_answer("Q?", cut, policy, model)
     assert answered.thinking_tokens == 5
     assert answered.answer_text == "\\boxed{D}"
+
+
+class RecordingBackend:
+    """Serves a scripted model under the given join rule and logs every
+    request it receives."""
+
+    def __init__(self, model: ScriptedModel, token_joiner: str):
+        self.model = model
+        self.token_joiner = token_joiner
+        self.requests = []
+
+    def raw_stream(self, req):
+        self.requests.append(req)
+        return self.model.raw_stream(req)
+
+
+# sha256 of the request log below; any change to the bytes of a generation
+# context, or to a request's cap, stop marker, temperature or seed, moves it
+REQUEST_LOG_SHA256 = "1ddff885316f4a69ce66ca7562fc0ea0b5951be43586dcb086e555df647179f9"
+
+
+def test_request_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for trial in range(250):
+        rng = random.Random(10_000 + trial)
+        model, _ = random_scripted_model(rng)
+        policy = BudgetPolicy(thinking_budget=rng.randint(1, 200), forcing_count=rng.randint(0, 3))
+        seed = rng.randint(0, 99)
+        for joiner in (" ", ""):
+            for prompt in ("Prompt?", ""):
+                backend = RecordingBackend(model, joiner)
+                transcript = run_with_budget(prompt, policy, backend, seed=seed)
+                answer_request = backend.requests[-1]
+                reelicit_answer(prompt, transcript, policy, backend, seed=seed)
+                assert backend.requests[-1] == answer_request
+                cut = truncate_to_budget(transcript, rng.randint(1, transcript.thinking_tokens + 1))
+                reelicit_answer(prompt, cut, policy, backend, seed=seed)
+                for req in backend.requests:
+                    record = (req.prompt, req.max_new_tokens, req.stop_on, req.temperature, req.seed)
+                    digest.update(repr(record).encode("utf-8"))
+    assert digest.hexdigest() == REQUEST_LOG_SHA256

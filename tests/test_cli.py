@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinkctl.budget import ANSWER_MARKER
 from thinkctl.cli import run
@@ -431,6 +435,66 @@ def test_curate_annotate(tmp_path):
         == 0
     )
     assert load_questions(str(out))[0].domains == ["Drug Therapy"]
+
+
+def test_curate_sample_rejects_repeated_domain_label(tmp_path, capsys):
+    pool = tmp_path / "pool.jsonl"
+    write_jsonl_file(pool, [question_record("q0", domains=["D"]), question_record("q1", domains=["D", "D"])])
+    code = run(["curate", "sample", "--pool", str(pool), "--n", "1", "--out", str(tmp_path / "out.jsonl")])
+    assert code == 1
+    assert f"{pool}:2:" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("lexicon", [["stem"], 3, {"stem": 3}, {}])
+def test_curate_annotate_rejects_malformed_lexicon(tmp_path, capsys, lexicon):
+    pool = tmp_path / "pool.jsonl"
+    write_jsonl_file(pool, [question_record("q1", stem="A stem.")])
+    path = tmp_path / "lexicon.json"
+    path.write_text(json.dumps(lexicon))
+    out = tmp_path / "annotated.jsonl"
+    assert run(["curate", "annotate", "--pool", str(pool), "--lexicon", str(path), "--out", str(out)]) == 1
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+pool_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["alpha beta?", "beta gamma?", "gamma?"]),
+        st.sampled_from(["s0", "s1"]),
+        st.lists(st.sampled_from(["D", "E", "Unlabeled"]), max_size=3),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    rows=pool_rows,
+    lexicon=json_values | st.dictionaries(st.sampled_from(["alpha", "gamma"]), st.sampled_from(["D", "E"])),
+    n=st.integers(0, 6),
+)
+def test_curate_exit_codes_never_escape(rows, lexicon, n):
+    """Any pool or lexicon ends in exit code 0, 1 or 2, never a traceback."""
+    records = [
+        question_record(f"q{i}", stem, source=source, domains=domains)
+        for i, (stem, source, domains) in enumerate(rows)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        pool, lexicon_path, out = (pathlib.Path(tmp) / name for name in ("pool.jsonl", "lexicon.json", "out.jsonl"))
+        write_jsonl_file(pool, records)
+        lexicon_path.write_text(json.dumps(lexicon))
+        for argv in (
+            ["curate", "sample", "--pool", str(pool), "--n", str(n), "--out", str(out)],
+            ["curate", "annotate", "--pool", str(pool), "--lexicon", str(lexicon_path), "--out", str(out)],
+            ["curate", "dedup", "--pool", str(pool), "--out", str(out)],
+        ):
+            assert run(argv) in (0, 1, 2)
 
 
 def test_report_validates_and_prints(tmp_path, capsys):
