@@ -96,10 +96,13 @@ class _StopScanner:
 
     Tokens are scanned in the text formed by joining them with ``joiner``
     (backends may split markers across token events, and an occurrence may
-    begin inside a joiner). The scanner releases a token only once no
-    future occurrence of the marker can overlap it; when the marker
+    begin inside a joiner). A token is withheld only while the joined
+    text's tail could still grow into the marker, so it is released as
+    soon as no future occurrence can overlap it; when the marker
     completes, a straddling token is truncated to its text before the
-    marker, so the marker never reaches the consumer.
+    marker, so the marker never reaches the consumer. When the joiner has
+    no ``marker[0]``, a token without it costs one membership test while
+    nothing is withheld.
     """
 
     def __init__(self, marker: str, joiner: str):
@@ -108,23 +111,27 @@ class _StopScanner:
         self.marker = marker
         self.joiner = joiner
         self.found = False
+        self._first = marker[0]
+        self._fast = self._first not in joiner
         self._held: list[tuple[str, int]] = []  # (token, global start offset)
-        self._text_len = 0  # length of the joined text seen so far
+        self._text_len = -len(joiner)  # end of the joined text; no joiner precedes the first token
         self._tail = ""  # joined text from _tail_from onward
         self._tail_from = 0
 
     def push(self, token: str) -> list[str]:
         if self.found:
             return []
-        if self._text_len == 0:
-            addition, start = token, 0
-        else:
-            addition, start = self.joiner + token, self._text_len + len(self.joiner)
+        start = self._text_len + len(self.joiner)
+        if self._fast and not self._held and self._first not in token:
+            # no occurrence can start in this token or the joiner after it
+            self._text_len = start + len(token)
+            self._tail, self._tail_from = "", self._text_len + len(self.joiner)
+            return [token]
         if self._tail_from <= self._text_len:
-            self._tail += addition
+            self._tail += self.joiner + token
         else:
             # the tail watermark sits inside the committed joiner
-            self._tail = addition[self._tail_from - self._text_len :]
+            self._tail = (self.joiner + token)[self._tail_from - self._text_len :]
         self._held.append((token, start))
         self._text_len = start + len(token)
 
@@ -146,12 +153,14 @@ class _StopScanner:
     def _earliest_future_start(self) -> int:
         # a future occurrence must end beyond the current text; its known
         # prefix (remaining text plus the joiner committed before any next
-        # token) must match the start of the marker
+        # token) must match the start of the marker, so it starts at a
+        # ``marker[0]`` or at the end of the known text
         known = self._tail + self.joiner
-        lo = max(0, self._text_len - len(self.marker) + 1 - self._tail_from)
-        for p in range(lo, len(known) + 1):
+        p = known.find(self._first, max(0, self._text_len - len(self.marker) + 1 - self._tail_from))
+        while p != -1:
             if self.marker.startswith(known[p:]):
                 return self._tail_from + p
+            p = known.find(self._first, p + 1)
         return self._tail_from + len(known)
 
     def _cut_tokens(self, marker_start: int) -> list[str]:
@@ -167,14 +176,13 @@ class _StopScanner:
         return out
 
     def _release(self, safe_until: int) -> list[str]:
-        released = []
-        kept: list[tuple[str, int]] = []
+        n = 0
         for tok, start in self._held:
-            if start + len(tok) <= safe_until and not kept:
-                released.append(tok)
-            else:
-                kept.append((tok, start))
-        self._held = kept
+            if start + len(tok) > safe_until:
+                break
+            n += 1
+        released = [tok for tok, _ in self._held[:n]]
+        del self._held[:n]
         if safe_until > self._tail_from:
             self._tail = self._tail[safe_until - self._tail_from :]
             self._tail_from = safe_until
@@ -361,6 +369,8 @@ class WireBackend:
         with resp:
             if resp.status_code != 200:
                 raise BackendStatusError(resp.status_code, resp.text[:200])
+            # SSE is UTF-8; without a charset ``requests`` would pick Latin-1
+            resp.encoding = "utf-8"
             completed = False
             try:
                 for line in resp.iter_lines(decode_unicode=True):

@@ -262,6 +262,99 @@ def test_scanner_matches_eager_oracle(tokens, marker, joiner):
     assert got == expected
 
 
+def safe_prefix(tokens: list[str], marker: str, joiner: str) -> list[str]:
+    """Brute-force oracle for release timing: once the marker has occurred,
+    the eager split; otherwise every token ending at or before the earliest
+    offset where a future occurrence could still start."""
+    text = joiner.join(tokens)
+    if marker in text:
+        return eager_stop_split(tokens, marker, joiner)
+    known = text + joiner
+    lo = max(0, len(text) - len(marker) + 1)
+    safe = next(p for p in range(lo, len(known) + 1) if marker.startswith(known[p:]))
+    out = []
+    pos = 0
+    for tok in tokens:
+        if pos + len(tok) > safe:
+            break
+        out.append(tok)
+        pos += len(tok) + len(joiner)
+    return out
+
+
+# " x" starts with the space joiner, "aab" repeats its first character and
+# one-character markers leave nothing to withhold, so both the fast path
+# and the withholding path of the scanner run
+SCANNER_MARKERS = st.one_of(
+    st.sampled_from([" x", "aab", "a", "x", " ", "xa x"]),
+    st.text(alphabet="ab x", min_size=1, max_size=4),
+)
+# empty tokens included: a leading one is still followed by the joiner
+SCANNER_TOKENS = st.lists(st.text(alphabet="ab x", max_size=4), max_size=12)
+
+
+@given(tokens=SCANNER_TOKENS, marker=SCANNER_MARKERS, joiner=st.sampled_from(["", " "]))
+@settings(max_examples=400, deadline=None)
+def test_scanner_releases_maximal_safe_prefix_after_every_push(tokens, marker, joiner):
+    scanner = _StopScanner(marker, joiner)
+    released: list[str] = []
+    for i, tok in enumerate(tokens):
+        released.extend(scanner.push(tok))
+        assert released == safe_prefix(tokens[: i + 1], marker, joiner)
+        if scanner.found:
+            break
+
+
+class _ListBackend:
+    """Streams a fixed token list and counts the tokens handed out."""
+
+    def __init__(self, tokens: list[str], joiner: str):
+        self.tokens = tokens
+        self.token_joiner = joiner
+        self.read = 0
+
+    def raw_stream(self, req):
+        for tok in self.tokens:
+            self.read += 1
+            yield tok
+
+
+@given(
+    tokens=SCANNER_TOKENS,
+    marker=st.none() | SCANNER_MARKERS,
+    joiner=st.sampled_from(["", " "]),
+    cap=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_stream_cap_and_marker_match_oracle(tokens, marker, joiner, cap):
+    backend = _ListBackend(tokens, joiner)
+    stream = stream_generate(backend, GenerationRequest("p", max_new_tokens=cap, stop_on=marker))
+    got = [(e.text, e.ordinal, e.cause) for e in stream]
+
+    # oracle: the eager split, then the cap; the stream stops reading the
+    # backend as soon as the scanner has released the cap-th token, or when
+    # the backend runs dry and the withheld tokens are flushed
+    def released(prefix: list[str]) -> list[str]:
+        return prefix if marker is None else safe_prefix(prefix, marker, joiner)
+
+    found = marker is not None and marker in joiner.join(tokens)
+    kept = eager_stop_split(tokens, marker, joiner) if marker is not None else tokens
+    if len(kept) >= cap:
+        cause = CAUSE_CAP
+        read = next((k for k in range(len(tokens) + 1) if len(released(tokens[:k])) >= cap), len(tokens))
+    elif found:
+        cause = CAUSE_MARKER
+        read = next(k for k in range(len(tokens) + 1) if marker in joiner.join(tokens[:k]))
+    else:
+        cause = CAUSE_BACKEND_STOP
+        read = len(tokens)
+    texts = kept[:cap]
+    expected = [(t, i, cause if i == len(texts) - 1 else None) for i, t in enumerate(texts)]
+    assert got == expected
+    assert stream.cause == cause
+    assert backend.read == read
+
+
 def test_scanner_truncates_straddling_token():
     # wire-style empty joiner: marker split across deltas
     got, found = run_scanner(["ab", "cMARK", "ER tail"], "MARKER", "")
@@ -294,6 +387,9 @@ def test_scanner_marker_starting_inside_joiner():
 # --- wire backend against a local SSE server ------------------------------
 
 
+UTF8_CHUNKS = ["5 µg", " at 37 °C", " then 39°C"]
+
+
 class _SSEHandler(BaseHTTPRequestHandler):
     requests_seen: list[dict] = []
     headers_seen: list[dict] = []
@@ -313,6 +409,9 @@ class _SSEHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"server exploded")
             return
+        if type(self).mode == "utf8":
+            self._send_utf8_chunked()
+            return
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.end_headers()
@@ -325,6 +424,22 @@ class _SSEHandler(BaseHTTPRequestHandler):
             self.wfile.write(f"data: {json.dumps(done)}\n\n".encode())
             self.wfile.write(b"data: [DONE]\n\n")
         # mode == "truncate": close without the sentinel
+
+    def _send_utf8_chunked(self):
+        # raw UTF-8 with no charset in the header, in two HTTP chunks that
+        # split the last "°" between them
+        lines = [json.dumps({"choices": [{"delta": {"content": c}}]}, ensure_ascii=False) for c in UTF8_CHUNKS]
+        data = "".join(f"data: {line}\n\n" for line in lines).encode() + b"data: [DONE]\n\n"
+        cut = data.rindex("°".encode()) + 1
+        self.protocol_version = "HTTP/1.1"
+        self.send_response(200)
+        self.send_header("Content-Type", "text/event-stream")
+        self.send_header("Transfer-Encoding", "chunked")
+        self.send_header("Connection", "close")
+        self.end_headers()
+        for part in (data[:cut], data[cut:], b""):
+            self.wfile.write(b"%x\r\n%s\r\n" % (len(part), part))
+        self.close_connection = True
 
     def log_message(self, *args):
         pass
@@ -371,6 +486,14 @@ def test_wire_stop_marker_client_side(sse_server):
     texts, cause = collect(stream_generate(backend, req))
     assert texts == ["Hello", " "]
     assert cause == CAUSE_MARKER
+
+
+def test_wire_decodes_sse_as_utf8(sse_server):
+    _SSEHandler.mode = "utf8"
+    backend = WireBackend(base_url=sse_server, model="m")
+    texts, cause = collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16)))
+    assert texts == UTF8_CHUNKS
+    assert cause == CAUSE_BACKEND_STOP
 
 
 def test_wire_500_is_retryable_status_error(sse_server):
