@@ -13,8 +13,8 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import requests
 
@@ -82,9 +82,11 @@ class GenerationRequest:
             raise ValueError("temperature must be >= 0")
 
 
-@dataclass(frozen=True)
-class TokenEvent:
-    """One emitted token. ``cause`` is set on the final event of a stream."""
+class TokenEvent(NamedTuple):
+    """One emitted token. ``cause`` is set on the final event of a stream.
+
+    A ``NamedTuple``: it equals the tuple ``(text, ordinal, cause)``, and
+    ``event._replace(...)`` makes a changed copy."""
 
     text: str
     ordinal: int
@@ -144,6 +146,14 @@ class _StopScanner:
             return out
         return self._release(self._earliest_future_start())
 
+    def scan(self, raw: Iterator[str]) -> Iterator[list[str]]:
+        """``push`` each token, stopping at the marker; ``finish`` if none."""
+        for token in raw:
+            yield self.push(token)
+            if self.found:
+                return
+        yield self.finish()
+
     def finish(self) -> list[str]:
         """Flush anything withheld once the backend stops on its own."""
         out = [tok for tok, _ in self._held]
@@ -154,11 +164,12 @@ class _StopScanner:
         # a future occurrence must end beyond the current text; its known
         # prefix (remaining text plus the joiner committed before any next
         # token) must match the start of the marker, so it starts at a
-        # ``marker[0]`` or at the end of the known text
+        # ``marker[0]`` or at the end of the known text (a multi-character
+        # joiner may hold the marker's end, so compare at most its length)
         known = self._tail + self.joiner
         p = known.find(self._first, max(0, self._text_len - len(self.marker) + 1 - self._tail_from))
         while p != -1:
-            if self.marker.startswith(known[p:]):
+            if self.marker.startswith(known[p : p + len(self.marker)]):
                 return self._tail_from + p
             p = known.find(self._first, p + 1)
         return self._tail_from + len(known)
@@ -199,52 +210,34 @@ class TokenStream:
 
     def __init__(self, backend, req: GenerationRequest):
         self._inner = self._events(backend, req)
-        self._buffered: TokenEvent | None = None
-        self._done = False
         self.cause: str | None = None
 
     def __iter__(self) -> "TokenStream":
         return self
 
     def __next__(self) -> TokenEvent:
-        if self._done:
-            raise StopIteration
-        if self._buffered is None:
-            self._buffered = next(self._inner)  # may raise StopIteration
-        event = self._buffered
-        try:
-            self._buffered = next(self._inner)
-        except StopIteration:
-            self._buffered = None
-            self._done = True
-            event = replace(event, cause=self.cause)
-        return event
+        return next(self._inner)
 
     def _events(self, backend, req: GenerationRequest) -> Iterator[TokenEvent]:
         joiner = getattr(backend, "token_joiner", "")
         scanner = _StopScanner(req.stop_on, joiner) if req.stop_on else None
         emitted = 0
+        held: str | None = None  # newest released text: the final event unless more is released
         raw = backend.raw_stream(req)
         try:
-            for raw_token in raw:
-                ready = scanner.push(raw_token) if scanner else [raw_token]
+            for ready in scanner.scan(raw) if scanner else ((token,) for token in raw):
                 for text in ready:
-                    yield TokenEvent(text, emitted)
-                    emitted += 1
-                    if emitted >= req.max_new_tokens:
+                    if held is not None:
+                        yield TokenEvent(held, emitted)
+                        emitted += 1
+                    if emitted + 1 == req.max_new_tokens:
                         self.cause = CAUSE_CAP
+                        yield TokenEvent(text, emitted, CAUSE_CAP)
                         return
-                if scanner is not None and scanner.found:
-                    self.cause = CAUSE_MARKER
-                    return
-            if scanner is not None:
-                for text in scanner.finish():
-                    yield TokenEvent(text, emitted)
-                    emitted += 1
-                    if emitted >= req.max_new_tokens:
-                        self.cause = CAUSE_CAP
-                        return
-            self.cause = CAUSE_BACKEND_STOP
+                    held = text
+            self.cause = CAUSE_MARKER if scanner is not None and scanner.found else CAUSE_BACKEND_STOP
+            if held is not None:
+                yield TokenEvent(held, emitted, self.cause)
         finally:
             close = getattr(raw, "close", None)
             if close is not None:

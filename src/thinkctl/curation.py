@@ -28,6 +28,7 @@ log = logging.getLogger(__name__)
 UNLABELED_DOMAIN = "Unlabeled"
 DEFAULT_NGRAM_SIZE = 8
 SAMPLER_RNG = "pcg64"
+_PUNCTUATION_TO_SPACE = str.maketrans(string.punctuation, " " * len(string.punctuation))
 
 
 class CurationError(ValueError):
@@ -154,8 +155,7 @@ def difficulty_filter(
     if not graders:
         raise CurationError("difficulty_filter needs at least one grader")
 
-    def grader_correct(grader, question: McqQuestion) -> bool:
-        prompt = format_prompt(question, instruction)
+    def grader_correct(grader, question: McqQuestion, prompt: str) -> bool:
         try:
             text = probe_answer(grader, prompt, retries=retries, backoff=backoff)
         except BackendError as exc:
@@ -164,7 +164,8 @@ def difficulty_filter(
         return grade(extract_answer(text, question.options), question.gold)
 
     def verdict(question: McqQuestion) -> tuple[str, bool]:
-        keep = not any(grader_correct(g, question) for g in graders)
+        prompt = format_prompt(question, instruction)
+        keep = not any(grader_correct(g, question, prompt) for g in graders)
         return question.id, keep
 
     if workers > 1:
@@ -185,8 +186,7 @@ def validate_traces(records: Sequence[TraceRecord]) -> tuple[list[TraceRecord], 
 
 def normalize_text(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace."""
-    lowered = text.lower().translate(str.maketrans(string.punctuation, " " * len(string.punctuation)))
-    return " ".join(lowered.split())
+    return " ".join(text.lower().translate(_PUNCTUATION_TO_SPACE).split())
 
 
 def word_ngrams(text: str, n: int) -> set[str]:
@@ -338,16 +338,23 @@ def annotate_domains(
     questions: Sequence[McqQuestion], lexicon: Mapping[str, str]
 ) -> list[McqQuestion]:
     """Label questions with every qualifier whose lexicon terms appear in
-    the stem (word-boundary match); unmatched items get ``Unlabeled``."""
+    the stem (word-boundary match); unmatched items get ``Unlabeled``.
+
+    One search per qualifier, for ``\\b(?:t1|t2|...)\\b`` over its escaped
+    terms: alternation backtracks, so it matches wherever some ``\\bti\\b``
+    would, and the labels equal those of one search per term."""
     if not lexicon:
         raise CurationError("lexicon must be nonempty")
+    terms: dict[str, list[str]] = {}
+    for term, qualifier in lexicon.items():
+        terms.setdefault(qualifier, []).append(re.escape(term))
     patterns = [
-        (re.compile(rf"\b{re.escape(term)}\b", re.IGNORECASE), qualifier)
-        for term, qualifier in lexicon.items()
+        (re.compile(rf"\b(?:{'|'.join(alternatives)})\b", re.IGNORECASE), qualifier)
+        for qualifier, alternatives in terms.items()
     ]
     annotated = []
     for q in questions:
-        labels = sorted({qualifier for pattern, qualifier in patterns if pattern.search(q.stem)})
+        labels = sorted(qualifier for pattern, qualifier in patterns if pattern.search(q.stem))
         annotated.append(replace(q, domains=labels or [UNLABELED_DOMAIN]))
     return annotated
 

@@ -9,6 +9,7 @@ outcome, not an error.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -109,6 +110,12 @@ FALLBACK_CASCADE: tuple[tuple[str, str], ...] = (
 STANDALONE_TAIL = 200
 
 
+@functools.lru_cache(maxsize=64)
+def _fallback_patterns(letters: tuple[str, ...]) -> tuple[tuple[str, re.Pattern], ...]:
+    alternation = "|".join(map(re.escape, letters))
+    return tuple((name, re.compile(t.format(letters=alternation), re.IGNORECASE)) for name, t in FALLBACK_CASCADE)
+
+
 def _normalize_options(options) -> dict[str, str]:
     if isinstance(options, Mapping):
         return {str(k).upper(): str(v) for k, v in options.items()}
@@ -172,9 +179,7 @@ def extract_answer(text: str, options) -> ExtractionOutcome:
         if letter is not None:
             return ExtractionOutcome(letter, METHOD_BOXED, span)
 
-    alternation = "|".join(re.escape(letter) for letter in option_map)
-    for name, template in FALLBACK_CASCADE:
-        pattern = re.compile(template.format(letters=alternation), re.IGNORECASE)
+    for name, pattern in _fallback_patterns(tuple(option_map)):
         if name == "standalone":
             offset = max(0, len(text) - STANDALONE_TAIL)
             region = text[offset:]

@@ -5,7 +5,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thinkctl.client import (
@@ -19,6 +19,7 @@ from thinkctl.client import (
     GenerationRequest,
     ScriptEntry,
     ScriptedModel,
+    TokenEvent,
     TokenStream,
     TruncatedStreamError,
     WireBackend,
@@ -271,7 +272,8 @@ def safe_prefix(tokens: list[str], marker: str, joiner: str) -> list[str]:
         return eager_stop_split(tokens, marker, joiner)
     known = text + joiner
     lo = max(0, len(text) - len(marker) + 1)
-    safe = next(p for p in range(lo, len(known) + 1) if marker.startswith(known[p:]))
+    # a multi-character joiner may complete the marker before its own end
+    safe = next(p for p in range(lo, len(known) + 1) if marker.startswith(known[p : p + len(marker)]))
     out = []
     pos = 0
     for tok in tokens:
@@ -291,9 +293,13 @@ SCANNER_MARKERS = st.one_of(
 )
 # empty tokens included: a leading one is still followed by the joiner
 SCANNER_TOKENS = st.lists(st.text(alphabet="ab x", max_size=4), max_size=12)
+# the wire joiner, the mock's space, and multi-character joiners in which
+# a marker can start, end or be wholly contained
+SCANNER_JOINERS = st.sampled_from(["", " ", " X", "ab", "\n\n"])
 
 
-@given(tokens=SCANNER_TOKENS, marker=SCANNER_MARKERS, joiner=st.sampled_from(["", " "]))
+@given(tokens=SCANNER_TOKENS, marker=SCANNER_MARKERS, joiner=SCANNER_JOINERS)
+@example(tokens=["Y", "b"], marker="Y ", joiner=" X")  # joined "Y Xb": the marker ends inside the joiner
 @settings(max_examples=400, deadline=None)
 def test_scanner_releases_maximal_safe_prefix_after_every_push(tokens, marker, joiner):
     scanner = _StopScanner(marker, joiner)
@@ -322,7 +328,7 @@ class _ListBackend:
 @given(
     tokens=SCANNER_TOKENS,
     marker=st.none() | SCANNER_MARKERS,
-    joiner=st.sampled_from(["", " "]),
+    joiner=SCANNER_JOINERS,
     cap=st.integers(min_value=1, max_value=8),
 )
 @settings(max_examples=300, deadline=None)
@@ -353,6 +359,38 @@ def test_stream_cap_and_marker_match_oracle(tokens, marker, joiner, cap):
     assert got == expected
     assert stream.cause == cause
     assert backend.read == read
+
+
+def test_stream_is_its_own_iterator_of_immutable_tuple_events():
+    stream = stream_generate(single_entry_model("a b"), GenerationRequest("p", max_new_tokens=5))
+    assert iter(stream) is stream
+    events = list(stream)
+    assert events == [TokenEvent("a", 0), TokenEvent("b", 1, CAUSE_BACKEND_STOP)]
+    assert events[0] == ("a", 0, None) and events[0] != TokenEvent("a", 1)
+    assert TokenEvent("x", 3).cause is None
+    assert events[1]._replace(cause=None) == TokenEvent("b", 1)
+    with pytest.raises(AttributeError):
+        events[0].text = "c"
+
+
+@pytest.mark.parametrize(
+    "tokens, joiner, stop_on, cap, texts, cause",
+    [
+        (["a", "b", "c", "d"], " ", None, 2, ["a", "b"], CAUSE_CAP),
+        (["a", "b", "c"], " ", None, 3, ["a", "b", "c"], CAUSE_CAP),  # exactly the cap
+        (["a", "b", "END", "c"], " ", "END", 9, ["a", "b"], CAUSE_MARKER),
+        (["a", "E", "ND"], "", "END", 9, ["a"], CAUSE_MARKER),  # the marker's start was withheld
+        (["a", "b"], " ", "END", 9, ["a", "b"], CAUSE_BACKEND_STOP),
+        (["a", "E"], "", "END", 9, ["a", "E"], CAUSE_BACKEND_STOP),  # flushed at the end
+        ([], " ", None, 3, [], CAUSE_BACKEND_STOP),
+    ],
+)
+def test_final_event_carries_the_cause(tokens, joiner, stop_on, cap, texts, cause):
+    stream = stream_generate(_ListBackend(tokens, joiner), GenerationRequest("p", max_new_tokens=cap, stop_on=stop_on))
+    events = list(stream)
+    assert [e.text for e in events] == texts
+    assert [e.cause for e in events] == [None] * (len(texts) - 1) + [cause] * bool(texts)
+    assert stream.cause == cause
 
 
 def test_scanner_truncates_straddling_token():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture
 from thinkctl.budget import ANSWER_MARKER, THINK_MARKER
@@ -325,6 +328,29 @@ def test_no_hit_gets_unlabeled():
 def test_empty_lexicon_rejected():
     with pytest.raises(CurationError):
         annotate_domains([question("q1", "stem")], {})
+
+
+# prefixes of each other, one term in two cases, regex metacharacters,
+# non-word edges, and characters whose case folding is irregular
+ANNOTATE_TERMS = ["heart", "Heart failure", "HEART", "c++", "-itis", "5µg", "ſ", "s", "K", "k", "\u212a", "İ", "i", "µ", "μ"]
+ANNOTATE_ALPHABET = "aehilrt FK+-5µμgſsSk\u212aİıi."  # \u212a: the Kelvin sign
+ANNOTATE_PIECES = st.one_of(st.sampled_from(ANNOTATE_TERMS), st.text(alphabet=ANNOTATE_ALPHABET, min_size=1, max_size=5))
+
+
+@given(
+    terms=st.lists(ANNOTATE_PIECES, min_size=1, max_size=12),
+    qualifiers=st.lists(st.sampled_from(["Q1", "Q2", "Q3"]), min_size=12, max_size=12),
+    one_per_term=st.booleans(),
+    stems=st.lists(st.lists(ANNOTATE_PIECES | st.sampled_from([" ", "(", "-"]), max_size=8).map("".join), min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_annotation_matches_one_search_per_term(terms, qualifiers, one_per_term, stems):
+    # either exactly one term per qualifier or many terms under few
+    lexicon = {term: f"T{i}" if one_per_term else qualifiers[i] for i, term in enumerate(terms)}
+    annotated = annotate_domains([question(f"q{i}", stem) for i, stem in enumerate(stems)], lexicon)
+    for q, stem in zip(annotated, stems):
+        hits = {qual for term, qual in lexicon.items() if re.search(rf"\b{re.escape(term)}\b", stem, re.IGNORECASE)}
+        assert q.domains == (sorted(hits) or ["Unlabeled"])
 
 
 def test_annotation_fixture_pool_exact_labels():

@@ -192,6 +192,13 @@ def test_extraction_span_points_at_evidence():
     assert text[start:end] == "\\boxed{B}"
 
 
+def test_fallback_cascade_follows_each_calls_letters():
+    text = "the answer is (E)"
+    assert extract_answer(text, "AB").letter is None
+    assert extract_answer(text, "ABCDE").letter == "E"
+    assert extract_answer(text, "AB").letter is None
+
+
 def test_extract_rejects_empty_options():
     with pytest.raises(ValueError):
         extract_answer("text", {})
