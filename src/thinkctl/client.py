@@ -14,7 +14,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import requests
 
@@ -102,9 +102,19 @@ class _StopScanner:
     text's tail could still grow into the marker, so it is released as
     soon as no future occurrence can overlap it; when the marker
     completes, a straddling token is truncated to its text before the
-    marker, so the marker never reaches the consumer. When the joiner has
-    no ``marker[0]``, a token without it costs one membership test while
-    nothing is withheld.
+    marker, so the marker never reaches the consumer.
+
+    Offsets into the joined text are relative: they are only compared
+    with one another, so shifting all of them by one amount changes
+    nothing. When the joiner has no ``marker[0]`` and nothing is withheld,
+    a token without ``marker[0]`` can start no occurrence and is released
+    at once; the state after it differs from the state before it only by
+    such a shift. So a caller may release that token without calling
+    ``push``, and the next ``push`` continues from the unchanged state
+    with no re-base. ``watch`` is the character whose presence sends a
+    token to ``push`` while ``held`` is empty: ``marker[0]``, or ``""``
+    (in every token) when the joiner holds ``marker[0]``. ``held`` is only
+    changed in place, so a caller may test an alias of it.
     """
 
     def __init__(self, marker: str, joiner: str):
@@ -114,9 +124,9 @@ class _StopScanner:
         self.joiner = joiner
         self.found = False
         self._first = marker[0]
-        self._fast = self._first not in joiner
-        self._held: list[tuple[str, int]] = []  # (token, global start offset)
-        self._text_len = -len(joiner)  # end of the joined text; no joiner precedes the first token
+        self.watch = "" if self._first in joiner else self._first
+        self.held: list[tuple[str, int]] = []  # (token, start offset)
+        self._text_len = -len(joiner)  # end offset of the pushed text; no joiner precedes the first token
         self._tail = ""  # joined text from _tail_from onward
         self._tail_from = 0
 
@@ -124,40 +134,27 @@ class _StopScanner:
         if self.found:
             return []
         start = self._text_len + len(self.joiner)
-        if self._fast and not self._held and self._first not in token:
-            # no occurrence can start in this token or the joiner after it
-            self._text_len = start + len(token)
-            self._tail, self._tail_from = "", self._text_len + len(self.joiner)
-            return [token]
         if self._tail_from <= self._text_len:
             self._tail += self.joiner + token
         else:
             # the tail watermark sits inside the committed joiner
             self._tail = (self.joiner + token)[self._tail_from - self._text_len :]
-        self._held.append((token, start))
+        self.held.append((token, start))
         self._text_len = start + len(token)
 
         idx = self._tail.find(self.marker)
         if idx != -1:
             self.found = True
             out = self._cut_tokens(self._tail_from + idx)
-            self._held = []
+            self.held.clear()
             self._tail = ""
             return out
         return self._release(self._earliest_future_start())
 
-    def scan(self, raw: Iterator[str]) -> Iterator[list[str]]:
-        """``push`` each token, stopping at the marker; ``finish`` if none."""
-        for token in raw:
-            yield self.push(token)
-            if self.found:
-                return
-        yield self.finish()
-
     def finish(self) -> list[str]:
         """Flush anything withheld once the backend stops on its own."""
-        out = [tok for tok, _ in self._held]
-        self._held = []
+        out = [tok for tok, _ in self.held]
+        self.held.clear()
         return out
 
     def _earliest_future_start(self) -> int:
@@ -176,7 +173,7 @@ class _StopScanner:
 
     def _cut_tokens(self, marker_start: int) -> list[str]:
         out = []
-        for tok, start in self._held:
+        for tok, start in self.held:
             end = start + len(tok)
             if end <= marker_start:
                 out.append(tok)
@@ -188,16 +185,21 @@ class _StopScanner:
 
     def _release(self, safe_until: int) -> list[str]:
         n = 0
-        for tok, start in self._held:
+        for tok, start in self.held:
             if start + len(tok) > safe_until:
                 break
             n += 1
-        released = [tok for tok, _ in self._held[:n]]
-        del self._held[:n]
+        released = [tok for tok, _ in self.held[:n]]
+        del self.held[:n]
         if safe_until > self._tail_from:
             self._tail = self._tail[safe_until - self._tail_from :]
             self._tail_from = safe_until
         return released
+
+
+# what ``TokenEvent.__new__`` calls; calling it directly skips that
+# method's Python frame, a large share of the cost of an event
+_new_event = tuple.__new__
 
 
 class TokenStream:
@@ -206,42 +208,100 @@ class TokenStream:
     ``cause`` is ``None`` while streaming and one of ``CAUSE_*`` once the
     stream is exhausted; the final yielded event carries it too. Streams no
     more than ``req.max_new_tokens`` events.
+
+    One loop, ``_pump``, reads the backend and buffers the texts it
+    releases; ``collect`` drains a stream through it without building
+    events. The iterator holds back the newest released text until the
+    next one is released or the stream ends, so it reads at most one text
+    ahead of the event it returns.
     """
 
     def __init__(self, backend, req: GenerationRequest):
-        self._inner = self._events(backend, req)
+        self._backend = backend
+        self._req = req
+        self._cap = req.max_new_tokens
+        self._raw: Iterator[str] | None = None  # opened by the first read
+        self._scanner = _StopScanner(req.stop_on, getattr(backend, "token_joiner", "")) if req.stop_on else None
+        self._texts: list[str] = []  # every released text, in order
+        self._pos = 0  # texts returned as events
+        self._end: str | None = None  # the cause, once the pump has stopped
         self.cause: str | None = None
 
     def __iter__(self) -> "TokenStream":
         return self
 
     def __next__(self) -> TokenEvent:
-        return next(self._inner)
+        pos = self._pos
+        texts = self._texts
+        if len(texts) < pos + 2 and self._end is None:
+            self._pump(pos + 2)
+        if pos + 1 < len(texts):
+            self._pos = pos + 1
+            return _new_event(TokenEvent, (texts[pos], pos, None))
+        self.cause = self._end
+        if pos == len(texts):
+            raise StopIteration
+        self._pos = pos + 1
+        return TokenEvent(texts[pos], pos, self.cause)
 
-    def _events(self, backend, req: GenerationRequest) -> Iterator[TokenEvent]:
-        joiner = getattr(backend, "token_joiner", "")
-        scanner = _StopScanner(req.stop_on, joiner) if req.stop_on else None
-        emitted = 0
-        held: str | None = None  # newest released text: the final event unless more is released
-        raw = backend.raw_stream(req)
+    def _drain(self) -> tuple[list[str], str]:
+        if self._end is None:
+            self._pump(self._cap)
+        texts = self._texts[self._pos :]
+        self._pos = len(self._texts)
+        self.cause = self._end
+        return texts, self.cause
+
+    def _pump(self, want: int) -> None:
+        """Read the backend until ``want`` texts (at most the cap) have been
+        released or the stream ends; at the end, set ``_end`` and close the
+        backend's stream."""
+        texts = self._texts
+        cap = self._cap
+        if want > cap:
+            want = cap
+        raw = self._raw
+        if raw is None:
+            raw = self._raw = self._backend.raw_stream(self._req)
+        scanner = self._scanner
+        end = None
         try:
-            for ready in scanner.scan(raw) if scanner else ((token,) for token in raw):
-                for text in ready:
-                    if held is not None:
-                        yield TokenEvent(held, emitted)
-                        emitted += 1
-                    if emitted + 1 == req.max_new_tokens:
-                        self.cause = CAUSE_CAP
-                        yield TokenEvent(text, emitted, CAUSE_CAP)
-                        return
-                    held = text
-            self.cause = CAUSE_MARKER if scanner is not None and scanner.found else CAUSE_BACKEND_STOP
-            if held is not None:
-                yield TokenEvent(held, emitted, self.cause)
-        finally:
-            close = getattr(raw, "close", None)
-            if close is not None:
-                close()
+            if scanner is None:
+                for token in raw:
+                    texts.append(token)
+                    if len(texts) >= want:
+                        break
+                else:
+                    end = CAUSE_BACKEND_STOP
+            else:
+                held, watch = scanner.held, scanner.watch
+                for token in raw:
+                    if held or watch in token:
+                        texts.extend(scanner.push(token))
+                        if scanner.found:
+                            end = CAUSE_MARKER
+                            break
+                    else:
+                        texts.append(token)
+                    if len(texts) >= want:
+                        break
+                else:
+                    texts.extend(scanner.finish())
+                    end = CAUSE_BACKEND_STOP
+        except BaseException:
+            self._close()
+            raise
+        if len(texts) >= cap:
+            del texts[cap:]
+            end = CAUSE_CAP
+        if end is not None:
+            self._end = end
+            self._close()
+
+    def _close(self) -> None:
+        close = getattr(self._raw, "close", None)
+        if close is not None:
+            close()
 
 
 def stream_generate(backend, req: GenerationRequest) -> TokenStream:
@@ -250,8 +310,14 @@ def stream_generate(backend, req: GenerationRequest) -> TokenStream:
     return TokenStream(backend, req)
 
 
-def collect(stream: TokenStream) -> tuple[list[str], str]:
-    """Drain a stream; returns (token texts, terminating cause)."""
+def collect(stream: Iterable[TokenEvent]) -> tuple[list[str], str]:
+    """Drain a stream; returns (token texts, terminating cause).
+
+    A ``TokenStream`` is drained through its pump and builds no
+    ``TokenEvent``. Any other iterable of events with a ``cause`` once
+    drained, such as a wrapper around a stream, is iterated."""
+    if isinstance(stream, TokenStream):
+        return stream._drain()
     texts = [event.text for event in stream]
     assert stream.cause is not None
     return texts, stream.cause

@@ -194,16 +194,16 @@ def word_ngrams(text: str, n: int) -> set[str]:
     return {" ".join(words[i : i + n]) for i in range(len(words) - n + 1)}
 
 
+def _first_per_key(keyed: Iterable[tuple[str, McqQuestion]]) -> list[McqQuestion]:
+    first: dict[str, McqQuestion] = {}
+    for key, q in keyed:
+        first.setdefault(key, q)
+    return list(first.values())
+
+
 def deduplicate(pool: Sequence[McqQuestion]) -> tuple[list[McqQuestion], StageCount]:
     """Drop exact duplicates by normalized stem, keeping the first seen."""
-    seen: set[str] = set()
-    kept = []
-    for q in pool:
-        key = normalize_text(q.stem)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(q)
+    kept = _first_per_key((normalize_text(q.stem), q) for q in pool)
     return kept, StageCount("deduplication", source_counts(kept))
 
 
@@ -226,11 +226,10 @@ def decontaminate(
 
     clean = []
     for q in pool:
-        grams = word_ngrams(normalize_text(q.stem), ngram_size)
-        if grams & eval_ngrams:
-            continue
-        clean.append(q)
-    deduped, _ = deduplicate(clean)
+        key = normalize_text(q.stem)  # also the dedup key
+        if eval_ngrams.isdisjoint(word_ngrams(key, ngram_size)):
+            clean.append((key, q))
+    deduped = _first_per_key(clean)
     params = {
         "ngram_size": ngram_size,
         "normalization": "lowercase, punctuation stripped, whitespace collapsed",

@@ -7,6 +7,7 @@ count of correct outcomes. Per-question hard failures count as incorrect
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import fmean
@@ -15,6 +16,8 @@ from typing import Sequence
 from .budget import BudgetPolicy, ReasoningTranscript, reelicit_answer, run_with_budget, truncate_to_budget
 from .client import BackendError, DEFAULT_SEED, DEFAULT_TEMPERATURE, with_retries
 from .qa import DEFAULT_INSTRUCTION, McqQuestion, extract_answer, format_prompt, grade
+
+log = logging.getLogger(__name__)
 
 DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
 DEFAULT_WORKERS = 8
@@ -180,7 +183,9 @@ def budget_sweep(
     By default each budget re-runs generation. ``reuse_transcripts`` is an
     opt-in fast mode: one run at the largest budget, then each smaller
     budget truncates those transcripts and re-elicits only the answer (an
-    approximation of a full re-run).
+    approximation of a full re-run). A re-elicited answer is retried like
+    a question in ``evaluate``; one that still fails counts incorrect with
+    0 thinking tokens, so n stays fixed.
     """
     if not budgets:
         raise ValueError("need at least one budget")
@@ -198,6 +203,8 @@ def budget_sweep(
     instruction = eval_kwargs.get("instruction", DEFAULT_INSTRUCTION)
     temperature = eval_kwargs.get("temperature", DEFAULT_TEMPERATURE)
     seed = eval_kwargs.get("seed", DEFAULT_SEED)
+    retries = eval_kwargs.get("retries", 2)
+    backoff = eval_kwargs.get("backoff", 0.5)
     full = evaluate(questions, backend, replace(policy, thinking_budget=ordered[-1]), **eval_kwargs)
     by_id = {q.id: q for q in questions}
     for budget in ordered:
@@ -212,14 +219,23 @@ def budget_sweep(
             if cut is outcome.transcript:
                 answered = outcome.transcript
             else:
-                answered = reelicit_answer(
-                    format_prompt(question, instruction),
-                    cut,
-                    replace(policy, thinking_budget=budget),
-                    backend,
-                    temperature=temperature,
-                    seed=seed,
-                )
+                try:
+                    answered = with_retries(
+                        lambda: reelicit_answer(
+                            format_prompt(question, instruction),
+                            cut,
+                            replace(policy, thinking_budget=budget),
+                            backend,
+                            temperature=temperature,
+                            seed=seed,
+                        ),
+                        retries=retries,
+                        backoff=backoff,
+                    )
+                except BackendError as exc:
+                    log.warning("answer for %s at budget %s failed (%s); counted incorrect", question.id, budget, exc)
+                    realized.append(0)
+                    continue
             realized.append(answered.thinking_tokens)
             if grade(extract_answer(answered.answer_text, question.options), question.gold):
                 n_correct += 1

@@ -361,6 +361,77 @@ def test_stream_cap_and_marker_match_oracle(tokens, marker, joiner, cap):
     assert backend.read == read
 
 
+def reads_to_release(tokens: list[str], marker: str | None, joiner: str, m: int) -> int:
+    """Backend tokens a stream reads before it has released ``m`` texts,
+    found the marker, or run dry."""
+    for k in range(len(tokens) + 1):
+        prefix = tokens[:k]
+        if marker is None:
+            if len(prefix) >= m:
+                return k
+        elif marker in joiner.join(prefix) or len(safe_prefix(prefix, marker, joiner)) >= m:
+            return k
+    return len(tokens)
+
+
+class _EventProxy:
+    """An iterable of events that is not a ``TokenStream``, passing on the
+    wrapped stream's events and cause (as a tracing wrapper does)."""
+
+    def __init__(self, stream: TokenStream):
+        self._stream = stream
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> TokenEvent:
+        return next(self._stream)
+
+    @property
+    def cause(self) -> str | None:
+        return self._stream.cause
+
+
+@given(
+    tokens=SCANNER_TOKENS,
+    marker=st.none() | SCANNER_MARKERS,
+    joiner=SCANNER_JOINERS,
+    cap=st.integers(min_value=1, max_value=8),
+    taken=st.integers(min_value=0, max_value=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_collect_matches_the_event_path(tokens, marker, joiner, cap, taken):
+    req = GenerationRequest("p", max_new_tokens=cap, stop_on=marker)
+    events_backend = _ListBackend(tokens, joiner)
+    events_stream = stream_generate(events_backend, req)
+    events = list(events_stream)
+    expected = ([e.text for e in events], events_stream.cause)
+
+    # a fresh stream: the same texts, cause and backend reads, no events
+    backend = _ListBackend(tokens, joiner)
+    assert collect(stream_generate(backend, req)) == expected
+    assert backend.read == events_backend.read
+
+    # the fallback for other iterables of events
+    backend = _ListBackend(tokens, joiner)
+    assert collect(_EventProxy(stream_generate(backend, req))) == expected
+    assert backend.read == events_backend.read
+
+    # ``taken`` events one at a time, each read at most one text ahead of
+    # itself, then the rest drained
+    backend = _ListBackend(tokens, joiner)
+    stream = stream_generate(backend, req)
+    head = [event for _, event in zip(range(taken), stream)]
+    assert head == events[:taken]
+    assert backend.read == (reads_to_release(tokens, marker, joiner, min(taken + 1, cap)) if taken else 0)
+    assert stream.cause == (expected[1] if taken >= max(len(events), 1) else None)
+    texts, cause = collect(stream)
+    assert [e.text for e in head] + texts == expected[0]
+    assert cause == expected[1]
+    assert backend.read == events_backend.read
+    assert list(stream) == [] and collect(stream) == ([], cause)
+
+
 def test_stream_is_its_own_iterator_of_immutable_tuple_events():
     stream = stream_generate(single_entry_model("a b"), GenerationRequest("p", max_new_tokens=5))
     assert iter(stream) is stream

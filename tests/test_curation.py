@@ -27,6 +27,7 @@ from thinkctl.curation import (
     parse_sft_example,
     source_counts,
     validate_traces,
+    word_ngrams,
 )
 from thinkctl.qa import McqQuestion, format_prompt
 
@@ -189,6 +190,41 @@ def test_decontaminate_is_idempotent():
     once, _ = decontaminate(pool, [[eval_q]])
     twice, _ = decontaminate(once, [[eval_q]])
     assert [q.id for q in once] == [q.id for q in twice] == ["p2"]
+
+
+def _variant(stem: str, upper: bool, punct: str) -> str:
+    # the same normalized stem: case and punctuation differ
+    words = stem.split()
+    return " ".join(w.upper() if upper and i % 2 else w for i, w in enumerate(words)) + punct
+
+
+@given(
+    picks=st.lists(
+        st.tuples(st.integers(0, 5), st.booleans(), st.sampled_from(["", "?", "!", " ...", ", ok."])),
+        max_size=14,
+    ),
+    n=st.integers(min_value=2, max_value=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_decontaminate_equals_filter_then_deduplicate(picks, n):
+    bases = [
+        "alpha beta gamma delta",
+        "beta gamma delta epsilon",
+        "zeta eta theta iota",
+        "kappa lambda mu",
+        "alpha beta zeta eta",
+        "nu xi omicron pi rho",
+    ]
+    eval_sets = [[question("e1", "Gamma, delta epsilon!", source="eval")], [question("e2", "mu nu xi", source="eval")]]
+    pool = [question(f"p{i:02d}", _variant(bases[b], upper, punct), source=f"s{b % 2}") for i, (b, upper, punct) in enumerate(picks)]
+
+    eval_ngrams = set().union(*(word_ngrams(normalize_text(q.stem), n) for s in eval_sets for q in s))
+    clean = [q for q in pool if not word_ngrams(normalize_text(q.stem), n) & eval_ngrams]
+    expected, _ = deduplicate(clean)
+
+    got, row = decontaminate(pool, eval_sets, ngram_size=n)
+    assert got == expected
+    assert row.counts == source_counts(expected)
 
 
 def test_dedup_is_idempotent():

@@ -226,6 +226,54 @@ def test_budget_sweep_reuse_mode_matches_full_mode_here(make_questions):
     assert [(p.x, p.accuracy) for p in full.points] == [(p.x, p.accuracy) for p in fast.points]
 
 
+class AnswerOutage:
+    """Serves ``model``, but fails the answer requests for ``qid`` that
+    follow its first one ``failures`` times."""
+
+    token_joiner = " "
+
+    def __init__(self, model: ScriptedModel, qid: str, failures: int):
+        self.model = model
+        self.qid = qid
+        self.failures = failures
+        self.answer_requests = 0
+
+    def raw_stream(self, req):
+        if req.prompt.endswith("Final Answer:") and f"for {self.qid}?" in req.prompt:
+            self.answer_requests += 1
+            if 1 < self.answer_requests <= 1 + self.failures:
+                raise ConnectionFailure("answer outage")
+        yield from self.model.raw_stream(req)
+
+
+def always_right_model(k: int) -> ScriptedModel:
+    """Thinks k tokens, then answers B however much of the thought it sees."""
+    thought = " ".join(f"w{i}" for i in range(k))
+    return ScriptedModel(
+        (
+            ScriptEntry("Final Answer:", "\\boxed{B}", None),
+            ScriptEntry("", thought, ANSWER_MARKER),
+        )
+    )
+
+
+@pytest.mark.parametrize("failures", [0, 1])
+def test_reuse_mode_retries_a_failed_answer(make_questions, failures):
+    questions = make_questions(4, golds="B")
+    backend = AnswerOutage(always_right_model(20), "q01", failures)
+    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), reuse_transcripts=True, workers=1, backoff=0.0)
+    assert [(p.x, p.n, p.n_correct, p.mean_thinking_tokens) for p in sweep.points] == [(8, 4, 4, 8.0), (32, 4, 4, 20.0)]
+    assert backend.answer_requests == 2 + failures
+
+
+def test_reuse_mode_counts_an_answer_that_keeps_failing_incorrect(make_questions):
+    questions = make_questions(4, golds="B")
+    backend = AnswerOutage(always_right_model(20), "q01", failures=99)
+    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), reuse_transcripts=True, workers=1, backoff=0.0)
+    assert [(p.x, p.n, p.n_correct, p.mean_thinking_tokens) for p in sweep.points] == [(8, 4, 3, 6.0), (32, 4, 4, 20.0)]
+    assert backend.answer_requests == 1 + 3  # the full run, then the first try and 2 retries
+
+
 def flip_model(questions) -> ScriptedModel:
     """Correct first answer; one forcing round flips it to a wrong letter."""
     entries = []
