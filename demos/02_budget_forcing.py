@@ -6,7 +6,7 @@ or cuts it off when the budget runs out. Injected text never counts
 toward the thinking-token tally.
 """
 
-from thinkctl import BudgetPolicy, ScriptEntry, ScriptedModel, run_with_budget, truncate_to_budget
+from thinkctl import BudgetPolicy, ScriptEntry, ScriptedModel, run_with_budget
 from thinkctl.budget import ANSWER_MARKER
 
 # this model offers to stop after 6 tokens; each "Wait." buys 4 more; the
@@ -35,9 +35,3 @@ show("two forcings ", run_with_budget("Q?", BudgetPolicy(thinking_budget=100, fo
 
 # budget cut: the thought is truncated and the answer cue is injected
 show("budget of 3  ", run_with_budget("Q?", BudgetPolicy(thinking_budget=3, forcing_count=2), model))
-
-# cached transcripts can be re-sliced for sweep reuse; cutting clears the
-# answer because it has to be re-elicited
-full = run_with_budget("Q?", BudgetPolicy(thinking_budget=100, forcing_count=2), model)
-for budget in (4, 8, 16):
-    show(f"re-sliced @{budget:<3}", truncate_to_budget(full, budget))

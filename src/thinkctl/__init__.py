@@ -8,9 +8,7 @@ from .budget import (
     BudgetRunError,
     ReasoningTranscript,
     Segment,
-    reelicit_answer,
     run_with_budget,
-    truncate_to_budget,
 )
 from .client import (
     CAUSE_BACKEND_STOP,

@@ -10,7 +10,7 @@ and the answer cue are injected and the answer phase is streamed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .client import (
@@ -49,11 +49,11 @@ class BudgetPolicy:
     """Test-time scaling controls.
 
     ``thinking_budget`` caps the initial thinking segment; each forced
-    continuation is capped by ``per_forcing_cap`` (optionally also by an
-    aggregate cap over all forced tokens). Injected forcing text never
-    counts toward thinking tokens. The end-of-think marker is the delimiter
-    whose emission ends the thinking phase; at budget exhaustion the marker
-    followed by the answer cue is injected to elicit the final answer.
+    continuation is capped by ``per_forcing_cap``. Injected forcing text
+    never counts toward thinking tokens. The end-of-think marker is the
+    delimiter whose emission ends the thinking phase; at budget exhaustion
+    the marker followed by the answer cue is injected to elicit the final
+    answer.
     """
 
     thinking_budget: int = DEFAULT_THINKING_BUDGET
@@ -64,7 +64,6 @@ class BudgetPolicy:
     end_of_think_marker: str = ANSWER_MARKER
     answer_cue: str = "Final Answer:"
     answer_cap: int = 1024
-    aggregate_forcing_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.thinking_budget < 1:
@@ -252,18 +251,13 @@ def run_with_budget(
     joiner = getattr(backend, "token_joiner", "")
     segments: list[Segment] = []
     injections = 0
-    forced_left = (
-        policy.aggregate_forcing_cap
-        if policy.aggregate_forcing_cap is not None
-        else policy.forcing_count * policy.per_forcing_cap
-    )
 
     while True:
         if not segments:
             cap = policy.thinking_budget
             provenance = PROVENANCE_INITIAL
         else:
-            cap = min(policy.per_forcing_cap, forced_left)
+            cap = policy.per_forcing_cap
             provenance = forced_provenance(injections)
         req = GenerationRequest(
             prompt=render_context(prompt, segments + [Segment(provenance, ())], policy, joiner),
@@ -280,8 +274,6 @@ def run_with_budget(
                 _partial_transcript(segments, injections, joiner),
             ) from exc
         segments.append(Segment(provenance, tuple(tokens)))
-        if len(segments) > 1:
-            forced_left -= len(tokens)
 
         if cause == CAUSE_CAP:
             termination = TERMINATION_BUDGET
@@ -290,13 +282,10 @@ def run_with_budget(
             termination = TERMINATION_NATURAL
             break
         # marker: the model signalled end of thinking
-        if injections < policy.forcing_count and forced_left > 0:
+        if injections < policy.forcing_count:
             injections += 1
             continue
-        if policy.forcing_count > 0 and injections == policy.forcing_count:
-            termination = TERMINATION_FORCING
-        else:
-            termination = TERMINATION_NATURAL
+        termination = TERMINATION_FORCING if policy.forcing_count > 0 else TERMINATION_NATURAL
         break
 
     partial = _partial_transcript(segments, injections, joiner)
@@ -310,55 +299,3 @@ def run_with_budget(
         empty_answer=not answer_text.strip(),
         token_joiner=joiner,
     )
-
-
-def truncate_to_budget(transcript: ReasoningTranscript, budget: int) -> ReasoningTranscript:
-    """Re-slice a cached transcript to at most ``budget`` thinking tokens.
-
-    Cutting clears the answer (it must be re-elicited) and records
-    ``budget_exhausted``; a transcript already within budget is returned
-    unchanged. Budgets applied in increasing order give prefix-nested
-    results.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if transcript.thinking_tokens <= budget:
-        return transcript
-    kept: list[Segment] = []
-    remaining = budget
-    for seg in transcript.segments:
-        if remaining <= 0:
-            break
-        take = min(len(seg.tokens), remaining)
-        kept.append(Segment(seg.provenance, seg.tokens[:take]))
-        remaining -= take
-    injections = sum(1 for s in kept if s.provenance != PROVENANCE_INITIAL)
-    return ReasoningTranscript(
-        segments=tuple(kept),
-        injections=injections,
-        thinking_tokens=sum(len(s.tokens) for s in kept),
-        answer_text="",
-        termination=TERMINATION_BUDGET,
-        empty_answer=False,
-        token_joiner=transcript.token_joiner,
-    )
-
-
-def reelicit_answer(
-    prompt: str,
-    transcript: ReasoningTranscript,
-    policy: BudgetPolicy,
-    backend,
-    *,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
-) -> ReasoningTranscript:
-    """Stream a fresh answer phase for a (typically truncated) transcript.
-
-    Sends the answer request ``run_with_budget`` would send after the
-    transcript's segments. Used by the sweep fast mode; an approximation of
-    a full re-run.
-    """
-    joiner = getattr(backend, "token_joiner", "")
-    answer_text = _answer_phase(prompt, transcript.segments, policy, backend, joiner, temperature, seed, transcript)
-    return replace(transcript, answer_text=answer_text, empty_answer=not answer_text.strip())

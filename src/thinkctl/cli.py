@@ -16,7 +16,7 @@ import sys
 from . import curation, evaluation, plotting
 from .client import BackendError, ScriptedModel, WireBackend
 from .config import CONFIG_FIELDS, Config, ConfigError, flag_for, load_config
-from .curation import CurationError, CurationReport, SamplingPlan
+from .curation import CurationReport, SamplingPlan
 from .evaluation import SweepResult
 from .jsonl import (
     SchemaError,
@@ -47,15 +47,34 @@ def _effective_config(args: argparse.Namespace) -> Config:
     return load_config(args.config, flags={name: getattr(args, name) for name in CONFIG_FIELDS})
 
 
+def _read_json(path: str, build):
+    """Return ``build`` of the JSON object in ``path``. A file that is not
+    JSON, not an object, or not what ``build`` reads raises SchemaError
+    citing the file, so the command exits 1 without a traceback."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(path, exc.lineno, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(payload, dict):
+        raise SchemaError(path, 1, "top level is not a JSON object")
+    try:
+        return build(payload)
+    except KeyError as exc:
+        raise SchemaError(path, 1, f"missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(path, 1, str(exc)) from exc
+
+
 def _backend(args: argparse.Namespace, cfg: Config):
     if args.mock:
-        return ScriptedModel.from_file(args.mock[0])
+        return _read_json(args.mock[0], ScriptedModel.from_dict)
     return WireBackend(base_url=cfg.base_url, model=cfg.model)
 
 
 def _graders(args: argparse.Namespace, cfg: Config) -> list:
     if args.mock:
-        return [ScriptedModel.from_file(path) for path in args.mock]
+        return [_read_json(path, ScriptedModel.from_dict) for path in args.mock]
     models = args.grader_model or [cfg.model]
     return [WireBackend(base_url=cfg.base_url, model=m) for m in models]
 
@@ -179,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", dest="out_json", help="sweep result JSON for later plotting")
     p.add_argument("--summary")
     p.add_argument("--no-fit", action="store_true", help="skip the regression fit")
-    p.add_argument("--reuse-transcripts", action="store_true", help="fast mode: truncate cached transcripts")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("force-sweep", help="accuracy vs forcing count")
@@ -258,12 +276,15 @@ def cmd_curate_sample(args, cfg: Config) -> int:
     return EXIT_OK
 
 
+def _lexicon(payload: dict) -> dict:
+    if not payload or not all(isinstance(v, str) for v in payload.values()):
+        raise ValueError("lexicon must be a nonempty JSON object mapping term to qualifier string")
+    return payload
+
+
 def cmd_curate_annotate(args, cfg: Config) -> int:
     pool = load_questions(args.pool)
-    with open(args.lexicon, encoding="utf-8") as fh:
-        lexicon = json.load(fh)
-    if not isinstance(lexicon, dict) or not lexicon or not all(isinstance(v, str) for v in lexicon.values()):
-        raise CurationError(f"{args.lexicon}: lexicon must be a nonempty JSON object mapping term to qualifier string")
+    lexicon = _read_json(args.lexicon, _lexicon)
     annotated = curation.annotate_domains(pool, lexicon)
     inputs = [args.pool, args.lexicon]
     write_jsonl(args.out, (question_to_record(q) for q in annotated), meta=_provenance(cfg, inputs))
@@ -350,22 +371,13 @@ def _emit_sweep_outputs(args, cfg: Config, sweep: SweepResult, inputs: list[str]
     atomic_write_bytes(args.out_csv, plotting.emit_plot(sweep, fit, plotting.FORMAT_CSV))
     if args.out_svg:
         atomic_write_bytes(args.out_svg, plotting.emit_plot(sweep, fit, plotting.FORMAT_SVG))
-    if args.out_json:
-        payload = sweep.to_dict()
-        payload["fit"] = fit.to_dict() if fit else None
-        payload["_provenance"] = _provenance(cfg, inputs)
-        write_json(args.out_json, payload)
-    if args.summary:
-        write_json(
-            args.summary,
-            {
-                "dataset": sweep.dataset,
-                "kind": sweep.kind,
-                "points": [p.to_dict() for p in sweep.points],
-                "fit": fit.to_dict() if fit else None,
-                "_provenance": _provenance(cfg, inputs),
-            },
-        )
+    # the summary and the sweep JSON for later plotting are the same document
+    for path in (args.out_json, args.summary):
+        if path:
+            payload = sweep.to_dict()
+            payload["fit"] = fit.to_dict() if fit else None
+            payload["_provenance"] = _provenance(cfg, inputs)
+            write_json(path, payload)
 
 
 def cmd_sweep(args, cfg: Config) -> int:
@@ -381,7 +393,6 @@ def cmd_sweep(args, cfg: Config) -> int:
         budgets,
         cfg.policy(),
         dataset_name=args.dataset,
-        reuse_transcripts=args.reuse_transcripts,
         temperature=cfg.temperature,
         seed=cfg.seed,
         workers=cfg.workers,
@@ -412,23 +423,25 @@ def cmd_force_sweep(args, cfg: Config) -> int:
 
 
 def cmd_plot(args, cfg: Config) -> int:
-    with open(args.sweep, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    sweep = SweepResult.from_dict(payload)
-    fit = None
-    if not args.no_fit and payload.get("fit"):
-        fit = RegressionFit.from_dict(payload["fit"])
+    def build(payload: dict):
+        fit = None
+        if not args.no_fit and payload.get("fit"):
+            fit = RegressionFit.from_dict(payload["fit"])
+        return SweepResult.from_dict(payload), fit
+
+    sweep, fit = _read_json(args.sweep, build)
     atomic_write_bytes(args.out, plotting.emit_plot(sweep, fit, args.format))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args, cfg: Config) -> int:
-    with open(args.report_in, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    payload.pop("_provenance", None)
-    report = CurationReport.from_dict(payload)
-    report.validate()
+    def build(payload: dict) -> CurationReport:
+        report = CurationReport.from_dict(payload)
+        report.validate()
+        return report
+
+    report = _read_json(args.report_in, build)
     sources = sorted({src for stage in report.stages for src in stage.counts})
     header = ["stage"] + sources + ["total"]
     print("\t".join(header))
@@ -449,10 +462,8 @@ def run(argv: list[str]) -> int:
     try:
         cfg = _effective_config(args)
         return args.handler(args, cfg)
-    except (SchemaError, ConfigError, CurationError, FitRefusedError, BackendError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError, BackendError) as exc:
+        # SchemaError, ConfigError, CurationError and FitRefusedError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -338,6 +338,12 @@ class ScriptEntry:
     emission: str
     terminal_marker: str | None = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.trigger, str) or not isinstance(self.emission, str):
+            raise TypeError("script entry trigger and emission must be strings")
+        if self.terminal_marker is not None and not isinstance(self.terminal_marker, str):
+            raise TypeError("script entry terminal_marker must be a string or null")
+
 
 @dataclass(frozen=True)
 class ScriptedModel:

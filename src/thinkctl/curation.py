@@ -219,6 +219,8 @@ def decontaminate(
     normalization. Items shorter than the window never match. Applying the
     stage twice equals applying it once.
     """
+    if ngram_size < 1:
+        raise CurationError(f"ngram_size must be >= 1, got {ngram_size}")
     eval_ngrams: set[str] = set()
     for eval_set in eval_sets:
         for q in eval_set:

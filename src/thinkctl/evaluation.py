@@ -7,17 +7,14 @@ count of correct outcomes. Per-question hard failures count as incorrect
 
 from __future__ import annotations
 
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Sequence
 
-from .budget import BudgetPolicy, ReasoningTranscript, reelicit_answer, run_with_budget, truncate_to_budget
+from .budget import BudgetPolicy, ReasoningTranscript, run_with_budget
 from .client import BackendError, DEFAULT_SEED, DEFAULT_TEMPERATURE, with_retries
 from .qa import DEFAULT_INSTRUCTION, McqQuestion, extract_answer, format_prompt, grade
-
-log = logging.getLogger(__name__)
 
 DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
 DEFAULT_WORKERS = 8
@@ -175,80 +172,21 @@ def budget_sweep(
     policy: BudgetPolicy,
     *,
     dataset_name: str = "dataset",
-    reuse_transcripts: bool = False,
     **eval_kwargs,
 ) -> SweepResult:
-    """Evaluate once per thinking budget.
+    """Evaluate once per thinking budget, in increasing order.
 
-    By default each budget re-runs generation. ``reuse_transcripts`` is an
-    opt-in fast mode: one run at the largest budget, then each smaller
-    budget truncates those transcripts and re-elicits only the answer (an
-    approximation of a full re-run). A re-elicited answer is retried like
-    a question in ``evaluate``; one that still fails counts incorrect with
-    0 thinking tokens, so n stays fixed.
+    Each budget re-runs generation through ``evaluate``, so every point is
+    what a run at that budget gives.
     """
     if not budgets:
         raise ValueError("need at least one budget")
     if len(set(budgets)) != len(budgets):
         raise ValueError("budgets must be distinct")
-    ordered = sorted(budgets)
-
     points = []
-    if not reuse_transcripts:
-        for budget in ordered:
-            result = evaluate(questions, backend, replace(policy, thinking_budget=budget), **eval_kwargs)
-            points.append(_point(budget, result))
-        return SweepResult(dataset_name, KIND_BUDGET, points)
-
-    instruction = eval_kwargs.get("instruction", DEFAULT_INSTRUCTION)
-    temperature = eval_kwargs.get("temperature", DEFAULT_TEMPERATURE)
-    seed = eval_kwargs.get("seed", DEFAULT_SEED)
-    retries = eval_kwargs.get("retries", 2)
-    backoff = eval_kwargs.get("backoff", 0.5)
-    full = evaluate(questions, backend, replace(policy, thinking_budget=ordered[-1]), **eval_kwargs)
-    by_id = {q.id: q for q in questions}
-    for budget in ordered:
-        n_correct = 0
-        realized = []
-        for outcome in full.outcomes:
-            if outcome.transcript is None:
-                realized.append(0)
-                continue
-            question = by_id[outcome.question_id]
-            cut = truncate_to_budget(outcome.transcript, budget)
-            if cut is outcome.transcript:
-                answered = outcome.transcript
-            else:
-                try:
-                    answered = with_retries(
-                        lambda: reelicit_answer(
-                            format_prompt(question, instruction),
-                            cut,
-                            replace(policy, thinking_budget=budget),
-                            backend,
-                            temperature=temperature,
-                            seed=seed,
-                        ),
-                        retries=retries,
-                        backoff=backoff,
-                    )
-                except BackendError as exc:
-                    log.warning("answer for %s at budget %s failed (%s); counted incorrect", question.id, budget, exc)
-                    realized.append(0)
-                    continue
-            realized.append(answered.thinking_tokens)
-            if grade(extract_answer(answered.answer_text, question.options), question.gold):
-                n_correct += 1
-        n = full.n
-        points.append(
-            SweepPoint(
-                x=budget,
-                accuracy=n_correct / n,
-                n=n,
-                n_correct=n_correct,
-                mean_thinking_tokens=fmean(realized) if realized else 0.0,
-            )
-        )
+    for budget in sorted(budgets):
+        result = evaluate(questions, backend, replace(policy, thinking_budget=budget), **eval_kwargs)
+        points.append(_point(budget, result))
     return SweepResult(dataset_name, KIND_BUDGET, points)
 
 

@@ -424,6 +424,19 @@ def test_curate_decontaminate_and_dedup(tmp_path):
     assert [q.id for q in load_questions(str(dedup_out))] == ["p1", "p2"]
 
 
+@pytest.mark.parametrize("ngram", ["0", "-1"])
+def test_curate_decontaminate_rejects_nonpositive_ngram(tmp_path, capsys, ngram):
+    pool = tmp_path / "pool.jsonl"
+    write_jsonl_file(pool, [question_record("p1", stem="one two three")])
+    evalset = tmp_path / "eval.jsonl"
+    write_jsonl_file(evalset, [question_record("e1", stem="four five six")])
+    out = tmp_path / "clean.jsonl"
+    argv = ["curate", "decontaminate", "--pool", str(pool), "--eval", str(evalset), "--out", str(out)]
+    assert run(argv + ["--ngram", ngram]) == 1
+    assert "ngram_size must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_curate_annotate(tmp_path):
     pool = tmp_path / "pool.jsonl"
     write_jsonl_file(pool, [question_record("q1", stem="Advanced chemotherapy protocols.")])
@@ -517,6 +530,45 @@ def test_report_validates_and_prints(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"stages": [{"name": "s", "counts": {"a": 1}, "total": 9}]}))
     assert run(["report", "--in", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "option, content",
+    [
+        pytest.param("--sweep", "{}", id="sweep-no-points"),
+        pytest.param("--sweep", "[]", id="sweep-not-object"),
+        pytest.param("--sweep", '{"points": [{"x": 1}]}', id="sweep-partial-point"),
+        pytest.param("--sweep", "not json", id="sweep-not-json"),
+        pytest.param("--in", "{}", id="report-no-stages"),
+        pytest.param("--in", '{"stages": [{"name": "a"}]}', id="report-no-counts"),
+        pytest.param("--mock", "{}", id="mock-no-entries"),
+        pytest.param("--mock", '{"entries": 3}', id="mock-entries-not-list"),
+        pytest.param("--mock", '{"entries": [{"trigger": 3, "emission": "x"}]}', id="mock-trigger-not-string"),
+        pytest.param("--mock", "not json", id="mock-not-json"),
+        pytest.param("--lexicon", "not json", id="lexicon-not-json"),
+        pytest.param("--dataset", None, id="dataset-directory"),
+    ],
+)
+def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset, oracle_script, option, content):
+    """``None`` content makes the input a directory."""
+    data_path, _ = dataset
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    out = str(tmp_path / "out")
+    argv = {
+        "--sweep": ["plot", "--sweep", str(path), "--format", "csv", "--out", out],
+        "--in": ["report", "--in", str(path)],
+        "--mock": ["eval", "--dataset", str(data_path), "--mock", str(path)],
+        "--lexicon": ["curate", "annotate", "--pool", str(data_path), "--lexicon", str(path), "--out", out],
+        "--dataset": ["eval", "--dataset", str(path), "--mock", str(oracle_script)],
+    }[option]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
 
 
 def test_config_file_and_flag_precedence(tmp_path, dataset, oracle_script):

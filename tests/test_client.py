@@ -564,6 +564,7 @@ def sse_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def test_wire_protocol_fields_and_auth(sse_server, monkeypatch):

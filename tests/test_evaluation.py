@@ -218,14 +218,6 @@ def test_budget_sweep_records_realized_thinking(make_questions):
     assert sweep.points[1].mean_thinking_tokens == 10.0
 
 
-def test_budget_sweep_reuse_mode_matches_full_mode_here(make_questions):
-    questions = make_questions(4)
-    model = step_model(questions, k=20)
-    full = budget_sweep(questions, model, [8, 32], BudgetPolicy())
-    fast = budget_sweep(questions, model, [8, 32], BudgetPolicy(), reuse_transcripts=True)
-    assert [(p.x, p.accuracy) for p in full.points] == [(p.x, p.accuracy) for p in fast.points]
-
-
 class AnswerOutage:
     """Serves ``model``, but fails the answer requests for ``qid`` that
     follow its first one ``failures`` times."""
@@ -259,19 +251,23 @@ def always_right_model(k: int) -> ScriptedModel:
 
 @pytest.mark.parametrize("failures", [0, 1])
 def test_reuse_mode_retries_a_failed_answer(make_questions, failures):
+    """``evaluate`` retries a run whose answer request fails once; the
+    sweep's points do not change."""
     questions = make_questions(4, golds="B")
     backend = AnswerOutage(always_right_model(20), "q01", failures)
-    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), reuse_transcripts=True, workers=1, backoff=0.0)
+    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), workers=1, backoff=0.0)
     assert [(p.x, p.n, p.n_correct, p.mean_thinking_tokens) for p in sweep.points] == [(8, 4, 4, 8.0), (32, 4, 4, 20.0)]
     assert backend.answer_requests == 2 + failures
 
 
 def test_reuse_mode_counts_an_answer_that_keeps_failing_incorrect(make_questions):
+    """A run whose answer fails through every retry counts incorrect with 0
+    thinking tokens, so n stays 4."""
     questions = make_questions(4, golds="B")
     backend = AnswerOutage(always_right_model(20), "q01", failures=99)
-    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), reuse_transcripts=True, workers=1, backoff=0.0)
-    assert [(p.x, p.n, p.n_correct, p.mean_thinking_tokens) for p in sweep.points] == [(8, 4, 3, 6.0), (32, 4, 4, 20.0)]
-    assert backend.answer_requests == 1 + 3  # the full run, then the first try and 2 retries
+    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), workers=1, backoff=0.0)
+    assert [(p.x, p.n, p.n_correct, p.mean_thinking_tokens) for p in sweep.points] == [(8, 4, 4, 8.0), (32, 4, 3, 15.0)]
+    assert backend.answer_requests == 1 + 3  # budget 8, then budget 32's first try and 2 retries
 
 
 def flip_model(questions) -> ScriptedModel:
