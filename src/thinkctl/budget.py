@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .client import (
-    CAUSE_BACKEND_STOP,
     CAUSE_CAP,
+    CAUSE_MARKER,
     BackendError,
     DEFAULT_SEED,
     DEFAULT_TEMPERATURE,
@@ -24,10 +24,13 @@ from .client import (
     stream_generate,
 )
 
-# phase markers of the fine-tuned output format: thinking is enclosed
-# between the think marker and the answer marker
+# the fine-tuned output format: thinking is enclosed between the think
+# marker and the answer marker; the answer cue after the answer marker
+# elicits the final answer, which is capped at ANSWER_CAP tokens
 THINK_MARKER = "<|im_start|>think"
 ANSWER_MARKER = "<|im_start|>answer"
+ANSWER_CUE = "Final Answer:"
+ANSWER_CAP = 1024
 
 DEFAULT_THINKING_BUDGET = 4096
 DEFAULT_PER_FORCING_CAP = 2048
@@ -50,20 +53,19 @@ class BudgetPolicy:
 
     ``thinking_budget`` caps the initial thinking segment; each forced
     continuation is capped by ``per_forcing_cap``. Injected forcing text
-    never counts toward thinking tokens. The end-of-think marker is the
-    delimiter whose emission ends the thinking phase; at budget exhaustion
-    the marker followed by the answer cue is injected to elicit the final
-    answer.
+    never counts toward thinking tokens. The markers are fixed by the
+    output format: the end-of-think marker is the delimiter whose emission
+    ends the thinking phase, and at the end of thinking the marker followed
+    by ``ANSWER_CUE`` is injected to elicit the final answer.
     """
 
     thinking_budget: int = DEFAULT_THINKING_BUDGET
     forcing_count: int = 0
     forcing_text: str = DEFAULT_FORCING_TEXT
     per_forcing_cap: int = DEFAULT_PER_FORCING_CAP
-    think_marker: str = THINK_MARKER
-    end_of_think_marker: str = ANSWER_MARKER
-    answer_cue: str = "Final Answer:"
-    answer_cap: int = 1024
+
+    think_marker = THINK_MARKER
+    end_of_think_marker = ANSWER_MARKER
 
     def __post_init__(self) -> None:
         if self.thinking_budget < 1:
@@ -74,10 +76,6 @@ class BudgetPolicy:
             raise ValueError("forcing_count must be >= 0")
         if self.forcing_count > 0 and not self.forcing_text:
             raise ValueError("forcing_text must be nonempty when forcing_count > 0")
-        if self.answer_cap < 1:
-            raise ValueError("answer_cap must be >= 1")
-        if not self.end_of_think_marker:
-            raise ValueError("end_of_think_marker must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -92,33 +90,34 @@ class Segment:
 class ReasoningTranscript:
     """Ordered thinking segments plus the captured answer.
 
-    ``thinking_tokens`` counts model-emitted thinking tokens only; injected
-    forcing text is recorded via ``injections``. ``token_joiner`` is the
-    producing backend's join rule, kept so segment text reconstructs
+    The first segment is the initial thought and each later one a forced
+    continuation, so ``injections`` is one less than the segment count.
+    ``thinking_tokens`` counts model-emitted thinking tokens only; the
+    injected forcing text is not part of any segment. ``token_joiner`` is
+    the producing backend's join rule, kept so segment text reconstructs
     exactly.
     """
 
     segments: tuple[Segment, ...]
-    injections: int
-    thinking_tokens: int
     answer_text: str
     termination: str
-    empty_answer: bool = False
     token_joiner: str = " "
 
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("transcript must contain at least one segment")
-        if self.thinking_tokens != sum(len(s.tokens) for s in self.segments):
-            raise ValueError("thinking_tokens must equal the sum of segment token counts")
         expected = [PROVENANCE_INITIAL] + [forced_provenance(i) for i in range(1, len(self.segments))]
         actual = [s.provenance for s in self.segments]
         if actual != expected:
             raise ValueError(f"segment provenance must be consecutive, got {actual}")
 
     @property
-    def thinking_text(self) -> str:
-        return self.token_joiner.join(t for s in self.segments for t in s.tokens)
+    def injections(self) -> int:
+        return len(self.segments) - 1
+
+    @property
+    def thinking_tokens(self) -> int:
+        return sum(len(s.tokens) for s in self.segments)
 
     def to_record(self, transcript_id: str) -> dict:
         return {
@@ -137,30 +136,9 @@ class ReasoningTranscript:
             "termination": self.termination,
         }
 
-    @classmethod
-    def from_record(cls, record: dict, token_joiner: str = " ") -> "ReasoningTranscript":
-        segments = tuple(
-            Segment(provenance=s["provenance"], tokens=tuple(s["tokens"]))
-            for s in record["segments"]
-        )
-        return cls(
-            segments=segments,
-            injections=record["injections"],
-            thinking_tokens=record["thinking_tokens"],
-            answer_text=record["answer"],
-            termination=record["termination"],
-            token_joiner=token_joiner,
-        )
-
 
 class BudgetRunError(BackendError):
-    """Backend failure during a controlled run; carries the partial
-    transcript built so far (its termination is a placeholder
-    ``budget_exhausted`` since the run never completed)."""
-
-    def __init__(self, message: str, partial: ReasoningTranscript | None):
-        super().__init__(message)
-        self.partial = partial
+    """Backend failure during a controlled run."""
 
     @property
     def retryable(self) -> bool:  # type: ignore[override]
@@ -168,18 +146,12 @@ class BudgetRunError(BackendError):
         return isinstance(cause, BackendError) and cause.retryable
 
 
-def _partial_transcript(segments: list[Segment], injections: int, joiner: str) -> ReasoningTranscript | None:
-    if not segments:
-        return None
-    return ReasoningTranscript(
-        segments=tuple(segments),
-        injections=injections,
-        thinking_tokens=sum(len(s.tokens) for s in segments),
-        answer_text="",
-        termination=TERMINATION_BUDGET,
-        empty_answer=True,
-        token_joiner=joiner,
-    )
+def _generate(backend, req: GenerationRequest, phase: str) -> tuple[list[str], str]:
+    """Drain one request; a backend failure raises BudgetRunError naming ``phase``."""
+    try:
+        return collect(stream_generate(backend, req))
+    except BackendError as exc:
+        raise BudgetRunError(f"backend failed during {phase} phase: {exc}") from exc
 
 
 def render_context(prompt: str, segments: Sequence[Segment], policy: BudgetPolicy, joiner: str) -> str:
@@ -215,21 +187,17 @@ def _answer_phase(
     joiner: str,
     temperature: float,
     seed: int,
-    partial: ReasoningTranscript | None,
 ) -> str:
     """Inject the end-of-think marker and the answer cue after ``segments``
-    and stream the answer; a backend failure carries ``partial``."""
+    and stream the answer."""
     context = render_context(prompt, segments, policy, joiner)
     req = GenerationRequest(
-        prompt=_join([context, policy.end_of_think_marker, policy.answer_cue], joiner),
-        max_new_tokens=policy.answer_cap,
+        prompt=_join([context, policy.end_of_think_marker, ANSWER_CUE], joiner),
+        max_new_tokens=ANSWER_CAP,
         temperature=temperature,
         seed=seed,
     )
-    try:
-        answer_tokens, _ = collect(stream_generate(backend, req))
-    except BackendError as exc:
-        raise BudgetRunError(f"backend failed during answer phase: {exc}", partial) from exc
+    answer_tokens, _ = _generate(backend, req, "answer")
     return joiner.join(answer_tokens)
 
 
@@ -250,15 +218,11 @@ def run_with_budget(
     """
     joiner = getattr(backend, "token_joiner", "")
     segments: list[Segment] = []
-    injections = 0
-
     while True:
-        if not segments:
-            cap = policy.thinking_budget
-            provenance = PROVENANCE_INITIAL
+        if segments:
+            cap, provenance = policy.per_forcing_cap, forced_provenance(len(segments))
         else:
-            cap = policy.per_forcing_cap
-            provenance = forced_provenance(injections)
+            cap, provenance = policy.thinking_budget, PROVENANCE_INITIAL
         req = GenerationRequest(
             prompt=render_context(prompt, segments + [Segment(provenance, ())], policy, joiner),
             max_new_tokens=cap,
@@ -266,36 +230,22 @@ def run_with_budget(
             seed=seed,
             stop_on=policy.end_of_think_marker,
         )
-        try:
-            tokens, cause = collect(stream_generate(backend, req))
-        except BackendError as exc:
-            raise BudgetRunError(
-                f"backend failed during thinking phase: {exc}",
-                _partial_transcript(segments, injections, joiner),
-            ) from exc
+        tokens, cause = _generate(backend, req, "thinking")
         segments.append(Segment(provenance, tuple(tokens)))
-
-        if cause == CAUSE_CAP:
-            termination = TERMINATION_BUDGET
+        # a marker means the model ended its thought: force while forcings remain
+        if cause != CAUSE_MARKER or len(segments) > policy.forcing_count:
             break
-        if cause == CAUSE_BACKEND_STOP:
-            termination = TERMINATION_NATURAL
-            break
-        # marker: the model signalled end of thinking
-        if injections < policy.forcing_count:
-            injections += 1
-            continue
-        termination = TERMINATION_FORCING if policy.forcing_count > 0 else TERMINATION_NATURAL
-        break
 
-    partial = _partial_transcript(segments, injections, joiner)
-    answer_text = _answer_phase(prompt, segments, policy, backend, joiner, temperature, seed, partial)
+    if cause == CAUSE_CAP:
+        termination = TERMINATION_BUDGET
+    elif cause == CAUSE_MARKER and policy.forcing_count > 0:
+        termination = TERMINATION_FORCING
+    else:
+        termination = TERMINATION_NATURAL
+    answer_text = _answer_phase(prompt, segments, policy, backend, joiner, temperature, seed)
     return ReasoningTranscript(
         segments=tuple(segments),
-        injections=injections,
-        thinking_tokens=sum(len(s.tokens) for s in segments),
         answer_text=answer_text,
         termination=termination,
-        empty_answer=not answer_text.strip(),
         token_joiner=joiner,
     )

@@ -24,6 +24,7 @@ from .jsonl import (
     load_questions,
     load_traces,
     question_to_record,
+    read_lines,
     sha256_file,
     trace_to_record,
     write_json,
@@ -52,8 +53,7 @@ def _read_json(path: str, build):
     JSON, not an object, or not what ``build`` reads raises SchemaError
     citing the file, so the command exits 1 without a traceback."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads("".join(line for _, line in read_lines(path)))
     except json.JSONDecodeError as exc:
         raise SchemaError(path, exc.lineno, f"invalid JSON ({exc.msg})") from exc
     if not isinstance(payload, dict):
@@ -70,6 +70,11 @@ def _backend(args: argparse.Namespace, cfg: Config):
     if args.mock:
         return _read_json(args.mock[0], ScriptedModel.from_dict)
     return WireBackend(base_url=cfg.base_url, model=cfg.model)
+
+
+def _run_settings(cfg: Config) -> dict:
+    """The keyword arguments every generating run takes from the config."""
+    return {"temperature": cfg.temperature, "seed": cfg.seed, "workers": cfg.workers}
 
 
 def _graders(args: argparse.Namespace, cfg: Config) -> list:
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_curate_filter(args, cfg: Config) -> int:
     pool = load_questions(args.pool)
     graders = _graders(args, cfg)
-    kept, row = curation.difficulty_filter(pool, graders, workers=cfg.workers)
+    kept, row = curation.difficulty_filter(pool, graders, **_run_settings(cfg))
     _write_pool_stage(args, cfg, pool, kept, row, [args.pool], out_inputs=[args.pool] + (args.mock or []))
     return EXIT_OK
 
@@ -304,15 +309,7 @@ def cmd_eval(args, cfg: Config) -> int:
     backend = _backend(args, cfg)
     results = {}
     for path in args.datasets:
-        questions = load_questions(path)
-        results[path] = evaluation.evaluate(
-            questions,
-            backend,
-            cfg.policy(),
-            temperature=cfg.temperature,
-            seed=cfg.seed,
-            workers=cfg.workers,
-        )
+        results[path] = evaluation.evaluate(load_questions(path), backend, cfg.policy(), **_run_settings(cfg))
     inputs = list(args.datasets) + (args.mock or [])
     macro = evaluation.macro_average([100.0 * r.accuracy for r in results.values()])
     if args.out:
@@ -360,7 +357,12 @@ def cmd_eval(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _emit_sweep_outputs(args, cfg: Config, sweep: SweepResult, inputs: list[str]) -> None:
+def _run_sweep(args, cfg: Config, sweep_fn, grid, label: str) -> int:
+    """Run ``sweep_fn`` over ``grid`` on ``--dataset`` and write the CSV,
+    the optional SVG, the sweep JSON and the summary."""
+    questions = load_questions(args.dataset)
+    backend = _backend(args, cfg)
+    sweep = sweep_fn(questions, backend, grid, cfg.policy(), dataset_name=args.dataset, **_run_settings(cfg))
     fit = None
     if not args.no_fit:
         try:
@@ -376,50 +378,23 @@ def _emit_sweep_outputs(args, cfg: Config, sweep: SweepResult, inputs: list[str]
         if path:
             payload = sweep.to_dict()
             payload["fit"] = fit.to_dict() if fit else None
-            payload["_provenance"] = _provenance(cfg, inputs)
+            payload["_provenance"] = _provenance(cfg, [args.dataset] + (args.mock or []))
             write_json(path, payload)
+    for point in sweep.points:
+        print(f"{label} {int(point.x)}: accuracy {point.accuracy:.4f} ({point.n_correct}/{point.n})")
+    return EXIT_OK
 
 
 def cmd_sweep(args, cfg: Config) -> int:
-    questions = load_questions(args.dataset)
-    backend = _backend(args, cfg)
     try:
         budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse --budgets {args.budgets!r}")
-    sweep = evaluation.budget_sweep(
-        questions,
-        backend,
-        budgets,
-        cfg.policy(),
-        dataset_name=args.dataset,
-        temperature=cfg.temperature,
-        seed=cfg.seed,
-        workers=cfg.workers,
-    )
-    _emit_sweep_outputs(args, cfg, sweep, [args.dataset] + (args.mock or []))
-    for point in sweep.points:
-        print(f"budget {int(point.x)}: accuracy {point.accuracy:.4f} ({point.n_correct}/{point.n})")
-    return EXIT_OK
+    return _run_sweep(args, cfg, evaluation.budget_sweep, budgets, "budget")
 
 
 def cmd_force_sweep(args, cfg: Config) -> int:
-    questions = load_questions(args.dataset)
-    backend = _backend(args, cfg)
-    sweep = evaluation.forcing_sweep(
-        questions,
-        backend,
-        args.max_forcings,
-        cfg.policy(),
-        dataset_name=args.dataset,
-        temperature=cfg.temperature,
-        seed=cfg.seed,
-        workers=cfg.workers,
-    )
-    _emit_sweep_outputs(args, cfg, sweep, [args.dataset] + (args.mock or []))
-    for point in sweep.points:
-        print(f"forcings {int(point.x)}: accuracy {point.accuracy:.4f} ({point.n_correct}/{point.n})")
-    return EXIT_OK
+    return _run_sweep(args, cfg, evaluation.forcing_sweep, args.max_forcings, "forcings")
 
 
 def cmd_plot(args, cfg: Config) -> int:

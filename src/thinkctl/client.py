@@ -488,10 +488,8 @@ def probe_answer(
     backend,
     question_prompt: str,
     *,
-    max_new_tokens: int = TRACE_TOKEN_LIMIT,
     temperature: float = DEFAULT_TEMPERATURE,
     seed: int = DEFAULT_SEED,
-    retries: int = 2,
     backoff: float = 0.5,
 ) -> str:
     """Full non-streamed completion text for grading.
@@ -503,7 +501,7 @@ def probe_answer(
     def attempt() -> str:
         req = GenerationRequest(
             prompt=question_prompt,
-            max_new_tokens=max_new_tokens,
+            max_new_tokens=TRACE_TOKEN_LIMIT,
             temperature=temperature,
             seed=seed,
         )
@@ -511,4 +509,4 @@ def probe_answer(
         joiner = getattr(backend, "token_joiner", "")
         return joiner.join(texts)
 
-    return with_retries(attempt, retries=retries, backoff=backoff)
+    return with_retries(attempt, backoff=backoff)

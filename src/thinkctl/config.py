@@ -1,24 +1,28 @@
 """Configuration with precedence flags > environment > file > defaults.
 
-The file format is INI-style sections of flat key/value pairs; every key
-also exists as a command-line flag. The ``Config`` fields are the one key
-table: each field's metadata names its file section and, where it is not
-``--<name-with-dashes>``, its flag. Defaults are the operating points of
+The file format is INI-style sections of flat key/value pairs in UTF-8;
+every key also exists as a command-line flag. The ``Config`` fields are
+the one key table: each field's metadata names its file section and,
+where it is not ``--<name-with-dashes>``, its flag. Defaults are the operating points of
 the modules that use them (budget policy, sampling, worker count).
 """
 
 from __future__ import annotations
 
-import configparser
 import os
+import re
 from dataclasses import Field, dataclass, field, fields
 from typing import Mapping
 
 from .budget import DEFAULT_FORCING_TEXT, DEFAULT_PER_FORCING_CAP, DEFAULT_THINKING_BUDGET, BudgetPolicy
 from .client import DEFAULT_SEED, DEFAULT_TEMPERATURE
 from .evaluation import DEFAULT_WORKERS
+from .jsonl import SchemaError, read_lines
 
 BASE_URL_ENV = "M1_BASE_URL"
+
+# a key, then the first "=" or ":", then the value
+_ASSIGNMENT = re.compile(r"([^=:]*)[=:](.*)")
 
 # the file section whose keys are exactly the BudgetPolicy keyword arguments
 POLICY_SECTION = "policy"
@@ -60,28 +64,42 @@ def flag_for(key: Field) -> str:
     return key.metadata["flag"] or "--" + key.name.replace("_", "-")
 
 
-def _coerce(key: Field, raw: str):
-    try:
-        return type(key.default)(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key.name!r}: cannot parse {raw!r}") from exc
-
-
 def _read_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    """Read ``[section]`` headers and ``key = value`` lines (``:`` also
+    separates; lines starting with ``#`` or ``;`` are comments). Every
+    fault raises ConfigError citing the file and line."""
+    try:
+        lines = list(read_lines(path))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from exc
     sections = {key.metadata["section"] for key in CONFIG_FIELDS.values()}
+    section = None
     values = {}
-    for section in parser.sections():
-        if section not in sections:
-            raise ConfigError(f"unknown config section: {section}")
-        for name, raw in parser.items(section):
-            key = CONFIG_FIELDS.get(name)
-            if key is None or key.metadata["section"] != section:
-                raise ConfigError(f"unknown config key: {name}")
-            values[name] = _coerce(key, raw)
+    for lineno, line in lines:
+        line = line.strip()
+        if not line or line[0] in "#;":
+            continue
+        where = f"{path}:{lineno}"
+        if line[0] == "[" and line[-1] == "]":
+            section = line[1:-1].strip()
+            if section not in sections:
+                raise ConfigError(f"{where}: unknown config section: {section}")
+            continue
+        match = _ASSIGNMENT.match(line)
+        if match is None or section is None:
+            raise ConfigError(f"{where}: expected 'key = value' under a [section] header")
+        name, raw = match[1].strip().lower(), match[2].strip()
+        key = CONFIG_FIELDS.get(name)
+        if key is None or key.metadata["section"] != section:
+            raise ConfigError(f"{where}: unknown config key: {name}")
+        if name in values:
+            raise ConfigError(f"{where}: repeated config key: {name}")
+        try:
+            values[name] = type(key.default)(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: config key {name!r}: cannot parse {raw!r}") from None
     return values
 
 

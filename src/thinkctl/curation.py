@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .budget import ANSWER_MARKER, THINK_MARKER
-from .client import BackendError, probe_answer
+from .client import DEFAULT_SEED, DEFAULT_TEMPERATURE, BackendError, probe_answer
 from .qa import DEFAULT_INSTRUCTION, McqQuestion, extract_answer, format_prompt, grade
 
 log = logging.getLogger(__name__)
@@ -141,9 +141,9 @@ def difficulty_filter(
     pool: Sequence[McqQuestion],
     graders: Sequence,
     *,
-    instruction: str = DEFAULT_INSTRUCTION,
     workers: int = 1,
-    retries: int = 2,
+    temperature: float = DEFAULT_TEMPERATURE,
+    seed: int = DEFAULT_SEED,
     backoff: float = 0.5,
 ) -> tuple[list[McqQuestion], StageCount]:
     """Keep only questions that every grader answers incorrectly.
@@ -157,14 +157,14 @@ def difficulty_filter(
 
     def grader_correct(grader, question: McqQuestion, prompt: str) -> bool:
         try:
-            text = probe_answer(grader, prompt, retries=retries, backoff=backoff)
+            text = probe_answer(grader, prompt, temperature=temperature, seed=seed, backoff=backoff)
         except BackendError as exc:
             log.warning("grader failed on %s (%s); counted incorrect", question.id, exc)
             return False
         return grade(extract_answer(text, question.options), question.gold)
 
     def verdict(question: McqQuestion) -> tuple[str, bool]:
-        prompt = format_prompt(question, instruction)
+        prompt = format_prompt(question)
         keep = not any(grader_correct(g, question, prompt) for g in graders)
         return question.id, keep
 

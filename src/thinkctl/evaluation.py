@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .budget import BudgetPolicy, ReasoningTranscript, run_with_budget
 from .client import BackendError, DEFAULT_SEED, DEFAULT_TEMPERATURE, with_retries
-from .qa import DEFAULT_INSTRUCTION, McqQuestion, extract_answer, format_prompt, grade
+from .qa import McqQuestion, extract_answer, format_prompt, grade
 
 DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
 DEFAULT_WORKERS = 8
@@ -57,14 +57,14 @@ class SweepPoint:
     n_correct: int
     mean_thinking_tokens: float
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            kinds = (int,) if name in ("n", "n_correct") else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"sweep point field {name!r} must be {kinds[-1].__name__}, got {value!r}")
+
     def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "accuracy": self.accuracy,
-            "n": self.n,
-            "n_correct": self.n_correct,
-            "mean_thinking_tokens": self.mean_thinking_tokens,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -99,11 +99,9 @@ def evaluate(
     backend,
     policy: BudgetPolicy,
     *,
-    instruction: str = DEFAULT_INSTRUCTION,
     temperature: float = DEFAULT_TEMPERATURE,
     seed: int = DEFAULT_SEED,
     workers: int = DEFAULT_WORKERS,
-    retries: int = 2,
     backoff: float = 0.5,
 ) -> EvalResult:
     """Run every question through the budget controller and grade it.
@@ -116,11 +114,10 @@ def evaluate(
         raise ValueError("dataset is empty")
 
     def run_one(question: McqQuestion) -> EvalOutcome:
-        prompt = format_prompt(question, instruction)
+        prompt = format_prompt(question)
         try:
             transcript = with_retries(
                 lambda: run_with_budget(prompt, policy, backend, temperature=temperature, seed=seed),
-                retries=retries,
                 backoff=backoff,
             )
         except BackendError as exc:
@@ -154,15 +151,24 @@ def macro_average(per_dataset: Sequence[float]) -> float:
     return round(fmean(per_dataset), 2)
 
 
-def _point(x: float, result: EvalResult) -> SweepPoint:
-    realized = [o.thinking_tokens for o in result.outcomes]
-    return SweepPoint(
-        x=x,
-        accuracy=result.accuracy,
-        n=result.n,
-        n_correct=result.n_correct,
-        mean_thinking_tokens=fmean(realized) if realized else 0.0,
-    )
+def _sweep(
+    questions: Sequence[McqQuestion],
+    backend,
+    policy: BudgetPolicy,
+    knob: str,
+    xs: Sequence[int],
+    dataset_name: str,
+    kind: str,
+    eval_kwargs: dict,
+) -> SweepResult:
+    """Evaluate once per value of the policy field ``knob``, in the order
+    given, so every point is what a run at that value gives."""
+    points = []
+    for x in xs:
+        result = evaluate(questions, backend, replace(policy, **{knob: x}), **eval_kwargs)
+        realized = [o.thinking_tokens for o in result.outcomes]
+        points.append(SweepPoint(x, result.accuracy, result.n, result.n_correct, fmean(realized)))
+    return SweepResult(dataset_name, kind, points)
 
 
 def budget_sweep(
@@ -174,20 +180,12 @@ def budget_sweep(
     dataset_name: str = "dataset",
     **eval_kwargs,
 ) -> SweepResult:
-    """Evaluate once per thinking budget, in increasing order.
-
-    Each budget re-runs generation through ``evaluate``, so every point is
-    what a run at that budget gives.
-    """
+    """Evaluate once per thinking budget, in increasing order."""
     if not budgets:
         raise ValueError("need at least one budget")
     if len(set(budgets)) != len(budgets):
         raise ValueError("budgets must be distinct")
-    points = []
-    for budget in sorted(budgets):
-        result = evaluate(questions, backend, replace(policy, thinking_budget=budget), **eval_kwargs)
-        points.append(_point(budget, result))
-    return SweepResult(dataset_name, KIND_BUDGET, points)
+    return _sweep(questions, backend, policy, "thinking_budget", sorted(budgets), dataset_name, KIND_BUDGET, eval_kwargs)
 
 
 def forcing_sweep(
@@ -206,8 +204,4 @@ def forcing_sweep(
     """
     if max_forcings < 0:
         raise ValueError("max_forcings must be >= 0")
-    points = []
-    for count in range(max_forcings + 1):
-        result = evaluate(questions, backend, replace(policy, forcing_count=count), **eval_kwargs)
-        points.append(_point(count, result))
-    return SweepResult(dataset_name, KIND_FORCING, points)
+    return _sweep(questions, backend, policy, "forcing_count", range(max_forcings + 1), dataset_name, KIND_FORCING, eval_kwargs)

@@ -31,22 +31,33 @@ class SchemaError(ValueError):
         self.line = line
 
 
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Yield (line number, text) for each line of a UTF-8 file, line end
+    included; a line that is not UTF-8 raises SchemaError citing it."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(path, lineno, f"not UTF-8 ({exc.reason})") from exc
+            yield lineno, line
+
+
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) pairs, skipping blanks and meta lines."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(path, lineno, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise SchemaError(path, lineno, "record is not a JSON object")
-            if META_KEY in record:
-                continue
-            yield lineno, record
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(path, lineno, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise SchemaError(path, lineno, "record is not a JSON object")
+        if META_KEY in record:
+            continue
+        yield lineno, record
 
 
 def _require(record: dict, key: str, kind, path: str, lineno: int):

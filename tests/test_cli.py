@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinkctl.budget import ANSWER_MARKER
+from thinkctl import cli
 from thinkctl.cli import run
 from thinkctl.jsonl import load_questions
 from thinkctl.qa import DEFAULT_INSTRUCTION, McqQuestion, format_prompt
@@ -366,6 +367,31 @@ def test_curate_filter_probe_uses_trace_ceiling(tmp_path):
     assert [x.id for x in load_questions(str(out))] == ["q0"]
 
 
+def test_curate_filter_sends_configured_temperature_and_seed(tmp_path, dataset, monkeypatch):
+    """The graders get the ``--temperature`` and ``--seed`` that the
+    output's ``_meta.config`` records."""
+    data_path, records = dataset
+
+    class RecordingGrader:
+        token_joiner = " "
+
+        def __init__(self):
+            self.requests = []
+
+        def raw_stream(self, req):
+            self.requests.append(req)
+            yield "\\boxed{A}"
+
+    grader = RecordingGrader()
+    monkeypatch.setattr(cli, "_graders", lambda args, cfg: [grader])
+    out = tmp_path / "kept.jsonl"
+    argv = ["curate", "filter", "--pool", str(data_path), "--out", str(out), "--temperature", "0.7", "--seed", "5"]
+    assert run(argv) == 0
+    assert [(r.temperature, r.seed) for r in grader.requests] == [(0.7, 5)] * len(records)
+    meta = json.loads(out.read_text().splitlines()[0])["_meta"]["config"]
+    assert (meta["temperature"], meta["seed"]) == (0.7, 5)
+
+
 def test_curate_validate_and_format_sft(tmp_path):
     base = question_record("t1", gold="A")
     good = dict(base, thinking="step one", response="\\boxed{A}", extracted="A", verified=True)
@@ -547,14 +573,23 @@ def test_report_validates_and_prints(tmp_path, capsys):
         pytest.param("--mock", "not json", id="mock-not-json"),
         pytest.param("--lexicon", "not json", id="lexicon-not-json"),
         pytest.param("--dataset", None, id="dataset-directory"),
+        pytest.param(
+            "--sweep",
+            '{"dataset": "d", "points": [{"x": "a", "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
+            id="sweep-point-field-wrong-type",
+        ),
+        pytest.param("--sweep", b"\xff\xfe{}", id="sweep-not-utf8"),
+        pytest.param("--pool", b"\xff\xfe\n", id="pool-not-utf8"),
     ],
 )
 def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset, oracle_script, option, content):
-    """``None`` content makes the input a directory."""
+    """``None`` content makes the input a directory; bytes are written as they are."""
     data_path, _ = dataset
     path = tmp_path / "input"
     if content is None:
         path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
     else:
         path.write_text(content)
     out = str(tmp_path / "out")
@@ -564,6 +599,7 @@ def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset,
         "--mock": ["eval", "--dataset", str(data_path), "--mock", str(path)],
         "--lexicon": ["curate", "annotate", "--pool", str(data_path), "--lexicon", str(path), "--out", out],
         "--dataset": ["eval", "--dataset", str(path), "--mock", str(oracle_script)],
+        "--pool": ["curate", "dedup", "--pool", str(path), "--out", out],
     }[option]
     assert run(argv) == 1
     err = capsys.readouterr().err
@@ -601,3 +637,25 @@ def test_unknown_config_key_exits_1(tmp_path, dataset, oracle_script, capsys):
     )
     assert code == 1
     assert "temprature" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        pytest.param(b"seed = 1\n", 1, id="no-section-header"),
+        pytest.param(b"[backend]\nseed = 1\nseed = 2\n", 3, id="repeated-key"),
+        pytest.param(b"[backend]\nseed = abc\n", 2, id="bad-value"),
+        pytest.param(b"[policy]\nthinking_budget = 8\n[bogus]\n", 3, id="unknown-section"),
+        pytest.param(b"[backend]\nseed\n", 2, id="no-delimiter"),
+        pytest.param(b"[policy]\nforcing_text = \xff\n", 2, id="not-utf8"),
+    ],
+)
+def test_malformed_config_exits_1_citing_file_and_line(tmp_path, dataset, oracle_script, capsys, content, line):
+    data_path, _ = dataset
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_bytes(content)
+    code = run(["eval", "--config", str(cfg), "--dataset", str(data_path), "--mock", str(oracle_script)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:{line}:" in err
+    assert "Traceback" not in err

@@ -250,7 +250,7 @@ def always_right_model(k: int) -> ScriptedModel:
 
 
 @pytest.mark.parametrize("failures", [0, 1])
-def test_reuse_mode_retries_a_failed_answer(make_questions, failures):
+def test_evaluate_retries_a_failed_answer(make_questions, failures):
     """``evaluate`` retries a run whose answer request fails once; the
     sweep's points do not change."""
     questions = make_questions(4, golds="B")
@@ -260,7 +260,7 @@ def test_reuse_mode_retries_a_failed_answer(make_questions, failures):
     assert backend.answer_requests == 2 + failures
 
 
-def test_reuse_mode_counts_an_answer_that_keeps_failing_incorrect(make_questions):
+def test_evaluate_counts_an_answer_that_keeps_failing_incorrect(make_questions):
     """A run whose answer fails through every retry counts incorrect with 0
     thinking tokens, so n stays 4."""
     questions = make_questions(4, golds="B")
