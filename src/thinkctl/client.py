@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-import requests
-
 log = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 0.0
@@ -414,6 +412,10 @@ class WireBackend:
     token_joiner = ""
 
     def raw_stream(self, req: GenerationRequest) -> Iterator[str]:
+        # imported here, not at module level, so that runs which send no
+        # request (the scripted mock, most curation stages) never load it
+        import requests
+
         url = self.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
         headers = {"Content-Type": "application/json"}
         key = self.api_key if self.api_key is not None else os.environ.get(API_KEY_ENV)

@@ -48,6 +48,11 @@ class Config:
     forcing_text: str = _key(POLICY_SECTION, DEFAULT_FORCING_TEXT)
     workers: int = _key("run", DEFAULT_WORKERS)
 
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        self.policy()  # BudgetPolicy checks its own ranges
+
     def policy(self) -> BudgetPolicy:
         return BudgetPolicy(
             **{f.name: getattr(self, f.name) for f in fields(self) if f.metadata["section"] == POLICY_SECTION}
@@ -67,7 +72,8 @@ def flag_for(key: Field) -> str:
 def _read_file(path: str) -> dict:
     """Read ``[section]`` headers and ``key = value`` lines (``:`` also
     separates; lines starting with ``#`` or ``;`` are comments). Every
-    fault raises ConfigError citing the file and line."""
+    fault, a value out of range included, raises ConfigError citing the
+    file and line."""
     try:
         lines = list(read_lines(path))
     except FileNotFoundError as exc:
@@ -100,6 +106,10 @@ def _read_file(path: str) -> dict:
             values[name] = type(key.default)(raw)
         except ValueError:
             raise ConfigError(f"{where}: config key {name!r}: cannot parse {raw!r}") from None
+        try:
+            Config(**{name: values[name]})  # the value's range, with every other key at its default
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return values
 
 

@@ -1,4 +1,9 @@
-"""Ordinary least squares with a t-based 95% mean-response confidence band."""
+"""Ordinary least squares with a t-based 95% mean-response confidence band.
+
+The band's critical value is the Student-t quantile at integer degrees of
+freedom ``n - 2``, found by bisecting the finite series for the t CDF
+(Abramowitz & Stegun 26.7.3 and 26.7.4).
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,56 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats
-
 CONFIDENCE_LEVEL = 0.95
+
+
+def _t_abs_cdf(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer ``df`` >= 1 and t >= 0.
+
+    With theta = atan(t / sqrt(df)), odd df gives
+    (2/pi) (theta + sin cos (1 + 2/3 cos^2 + (2*4)/(3*5) cos^4 + ...)) and
+    even df gives sin (1 + 1/2 cos^2 + (1*3)/(2*4) cos^4 + ...); each
+    series stops at the power cos^(df-2) or cos^(df-3). The powers of
+    cos^2 come from exp of a log1p: a rounded cos^2 raised to the power j
+    would carry j times its rounding error.
+    """
+    r2 = df + t * t
+    sin = t / math.sqrt(r2)
+    log_cos2 = -math.log1p(t * t / df)
+    odd = df % 2
+    terms = [1.0]
+    coef = 1.0
+    for j, k in enumerate(range(1 + odd, df - 2, 2), 1):
+        coef *= k / (k + 1)
+        terms.append(coef * math.exp(j * log_cos2))
+    if not odd:
+        return sin * math.fsum(terms)
+    series = sin * math.sqrt(df / r2) * math.fsum(terms) if df > 1 else 0.0
+    return 2.0 / math.pi * (math.atan(t / math.sqrt(df)) + series)
+
+
+def _t_quantile(p: float, df: int) -> float:
+    """The Student-t quantile at probability ``p`` for integer ``df`` >= 1:
+    bisection over doubles on the series CDF, down to two adjacent
+    doubles; returns the upper one. The series gives P(|T| <= t), which
+    rounds near 1, so far-tail quantiles (p below about 0.001 or above
+    0.999) lose the digits that cancel."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    target = abs(2.0 * p - 1.0)  # P(|T| <= |t|); exact for p in [0.25, 1)
+    if target == 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while _t_abs_cdf(hi, df) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return math.copysign(hi, p - 0.5)
+        if _t_abs_cdf(mid, df) < target:
+            lo = mid
+        else:
+            hi = mid
 
 
 class FitRefusedError(ValueError):
@@ -79,7 +131,7 @@ def fit_linear_with_ci(points: Sequence[tuple[float, float]]) -> RegressionFit:
     ssr = math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
     df = n - 2
     residual_se = math.sqrt(max(ssr, 0.0) / df)
-    t_crit = float(stats.t.ppf(0.5 + CONFIDENCE_LEVEL / 2.0, df))
+    t_crit = _t_quantile(0.5 + CONFIDENCE_LEVEL / 2.0, df)
     return RegressionFit(
         slope=slope,
         intercept=intercept,

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -648,6 +651,10 @@ def test_unknown_config_key_exits_1(tmp_path, dataset, oracle_script, capsys):
         pytest.param(b"[policy]\nthinking_budget = 8\n[bogus]\n", 3, id="unknown-section"),
         pytest.param(b"[backend]\nseed\n", 2, id="no-delimiter"),
         pytest.param(b"[policy]\nforcing_text = \xff\n", 2, id="not-utf8"),
+        pytest.param(b"[policy]\nthinking_budget = 8\nper_forcing_cap = 0\n", 3, id="per-forcing-cap-below-1"),
+        pytest.param(b"[policy]\nforcing_count = -1\n", 2, id="forcing-count-below-0"),
+        pytest.param(b"[run]\nworkers = 0\n", 2, id="workers-0"),
+        pytest.param(b"[run]\nworkers = -3\n", 2, id="workers-negative"),
     ],
 )
 def test_malformed_config_exits_1_citing_file_and_line(tmp_path, dataset, oracle_script, capsys, content, line):
@@ -659,3 +666,23 @@ def test_malformed_config_exits_1_citing_file_and_line(tmp_path, dataset, oracle
     err = capsys.readouterr().err
     assert f"{cfg}:{line}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_flag_below_1_exits_1(dataset, oracle_script, capsys, workers):
+    data_path, _ = dataset
+    code = run(["eval", "--workers", workers, "--dataset", str(data_path), "--mock", str(oracle_script)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "workers must be >= 1" in err
+    assert "Traceback" not in err
+
+
+def test_import_loads_no_numpy_scipy_or_requests():
+    # the runtime needs requests only once a WireBackend sends; numpy and
+    # scipy are test oracles
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, thinkctl; print(sorted({'numpy','scipy','requests'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

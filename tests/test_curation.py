@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture
@@ -17,6 +17,7 @@ from thinkctl.curation import (
     SamplingPlan,
     StageCount,
     TraceRecord,
+    _Pcg64,
     annotate_domains,
     decontaminate,
     deduplicate,
@@ -244,6 +245,32 @@ def test_normalize_text_pipeline():
 
 def plan_from(strata, target_n, seed=42) -> SamplingPlan:
     return SamplingPlan(target_n=target_n, seed=seed, strata=strata)
+
+
+SAMPLER_EDGE_BOUNDS = [1, 2, 3, 2**31 + 11, 2**32 - 1, 2**32]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**160)),
+    bounds=st.lists(
+        st.one_of(st.sampled_from(SAMPLER_EDGE_BOUNDS), st.integers(1, 2**32)), min_size=1, max_size=300
+    ),
+)
+@example(seed=2**64 + 3, bounds=SAMPLER_EDGE_BOUNDS * 50)
+@example(seed=2**140 + 12345, bounds=SAMPLER_EDGE_BOUNDS * 50)  # more than the four words the seed hash pools
+def test_sampler_draws_match_numpy(seed, bounds):
+    # one stream, bounds interleaved: a draw of n = 1 consumes nothing, one of
+    # 2**32 takes a raw 32-bit half, and the others may reject and redraw
+    ours = _Pcg64(seed)
+    theirs = np.random.Generator(np.random.PCG64(seed))
+    assert [ours.integers(n) for n in bounds] == [int(theirs.integers(n)) for n in bounds]
+
+
+@pytest.mark.parametrize("n", [0, 2**32 + 1, 2**40])
+def test_sampler_refuses_bounds_outside_1_to_2_to_32(n):
+    with pytest.raises(CurationError):
+        _Pcg64(7).integers(n)
 
 
 def test_one_item_per_domain_forces_whole_pool():

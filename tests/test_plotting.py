@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -78,3 +79,24 @@ def test_unknown_format_rejected():
 def test_empty_sweep_rejected():
     with pytest.raises(ValueError):
         emit_plot(SweepResult("d", "budget", []), None, "csv")
+
+
+# sha256 of emit_plot's output for the sweep and fit below. The CSV writes
+# ci_low/ci_high with repr, so it moves with the last digits of t_crit; the
+# SVG rounds coordinates to two decimals.
+PLOT_SHA256 = {
+    "csv": "056860c4c5b49075d6f600a462949d8520b7720fdcd0486024a13e7ca50abe0a",
+    "svg": "6a33a74ee18987ad28c84fa38c53252887ed1a059ca1347cf626df72154a15ec",
+}
+
+
+def test_plot_bytes_are_pinned():
+    correct = [12, 17, 21, 30, 28, 35, 33, 38]
+    points = [
+        SweepPoint(x=2 ** (4 + i), accuracy=c / 50, n=50, n_correct=c, mean_thinking_tokens=1.5 * 2 ** (4 + i))
+        for i, c in enumerate(correct)
+    ]
+    sweep = SweepResult("pinned.jsonl", "budget", points)
+    fit = percent_fit(sweep)
+    for fmt, digest in PLOT_SHA256.items():
+        assert hashlib.sha256(emit_plot(sweep, fit, fmt)).hexdigest() == digest, fmt

@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from thinkctl.regression import FitRefusedError, RegressionFit, fit_linear_with_ci
+from thinkctl.regression import FitRefusedError, RegressionFit, _t_quantile, fit_linear_with_ci
 
 
 def normal_equations_fit(points):
@@ -82,6 +84,27 @@ def test_band_uses_t_quantile():
     low, high = fit.band(1.5)
     se_mean = fit.residual_se * math.sqrt(1 / 4 + (1.5 - fit.x_mean) ** 2 / fit.sxx)
     assert high - low == pytest.approx(2 * fit.t_crit * se_mean)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=1000))
+@example(1)
+@example(2)
+@example(1000)
+def test_t_quantile_matches_scipy(df):
+    from scipy import stats
+
+    assert _t_quantile(0.975, df) == pytest.approx(float(stats.t.ppf(0.975, df)), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.001, max_value=0.999))
+@example(0.5)
+@example(0.975)
+def test_t_quantile_closed_forms(p):
+    # df = 1 is the Cauchy distribution; df = 2 has an algebraic inverse
+    assert _t_quantile(p, 1) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-12)
+    assert _t_quantile(p, 2) == pytest.approx((2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel=1e-12)
 
 
 def test_fit_serialization_round_trip():
