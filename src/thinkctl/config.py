@@ -72,8 +72,8 @@ def flag_for(key: Field) -> str:
 def _read_file(path: str) -> dict:
     """Read ``[section]`` headers and ``key = value`` lines (``:`` also
     separates; lines starting with ``#`` or ``;`` are comments). Every
-    fault, a value out of range included, raises ConfigError citing the
-    file and line."""
+    fault raises ConfigError citing the file and line, a value out of range
+    included; a fault between two keys cites the later one."""
     try:
         lines = list(read_lines(path))
     except FileNotFoundError as exc:
@@ -107,7 +107,8 @@ def _read_file(path: str) -> dict:
         except ValueError:
             raise ConfigError(f"{where}: config key {name!r}: cannot parse {raw!r}") from None
         try:
-            Config(**{name: values[name]})  # the value's range, with every other key at its default
+            # the file so far: the value's range, or a fault it makes with an earlier key
+            Config(**values)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     return values

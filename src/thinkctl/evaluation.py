@@ -7,7 +7,8 @@ count of correct outcomes. Per-question hard failures count as incorrect
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Sequence
@@ -18,6 +19,7 @@ from .qa import McqQuestion, extract_answer, format_prompt, grade
 
 DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
 DEFAULT_WORKERS = 8
+DEFAULT_BACKOFF = 0.5  # seconds before the first retry; it doubles per retry
 
 KIND_BUDGET = "budget"
 KIND_FORCING = "forcing"
@@ -94,6 +96,33 @@ class SweepResult:
         return cls(dataset=data["dataset"], kind=data.get("kind", KIND_BUDGET), points=points)
 
 
+def _run_question(
+    question: McqQuestion,
+    backend,
+    policy: BudgetPolicy,
+    temperature: float,
+    seed: int,
+    backoff: float,
+) -> EvalOutcome:
+    """Run one question through the budget controller and grade it."""
+    prompt = format_prompt(question)
+    try:
+        transcript = with_retries(
+            lambda: run_with_budget(prompt, policy, backend, temperature=temperature, seed=seed),
+            backoff=backoff,
+        )
+    except BackendError as exc:
+        return EvalOutcome(question.id, None, None, False, 0, error=str(exc))
+    outcome = extract_answer(transcript.answer_text, question.options)
+    return EvalOutcome(
+        question_id=question.id,
+        transcript=transcript,
+        letter=outcome.letter,
+        correct=grade(outcome, question.gold),
+        thinking_tokens=transcript.thinking_tokens,
+    )
+
+
 def evaluate(
     questions: Sequence[McqQuestion],
     backend,
@@ -102,40 +131,27 @@ def evaluate(
     temperature: float = DEFAULT_TEMPERATURE,
     seed: int = DEFAULT_SEED,
     workers: int = DEFAULT_WORKERS,
-    backoff: float = 0.5,
+    backoff: float = DEFAULT_BACKOFF,
+    runs: Sequence[Future] | None = None,
 ) -> EvalResult:
     """Run every question through the budget controller and grade it.
 
     Outcomes are merged in question-id order, so results do not depend on
     worker completion order. A question whose backend calls fail after
-    retries is flagged and counted incorrect.
+    retries is flagged and counted incorrect. ``runs``, when given, holds
+    one already submitted ``_run_question`` future per question, which a
+    sweep's shared pool runs; they are gathered instead of run here.
     """
     if not questions:
         raise ValueError("dataset is empty")
 
-    def run_one(question: McqQuestion) -> EvalOutcome:
-        prompt = format_prompt(question)
-        try:
-            transcript = with_retries(
-                lambda: run_with_budget(prompt, policy, backend, temperature=temperature, seed=seed),
-                backoff=backoff,
-            )
-        except BackendError as exc:
-            return EvalOutcome(question.id, None, None, False, 0, error=str(exc))
-        outcome = extract_answer(transcript.answer_text, question.options)
-        return EvalOutcome(
-            question_id=question.id,
-            transcript=transcript,
-            letter=outcome.letter,
-            correct=grade(outcome, question.gold),
-            thinking_tokens=transcript.thinking_tokens,
-        )
-
-    if workers > 1:
+    if runs is not None:
+        outcomes = [run.result() for run in runs]
+    elif workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, questions))
+            outcomes = list(pool.map(lambda q: _run_question(q, backend, policy, temperature, seed, backoff), questions))
     else:
-        outcomes = [run_one(q) for q in questions]
+        outcomes = [_run_question(q, backend, policy, temperature, seed, backoff) for q in questions]
     outcomes.sort(key=lambda o: o.question_id)
 
     n = len(outcomes)
@@ -159,15 +175,42 @@ def _sweep(
     xs: Sequence[int],
     dataset_name: str,
     kind: str,
-    eval_kwargs: dict,
+    *,
+    temperature: float = DEFAULT_TEMPERATURE,
+    seed: int = DEFAULT_SEED,
+    workers: int = DEFAULT_WORKERS,
+    backoff: float = DEFAULT_BACKOFF,
 ) -> SweepResult:
     """Evaluate once per value of the policy field ``knob``, in the order
-    given, so every point is what a run at that value gives."""
-    points = []
-    for x in xs:
-        result = evaluate(questions, backend, replace(policy, **{knob: x}), **eval_kwargs)
+    given, so every point is what a run at that value gives.
+
+    With ``workers`` > 1 the sweep shares one pool of ``workers`` threads
+    across its grid points: every point's question runs are queued, point
+    by point, before any is waited on, so a point's slowest run or retry
+    overlaps the next point's runs. Each point is still built by one
+    ``evaluate`` call, in the order of ``xs``. A run that raises anything
+    but a backend error cancels the runs still queued.
+    """
+    policies = [replace(policy, **{knob: x}) for x in xs]
+    settings = {"temperature": temperature, "seed": seed, "workers": workers, "backoff": backoff}
+
+    def point(x, at: BudgetPolicy, runs: Sequence[Future] | None = None) -> SweepPoint:
+        result = evaluate(questions, backend, at, runs=runs, **settings)
         realized = [o.thinking_tokens for o in result.outcomes]
-        points.append(SweepPoint(x, result.accuracy, result.n, result.n_correct, fmean(realized)))
+        return SweepPoint(x, result.accuracy, result.n, result.n_correct, fmean(realized))
+
+    if workers <= 1:
+        return SweepResult(dataset_name, kind, [point(x, p) for x, p in zip(xs, policies)])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            queued = deque(
+                [pool.submit(_run_question, q, backend, p, temperature, seed, backoff) for q in questions] for p in policies
+            )
+            # popleft drops each point's futures, and the outcomes they hold, once gathered
+            points = [point(x, p, queued.popleft()) for x, p in zip(xs, policies)]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return SweepResult(dataset_name, kind, points)
 
 
@@ -180,12 +223,13 @@ def budget_sweep(
     dataset_name: str = "dataset",
     **eval_kwargs,
 ) -> SweepResult:
-    """Evaluate once per thinking budget, in increasing order."""
+    """Evaluate once per thinking budget, in increasing order, on one pool
+    of ``workers`` threads shared by every budget."""
     if not budgets:
         raise ValueError("need at least one budget")
     if len(set(budgets)) != len(budgets):
         raise ValueError("budgets must be distinct")
-    return _sweep(questions, backend, policy, "thinking_budget", sorted(budgets), dataset_name, KIND_BUDGET, eval_kwargs)
+    return _sweep(questions, backend, policy, "thinking_budget", sorted(budgets), dataset_name, KIND_BUDGET, **eval_kwargs)
 
 
 def forcing_sweep(
@@ -200,8 +244,9 @@ def forcing_sweep(
     """Evaluate once per forcing count, 0..max_forcings.
 
     x = 0 takes the model's first answer without forcing; each forced
-    continuation stays within the policy's per-forcing token limit.
+    continuation stays within the policy's per-forcing token limit. One
+    pool of ``workers`` threads is shared by every forcing count.
     """
     if max_forcings < 0:
         raise ValueError("max_forcings must be >= 0")
-    return _sweep(questions, backend, policy, "forcing_count", range(max_forcings + 1), dataset_name, KIND_FORCING, eval_kwargs)
+    return _sweep(questions, backend, policy, "forcing_count", range(max_forcings + 1), dataset_name, KIND_FORCING, **eval_kwargs)

@@ -655,6 +655,8 @@ def test_unknown_config_key_exits_1(tmp_path, dataset, oracle_script, capsys):
         pytest.param(b"[policy]\nforcing_count = -1\n", 2, id="forcing-count-below-0"),
         pytest.param(b"[run]\nworkers = 0\n", 2, id="workers-0"),
         pytest.param(b"[run]\nworkers = -3\n", 2, id="workers-negative"),
+        pytest.param(b"[policy]\nforcing_count = 2\nforcing_text =\n", 3, id="forcing-text-empty-after-count"),
+        pytest.param(b"[policy]\nforcing_text =\nthinking_budget = 8\nforcing_count = 2\n", 4, id="forcing-count-after-empty-text"),
     ],
 )
 def test_malformed_config_exits_1_citing_file_and_line(tmp_path, dataset, oracle_script, capsys, content, line):
@@ -678,11 +680,26 @@ def test_workers_flag_below_1_exits_1(dataset, oracle_script, capsys, workers):
     assert "Traceback" not in err
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this tree's thinkctl."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_import_loads_no_numpy_scipy_or_requests():
     # the runtime needs requests only once a WireBackend sends; numpy and
     # scipy are test oracles
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, thinkctl; print(sorted({'numpy','scipy','requests'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = run_python("-c", "import sys, thinkctl; print(sorted({'numpy','scipy','requests'} & set(sys.modules)))")
+    assert out.returncode == 0
     assert out.stdout.strip() == "[]"
+
+
+def test_module_entry_point_runs_the_cli(tmp_path, dataset, oracle_script):
+    data_path, _ = dataset
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[backend]\nseed = abc\n")
+    out = run_python("-m", "thinkctl.cli", "eval", "--config", str(cfg), "--dataset", str(data_path), "--mock", str(oracle_script))
+    assert out.returncode == 1
+    assert f"{cfg}:2:" in out.stderr
+    assert "Traceback" not in out.stderr

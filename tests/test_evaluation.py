@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import random
+import sys
+import threading
+import time
+from collections import Counter
+
 import pytest
 
-from thinkctl.budget import ANSWER_MARKER, BudgetPolicy
+from thinkctl.budget import ANSWER_CUE, ANSWER_MARKER, BudgetPolicy
 from thinkctl.client import ConnectionFailure, ScriptEntry, ScriptedModel
 from thinkctl.evaluation import (
     DEFAULT_BUDGET_GRID,
@@ -219,21 +225,28 @@ def test_budget_sweep_records_realized_thinking(make_questions):
 
 
 class AnswerOutage:
-    """Serves ``model``, but fails the answer requests for ``qid`` that
-    follow its first one ``failures`` times."""
+    """Serves ``model``, but fails the first ``failures`` answer requests
+    for ``qid`` that follow a thought ending in ``last_word``. Counts every
+    answer request for ``qid``, whichever worker sends it."""
 
     token_joiner = " "
 
-    def __init__(self, model: ScriptedModel, qid: str, failures: int):
+    def __init__(self, model: ScriptedModel, qid: str, last_word: str, failures: int):
         self.model = model
         self.qid = qid
+        self.last_word = last_word
         self.failures = failures
         self.answer_requests = 0
+        self.failed = 0
+        self.lock = threading.Lock()
 
     def raw_stream(self, req):
-        if req.prompt.endswith("Final Answer:") and f"for {self.qid}?" in req.prompt:
-            self.answer_requests += 1
-            if 1 < self.answer_requests <= 1 + self.failures:
+        if req.prompt.endswith(ANSWER_CUE) and f"for {self.qid}?" in req.prompt:
+            with self.lock:
+                self.answer_requests += 1
+                fail = f"{self.last_word} {ANSWER_MARKER}" in req.prompt and self.failed < self.failures
+                self.failed += fail
+            if fail:
                 raise ConnectionFailure("answer outage")
         yield from self.model.raw_stream(req)
 
@@ -249,23 +262,25 @@ def always_right_model(k: int) -> ScriptedModel:
     )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("failures", [0, 1])
-def test_evaluate_retries_a_failed_answer(make_questions, failures):
+def test_evaluate_retries_a_failed_answer(make_questions, failures, workers):
     """``evaluate`` retries a run whose answer request fails once; the
     sweep's points do not change."""
     questions = make_questions(4, golds="B")
-    backend = AnswerOutage(always_right_model(20), "q01", failures)
-    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), workers=1, backoff=0.0)
+    backend = AnswerOutage(always_right_model(20), "q01", "w19", failures)
+    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), workers=workers, backoff=0.0)
     assert [(p.x, p.n, p.n_correct, p.mean_thinking_tokens) for p in sweep.points] == [(8, 4, 4, 8.0), (32, 4, 4, 20.0)]
     assert backend.answer_requests == 2 + failures
 
 
-def test_evaluate_counts_an_answer_that_keeps_failing_incorrect(make_questions):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_counts_an_answer_that_keeps_failing_incorrect(make_questions, workers):
     """A run whose answer fails through every retry counts incorrect with 0
     thinking tokens, so n stays 4."""
     questions = make_questions(4, golds="B")
-    backend = AnswerOutage(always_right_model(20), "q01", failures=99)
-    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), workers=1, backoff=0.0)
+    backend = AnswerOutage(always_right_model(20), "q01", "w19", failures=99)
+    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), workers=workers, backoff=0.0)
     assert [(p.x, p.n, p.n_correct, p.mean_thinking_tokens) for p in sweep.points] == [(8, 4, 4, 8.0), (32, 4, 3, 15.0)]
     assert backend.answer_requests == 1 + 3  # budget 8, then budget 32's first try and 2 retries
 
@@ -342,3 +357,125 @@ def test_sweep_result_round_trip(make_questions):
     sweep = budget_sweep(questions, oracle_model(questions), [16, 32], BudgetPolicy())
     back = SweepResult.from_dict(sweep.to_dict())
     assert back.to_dict() == sweep.to_dict()
+
+
+# --- one worker pool per sweep ------------------------------------------------------
+
+
+class RecordingBackend:
+    """Serves ``model`` and records every request, from any worker."""
+
+    token_joiner = " "
+
+    def __init__(self, model: ScriptedModel):
+        self.model = model
+        self.requests: list = []
+        self.lock = threading.Lock()
+
+    def raw_stream(self, req):
+        with self.lock:
+            self.requests.append(req)
+        yield from self.model.raw_stream(req)
+
+
+def random_sweep_model(rng: random.Random, questions) -> ScriptedModel:
+    """Per question: a thought of random length, up to 3 forced rounds, and
+    an answer letter drawn for each round end; a cut thought gets a letter
+    drawn for the whole model."""
+
+    def words(qid: str, round_index: int) -> str:
+        return " ".join([f"{qid}r{round_index}w{i}" for i in range(rng.randint(0, 40))] + [f"{qid}r{round_index}end"])
+
+    def marker():
+        return ANSWER_MARKER if rng.random() < 0.9 else None
+
+    entries = []
+    for q in questions:
+        rounds = rng.randint(0, 3)
+        for i in range(rounds, 0, -1):
+            entries.append(ScriptEntry(f"{q.id}r{i - 1}end Wait.", words(q.id, i), marker()))
+        for i in range(rounds + 1):
+            letter = rng.choice("ABCD")
+            entries.append(ScriptEntry(f"{q.id}r{i}end {ANSWER_MARKER} Final Answer:", f"\\boxed{{{letter}}}", None))
+        entries.append(ScriptEntry(format_prompt(q) + " <|im_start|>think", words(q.id, 0), marker()))
+    entries.append(ScriptEntry("Final Answer:", f"\\boxed{{{rng.choice('ABCD')}}}", None))
+    return ScriptedModel(tuple(entries))
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_shared_pool_sweeps_equal_in_thread_sweeps(make_questions, trial):
+    """Both sweeps give the same points, from the same requests, whether
+    they run in the calling thread or on one pool shared across points."""
+    rng = random.Random(900 + trial)
+    questions = make_questions(rng.randint(1, 7))
+    model = random_sweep_model(rng, questions)
+    budgets = rng.sample(range(1, 60), rng.randint(1, 5))
+    policy = BudgetPolicy(thinking_budget=rng.randint(1, 60), per_forcing_cap=rng.randint(1, 45))
+    max_forcings = rng.randint(0, 4)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches, so a lost update would show
+    try:
+        for workers in (1, 4):
+            backend = RecordingBackend(model)
+            points = [
+                budget_sweep(questions, backend, budgets, policy, workers=workers).points,
+                forcing_sweep(questions, backend, max_forcings, policy, workers=workers).points,
+            ]
+            runs[workers] = points, Counter(backend.requests)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == runs[4]
+
+
+def test_shared_pool_runs_the_next_point_while_a_point_waits(make_questions):
+    """Question 0 at the first budget waits for a request of the second
+    budget, which only a pool shared across points can send meanwhile."""
+
+    class Barrier:
+        token_joiner = " "
+
+        def __init__(self):
+            self.model = always_right_model(20)
+            self.second_point = threading.Event()
+            self.released = None
+
+        def raw_stream(self, req):
+            if req.max_new_tokens == 16:
+                self.second_point.set()
+            elif req.max_new_tokens == 8 and "for q00?" in req.prompt:
+                self.released = self.second_point.wait(timeout=5)
+            yield from self.model.raw_stream(req)
+
+    questions = make_questions(3, golds="B")
+    backend = Barrier()
+    sweep = budget_sweep(questions, backend, [8, 16], BudgetPolicy(), workers=2)
+    assert backend.released is True
+    assert [(p.x, p.n_correct, p.mean_thinking_tokens) for p in sweep.points] == [(8, 3, 8.0), (16, 3, 16.0)]
+
+
+def test_a_fatal_run_error_cancels_the_queued_points(make_questions):
+    """A run that raises something other than a backend error ends the
+    sweep; the runs still queued for later points never start."""
+
+    class Fatal:
+        token_joiner = " "
+
+        def __init__(self):
+            self.model = always_right_model(20)
+            self.budgets = Counter()
+            self.lock = threading.Lock()
+
+        def raw_stream(self, req):
+            if req.max_new_tokens == 8:
+                raise RuntimeError("bad backend")
+            with self.lock:
+                self.budgets[req.max_new_tokens] += 1
+            time.sleep(0.02)  # the runs already started outlast the cancel, so none reaches budget 48
+            yield from self.model.raw_stream(req)
+
+    questions = make_questions(4, golds="B")
+    backend = Fatal()
+    with pytest.raises(RuntimeError, match="bad backend"):
+        budget_sweep(questions, backend, [8, 16, 24, 32, 40, 48], BudgetPolicy(), workers=2)
+    assert backend.budgets[48] == 0
