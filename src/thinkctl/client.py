@@ -400,8 +400,13 @@ class WireBackend:
     ``messages``, ``temperature``, ``seed``, ``max_tokens`` and
     ``stream: true``; reads one ``data: <json>`` line per chunk until
     ``data: [DONE]``. The bearer token comes from ``api_key`` or the
-    ``M1_API_KEY`` environment variable. Handles are shareable across
-    workers; each stream is owned by one consumer.
+    ``M1_API_KEY`` environment variable.
+
+    Built on ``urllib.request``: each call opens one connection and closes
+    it when the stream ends or its consumer stops early. Proxies come from
+    ``http_proxy``/``https_proxy``/``no_proxy``; TLS is verified against
+    the system store (``SSL_CERT_FILE``/``SSL_CERT_DIR``). Handles are
+    shareable across workers; each stream is owned by one consumer.
     """
 
     base_url: str
@@ -413,8 +418,10 @@ class WireBackend:
 
     def raw_stream(self, req: GenerationRequest) -> Iterator[str]:
         # imported here, not at module level, so that runs which send no
-        # request (the scripted mock, most curation stages) never load it
-        import requests
+        # request (the scripted mock, most curation stages) never load them
+        import http.client
+        import urllib.request
+        from urllib.error import HTTPError
 
         url = self.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
         headers = {"Content-Type": "application/json"}
@@ -429,21 +436,24 @@ class WireBackend:
             "max_tokens": req.max_new_tokens,
             "stream": True,
         }
+        request = urllib.request.Request(url, data=json.dumps(body).encode(), headers=headers, method="POST")
         try:
-            resp = requests.post(url, json=body, headers=headers, stream=True, timeout=self.timeout)
-        except requests.RequestException as exc:
+            resp = urllib.request.urlopen(request, timeout=self.timeout)
+        except HTTPError as exc:
+            resp = exc  # the response to a status that is not 2xx
+        except (OSError, http.client.HTTPException) as exc:
             raise ConnectionFailure(str(exc)) from exc
         with resp:
-            if resp.status_code != 200:
-                raise BackendStatusError(resp.status_code, resp.text[:200])
-            # SSE is UTF-8; without a charset ``requests`` would pick Latin-1
-            resp.encoding = "utf-8"
+            if resp.status != 200:
+                raise BackendStatusError(resp.status, resp.read().decode("utf-8", "replace")[:200])
             completed = False
             try:
-                for line in resp.iter_lines(decode_unicode=True):
-                    if not line or not line.startswith("data:"):
+                # SSE lines end at b"\n" only; str.splitlines would also cut
+                # a delta at a raw U+2028, U+2029 or U+0085
+                for line in resp:
+                    if not line.startswith(b"data:"):
                         continue
-                    payload = line[len("data:"):].strip()
+                    payload = line[len(b"data:"):].strip().decode("utf-8", "replace")
                     if payload == "[DONE]":
                         completed = True
                         break
@@ -460,7 +470,7 @@ class WireBackend:
                         yield text
                     if choices[0].get("finish_reason"):
                         completed = True
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 raise ConnectionFailure(str(exc)) from exc
             if not completed:
                 raise TruncatedStreamError("stream ended without completion sentinel")

@@ -13,6 +13,7 @@ import os
 import re
 from dataclasses import Field, dataclass, field, fields
 from typing import Mapping
+from urllib.parse import urlsplit
 
 from .budget import DEFAULT_FORCING_TEXT, DEFAULT_PER_FORCING_CAP, DEFAULT_THINKING_BUDGET, BudgetPolicy
 from .client import DEFAULT_SEED, DEFAULT_TEMPERATURE
@@ -49,6 +50,13 @@ class Config:
     workers: int = _key("run", DEFAULT_WORKERS)
 
     def __post_init__(self) -> None:
+        url = urlsplit(self.base_url)
+        try:
+            port_ok = url.port != 0  # raises ValueError unless a number in 0-65535
+        except ValueError:
+            port_ok = False
+        if url.scheme not in ("http", "https") or not url.hostname or not port_ok:
+            raise ConfigError(f"base_url must be an http(s):// URL with a host and a valid port, not {self.base_url!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         self.policy()  # BudgetPolicy checks its own ranges

@@ -657,6 +657,7 @@ def test_unknown_config_key_exits_1(tmp_path, dataset, oracle_script, capsys):
         pytest.param(b"[run]\nworkers = -3\n", 2, id="workers-negative"),
         pytest.param(b"[policy]\nforcing_count = 2\nforcing_text =\n", 3, id="forcing-text-empty-after-count"),
         pytest.param(b"[policy]\nforcing_text =\nthinking_budget = 8\nforcing_count = 2\n", 4, id="forcing-count-after-empty-text"),
+        pytest.param(b"[backend]\nbase_url = localhost:8000\n", 2, id="base-url-without-scheme"),
     ],
 )
 def test_malformed_config_exits_1_citing_file_and_line(tmp_path, dataset, oracle_script, capsys, content, line):
@@ -680,6 +681,21 @@ def test_workers_flag_below_1_exits_1(dataset, oracle_script, capsys, workers):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("url", ["localhost:8000", "http://", "http://localhost:abc", "http://localhost:0"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_malformed_base_url_exits_1(dataset, oracle_script, capsys, monkeypatch, source, url):
+    # such a URL used to fail every backend call, which counted each question incorrect
+    data_path, _ = dataset
+    flags = ["--base-url", url] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("M1_BASE_URL", url)
+    code = run(["eval", *flags, "--dataset", str(data_path), "--mock", str(oracle_script)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert repr(url) in err
+    assert "Traceback" not in err
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter that imports this tree's thinkctl."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -688,9 +704,10 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_no_numpy_scipy_or_requests():
-    # the runtime needs requests only once a WireBackend sends; numpy and
-    # scipy are test oracles
-    out = run_python("-c", "import sys, thinkctl; print(sorted({'numpy','scipy','requests'} & set(sys.modules)))")
+    # numpy and scipy are test oracles, nothing needs requests, and a
+    # WireBackend loads urllib.request only when it sends
+    loaded = "{'numpy', 'scipy', 'requests', 'urllib.request'} & set(sys.modules)"
+    out = run_python("-c", f"import sys, thinkctl; print(sorted({loaded}))")
     assert out.returncode == 0
     assert out.stdout.strip() == "[]"
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -499,10 +500,18 @@ def test_scanner_marker_starting_inside_joiner():
 UTF8_CHUNKS = ["5 µg", " at 37 °C", " then 39°C"]
 
 
+# characters that str.splitlines, but not SSE, takes for a line end
+LINE_SEPARATORS = {"u2028": "\u2028", "u2029": "\u2029", "u0085": "\u0085"}
+STATUS_BODY = "server exploded"
+OK_DELTAS = ["Hello", " world", "!"]
+
+
 class _SSEHandler(BaseHTTPRequestHandler):
     requests_seen: list[dict] = []
     headers_seen: list[dict] = []
     mode = "ok"
+    status = 200  # mode "status": the status sent with ``STATUS_BODY``
+    deltas = OK_DELTAS  # modes "ok" and "truncate": the deltas sent
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -513,21 +522,24 @@ class _SSEHandler(BaseHTTPRequestHandler):
             self.send_response(404)
             self.end_headers()
             return
-        if type(self).mode == "error500":
-            self.send_response(500)
+        if type(self).mode == "status":
+            self.send_response(type(self).status)
             self.end_headers()
-            self.wfile.write(b"server exploded")
+            self.wfile.write(STATUS_BODY.encode())
             return
         if type(self).mode == "utf8":
             self._send_utf8_chunked()
             return
+        if type(self).mode == "cut-chunk":
+            self._send_cut_chunk()
+            return
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.end_headers()
-        chunks = ["Hello", " world", "!"]
-        for chunk in chunks:
+        for chunk in type(self).deltas:
             payload = {"choices": [{"delta": {"content": chunk}, "finish_reason": None}]}
-            self.wfile.write(f"data: {json.dumps(payload)}\n\n".encode())
+            # raw, as ``json.dumps(..., ensure_ascii=False)`` servers send them
+            self.wfile.write(f"data: {json.dumps(payload, ensure_ascii=False)}\n\n".encode())
         if type(self).mode == "ok":
             done = {"choices": [{"delta": {}, "finish_reason": "stop"}]}
             self.wfile.write(f"data: {json.dumps(done)}\n\n".encode())
@@ -550,6 +562,20 @@ class _SSEHandler(BaseHTTPRequestHandler):
             self.wfile.write(b"%x\r\n%s\r\n" % (len(part), part))
         self.close_connection = True
 
+    def _send_cut_chunk(self):
+        # one whole event, then a chunk that announces more bytes than it
+        # holds before the connection closes
+        event = b'data: {"choices": [{"delta": {"content": "Hello"}}]}\n\n'
+        self.protocol_version = "HTTP/1.1"
+        self.send_response(200)
+        self.send_header("Content-Type", "text/event-stream")
+        self.send_header("Transfer-Encoding", "chunked")
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(b"%x\r\n%s\r\n" % (len(event), event))
+        self.wfile.write(b"%x\r\n%s" % (len(event), event[:10]))
+        self.close_connection = True
+
     def log_message(self, *args):
         pass
 
@@ -559,6 +585,7 @@ def sse_server():
     _SSEHandler.requests_seen = []
     _SSEHandler.headers_seen = []
     _SSEHandler.mode = "ok"
+    _SSEHandler.deltas = OK_DELTAS
     server = HTTPServer(("127.0.0.1", 0), _SSEHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -598,6 +625,28 @@ def test_wire_stop_marker_client_side(sse_server):
     assert cause == CAUSE_MARKER
 
 
+@pytest.mark.parametrize(
+    "req, cause",
+    [
+        (GenerationRequest("p", max_new_tokens=16, stop_on="wor"), CAUSE_MARKER),
+        (GenerationRequest("p", max_new_tokens=1), CAUSE_CAP),
+    ],
+    ids=["marker", "cap"],
+)
+def test_wire_consumer_that_stops_early_closes_the_response(sse_server, monkeypatch, req, cause):
+    opened = []
+    urlopen = urllib.request.urlopen
+
+    def recording_urlopen(*args, **kwargs):
+        opened.append(urlopen(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+    backend = WireBackend(base_url=sse_server, model="m")
+    assert collect(stream_generate(backend, req))[1] == cause
+    assert len(opened) == 1 and opened[0].isclosed()
+
+
 def test_wire_decodes_sse_as_utf8(sse_server):
     _SSEHandler.mode = "utf8"
     backend = WireBackend(base_url=sse_server, model="m")
@@ -606,13 +655,28 @@ def test_wire_decodes_sse_as_utf8(sse_server):
     assert cause == CAUSE_BACKEND_STOP
 
 
-def test_wire_500_is_retryable_status_error(sse_server):
-    _SSEHandler.mode = "error500"
+@pytest.mark.parametrize("sep", list(LINE_SEPARATORS.values()), ids=list(LINE_SEPARATORS))
+def test_wire_splits_sse_lines_on_newline_only(sse_server, sep):
+    _SSEHandler.deltas = [f"one{sep}two", sep, f"end{sep}"]
+    backend = WireBackend(base_url=sse_server, model="m")
+    texts, cause = collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16)))
+    assert texts == _SSEHandler.deltas
+    assert cause == CAUSE_BACKEND_STOP
+
+
+@pytest.mark.parametrize(
+    "status, retryable",
+    [(500, True), (503, True), (429, True), (400, False), (202, False)],
+)
+def test_wire_status_error_is_classified_by_status(sse_server, status, retryable):
+    _SSEHandler.mode = "status"
+    _SSEHandler.status = status
     backend = WireBackend(base_url=sse_server, model="m")
     with pytest.raises(BackendStatusError) as excinfo:
         collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=4)))
-    assert excinfo.value.status == 500
-    assert excinfo.value.retryable
+    assert excinfo.value.status == status
+    assert excinfo.value.retryable is retryable
+    assert STATUS_BODY in str(excinfo.value)
 
 
 def test_wire_truncated_stream_surfaces_distinct_error(sse_server):
@@ -626,3 +690,11 @@ def test_wire_connection_failure():
     backend = WireBackend(base_url="http://127.0.0.1:9", model="m", timeout=0.5)
     with pytest.raises(ConnectionFailure):
         collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=4)))
+
+
+def test_wire_chunk_cut_mid_stream_is_retryable_connection_failure(sse_server):
+    _SSEHandler.mode = "cut-chunk"
+    backend = WireBackend(base_url=sse_server, model="m")
+    with pytest.raises(ConnectionFailure) as excinfo:
+        collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16)))
+    assert excinfo.value.retryable
