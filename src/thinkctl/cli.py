@@ -3,8 +3,8 @@
 Every artifact is written atomically (temp file + rename) and JSON/JSONL
 outputs embed the effective configuration and input digests, so identical
 invocations produce byte-identical files. ``--mock script.json`` swaps the
-wire backend for the scripted model everywhere, making the full CLI
-testable offline.
+wire backend for the scripted model in every command that builds one,
+making the full CLI testable offline.
 """
 
 from __future__ import annotations
@@ -37,11 +37,13 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_config(parser: argparse.ArgumentParser, mock: str = "") -> None:
+    """``--config``, a flag per config key and, given its help, ``--mock``."""
     parser.add_argument("--config", help="INI config file")
     for key in CONFIG_FIELDS.values():
         parser.add_argument(flag_for(key), dest=key.name, type=type(key.default), help=key.metadata["help"])
-    parser.add_argument("--mock", action="append", default=None, help="scripted-model JSON; repeatable")
+    if mock:
+        parser.add_argument("--mock", action="append", help=mock)
 
 
 def _effective_config(args: argparse.Namespace) -> Config:
@@ -68,6 +70,8 @@ def _read_json(path: str, build):
 
 def _backend(args: argparse.Namespace, cfg: Config):
     if args.mock:
+        if len(args.mock) > 1:
+            raise ConfigError(f"--mock is given {len(args.mock)} times; this command runs one model")
         return _read_json(args.mock[0], ScriptedModel.from_dict)
     return WireBackend(base_url=cfg.base_url, model=cfg.model)
 
@@ -79,6 +83,8 @@ def _run_settings(cfg: Config) -> dict:
 
 def _graders(args: argparse.Namespace, cfg: Config) -> list:
     if args.mock:
+        if args.grader_model:
+            raise ConfigError("--grader-model names a wire grader; it cannot be combined with --mock")
         return [_read_json(path, ScriptedModel.from_dict) for path in args.mock]
     models = args.grader_model or [cfg.model]
     return [WireBackend(base_url=cfg.base_url, model=m) for m in models]
@@ -123,6 +129,21 @@ def _write_pool_stage(
     print(f"{verb} {len(kept)} of {len(pool)} questions")
 
 
+def _add_sweep_parser(sub, name: str, help: str, handler, grid_flag: str, /, **grid_kwargs) -> None:
+    """``sweep`` and ``force-sweep``: the options ``_run_sweep`` reads,
+    around the grid option ``grid_flag``."""
+    p = sub.add_parser(name, help=help)
+    _add_config(p, mock="scripted-model JSON in place of the wire backend")
+    p.add_argument("--dataset", required=True)
+    p.add_argument(grid_flag, **grid_kwargs)
+    p.add_argument("--out-csv", dest="out_csv", required=True)
+    p.add_argument("--out-svg", dest="out_svg")
+    p.add_argument("--out-json", dest="out_json", help="sweep result JSON for later plotting")
+    p.add_argument("--summary")
+    p.add_argument("--no-fit", action="store_true", help="skip the regression fit")
+    p.set_defaults(handler=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="thinkctl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -131,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     curate_sub = curate.add_subparsers(dest="stage", required=True)
 
     p = curate_sub.add_parser("filter", help="keep questions every grader misses")
-    _add_common(p)
+    _add_config(p, mock="scripted grader JSON in place of the wire graders; repeatable")
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
@@ -139,14 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_curate_filter)
 
     p = curate_sub.add_parser("validate", help="keep traces whose answer is correct")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--traces", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(handler=cmd_curate_validate)
 
     p = curate_sub.add_parser("decontaminate", help="drop eval-overlapping items, then dedup")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--pool", required=True)
     p.add_argument("--eval", action="append", required=True, dest="eval_sets")
     p.add_argument("--out", required=True)
@@ -155,14 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_curate_decontaminate)
 
     p = curate_sub.add_parser("dedup", help="drop exact duplicates by normalized stem")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(handler=cmd_curate_dedup)
 
     p = curate_sub.add_parser("sample", help="hierarchical diversity sampling")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--pool", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -170,54 +191,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_curate_sample)
 
     p = curate_sub.add_parser("annotate", help="label domains from a term lexicon")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--pool", required=True)
     p.add_argument("--lexicon", required=True, help="JSON object mapping term -> qualifier")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_curate_annotate)
 
     p = curate_sub.add_parser("format-sft", help="render verified traces as training text")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--traces", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_curate_format_sft)
 
     p = sub.add_parser("eval", help="accuracy per dataset under a policy, plus the macro average")
-    _add_common(p)
+    _add_config(p, mock="scripted-model JSON in place of the wire backend")
     p.add_argument("--dataset", action="append", required=True, dest="datasets", help="repeatable")
     p.add_argument("--out", help="per-question outcomes JSONL")
     p.add_argument("--summary", help="summary JSON")
     p.add_argument("--transcripts", help="full reasoning transcripts JSONL")
     p.set_defaults(handler=cmd_eval)
 
-    p = sub.add_parser("sweep", help="accuracy vs thinking budget")
-    _add_common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument(
-        "--budgets",
-        default=",".join(str(b) for b in evaluation.DEFAULT_BUDGET_GRID),
-        help="comma-separated budgets",
-    )
-    p.add_argument("--out-csv", dest="out_csv", required=True)
-    p.add_argument("--out-svg", dest="out_svg")
-    p.add_argument("--out-json", dest="out_json", help="sweep result JSON for later plotting")
-    p.add_argument("--summary")
-    p.add_argument("--no-fit", action="store_true", help="skip the regression fit")
-    p.set_defaults(handler=cmd_sweep)
+    _add_sweep_parser(
+        sub, "sweep", "accuracy vs thinking budget", cmd_sweep, "--budgets",
+        default=",".join(str(b) for b in evaluation.DEFAULT_BUDGET_GRID), help="comma-separated budgets",
+    )  # fmt: skip
+    _add_sweep_parser(
+        sub, "force-sweep", "accuracy vs forcing count", cmd_force_sweep, "--max-forcings",
+        dest="max_forcings", type=int, required=True,
+    )  # fmt: skip
 
-    p = sub.add_parser("force-sweep", help="accuracy vs forcing count")
-    _add_common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--max-forcings", dest="max_forcings", type=int, required=True)
-    p.add_argument("--out-csv", dest="out_csv", required=True)
-    p.add_argument("--out-svg", dest="out_svg")
-    p.add_argument("--out-json", dest="out_json")
-    p.add_argument("--summary")
-    p.add_argument("--no-fit", action="store_true")
-    p.set_defaults(handler=cmd_force_sweep)
-
+    # plot and report read no config
     p = sub.add_parser("plot", help="re-emit CSV/SVG from a saved sweep JSON")
-    _add_common(p)
     p.add_argument("--sweep", required=True)
     p.add_argument("--format", choices=[plotting.FORMAT_CSV, plotting.FORMAT_SVG], required=True)
     p.add_argument("--out", required=True)
@@ -225,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_plot)
 
     p = sub.add_parser("report", help="validate and print a curation ledger")
-    _add_common(p)
     p.add_argument("--in", dest="report_in", required=True)
     p.add_argument("--out", help="write the normalized report JSON")
     p.set_defaults(handler=cmd_report)
@@ -397,7 +400,7 @@ def cmd_force_sweep(args, cfg: Config) -> int:
     return _run_sweep(args, cfg, evaluation.forcing_sweep, args.max_forcings, "forcings")
 
 
-def cmd_plot(args, cfg: Config) -> int:
+def cmd_plot(args) -> int:
     def build(payload: dict):
         fit = None
         if not args.no_fit and payload.get("fit"):
@@ -410,7 +413,7 @@ def cmd_plot(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_report(args, cfg: Config) -> int:
+def cmd_report(args) -> int:
     def build(payload: dict) -> CurationReport:
         report = CurationReport.from_dict(payload)
         report.validate()
@@ -435,8 +438,9 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _effective_config(args)
-        return args.handler(args, cfg)
+        if "config" not in args:
+            return args.handler(args)
+        return args.handler(args, _effective_config(args))
     except (OSError, ValueError, BackendError) as exc:
         # SchemaError, ConfigError, CurationError and FitRefusedError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

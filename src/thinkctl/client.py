@@ -479,17 +479,24 @@ class WireBackend:
 T = TypeVar("T")
 
 
-def with_retries(fn: Callable[[], T], retries: int = 2, backoff: float = 0.5) -> T:
-    """Run ``fn`` with at most ``retries`` retries (exponential backoff) on
-    retryable backend errors. Non-retryable errors propagate immediately."""
+# the one retry policy: at most RETRIES retries of a retryable backend
+# error, the first BACKOFF_S seconds after it fails, doubling per retry
+RETRIES = 2
+BACKOFF_S = 0.5
+
+
+def with_retries(fn: Callable[[], T]) -> T:
+    """Run ``fn`` with at most ``RETRIES`` retries (exponential backoff from
+    ``BACKOFF_S``, both read at call time) on retryable backend errors.
+    Non-retryable errors propagate immediately."""
     attempt = 0
     while True:
         try:
             return fn()
         except BackendError as exc:
-            if not exc.retryable or attempt >= retries:
+            if not exc.retryable or attempt >= RETRIES:
                 raise
-            delay = backoff * (2 ** attempt)
+            delay = BACKOFF_S * (2 ** attempt)
             log.warning("retryable backend error (%s); retry %d in %.2fs", exc, attempt + 1, delay)
             if delay > 0:
                 time.sleep(delay)
@@ -502,7 +509,6 @@ def probe_answer(
     *,
     temperature: float = DEFAULT_TEMPERATURE,
     seed: int = DEFAULT_SEED,
-    backoff: float = 0.5,
 ) -> str:
     """Full non-streamed completion text for grading.
 
@@ -521,4 +527,4 @@ def probe_answer(
         joiner = getattr(backend, "token_joiner", "")
         return joiner.join(texts)
 
-    return with_retries(attempt, backoff=backoff)
+    return with_retries(attempt)

@@ -232,7 +232,6 @@ def difficulty_filter(
     workers: int = 1,
     temperature: float = DEFAULT_TEMPERATURE,
     seed: int = DEFAULT_SEED,
-    backoff: float = 0.5,
 ) -> tuple[list[McqQuestion], StageCount]:
     """Keep only questions that every grader answers incorrectly.
 
@@ -245,7 +244,7 @@ def difficulty_filter(
 
     def grader_correct(grader, question: McqQuestion, prompt: str) -> bool:
         try:
-            text = probe_answer(grader, prompt, temperature=temperature, seed=seed, backoff=backoff)
+            text = probe_answer(grader, prompt, temperature=temperature, seed=seed)
         except BackendError as exc:
             log.warning("grader failed on %s (%s); counted incorrect", question.id, exc)
             return False

@@ -19,7 +19,6 @@ from .qa import McqQuestion, extract_answer, format_prompt, grade
 
 DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
 DEFAULT_WORKERS = 8
-DEFAULT_BACKOFF = 0.5  # seconds before the first retry; it doubles per retry
 
 KIND_BUDGET = "budget"
 KIND_FORCING = "forcing"
@@ -102,15 +101,11 @@ def _run_question(
     policy: BudgetPolicy,
     temperature: float,
     seed: int,
-    backoff: float,
 ) -> EvalOutcome:
     """Run one question through the budget controller and grade it."""
     prompt = format_prompt(question)
     try:
-        transcript = with_retries(
-            lambda: run_with_budget(prompt, policy, backend, temperature=temperature, seed=seed),
-            backoff=backoff,
-        )
+        transcript = with_retries(lambda: run_with_budget(prompt, policy, backend, temperature=temperature, seed=seed))
     except BackendError as exc:
         return EvalOutcome(question.id, None, None, False, 0, error=str(exc))
     outcome = extract_answer(transcript.answer_text, question.options)
@@ -131,7 +126,6 @@ def evaluate(
     temperature: float = DEFAULT_TEMPERATURE,
     seed: int = DEFAULT_SEED,
     workers: int = DEFAULT_WORKERS,
-    backoff: float = DEFAULT_BACKOFF,
     runs: Sequence[Future] | None = None,
 ) -> EvalResult:
     """Run every question through the budget controller and grade it.
@@ -149,9 +143,9 @@ def evaluate(
         outcomes = [run.result() for run in runs]
     elif workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda q: _run_question(q, backend, policy, temperature, seed, backoff), questions))
+            outcomes = list(pool.map(lambda q: _run_question(q, backend, policy, temperature, seed), questions))
     else:
-        outcomes = [_run_question(q, backend, policy, temperature, seed, backoff) for q in questions]
+        outcomes = [_run_question(q, backend, policy, temperature, seed) for q in questions]
     outcomes.sort(key=lambda o: o.question_id)
 
     n = len(outcomes)
@@ -179,7 +173,6 @@ def _sweep(
     temperature: float = DEFAULT_TEMPERATURE,
     seed: int = DEFAULT_SEED,
     workers: int = DEFAULT_WORKERS,
-    backoff: float = DEFAULT_BACKOFF,
 ) -> SweepResult:
     """Evaluate once per value of the policy field ``knob``, in the order
     given, so every point is what a run at that value gives.
@@ -192,7 +185,7 @@ def _sweep(
     but a backend error cancels the runs still queued.
     """
     policies = [replace(policy, **{knob: x}) for x in xs]
-    settings = {"temperature": temperature, "seed": seed, "workers": workers, "backoff": backoff}
+    settings = {"temperature": temperature, "seed": seed, "workers": workers}
 
     def point(x, at: BudgetPolicy, runs: Sequence[Future] | None = None) -> SweepPoint:
         result = evaluate(questions, backend, at, runs=runs, **settings)
@@ -203,9 +196,7 @@ def _sweep(
         return SweepResult(dataset_name, kind, [point(x, p) for x, p in zip(xs, policies)])
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            queued = deque(
-                [pool.submit(_run_question, q, backend, p, temperature, seed, backoff) for q in questions] for p in policies
-            )
+            queued = deque([pool.submit(_run_question, q, backend, p, temperature, seed) for q in questions] for p in policies)
             # popleft drops each point's futures, and the outcomes they hold, once gathered
             points = [point(x, p, queued.popleft()) for x, p in zip(xs, policies)]
         except BaseException:

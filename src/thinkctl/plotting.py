@@ -55,7 +55,7 @@ def _emit_csv(sweep: SweepResult, fit: RegressionFit | None) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
-def _scale(values: list[float], lo_out: float, hi_out: float) -> tuple[float, float]:
+def _scale(values: list[float]) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     if hi == lo:
         lo -= 1.0
@@ -74,8 +74,8 @@ def _emit_svg(sweep: SweepResult, fit: RegressionFit | None) -> bytes:
         for x in xs:
             low, high = fit.band(x)
             band_values.extend([low, high])
-    x_lo, x_hi = _scale(xs, _MARGIN, _WIDTH - _MARGIN)
-    y_lo, y_hi = _scale(ys + band_values, _MARGIN, _HEIGHT - _MARGIN)
+    x_lo, x_hi = _scale(xs)
+    y_lo, y_hi = _scale(ys + band_values)
 
     def px(x: float) -> float:
         return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)

@@ -55,10 +55,6 @@ class McqQuestion:
         if self.gold not in self.options:
             raise ValueError(f"question {self.id!r}: gold {self.gold!r} not among options")
 
-    @property
-    def letters(self) -> list[str]:
-        return list(self.options)
-
 
 @dataclass(frozen=True)
 class ExtractionOutcome:

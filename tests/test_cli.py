@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -694,6 +695,81 @@ def test_malformed_base_url_exits_1(dataset, oracle_script, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert repr(url) in err
     assert "Traceback" not in err
+
+
+def _help_options(argv: list[str], capsys) -> set[str]:
+    assert run([*argv, "--help"]) == 0
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+
+
+def test_only_commands_that_build_a_backend_take_mock(capsys):
+    stages = ["filter", "validate", "decontaminate", "dedup", "sample", "annotate", "format-sft"]
+    commands = [["curate", stage] for stage in stages] + [["eval"], ["sweep"], ["force-sweep"], ["plot"], ["report"]]
+    takes_mock = [argv for argv in commands if "--mock" in _help_options(argv, capsys)]
+    assert takes_mock == [["curate", "filter"], ["eval"], ["sweep"], ["force-sweep"]]
+
+
+def test_plot_and_report_take_no_config(capsys):
+    assert _help_options(["plot"], capsys) == {"--sweep", "--format", "--out", "--no-fit"}
+    assert _help_options(["report"], capsys) == {"--in", "--out"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["plot", "--sweep", "s.json", "--format", "csv", "--out", "o.csv", "--config", "c.ini"], id="plot-config"),
+        pytest.param(["plot", "--sweep", "s.json", "--format", "csv", "--out", "o.csv", "--seed", "1"], id="plot-seed"),
+        pytest.param(["plot", "--sweep", "s.json", "--format", "csv", "--out", "o.csv", "--mock", "m.json"], id="plot-mock"),
+        pytest.param(["report", "--in", "r.json", "--budget", "8"], id="report-budget"),
+        pytest.param(["report", "--in", "r.json", "--base-url", "http://localhost:1"], id="report-base-url"),
+        pytest.param(["curate", "dedup", "--pool", "p.jsonl", "--out", "o.jsonl", "--mock", "m.json"], id="dedup-mock"),
+        pytest.param(["curate", "validate", "--traces", "t.jsonl", "--out", "o.jsonl", "--mock", "m.json"], id="validate-mock"),
+    ],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+
+
+def test_plot_and_report_ignore_a_malformed_base_url(tmp_path, monkeypatch, capsys):
+    # neither reads the config, so a bad M1_BASE_URL must not stop them
+    monkeypatch.setenv("M1_BASE_URL", "localhost:8000")
+    sweep = {"dataset": "d", "points": [{"x": 8, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 4.0}]}
+    (tmp_path / "sweep.json").write_text(json.dumps(sweep))
+    assert run(["plot", "--sweep", str(tmp_path / "sweep.json"), "--format", "csv", "--out", str(tmp_path / "o.csv")]) == 0
+    ledger = {"stages": [{"name": "initial", "counts": {"a": 1}, "total": 1}]}
+    (tmp_path / "ledger.json").write_text(json.dumps(ledger))
+    assert run(["report", "--in", str(tmp_path / "ledger.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "force-sweep"])
+def test_second_mock_exits_1(tmp_path, dataset, oracle_script, capsys, command):
+    # the command runs one model, so a second --mock would be cited as an input and never read
+    data_path, _ = dataset
+    other = tmp_path / "other.json"
+    other.write_text(oracle_script.read_text())
+    out = tmp_path / "out"
+    argv = {
+        "eval": ["eval", "--dataset", str(data_path), "--summary", str(out)],
+        "sweep": ["sweep", "--dataset", str(data_path), "--budgets", "16", "--out-csv", str(out)],
+        "force-sweep": ["force-sweep", "--dataset", str(data_path), "--max-forcings", "1", "--out-csv", str(out)],
+    }[command]
+    assert run([*argv, "--mock", str(oracle_script), "--mock", str(other)]) == 1
+    err = capsys.readouterr().err
+    assert "--mock" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_grader_model_with_mock_exits_1(tmp_path, dataset, oracle_script, capsys):
+    # --grader-model names wire graders, which --mock replaces, so the name would be dropped unrecorded
+    data_path, _ = dataset
+    out = tmp_path / "kept.jsonl"
+    argv = ["curate", "filter", "--pool", str(data_path), "--mock", str(oracle_script), "--grader-model", "m2", "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "--grader-model" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thinkctl import client
 from thinkctl.client import (
     CAUSE_BACKEND_STOP,
     CAUSE_CAP,
@@ -184,24 +185,27 @@ def test_probe_answer_deterministic_across_invocations():
     assert first == second
 
 
-def test_probe_answer_retries_then_succeeds():
+def test_probe_answer_retries_then_succeeds(monkeypatch):
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
     backend = _FailingBackend(2, ConnectionFailure("boom"))
-    text = probe_answer(backend, "p", backoff=0.0)
+    text = probe_answer(backend, "p")
     assert text == "recovered text"
     assert backend.calls == 3
 
 
-def test_probe_answer_exhausts_retries():
+def test_probe_answer_exhausts_retries(monkeypatch):
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
     backend = _FailingBackend(5, ConnectionFailure("down"))
     with pytest.raises(ConnectionFailure):
-        probe_answer(backend, "p", backoff=0.0)
+        probe_answer(backend, "p")
     assert backend.calls == 3  # initial + 2 retries
 
 
-def test_with_retries_skips_nonretryable():
+def test_with_retries_skips_nonretryable(monkeypatch):
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
     backend = _FailingBackend(5, BackendStatusError(404, "missing"))
     with pytest.raises(BackendStatusError):
-        probe_answer(backend, "p", backoff=0.0)
+        probe_answer(backend, "p")
     assert backend.calls == 1
 
 
@@ -587,7 +591,8 @@ def sse_server():
     _SSEHandler.mode = "ok"
     _SSEHandler.deltas = OK_DELTAS
     server = HTTPServer(("127.0.0.1", 0), _SSEHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval, so shutdown() in teardown returns at once
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()

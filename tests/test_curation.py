@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture
 from thinkctl.budget import ANSWER_MARKER, THINK_MARKER
+from thinkctl import client
 from thinkctl.client import ScriptEntry, ScriptedModel
 from thinkctl.curation import (
     CurationError,
@@ -73,7 +74,9 @@ def test_question_missed_by_all_graders_is_kept():
     assert [q.id for q in kept] == ["q1"]
 
 
-def test_grader_hard_failure_counts_as_incorrect():
+def test_grader_hard_failure_counts_as_incorrect(monkeypatch):
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+
     class Broken:
         token_joiner = " "
 
@@ -84,7 +87,7 @@ def test_grader_hard_failure_counts_as_incorrect():
             yield  # pragma: no cover
 
     pool = [question("q1", "stem one")]
-    kept, _ = difficulty_filter(pool, [Broken()], backoff=0.0)
+    kept, _ = difficulty_filter(pool, [Broken()])
     assert [q.id for q in kept] == ["q1"]
 
 

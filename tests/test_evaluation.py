@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from thinkctl.budget import ANSWER_CUE, ANSWER_MARKER, BudgetPolicy
+from thinkctl import client
 from thinkctl.client import ConnectionFailure, ScriptEntry, ScriptedModel
 from thinkctl.evaluation import (
     DEFAULT_BUDGET_GRID,
@@ -107,7 +108,9 @@ def test_worker_count_does_not_change_results(make_questions):
     ]
 
 
-def test_hard_failure_counts_incorrect_and_flags(make_questions):
+def test_hard_failure_counts_incorrect_and_flags(make_questions, monkeypatch):
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+
     class Dead:
         token_joiner = " "
 
@@ -116,7 +119,7 @@ def test_hard_failure_counts_incorrect_and_flags(make_questions):
             yield  # pragma: no cover
 
     questions = make_questions(4)
-    result = evaluate(questions, Dead(), BudgetPolicy(), backoff=0.0)
+    result = evaluate(questions, Dead(), BudgetPolicy())
     assert result.accuracy == 0.0
     assert result.n == 4
     assert all(o.error for o in result.outcomes)
@@ -264,23 +267,25 @@ def always_right_model(k: int) -> ScriptedModel:
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("failures", [0, 1])
-def test_evaluate_retries_a_failed_answer(make_questions, failures, workers):
+def test_evaluate_retries_a_failed_answer(make_questions, monkeypatch, failures, workers):
     """``evaluate`` retries a run whose answer request fails once; the
     sweep's points do not change."""
     questions = make_questions(4, golds="B")
     backend = AnswerOutage(always_right_model(20), "q01", "w19", failures)
-    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), workers=workers, backoff=0.0)
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), workers=workers)
     assert [(p.x, p.n, p.n_correct, p.mean_thinking_tokens) for p in sweep.points] == [(8, 4, 4, 8.0), (32, 4, 4, 20.0)]
     assert backend.answer_requests == 2 + failures
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_evaluate_counts_an_answer_that_keeps_failing_incorrect(make_questions, workers):
+def test_evaluate_counts_an_answer_that_keeps_failing_incorrect(make_questions, monkeypatch, workers):
     """A run whose answer fails through every retry counts incorrect with 0
     thinking tokens, so n stays 4."""
     questions = make_questions(4, golds="B")
     backend = AnswerOutage(always_right_model(20), "q01", "w19", failures=99)
-    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), workers=workers, backoff=0.0)
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), workers=workers)
     assert [(p.x, p.n, p.n_correct, p.mean_thinking_tokens) for p in sweep.points] == [(8, 4, 4, 8.0), (32, 4, 3, 15.0)]
     assert backend.answer_requests == 1 + 3  # budget 8, then budget 32's first try and 2 retries
 
