@@ -17,8 +17,6 @@ from .client import (
     CAUSE_CAP,
     CAUSE_MARKER,
     BackendError,
-    DEFAULT_SEED,
-    DEFAULT_TEMPERATURE,
     GenerationRequest,
     collect,
     stream_generate,
@@ -179,36 +177,19 @@ def _join(parts: list[str], joiner: str) -> str:
     return context
 
 
-def _answer_phase(
-    prompt: str,
-    segments: Sequence[Segment],
-    policy: BudgetPolicy,
-    backend,
-    joiner: str,
-    temperature: float,
-    seed: int,
-) -> str:
+def _answer_phase(prompt: str, segments: Sequence[Segment], policy: BudgetPolicy, backend, joiner: str) -> str:
     """Inject the end-of-think marker and the answer cue after ``segments``
     and stream the answer."""
     context = render_context(prompt, segments, policy, joiner)
     req = GenerationRequest(
         prompt=_join([context, policy.end_of_think_marker, ANSWER_CUE], joiner),
         max_new_tokens=ANSWER_CAP,
-        temperature=temperature,
-        seed=seed,
     )
     answer_tokens, _ = _generate(backend, req, "answer")
     return joiner.join(answer_tokens)
 
 
-def run_with_budget(
-    prompt: str,
-    policy: BudgetPolicy,
-    backend,
-    *,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
-) -> ReasoningTranscript:
+def run_with_budget(prompt: str, policy: BudgetPolicy, backend) -> ReasoningTranscript:
     """Run one budgeted, optionally forced, think-then-answer generation.
 
     The prompt must already be formatted. Thinking streams with the
@@ -226,8 +207,6 @@ def run_with_budget(
         req = GenerationRequest(
             prompt=render_context(prompt, segments + [Segment(provenance, ())], policy, joiner),
             max_new_tokens=cap,
-            temperature=temperature,
-            seed=seed,
             stop_on=policy.end_of_think_marker,
         )
         tokens, cause = _generate(backend, req, "thinking")
@@ -242,7 +221,7 @@ def run_with_budget(
         termination = TERMINATION_FORCING
     else:
         termination = TERMINATION_NATURAL
-    answer_text = _answer_phase(prompt, segments, policy, backend, joiner, temperature, seed)
+    answer_text = _answer_phase(prompt, segments, policy, backend, joiner)
     return ReasoningTranscript(
         segments=tuple(segments),
         answer_text=answer_text,

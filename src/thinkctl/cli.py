@@ -1,10 +1,11 @@
 """Command-line surface wiring datasets, backends, and pipeline stages.
 
 Every artifact is written atomically (temp file + rename) and JSON/JSONL
-outputs embed the effective configuration and input digests, so identical
-invocations produce byte-identical files. ``--mock script.json`` swaps the
-wire backend for the scripted model in every command that builds one,
-making the full CLI testable offline.
+outputs embed their input digests and, for a command that reads a config,
+the effective configuration, so identical invocations produce
+byte-identical files. ``--mock script.json`` swaps the wire backend for
+the scripted model in every command that builds one, making the full CLI
+testable offline.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import curation, evaluation, plotting
-from .client import BackendError, ScriptedModel, WireBackend
+from .client import BackendError, ScriptedModel
 from .config import CONFIG_FIELDS, Config, ConfigError, flag_for, load_config
 from .curation import CurationReport, SamplingPlan
 from .evaluation import SweepResult
@@ -73,12 +75,7 @@ def _backend(args: argparse.Namespace, cfg: Config):
         if len(args.mock) > 1:
             raise ConfigError(f"--mock is given {len(args.mock)} times; this command runs one model")
         return _read_json(args.mock[0], ScriptedModel.from_dict)
-    return WireBackend(base_url=cfg.base_url, model=cfg.model)
-
-
-def _run_settings(cfg: Config) -> dict:
-    """The keyword arguments every generating run takes from the config."""
-    return {"temperature": cfg.temperature, "seed": cfg.seed, "workers": cfg.workers}
+    return cfg.backend()
 
 
 def _graders(args: argparse.Namespace, cfg: Config) -> list:
@@ -86,35 +83,37 @@ def _graders(args: argparse.Namespace, cfg: Config) -> list:
         if args.grader_model:
             raise ConfigError("--grader-model names a wire grader; it cannot be combined with --mock")
         return [_read_json(path, ScriptedModel.from_dict) for path in args.mock]
-    models = args.grader_model or [cfg.model]
-    return [WireBackend(base_url=cfg.base_url, model=m) for m in models]
+    backend = cfg.backend()
+    return [replace(backend, model=m) for m in args.grader_model or [backend.model]]
 
 
-def _provenance(cfg: Config, inputs: list[str]) -> dict:
-    return {
-        "config": cfg.to_dict(),
-        "inputs": {path: sha256_file(path) for path in sorted(set(inputs))},
-    }
+def _provenance(inputs: list[str], config: dict | None = None) -> dict:
+    """The digest of every input and, for a stage that has one, its config."""
+    provenance = {} if config is None else {"config": config}
+    provenance["inputs"] = {path: sha256_file(path) for path in sorted(set(inputs))}
+    return provenance
 
 
-def _write_report(path: str, stages: list[curation.StageCount], cfg: Config, inputs: list[str], header: dict | None = None) -> None:
+def _write_report(
+    path: str, stages: list[curation.StageCount], inputs: list[str], config: dict | None = None, header: dict | None = None
+) -> None:
     report = CurationReport(header=dict(header or {}))
     for stage in stages:
         report.add_stage(stage.name, stage.counts, stage.params)
     report.validate()
     payload = report.to_dict()
-    payload["_provenance"] = _provenance(cfg, inputs)
+    payload["_provenance"] = _provenance(inputs, config)
     write_json(path, payload)
 
 
 def _write_pool_stage(
     args,
-    cfg: Config,
     pool: list,
     kept: list,
     row: curation.StageCount,
     inputs: list[str],
     *,
+    config: dict | None = None,
     out_inputs: list[str] | None = None,
     header: dict | None = None,
     verb: str = "kept",
@@ -122,10 +121,10 @@ def _write_pool_stage(
     """Write the questions a stage kept, its ledger if ``--report`` was
     given, and the one-line summary. ``out_inputs`` overrides the inputs
     cited by the questions file."""
-    meta = _provenance(cfg, out_inputs or inputs)
+    meta = _provenance(out_inputs or inputs, config)
     write_jsonl(args.out, (question_to_record(q) for q in kept), meta=meta)
     if args.report:
-        _write_report(args.report, [curation.initial_collection_row(pool), row], cfg, inputs, header)
+        _write_report(args.report, [curation.initial_collection_row(pool), row], inputs, config, header)
     print(f"{verb} {len(kept)} of {len(pool)} questions")
 
 
@@ -159,15 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grader-model", action="append", default=None, help="wire grader model; repeatable")
     p.set_defaults(handler=cmd_curate_filter)
 
+    # the other curate stages send no request, so they read no config
     p = curate_sub.add_parser("validate", help="keep traces whose answer is correct")
-    _add_config(p)
     p.add_argument("--traces", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(handler=cmd_curate_validate)
 
     p = curate_sub.add_parser("decontaminate", help="drop eval-overlapping items, then dedup")
-    _add_config(p)
     p.add_argument("--pool", required=True)
     p.add_argument("--eval", action="append", required=True, dest="eval_sets")
     p.add_argument("--out", required=True)
@@ -176,29 +174,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_curate_decontaminate)
 
     p = curate_sub.add_parser("dedup", help="drop exact duplicates by normalized stem")
-    _add_config(p)
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(handler=cmd_curate_dedup)
 
     p = curate_sub.add_parser("sample", help="hierarchical diversity sampling")
-    _add_config(p)
     p.add_argument("--pool", required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=42, help="sampler seed")
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(handler=cmd_curate_sample)
 
     p = curate_sub.add_parser("annotate", help="label domains from a term lexicon")
-    _add_config(p)
     p.add_argument("--pool", required=True)
     p.add_argument("--lexicon", required=True, help="JSON object mapping term -> qualifier")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_curate_annotate)
 
     p = curate_sub.add_parser("format-sft", help="render verified traces as training text")
-    _add_config(p)
     p.add_argument("--traces", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_curate_format_sft)
@@ -220,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_forcings", type=int, required=True,
     )  # fmt: skip
 
-    # plot and report read no config
+    # plot and report read no config either
     p = sub.add_parser("plot", help="re-emit CSV/SVG from a saved sweep JSON")
     p.add_argument("--sweep", required=True)
     p.add_argument("--format", choices=[plotting.FORMAT_CSV, plotting.FORMAT_SVG], required=True)
@@ -239,48 +234,49 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_curate_filter(args, cfg: Config) -> int:
     pool = load_questions(args.pool)
     graders = _graders(args, cfg)
-    kept, row = curation.difficulty_filter(pool, graders, **_run_settings(cfg))
-    _write_pool_stage(args, cfg, pool, kept, row, [args.pool], out_inputs=[args.pool] + (args.mock or []))
+    kept, row = curation.difficulty_filter(pool, graders, workers=cfg.workers)
+    out_inputs = [args.pool] + (args.mock or [])
+    _write_pool_stage(args, pool, kept, row, [args.pool], config=cfg.to_dict(), out_inputs=out_inputs)
     return EXIT_OK
 
 
-def cmd_curate_validate(args, cfg: Config) -> int:
+def cmd_curate_validate(args) -> int:
     records = load_traces(args.traces)
     kept, row = curation.validate_traces(records)
-    meta = _provenance(cfg, [args.traces])
+    meta = _provenance([args.traces])
     write_jsonl(args.out, (trace_to_record(t) for t in kept), meta=meta)
     if args.report:
         input_row = curation.StageCount(
             "input_traces", curation.source_counts(t.question for t in records)
         )
-        _write_report(args.report, [input_row, row], cfg, [args.traces])
+        _write_report(args.report, [input_row, row], [args.traces])
     print(f"verified {len(kept)} of {len(records)} traces")
     return EXIT_OK
 
 
-def cmd_curate_decontaminate(args, cfg: Config) -> int:
+def cmd_curate_decontaminate(args) -> int:
     pool = load_questions(args.pool)
     eval_sets = [load_questions(path) for path in args.eval_sets]
     clean, row = curation.decontaminate(pool, eval_sets, ngram_size=args.ngram)
-    _write_pool_stage(args, cfg, pool, clean, row, [args.pool] + list(args.eval_sets))
+    _write_pool_stage(args, pool, clean, row, [args.pool] + list(args.eval_sets))
     return EXIT_OK
 
 
-def cmd_curate_dedup(args, cfg: Config) -> int:
+def cmd_curate_dedup(args) -> int:
     pool = load_questions(args.pool)
     kept, row = curation.deduplicate(pool)
-    _write_pool_stage(args, cfg, pool, kept, row, [args.pool])
+    _write_pool_stage(args, pool, kept, row, [args.pool])
     return EXIT_OK
 
 
-def cmd_curate_sample(args, cfg: Config) -> int:
+def cmd_curate_sample(args) -> int:
     pool = load_questions(args.pool)
-    plan = SamplingPlan.from_questions(pool, target_n=args.n, seed=cfg.seed)
+    plan = SamplingPlan.from_questions(pool, target_n=args.n, seed=args.seed)
     selected, row = curation.diversity_sample(plan)
     by_id = {q.id: q for q in pool}
     chosen = [by_id[item_id] for item_id, _ in selected]
-    header = {"rng": curation.SAMPLER_RNG, "seed": cfg.seed}
-    _write_pool_stage(args, cfg, pool, chosen, row, [args.pool], header=header, verb="sampled")
+    header = {"rng": curation.SAMPLER_RNG, "seed": args.seed}
+    _write_pool_stage(args, pool, chosen, row, [args.pool], config={"seed": args.seed}, header=header, verb="sampled")
     return EXIT_OK
 
 
@@ -290,20 +286,19 @@ def _lexicon(payload: dict) -> dict:
     return payload
 
 
-def cmd_curate_annotate(args, cfg: Config) -> int:
+def cmd_curate_annotate(args) -> int:
     pool = load_questions(args.pool)
     lexicon = _read_json(args.lexicon, _lexicon)
     annotated = curation.annotate_domains(pool, lexicon)
-    inputs = [args.pool, args.lexicon]
-    write_jsonl(args.out, (question_to_record(q) for q in annotated), meta=_provenance(cfg, inputs))
+    write_jsonl(args.out, (question_to_record(q) for q in annotated), meta=_provenance([args.pool, args.lexicon]))
     print(f"annotated {len(annotated)} questions")
     return EXIT_OK
 
 
-def cmd_curate_format_sft(args, cfg: Config) -> int:
+def cmd_curate_format_sft(args) -> int:
     records = load_traces(args.traces)
     texts = [{"text": curation.format_sft_example(r)} for r in records if r.verified]
-    write_jsonl(args.out, texts, meta=_provenance(cfg, [args.traces]))
+    write_jsonl(args.out, texts, meta=_provenance([args.traces]))
     print(f"formatted {len(texts)} examples")
     return EXIT_OK
 
@@ -312,7 +307,7 @@ def cmd_eval(args, cfg: Config) -> int:
     backend = _backend(args, cfg)
     results = {}
     for path in args.datasets:
-        results[path] = evaluation.evaluate(load_questions(path), backend, cfg.policy(), **_run_settings(cfg))
+        results[path] = evaluation.evaluate(load_questions(path), backend, cfg.policy(), workers=cfg.workers)
     inputs = list(args.datasets) + (args.mock or [])
     macro = evaluation.macro_average([100.0 * r.accuracy for r in results.values()])
     if args.out:
@@ -328,7 +323,7 @@ def cmd_eval(args, cfg: Config) -> int:
             for path, result in results.items()
             for o in result.outcomes
         )
-        write_jsonl(args.out, records, meta=_provenance(cfg, inputs))
+        write_jsonl(args.out, records, meta=_provenance(inputs, cfg.to_dict()))
     if args.transcripts:
         records = (
             o.transcript.to_record(o.question_id)
@@ -336,7 +331,7 @@ def cmd_eval(args, cfg: Config) -> int:
             for o in result.outcomes
             if o.transcript is not None
         )
-        write_jsonl(args.transcripts, records, meta=_provenance(cfg, inputs))
+        write_jsonl(args.transcripts, records, meta=_provenance(inputs, cfg.to_dict()))
     if args.summary:
         write_json(
             args.summary,
@@ -351,7 +346,7 @@ def cmd_eval(args, cfg: Config) -> int:
                     for path, result in results.items()
                 },
                 "macro_average_percent": macro,
-                "_provenance": _provenance(cfg, inputs),
+                "_provenance": _provenance(inputs, cfg.to_dict()),
             },
         )
     for path, result in results.items():
@@ -365,7 +360,7 @@ def _run_sweep(args, cfg: Config, sweep_fn, grid, label: str) -> int:
     the optional SVG, the sweep JSON and the summary."""
     questions = load_questions(args.dataset)
     backend = _backend(args, cfg)
-    sweep = sweep_fn(questions, backend, grid, cfg.policy(), dataset_name=args.dataset, **_run_settings(cfg))
+    sweep = sweep_fn(questions, backend, grid, cfg.policy(), dataset_name=args.dataset, workers=cfg.workers)
     fit = None
     if not args.no_fit:
         try:
@@ -381,7 +376,7 @@ def _run_sweep(args, cfg: Config, sweep_fn, grid, label: str) -> int:
         if path:
             payload = sweep.to_dict()
             payload["fit"] = fit.to_dict() if fit else None
-            payload["_provenance"] = _provenance(cfg, [args.dataset] + (args.mock or []))
+            payload["_provenance"] = _provenance([args.dataset] + (args.mock or []), cfg.to_dict())
             write_json(path, payload)
     for point in sweep.points:
         print(f"{label} {int(point.x)}: accuracy {point.accuracy:.4f} ({point.n_correct}/{point.n})")

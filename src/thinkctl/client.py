@@ -15,6 +15,7 @@ import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from urllib.parse import urlsplit
 
 log = logging.getLogger(__name__)
 
@@ -62,22 +63,18 @@ class TruncatedStreamError(BackendError):
 class GenerationRequest:
     """One generation call.
 
-    Defaults are greedy sampling (temperature 0) with a fixed seed of 42.
     ``stop_on`` is a marker string watched for client-side; it is never
-    delivered in the emitted tokens.
+    delivered in the emitted tokens. Sampling settings belong to the
+    backend, which holds them fixed for every call.
     """
 
     prompt: str
     max_new_tokens: int
-    temperature: float = DEFAULT_TEMPERATURE
-    seed: int = DEFAULT_SEED
     stop_on: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 class TokenEvent(NamedTuple):
@@ -400,7 +397,9 @@ class WireBackend:
     ``messages``, ``temperature``, ``seed``, ``max_tokens`` and
     ``stream: true``; reads one ``data: <json>`` line per chunk until
     ``data: [DONE]``. The bearer token comes from ``api_key`` or the
-    ``M1_API_KEY`` environment variable.
+    ``M1_API_KEY`` environment variable. Sampling is greedy with a fixed
+    seed unless ``temperature`` and ``seed`` say otherwise; every request
+    sends the same two.
 
     Built on ``urllib.request``: each call opens one connection and closes
     it when the stream ends or its consumer stops early. Proxies come from
@@ -411,10 +410,23 @@ class WireBackend:
 
     base_url: str
     model: str
+    temperature: float = DEFAULT_TEMPERATURE
+    seed: int = DEFAULT_SEED
     api_key: str | None = None
     timeout: float = 120.0
 
     token_joiner = ""
+
+    def __post_init__(self) -> None:
+        url = urlsplit(self.base_url)
+        try:
+            port_ok = url.port != 0  # raises ValueError unless a number in 0-65535
+        except ValueError:
+            port_ok = False
+        if url.scheme not in ("http", "https") or not url.hostname or not port_ok:
+            raise ValueError(f"base_url must be an http(s):// URL with a host and a valid port, not {self.base_url!r}")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
 
     def raw_stream(self, req: GenerationRequest) -> Iterator[str]:
         # imported here, not at module level, so that runs which send no
@@ -431,8 +443,8 @@ class WireBackend:
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": req.prompt}],
-            "temperature": req.temperature,
-            "seed": req.seed,
+            "temperature": self.temperature,
+            "seed": self.seed,
             "max_tokens": req.max_new_tokens,
             "stream": True,
         }
@@ -503,13 +515,7 @@ def with_retries(fn: Callable[[], T]) -> T:
             attempt += 1
 
 
-def probe_answer(
-    backend,
-    question_prompt: str,
-    *,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
-) -> str:
+def probe_answer(backend, question_prompt: str) -> str:
     """Full non-streamed completion text for grading.
 
     Collects the whole stream before returning, so a failed call surfaces
@@ -517,12 +523,7 @@ def probe_answer(
     """
 
     def attempt() -> str:
-        req = GenerationRequest(
-            prompt=question_prompt,
-            max_new_tokens=TRACE_TOKEN_LIMIT,
-            temperature=temperature,
-            seed=seed,
-        )
+        req = GenerationRequest(prompt=question_prompt, max_new_tokens=TRACE_TOKEN_LIMIT)
         texts, _ = collect(stream_generate(backend, req))
         joiner = getattr(backend, "token_joiner", "")
         return joiner.join(texts)

@@ -4,7 +4,9 @@ The file format is INI-style sections of flat key/value pairs in UTF-8;
 every key also exists as a command-line flag. The ``Config`` fields are
 the one key table: each field's metadata names its file section and,
 where it is not ``--<name-with-dashes>``, its flag. Defaults are the operating points of
-the modules that use them (budget policy, sampling, worker count).
+the modules that use them (wire backend, budget policy, worker count).
+The ``backend`` and ``policy`` sections are keyword arguments of
+``WireBackend`` and ``BudgetPolicy``, which check their own ranges.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ import os
 import re
 from dataclasses import Field, dataclass, field, fields
 from typing import Mapping
-from urllib.parse import urlsplit
 
 from .budget import DEFAULT_FORCING_TEXT, DEFAULT_PER_FORCING_CAP, DEFAULT_THINKING_BUDGET, BudgetPolicy
-from .client import DEFAULT_SEED, DEFAULT_TEMPERATURE
+from .client import DEFAULT_SEED, DEFAULT_TEMPERATURE, WireBackend
 from .evaluation import DEFAULT_WORKERS
 from .jsonl import SchemaError, read_lines
 
@@ -25,7 +26,8 @@ BASE_URL_ENV = "M1_BASE_URL"
 # a key, then the first "=" or ":", then the value
 _ASSIGNMENT = re.compile(r"([^=:]*)[=:](.*)")
 
-# the file section whose keys are exactly the BudgetPolicy keyword arguments
+# the file sections whose keys are WireBackend and BudgetPolicy keyword arguments
+BACKEND_SECTION = "backend"
 POLICY_SECTION = "policy"
 
 
@@ -39,10 +41,10 @@ def _key(section: str, default, flag: str | None = None, help: str | None = None
 
 @dataclass
 class Config:
-    base_url: str = _key("backend", "http://localhost:8000", help="chat-completions base URL")
-    model: str = _key("backend", "default", help="model name sent to the backend")
-    temperature: float = _key("backend", DEFAULT_TEMPERATURE)
-    seed: int = _key("backend", DEFAULT_SEED)
+    base_url: str = _key(BACKEND_SECTION, "http://localhost:8000", help="chat-completions base URL")
+    model: str = _key(BACKEND_SECTION, "default", help="model name sent to the backend")
+    temperature: float = _key(BACKEND_SECTION, DEFAULT_TEMPERATURE)
+    seed: int = _key(BACKEND_SECTION, DEFAULT_SEED)
     thinking_budget: int = _key(POLICY_SECTION, DEFAULT_THINKING_BUDGET, flag="--budget", help="thinking token budget")
     forcing_count: int = _key(POLICY_SECTION, 0)
     per_forcing_cap: int = _key(POLICY_SECTION, DEFAULT_PER_FORCING_CAP)
@@ -50,21 +52,19 @@ class Config:
     workers: int = _key("run", DEFAULT_WORKERS)
 
     def __post_init__(self) -> None:
-        url = urlsplit(self.base_url)
-        try:
-            port_ok = url.port != 0  # raises ValueError unless a number in 0-65535
-        except ValueError:
-            port_ok = False
-        if url.scheme not in ("http", "https") or not url.hostname or not port_ok:
-            raise ConfigError(f"base_url must be an http(s):// URL with a host and a valid port, not {self.base_url!r}")
+        self.backend()
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        self.policy()  # BudgetPolicy checks its own ranges
+        self.policy()
+
+    def _section(self, section: str) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["section"] == section}
+
+    def backend(self) -> WireBackend:
+        return WireBackend(**self._section(BACKEND_SECTION))
 
     def policy(self) -> BudgetPolicy:
-        return BudgetPolicy(
-            **{f.name: getattr(self, f.name) for f in fields(self) if f.metadata["section"] == POLICY_SECTION}
-        )
+        return BudgetPolicy(**self._section(POLICY_SECTION))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .budget import ANSWER_MARKER, THINK_MARKER
-from .client import DEFAULT_SEED, DEFAULT_TEMPERATURE, BackendError, probe_answer
+from .client import BackendError, probe_answer
 from .qa import DEFAULT_INSTRUCTION, McqQuestion, extract_answer, format_prompt, grade
 
 log = logging.getLogger(__name__)
@@ -230,8 +230,6 @@ def difficulty_filter(
     graders: Sequence,
     *,
     workers: int = 1,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
 ) -> tuple[list[McqQuestion], StageCount]:
     """Keep only questions that every grader answers incorrectly.
 
@@ -244,7 +242,7 @@ def difficulty_filter(
 
     def grader_correct(grader, question: McqQuestion, prompt: str) -> bool:
         try:
-            text = probe_answer(grader, prompt, temperature=temperature, seed=seed)
+            text = probe_answer(grader, prompt)
         except BackendError as exc:
             log.warning("grader failed on %s (%s); counted incorrect", question.id, exc)
             return False

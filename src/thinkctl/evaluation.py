@@ -14,7 +14,7 @@ from statistics import fmean
 from typing import Sequence
 
 from .budget import BudgetPolicy, ReasoningTranscript, run_with_budget
-from .client import BackendError, DEFAULT_SEED, DEFAULT_TEMPERATURE, with_retries
+from .client import BackendError, with_retries
 from .qa import McqQuestion, extract_answer, format_prompt, grade
 
 DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
@@ -95,17 +95,11 @@ class SweepResult:
         return cls(dataset=data["dataset"], kind=data.get("kind", KIND_BUDGET), points=points)
 
 
-def _run_question(
-    question: McqQuestion,
-    backend,
-    policy: BudgetPolicy,
-    temperature: float,
-    seed: int,
-) -> EvalOutcome:
+def _run_question(question: McqQuestion, backend, policy: BudgetPolicy) -> EvalOutcome:
     """Run one question through the budget controller and grade it."""
     prompt = format_prompt(question)
     try:
-        transcript = with_retries(lambda: run_with_budget(prompt, policy, backend, temperature=temperature, seed=seed))
+        transcript = with_retries(lambda: run_with_budget(prompt, policy, backend))
     except BackendError as exc:
         return EvalOutcome(question.id, None, None, False, 0, error=str(exc))
     outcome = extract_answer(transcript.answer_text, question.options)
@@ -123,8 +117,6 @@ def evaluate(
     backend,
     policy: BudgetPolicy,
     *,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
     workers: int = DEFAULT_WORKERS,
     runs: Sequence[Future] | None = None,
 ) -> EvalResult:
@@ -143,9 +135,9 @@ def evaluate(
         outcomes = [run.result() for run in runs]
     elif workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda q: _run_question(q, backend, policy, temperature, seed), questions))
+            outcomes = list(pool.map(lambda q: _run_question(q, backend, policy), questions))
     else:
-        outcomes = [_run_question(q, backend, policy, temperature, seed) for q in questions]
+        outcomes = [_run_question(q, backend, policy) for q in questions]
     outcomes.sort(key=lambda o: o.question_id)
 
     n = len(outcomes)
@@ -169,10 +161,7 @@ def _sweep(
     xs: Sequence[int],
     dataset_name: str,
     kind: str,
-    *,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
-    workers: int = DEFAULT_WORKERS,
+    workers: int,
 ) -> SweepResult:
     """Evaluate once per value of the policy field ``knob``, in the order
     given, so every point is what a run at that value gives.
@@ -185,10 +174,9 @@ def _sweep(
     but a backend error cancels the runs still queued.
     """
     policies = [replace(policy, **{knob: x}) for x in xs]
-    settings = {"temperature": temperature, "seed": seed, "workers": workers}
 
     def point(x, at: BudgetPolicy, runs: Sequence[Future] | None = None) -> SweepPoint:
-        result = evaluate(questions, backend, at, runs=runs, **settings)
+        result = evaluate(questions, backend, at, workers=workers, runs=runs)
         realized = [o.thinking_tokens for o in result.outcomes]
         return SweepPoint(x, result.accuracy, result.n, result.n_correct, fmean(realized))
 
@@ -196,7 +184,7 @@ def _sweep(
         return SweepResult(dataset_name, kind, [point(x, p) for x, p in zip(xs, policies)])
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            queued = deque([pool.submit(_run_question, q, backend, p, temperature, seed) for q in questions] for p in policies)
+            queued = deque([pool.submit(_run_question, q, backend, p) for q in questions] for p in policies)
             # popleft drops each point's futures, and the outcomes they hold, once gathered
             points = [point(x, p, queued.popleft()) for x, p in zip(xs, policies)]
         except BaseException:
@@ -212,7 +200,7 @@ def budget_sweep(
     policy: BudgetPolicy,
     *,
     dataset_name: str = "dataset",
-    **eval_kwargs,
+    workers: int = DEFAULT_WORKERS,
 ) -> SweepResult:
     """Evaluate once per thinking budget, in increasing order, on one pool
     of ``workers`` threads shared by every budget."""
@@ -220,7 +208,7 @@ def budget_sweep(
         raise ValueError("need at least one budget")
     if len(set(budgets)) != len(budgets):
         raise ValueError("budgets must be distinct")
-    return _sweep(questions, backend, policy, "thinking_budget", sorted(budgets), dataset_name, KIND_BUDGET, **eval_kwargs)
+    return _sweep(questions, backend, policy, "thinking_budget", sorted(budgets), dataset_name, KIND_BUDGET, workers)
 
 
 def forcing_sweep(
@@ -230,7 +218,7 @@ def forcing_sweep(
     policy: BudgetPolicy,
     *,
     dataset_name: str = "dataset",
-    **eval_kwargs,
+    workers: int = DEFAULT_WORKERS,
 ) -> SweepResult:
     """Evaluate once per forcing count, 0..max_forcings.
 
@@ -240,4 +228,4 @@ def forcing_sweep(
     """
     if max_forcings < 0:
         raise ValueError("max_forcings must be >= 0")
-    return _sweep(questions, backend, policy, "forcing_count", range(max_forcings + 1), dataset_name, KIND_FORCING, **eval_kwargs)
+    return _sweep(questions, backend, policy, "forcing_count", range(max_forcings + 1), dataset_name, KIND_FORCING, workers)

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinkctl.budget import ANSWER_MARKER
-from thinkctl import cli
 from thinkctl.cli import run
+from thinkctl.client import WireBackend
 from thinkctl.jsonl import load_questions
 from thinkctl.qa import DEFAULT_INSTRUCTION, McqQuestion, format_prompt
 
@@ -372,26 +372,20 @@ def test_curate_filter_probe_uses_trace_ceiling(tmp_path):
 
 
 def test_curate_filter_sends_configured_temperature_and_seed(tmp_path, dataset, monkeypatch):
-    """The graders get the ``--temperature`` and ``--seed`` that the
+    """The wire graders send the ``--temperature`` and ``--seed`` that the
     output's ``_meta.config`` records."""
     data_path, records = dataset
+    sent = []
 
-    class RecordingGrader:
-        token_joiner = " "
+    def raw_stream(self, req):
+        sent.append((self.temperature, self.seed))
+        yield "\\boxed{A}"
 
-        def __init__(self):
-            self.requests = []
-
-        def raw_stream(self, req):
-            self.requests.append(req)
-            yield "\\boxed{A}"
-
-    grader = RecordingGrader()
-    monkeypatch.setattr(cli, "_graders", lambda args, cfg: [grader])
+    monkeypatch.setattr(WireBackend, "raw_stream", raw_stream)
     out = tmp_path / "kept.jsonl"
     argv = ["curate", "filter", "--pool", str(data_path), "--out", str(out), "--temperature", "0.7", "--seed", "5"]
     assert run(argv) == 0
-    assert [(r.temperature, r.seed) for r in grader.requests] == [(0.7, 5)] * len(records)
+    assert sent == [(0.7, 5)] * len(records)
     meta = json.loads(out.read_text().splitlines()[0])["_meta"]["config"]
     assert (meta["temperature"], meta["seed"]) == (0.7, 5)
 
@@ -659,6 +653,7 @@ def test_unknown_config_key_exits_1(tmp_path, dataset, oracle_script, capsys):
         pytest.param(b"[policy]\nforcing_count = 2\nforcing_text =\n", 3, id="forcing-text-empty-after-count"),
         pytest.param(b"[policy]\nforcing_text =\nthinking_budget = 8\nforcing_count = 2\n", 4, id="forcing-count-after-empty-text"),
         pytest.param(b"[backend]\nbase_url = localhost:8000\n", 2, id="base-url-without-scheme"),
+        pytest.param(b"[backend]\ntemperature = -0.5\n", 2, id="temperature-negative"),
     ],
 )
 def test_malformed_config_exits_1_citing_file_and_line(tmp_path, dataset, oracle_script, capsys, content, line):
@@ -724,6 +719,8 @@ def test_plot_and_report_take_no_config(capsys):
         pytest.param(["report", "--in", "r.json", "--base-url", "http://localhost:1"], id="report-base-url"),
         pytest.param(["curate", "dedup", "--pool", "p.jsonl", "--out", "o.jsonl", "--mock", "m.json"], id="dedup-mock"),
         pytest.param(["curate", "validate", "--traces", "t.jsonl", "--out", "o.jsonl", "--mock", "m.json"], id="validate-mock"),
+        pytest.param(["curate", "dedup", "--pool", "p.jsonl", "--out", "o.jsonl", "--seed", "1"], id="dedup-seed"),
+        pytest.param(["curate", "sample", "--pool", "p.jsonl", "--n", "2", "--out", "o.jsonl", "--budget", "8"], id="sample-budget"),
     ],
 )
 def test_removed_flags_are_usage_errors(argv, capsys):

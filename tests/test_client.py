@@ -38,9 +38,9 @@ def single_entry_model(emission: str, marker: str | None = None) -> ScriptedMode
 
 
 def test_defaults_are_greedy_with_fixed_seed():
-    req = GenerationRequest(prompt="p", max_new_tokens=1)
-    assert req.temperature == 0.0
-    assert req.seed == 42
+    backend = WireBackend(base_url="http://localhost:8000", model="m")
+    assert backend.temperature == 0.0
+    assert backend.seed == 42
 
 
 def test_request_rejects_nonpositive_cap():
@@ -601,8 +601,8 @@ def sse_server():
 
 def test_wire_protocol_fields_and_auth(sse_server, monkeypatch):
     monkeypatch.setenv("M1_API_KEY", "sekret")
-    backend = WireBackend(base_url=sse_server, model="test-model")
-    req = GenerationRequest("hello prompt", max_new_tokens=16, temperature=0.5, seed=7)
+    backend = WireBackend(base_url=sse_server, model="test-model", temperature=0.5, seed=7)
+    req = GenerationRequest("hello prompt", max_new_tokens=16)
     texts, cause = collect(stream_generate(backend, req))
     assert texts == ["Hello", " world", "!"]
     assert cause == CAUSE_BACKEND_STOP
