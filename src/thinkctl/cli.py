@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import curation, evaluation, plotting
 from .client import BackendError, ScriptedModel
-from .config import CONFIG_FIELDS, Config, ConfigError, flag_for, load_config
+from .config import BACKEND_SECTION, CONFIG_FIELDS, Config, ConfigError, flag_for, load_config
 from .curation import CurationReport, SamplingPlan
 from .evaluation import SweepResult
 from .jsonl import (
@@ -48,8 +48,19 @@ def _add_config(parser: argparse.ArgumentParser, mock: str = "") -> None:
         parser.add_argument("--mock", action="append", help=mock)
 
 
+# the [backend] keys, which a --mock run neither takes as flags nor records
+BACKEND_KEYS = [name for name, key in CONFIG_FIELDS.items() if key.metadata["section"] == BACKEND_SECTION]
+
+
 def _effective_config(args: argparse.Namespace) -> Config:
-    return load_config(args.config, flags={name: getattr(args, name) for name in CONFIG_FIELDS})
+    """The config of a command that builds a backend. Beside ``--mock`` a
+    backend flag would be recorded and never read, so it exits 1; a config
+    file or the environment may still set those keys, which are checked."""
+    cfg = load_config(args.config, flags={name: getattr(args, name) for name in CONFIG_FIELDS})
+    given = [name for name in BACKEND_KEYS if getattr(args, name) is not None]
+    if args.mock and given:
+        raise ConfigError(f"{flag_for(CONFIG_FIELDS[given[0]])} sets the wire backend; it cannot be combined with --mock")
+    return cfg
 
 
 def _read_json(path: str, build):
@@ -85,6 +96,11 @@ def _graders(args: argparse.Namespace, cfg: Config) -> list:
         return [_read_json(path, ScriptedModel.from_dict) for path in args.mock]
     backend = cfg.backend()
     return [replace(backend, model=m) for m in args.grader_model or [backend.model]]
+
+
+def _run_config(args: argparse.Namespace, cfg: Config) -> dict:
+    """The config a run records: a ``--mock`` run sends no request."""
+    return {name: value for name, value in cfg.to_dict().items() if not (args.mock and name in BACKEND_KEYS)}
 
 
 def _provenance(inputs: list[str], config: dict | None = None) -> dict:
@@ -236,7 +252,7 @@ def cmd_curate_filter(args, cfg: Config) -> int:
     graders = _graders(args, cfg)
     kept, row = curation.difficulty_filter(pool, graders, workers=cfg.workers)
     out_inputs = [args.pool] + (args.mock or [])
-    _write_pool_stage(args, pool, kept, row, [args.pool], config=cfg.to_dict(), out_inputs=out_inputs)
+    _write_pool_stage(args, pool, kept, row, [args.pool], config=_run_config(args, cfg), out_inputs=out_inputs)
     return EXIT_OK
 
 
@@ -323,7 +339,7 @@ def cmd_eval(args, cfg: Config) -> int:
             for path, result in results.items()
             for o in result.outcomes
         )
-        write_jsonl(args.out, records, meta=_provenance(inputs, cfg.to_dict()))
+        write_jsonl(args.out, records, meta=_provenance(inputs, _run_config(args, cfg)))
     if args.transcripts:
         records = (
             o.transcript.to_record(o.question_id)
@@ -331,7 +347,7 @@ def cmd_eval(args, cfg: Config) -> int:
             for o in result.outcomes
             if o.transcript is not None
         )
-        write_jsonl(args.transcripts, records, meta=_provenance(inputs, cfg.to_dict()))
+        write_jsonl(args.transcripts, records, meta=_provenance(inputs, _run_config(args, cfg)))
     if args.summary:
         write_json(
             args.summary,
@@ -346,7 +362,7 @@ def cmd_eval(args, cfg: Config) -> int:
                     for path, result in results.items()
                 },
                 "macro_average_percent": macro,
-                "_provenance": _provenance(inputs, cfg.to_dict()),
+                "_provenance": _provenance(inputs, _run_config(args, cfg)),
             },
         )
     for path, result in results.items():
@@ -376,7 +392,7 @@ def _run_sweep(args, cfg: Config, sweep_fn, grid, label: str) -> int:
         if path:
             payload = sweep.to_dict()
             payload["fit"] = fit.to_dict() if fit else None
-            payload["_provenance"] = _provenance([args.dataset] + (args.mock or []), cfg.to_dict())
+            payload["_provenance"] = _provenance([args.dataset] + (args.mock or []), _run_config(args, cfg))
             write_json(path, payload)
     for point in sweep.points:
         print(f"{label} {int(point.x)}: accuracy {point.accuracy:.4f} ({point.n_correct}/{point.n})")

@@ -15,7 +15,7 @@ import re
 import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .budget import ANSWER_MARKER, THINK_MARKER
 from .client import BackendError, probe_answer
@@ -274,6 +274,24 @@ def normalize_text(text: str) -> str:
     return " ".join(text.lower().translate(_PUNCTUATION_TO_SPACE).split())
 
 
+def _normalizer() -> Callable[[str], str]:
+    """``normalize_text`` done once per distinct whitespace-separated token.
+    Exact: ``lower()`` maps whitespace to itself, and its one context rule,
+    the final sigma, does not look across whitespace."""
+    words_of: dict[str, list[str]] = {}
+
+    def normalize(text: str) -> str:
+        words: list[str] = []
+        for token in text.split():
+            token_words = words_of.get(token)
+            if token_words is None:
+                token_words = words_of[token] = token.lower().translate(_PUNCTUATION_TO_SPACE).split()
+            words += token_words
+        return " ".join(words)
+
+    return normalize
+
+
 def word_ngrams(text: str, n: int) -> set[str]:
     words = text.split()
     return {" ".join(words[i : i + n]) for i in range(len(words) - n + 1)}
@@ -288,7 +306,8 @@ def _first_per_key(keyed: Iterable[tuple[str, McqQuestion]]) -> list[McqQuestion
 
 def deduplicate(pool: Sequence[McqQuestion]) -> tuple[list[McqQuestion], StageCount]:
     """Drop exact duplicates by normalized stem, keeping the first seen."""
-    kept = _first_per_key((normalize_text(q.stem), q) for q in pool)
+    normalize = _normalizer()
+    kept = _first_per_key((normalize(q.stem), q) for q in pool)
     return kept, StageCount("deduplication", source_counts(kept))
 
 
@@ -306,14 +325,15 @@ def decontaminate(
     """
     if ngram_size < 1:
         raise CurationError(f"ngram_size must be >= 1, got {ngram_size}")
+    normalize = _normalizer()
     eval_ngrams: set[str] = set()
     for eval_set in eval_sets:
         for q in eval_set:
-            eval_ngrams |= word_ngrams(normalize_text(q.stem), ngram_size)
+            eval_ngrams |= word_ngrams(normalize(q.stem), ngram_size)
 
     clean = []
     for q in pool:
-        key = normalize_text(q.stem)  # also the dedup key
+        key = normalize(q.stem)  # also the dedup key
         if eval_ngrams.isdisjoint(word_ngrams(key, ngram_size)):
             clean.append((key, q))
     deduped = _first_per_key(clean)
@@ -429,20 +449,35 @@ def annotate_domains(
 
     One search per qualifier, for ``\\b(?:t1|t2|...)\\b`` over its escaped
     terms: alternation backtracks, so it matches wherever some ``\\bti\\b``
-    would, and the labels equal those of one search per term."""
+    would, and the labels equal those of one search per term.
+
+    Terms with no whitespace are searched once per distinct whitespace-
+    separated token, whose labels are cached; the rest, the empty term
+    included, over the whole stem. Exact: whitespace is never a word
+    character, so ``\\b`` at a token's edge is ``\\b`` in the stem, and no
+    whitespace character is IGNORECASE-equal to any other, so a term with no
+    whitespace matches only inside one token."""
     if not lexicon:
         raise CurationError("lexicon must be nonempty")
-    terms: dict[str, list[str]] = {}
+    token_terms: dict[str, list[str]] = {}
+    stem_terms: dict[str, list[str]] = {}
     for term, qualifier in lexicon.items():
-        terms.setdefault(qualifier, []).append(re.escape(term))
-    patterns = [
-        (re.compile(rf"\b(?:{'|'.join(alternatives)})\b", re.IGNORECASE), qualifier)
-        for qualifier, alternatives in terms.items()
-    ]
+        group = token_terms if term.split() == [term] else stem_terms
+        group.setdefault(qualifier, []).append(re.escape(term))
+    token_patterns, stem_patterns = (
+        [(re.compile(rf"\b(?:{'|'.join(alts)})\b", re.IGNORECASE), qualifier) for qualifier, alts in terms.items()]
+        for terms in (token_terms, stem_terms)
+    )
+    labels_of: dict[str, set[str]] = {}
     annotated = []
     for q in questions:
-        labels = sorted(qualifier for pattern, qualifier in patterns if pattern.search(q.stem))
-        annotated.append(replace(q, domains=labels or [UNLABELED_DOMAIN]))
+        labels = {qualifier for pattern, qualifier in stem_patterns if pattern.search(q.stem)}
+        for token in q.stem.split():
+            hits = labels_of.get(token)
+            if hits is None:
+                hits = labels_of[token] = {qualifier for pattern, qualifier in token_patterns if pattern.search(token)}
+            labels |= hits
+        annotated.append(replace(q, domains=sorted(labels) or [UNLABELED_DOMAIN]))
     return annotated
 
 

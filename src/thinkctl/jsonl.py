@@ -76,17 +76,18 @@ def record_to_question(record: dict, path: str = "<memory>", lineno: int = 0) ->
     answer = _require(record, "answer", str, path, lineno)
     source = record.get("source", "")
     domains = record.get("domains", [])
-    if not isinstance(domains, list) or not all(isinstance(d, str) for d in domains):
+    # the scans are skipped for the empty list of a pool not yet annotated
+    if not isinstance(domains, list) or domains and not all(isinstance(d, str) for d in domains):
         raise SchemaError(path, lineno, "field 'domains' must be a list of strings")
-    if len(set(domains)) != len(domains):
+    if domains and len(set(domains)) != len(domains):
         raise SchemaError(path, lineno, f"field 'domains' repeats a label: {domains}")
     try:
         return McqQuestion(
             id=qid,
             stem=stem,
-            options={str(k): str(v) for k, v in options.items()},
+            options={str(k): v if type(v) is str else str(v) for k, v in options.items()},
             gold=answer,
-            source=str(source),
+            source=source if type(source) is str else str(source),
             domains=list(domains),
         )
     except ValueError as exc:
@@ -183,11 +184,10 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_jsonl(path: str, records: Iterable[dict], meta: dict | None = None) -> None:
-    lines = []
-    if meta is not None:
-        lines.append(json.dumps({META_KEY: meta}, sort_keys=True, ensure_ascii=False))
-    for record in records:
-        lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False))
+    # one encoder for the file: json.dumps builds one per call when given options
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+    lines = [] if meta is None else [encode({META_KEY: meta})]
+    lines += map(encode, records)
     atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
 
 

@@ -101,7 +101,10 @@ def test_eval_happy_path(tmp_path, dataset, oracle_script, capsys):
     assert per_dataset["accuracy"] == 1.0
     assert per_dataset["n"] == 8
     assert payload["macro_average_percent"] == 100.0
-    assert payload["_provenance"]["config"]["seed"] == 42
+    # a --mock run sends no request, so it records the policy and run keys only
+    config = payload["_provenance"]["config"]
+    assert set(config) == {"thinking_budget", "forcing_count", "per_forcing_cap", "forcing_text", "workers"}
+    assert config["thinking_budget"] == 4096
     assert str(data_path) in payload["_provenance"]["inputs"]
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert "_meta" in lines[0]
@@ -608,13 +611,13 @@ def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset,
 def test_config_file_and_flag_precedence(tmp_path, dataset, oracle_script):
     data_path, _ = dataset
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[backend]\nseed = 13\n[policy]\nthinking_budget = 99\n")
+    cfg.write_text("[policy]\nthinking_budget = 99\nper_forcing_cap = 13\n")
     summary = tmp_path / "summary.json"
     code = run(
         [
             "eval",
             "--config", str(cfg),
-            "--seed", "7",
+            "--per-forcing-cap", "7",
             "--dataset", str(data_path),
             "--mock", str(oracle_script),
             "--summary", str(summary),
@@ -622,7 +625,7 @@ def test_config_file_and_flag_precedence(tmp_path, dataset, oracle_script):
     )
     assert code == 0
     effective = json.loads(summary.read_text())["_provenance"]["config"]
-    assert effective["seed"] == 7
+    assert effective["per_forcing_cap"] == 7
     assert effective["thinking_budget"] == 99
 
 
@@ -738,6 +741,17 @@ def test_plot_and_report_ignore_a_malformed_base_url(tmp_path, monkeypatch, caps
     assert run(["report", "--in", str(tmp_path / "ledger.json")]) == 0
 
 
+def _backend_command(command: str, data_path, out) -> list[str]:
+    """A command that builds a backend, writing its provenance to ``out``."""
+    sweep_csv = str(out) + ".csv"
+    return {
+        "eval": ["eval", "--dataset", str(data_path), "--summary", str(out)],
+        "sweep": ["sweep", "--dataset", str(data_path), "--budgets", "16", "--out-csv", sweep_csv, "--summary", str(out)],
+        "force-sweep": ["force-sweep", "--dataset", str(data_path), "--max-forcings", "1", "--out-csv", sweep_csv, "--summary", str(out)],
+        "curate-filter": ["curate", "filter", "--pool", str(data_path), "--out", str(out)],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["eval", "sweep", "force-sweep"])
 def test_second_mock_exits_1(tmp_path, dataset, oracle_script, capsys, command):
     # the command runs one model, so a second --mock would be cited as an input and never read
@@ -745,16 +759,12 @@ def test_second_mock_exits_1(tmp_path, dataset, oracle_script, capsys, command):
     other = tmp_path / "other.json"
     other.write_text(oracle_script.read_text())
     out = tmp_path / "out"
-    argv = {
-        "eval": ["eval", "--dataset", str(data_path), "--summary", str(out)],
-        "sweep": ["sweep", "--dataset", str(data_path), "--budgets", "16", "--out-csv", str(out)],
-        "force-sweep": ["force-sweep", "--dataset", str(data_path), "--max-forcings", "1", "--out-csv", str(out)],
-    }[command]
+    argv = _backend_command(command, data_path, out)
     assert run([*argv, "--mock", str(oracle_script), "--mock", str(other)]) == 1
     err = capsys.readouterr().err
     assert "--mock" in err
     assert "Traceback" not in err
-    assert not out.exists()
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_grader_model_with_mock_exits_1(tmp_path, dataset, oracle_script, capsys):
@@ -767,6 +777,41 @@ def test_grader_model_with_mock_exits_1(tmp_path, dataset, oracle_script, capsys
     assert "--grader-model" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+BACKEND_FLAGS = {"--base-url": "http://example.invalid:1", "--model": "gpt-x", "--temperature": "0.5", "--seed": "3"}
+
+
+@pytest.mark.parametrize("flag", list(BACKEND_FLAGS))
+@pytest.mark.parametrize("command", ["eval", "sweep", "force-sweep", "curate-filter"])
+def test_backend_flag_with_mock_exits_1(tmp_path, dataset, oracle_script, capsys, command, flag):
+    # --mock replaces the wire backend, so the flag would be recorded and never read
+    data_path, _ = dataset
+    out = tmp_path / "out"
+    argv = _backend_command(command, data_path, out)
+    assert run([*argv, "--mock", str(oracle_script), flag, BACKEND_FLAGS[flag]]) == 1
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "force-sweep", "curate-filter"])
+def test_mock_run_records_no_backend_keys(tmp_path, dataset, oracle_script, monkeypatch, command):
+    # a config file and M1_BASE_URL may still set them: they are read and checked, but not recorded
+    data_path, _ = dataset
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[backend]\nmodel = gpt-x\nseed = 3\n[policy]\nthinking_budget = 99\n")
+    monkeypatch.setenv("M1_BASE_URL", "http://example.invalid:1")
+    out = tmp_path / "out"
+    argv = _backend_command(command, data_path, out)
+    assert run([*argv, "--mock", str(oracle_script), "--config", str(cfg)]) == 0
+    if command == "curate-filter":
+        config = json.loads(out.read_text().splitlines()[0])["_meta"]["config"]
+    else:
+        config = json.loads(out.read_text())["_provenance"]["config"]
+    assert set(config) == {"thinking_budget", "forcing_count", "per_forcing_cap", "forcing_text", "workers"}
+    assert config["thinking_budget"] == 99
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

@@ -128,6 +128,37 @@ def test_missing_field_reports_line(tmp_path):
     assert "answer" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "domains, message",
+    [
+        *(
+            pytest.param(bad, "field 'domains' must be a list of strings", id=f"domains-{bad!r}")
+            for bad in ("x", "", {}, [1], None, 0)
+        ),
+        pytest.param(["a", "a"], "field 'domains' repeats a label", id="domains-repeated"),
+    ],
+)
+def test_bad_domains_report_path_and_line(tmp_path, domains, message):
+    path = tmp_path / "qs.jsonl"
+    write_lines(path, [json.dumps(question_record("q1")), json.dumps(question_record("q2", domains=domains))])
+    with pytest.raises(SchemaError) as excinfo:
+        load_questions(str(path))
+    assert str(excinfo.value).startswith(f"{path}:2: {message}")
+
+
+def test_non_string_values_load_as_their_str(tmp_path):
+    path = tmp_path / "qs.jsonl"
+    records = [
+        question_record("q1", options={"A": 1, "B": 2.5}, source=5, domains=["a", "b"]),
+        question_record("q2", answer="B", source=None),
+    ]
+    write_lines(path, [json.dumps(r) for r in records])
+    q1, q2 = load_questions(str(path))
+    assert q1.options == {"A": "1", "B": "2.5"}
+    assert (q1.source, q2.source) == ("5", "None")
+    assert q1.domains == ["a", "b"]
+
+
 def test_duplicate_ids_rejected(tmp_path):
     path = tmp_path / "qs.jsonl"
     write_lines(path, [json.dumps(question_record("q1")), json.dumps(question_record("q1"))])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from thinkctl.curation import (
     StageCount,
     TraceRecord,
     _Pcg64,
+    _normalizer,
     annotate_domains,
     decontaminate,
     deduplicate,
@@ -243,6 +245,55 @@ def test_normalize_text_pipeline():
     assert normalize_text("end.Start") == "end start"
 
 
+# whitespace other than the space: tab, no-break, next line, ogham and em spaces
+WHITESPACE_VARIANTS = "\t\u00a0\u0085\u1680\u2003"
+# the final sigma's context rule, a soft hyphen (case-ignorable), and dotted
+# and dotless i, whose lowercase forms differ in length
+NORMALIZE_ALPHABET = "aAbBΣσς\u00ad'İı.,!?-() " + WHITESPACE_VARIANTS
+
+
+@given(
+    stems=st.lists(st.text(alphabet=NORMALIZE_ALPHABET, max_size=12), max_size=10),
+    eval_stems=st.lists(st.text(alphabet=NORMALIZE_ALPHABET, max_size=12), max_size=3),
+    n=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=300, deadline=None)
+@example(stems=["AΣ.B", "aς b", "AΣ\u00a0B"], eval_stems=["aσ b"], n=2)  # the sigma's case rests on its context
+def test_dedup_and_decontaminate_match_normalize_text(stems, eval_stems, n):
+    # deduplicate and decontaminate normalize each distinct token once; the
+    # reference normalizes each whole stem
+    normalize = _normalizer()
+    assert [normalize(stem) for stem in stems] == [normalize_text(stem) for stem in stems]
+    pool = [question(f"p{i:02d}", stem, source=f"s{i % 2}") for i, stem in enumerate(stems)]
+    eval_sets = [[question(f"e{i}", stem, source="eval") for i, stem in enumerate(eval_stems)]]
+    eval_ngrams = set().union(*(word_ngrams(normalize_text(stem), n) for stem in eval_stems))
+    first: dict[str, McqQuestion] = {}
+    clean: dict[str, McqQuestion] = {}
+    for q in pool:
+        key = normalize_text(q.stem)
+        first.setdefault(key, q)
+        if eval_ngrams.isdisjoint(word_ngrams(key, n)):
+            clean.setdefault(key, q)
+    assert deduplicate(pool)[0] == list(first.values())
+    assert decontaminate(pool, eval_sets, ngram_size=n)[0] == list(clean.values())
+
+
+def test_unicode_facts_behind_the_token_split():
+    # annotate_domains, deduplicate and decontaminate work per whitespace
+    # token; these facts of the Unicode database make that exact
+    whitespace = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert set(WHITESPACE_VARIANTS + " \n") <= set(whitespace)
+    for w in whitespace:
+        assert re.fullmatch(r"\W", w), f"{w!r} is a word character"
+        assert w.lower() == w == w.upper(), f"{w!r} changes case"
+        # the final sigma looks no further than a whitespace character
+        assert ("AΣ" + w + "B").lower() == "aς" + w + "b", repr(w)
+        assert ("A" + w + "Σ").lower() == "a" + w + "σ", repr(w)
+    others = "".join(chr(c) for c in range(sys.maxunicode + 1) if not chr(c).isspace())
+    whitespace_class = "[" + "".join(map(re.escape, whitespace)) + "]"
+    assert re.search(whitespace_class, others, re.IGNORECASE) is None
+
+
 # --- diversity sampling -----------------------------------------------------------
 
 
@@ -397,9 +448,14 @@ def test_empty_lexicon_rejected():
 
 
 # prefixes of each other, one term in two cases, regex metacharacters,
-# non-word edges, and characters whose case folding is irregular
-ANNOTATE_TERMS = ["heart", "Heart failure", "HEART", "c++", "-itis", "5µg", "ſ", "s", "K", "k", "\u212a", "İ", "i", "µ", "μ"]
-ANNOTATE_ALPHABET = "aehilrt FK+-5µμgſsSk\u212aİıi."  # \u212a: the Kelvin sign
+# non-word edges, characters whose case folding is irregular, terms with
+# inner or edge whitespace, and the empty term. U+0345 is the one non-word
+# character that IGNORECASE matches to word characters (iota in both cases).
+ANNOTATE_TERMS = [
+    "heart", "Heart failure", "HEART", "c++", "-itis", "5µg", "ſ", "s", "K", "k", "\u212a", "İ", "i", "µ", "μ",
+    "heart\u00a0failure", "heart\tfailure", " s", "i ", "", "\u0345", "ι", "Ι", "ι\u0345",
+]  # fmt: skip
+ANNOTATE_ALPHABET = "aehilrt FK+-5µμgſsSk\u212aİıi.\u0345ιΙ" + WHITESPACE_VARIANTS  # \u212a: the Kelvin sign
 ANNOTATE_PIECES = st.one_of(st.sampled_from(ANNOTATE_TERMS), st.text(alphabet=ANNOTATE_ALPHABET, min_size=1, max_size=5))
 
 
@@ -407,7 +463,11 @@ ANNOTATE_PIECES = st.one_of(st.sampled_from(ANNOTATE_TERMS), st.text(alphabet=AN
     terms=st.lists(ANNOTATE_PIECES, min_size=1, max_size=12),
     qualifiers=st.lists(st.sampled_from(["Q1", "Q2", "Q3"]), min_size=12, max_size=12),
     one_per_term=st.booleans(),
-    stems=st.lists(st.lists(ANNOTATE_PIECES | st.sampled_from([" ", "(", "-"]), max_size=8).map("".join), min_size=1, max_size=4),
+    stems=st.lists(
+        st.lists(ANNOTATE_PIECES | st.sampled_from([" ", "(", "-", *WHITESPACE_VARIANTS]), max_size=8).map("".join),
+        min_size=1,
+        max_size=4,
+    ),
 )
 @settings(max_examples=300, deadline=None)
 def test_annotation_matches_one_search_per_term(terms, qualifiers, one_per_term, stems):
