@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import curation, evaluation, plotting
 from .client import BackendError, ScriptedModel
-from .config import BACKEND_SECTION, CONFIG_FIELDS, Config, ConfigError, flag_for, load_config
+from .config import BACKEND_SECTION, CONFIG_FIELDS, SECTION_KEYS, Config, ConfigError, flag_for, load_config
 from .curation import CurationReport, SamplingPlan
 from .evaluation import SweepResult
 from .jsonl import (
@@ -48,16 +48,12 @@ def _add_config(parser: argparse.ArgumentParser, mock: str = "") -> None:
         parser.add_argument("--mock", action="append", help=mock)
 
 
-# the [backend] keys, which a --mock run neither takes as flags nor records
-BACKEND_KEYS = [name for name, key in CONFIG_FIELDS.items() if key.metadata["section"] == BACKEND_SECTION]
-
-
 def _effective_config(args: argparse.Namespace) -> Config:
     """The config of a command that builds a backend. Beside ``--mock`` a
     backend flag would be recorded and never read, so it exits 1; a config
     file or the environment may still set those keys, which are checked."""
     cfg = load_config(args.config, flags={name: getattr(args, name) for name in CONFIG_FIELDS})
-    given = [name for name in BACKEND_KEYS if getattr(args, name) is not None]
+    given = [name for name in SECTION_KEYS[BACKEND_SECTION] if getattr(args, name) is not None]
     if args.mock and given:
         raise ConfigError(f"{flag_for(CONFIG_FIELDS[given[0]])} sets the wire backend; it cannot be combined with --mock")
     return cfg
@@ -100,7 +96,8 @@ def _graders(args: argparse.Namespace, cfg: Config) -> list:
 
 def _run_config(args: argparse.Namespace, cfg: Config) -> dict:
     """The config a run records: a ``--mock`` run sends no request."""
-    return {name: value for name, value in cfg.to_dict().items() if not (args.mock and name in BACKEND_KEYS)}
+    unread = SECTION_KEYS[BACKEND_SECTION] if args.mock else []
+    return {name: value for name, value in cfg.to_dict().items() if name not in unread}
 
 
 def _provenance(inputs: list[str], config: dict | None = None) -> dict:

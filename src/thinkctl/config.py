@@ -58,7 +58,7 @@ class Config:
         self.policy()
 
     def _section(self, section: str) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["section"] == section}
+        return {name: getattr(self, name) for name in SECTION_KEYS[section]}
 
     def backend(self) -> WireBackend:
         return WireBackend(**self._section(BACKEND_SECTION))
@@ -71,6 +71,11 @@ class Config:
 
 
 CONFIG_FIELDS: dict[str, Field] = {f.name: f for f in fields(Config)}
+# the key names of each file section, in field order
+SECTION_KEYS: dict[str, list[str]] = {
+    section: [name for name, key in CONFIG_FIELDS.items() if key.metadata["section"] == section]
+    for section in dict.fromkeys(key.metadata["section"] for key in CONFIG_FIELDS.values())
+}
 
 
 def flag_for(key: Field) -> str:
@@ -88,7 +93,6 @@ def _read_file(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc
-    sections = {key.metadata["section"] for key in CONFIG_FIELDS.values()}
     section = None
     values = {}
     for lineno, line in lines:
@@ -98,7 +102,7 @@ def _read_file(path: str) -> dict:
         where = f"{path}:{lineno}"
         if line[0] == "[" and line[-1] == "]":
             section = line[1:-1].strip()
-            if section not in sections:
+            if section not in SECTION_KEYS:
                 raise ConfigError(f"{where}: unknown config section: {section}")
             continue
         match = _ASSIGNMENT.match(line)

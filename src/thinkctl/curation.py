@@ -15,7 +15,7 @@ import re
 import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .budget import ANSWER_MARKER, THINK_MARKER
 from .client import BackendError, probe_answer
@@ -26,7 +26,7 @@ log = logging.getLogger(__name__)
 UNLABELED_DOMAIN = "Unlabeled"
 DEFAULT_NGRAM_SIZE = 8
 SAMPLER_RNG = "pcg64"
-_PUNCTUATION_TO_SPACE = str.maketrans(string.punctuation, " " * len(string.punctuation))
+_PUNCTUATION = re.compile(f"[{re.escape(string.punctuation)}]")
 
 
 class CurationError(ValueError):
@@ -270,26 +270,10 @@ def validate_traces(records: Sequence[TraceRecord]) -> tuple[list[TraceRecord], 
 
 
 def normalize_text(text: str) -> str:
-    """Lowercase, strip punctuation, collapse whitespace."""
-    return " ".join(text.lower().translate(_PUNCTUATION_TO_SPACE).split())
-
-
-def _normalizer() -> Callable[[str], str]:
-    """``normalize_text`` done once per distinct whitespace-separated token.
-    Exact: ``lower()`` maps whitespace to itself, and its one context rule,
-    the final sigma, does not look across whitespace."""
-    words_of: dict[str, list[str]] = {}
-
-    def normalize(text: str) -> str:
-        words: list[str] = []
-        for token in text.split():
-            token_words = words_of.get(token)
-            if token_words is None:
-                token_words = words_of[token] = token.lower().translate(_PUNCTUATION_TO_SPACE).split()
-            words += token_words
-        return " ".join(words)
-
-    return normalize
+    """Lowercase, strip punctuation, collapse whitespace. One regex
+    substitution replaces the ASCII punctuation: CPython's ``str.translate``
+    looks each character up in its table, which is slower."""
+    return " ".join(_PUNCTUATION.sub(" ", text.lower()).split())
 
 
 def word_ngrams(text: str, n: int) -> set[str]:
@@ -306,8 +290,7 @@ def _first_per_key(keyed: Iterable[tuple[str, McqQuestion]]) -> list[McqQuestion
 
 def deduplicate(pool: Sequence[McqQuestion]) -> tuple[list[McqQuestion], StageCount]:
     """Drop exact duplicates by normalized stem, keeping the first seen."""
-    normalize = _normalizer()
-    kept = _first_per_key((normalize(q.stem), q) for q in pool)
+    kept = _first_per_key((normalize_text(q.stem), q) for q in pool)
     return kept, StageCount("deduplication", source_counts(kept))
 
 
@@ -325,15 +308,14 @@ def decontaminate(
     """
     if ngram_size < 1:
         raise CurationError(f"ngram_size must be >= 1, got {ngram_size}")
-    normalize = _normalizer()
     eval_ngrams: set[str] = set()
     for eval_set in eval_sets:
         for q in eval_set:
-            eval_ngrams |= word_ngrams(normalize(q.stem), ngram_size)
+            eval_ngrams |= word_ngrams(normalize_text(q.stem), ngram_size)
 
     clean = []
     for q in pool:
-        key = normalize(q.stem)  # also the dedup key
+        key = normalize_text(q.stem)  # also the dedup key
         if eval_ngrams.isdisjoint(word_ngrams(key, ngram_size)):
             clean.append((key, q))
     deduped = _first_per_key(clean)
@@ -456,7 +438,10 @@ def annotate_domains(
     included, over the whole stem. Exact: whitespace is never a word
     character, so ``\\b`` at a token's edge is ``\\b`` in the stem, and no
     whitespace character is IGNORECASE-equal to any other, so a term with no
-    whitespace matches only inside one token."""
+    whitespace matches only inside one token. A new token is first searched
+    for all those terms at once, so one that matches none costs one search
+    and shares one empty label set. The cache holds every distinct token of
+    the call's stems."""
     if not lexicon:
         raise CurationError("lexicon must be nonempty")
     token_terms: dict[str, list[str]] = {}
@@ -464,21 +449,31 @@ def annotate_domains(
     for term, qualifier in lexicon.items():
         group = token_terms if term.split() == [term] else stem_terms
         group.setdefault(qualifier, []).append(re.escape(term))
+    any_token_term = _word_alternation([alt for alts in token_terms.values() for alt in alts])
     token_patterns, stem_patterns = (
-        [(re.compile(rf"\b(?:{'|'.join(alts)})\b", re.IGNORECASE), qualifier) for qualifier, alts in terms.items()]
+        [(_word_alternation(alts), qualifier) for qualifier, alts in terms.items()]
         for terms in (token_terms, stem_terms)
     )
-    labels_of: dict[str, set[str]] = {}
+    no_labels: frozenset[str] = frozenset()
+    labels_of: dict[str, frozenset[str]] = {}
     annotated = []
     for q in questions:
         labels = {qualifier for pattern, qualifier in stem_patterns if pattern.search(q.stem)}
         for token in q.stem.split():
             hits = labels_of.get(token)
             if hits is None:
-                hits = labels_of[token] = {qualifier for pattern, qualifier in token_patterns if pattern.search(token)}
+                hits = labels_of[token] = (
+                    frozenset(qualifier for pattern, qualifier in token_patterns if pattern.search(token))
+                    if any_token_term.search(token)
+                    else no_labels
+                )
             labels |= hits
         annotated.append(replace(q, domains=sorted(labels) or [UNLABELED_DOMAIN]))
     return annotated
+
+
+def _word_alternation(escaped_terms: list[str]) -> re.Pattern[str]:
+    return re.compile(rf"\b(?:{'|'.join(escaped_terms)})\b", re.IGNORECASE)
 
 
 def format_sft_example(record: TraceRecord) -> str:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import string
 import sys
 
 import numpy as np
@@ -20,7 +21,6 @@ from thinkctl.curation import (
     StageCount,
     TraceRecord,
     _Pcg64,
-    _normalizer,
     annotate_domains,
     decontaminate,
     deduplicate,
@@ -250,6 +250,11 @@ WHITESPACE_VARIANTS = "\t\u00a0\u0085\u1680\u2003"
 # the final sigma's context rule, a soft hyphen (case-ignorable), and dotted
 # and dotless i, whose lowercase forms differ in length
 NORMALIZE_ALPHABET = "aAbBΣσς\u00ad'İı.,!?-() " + WHITESPACE_VARIANTS
+PUNCTUATION_TO_SPACE = str.maketrans(string.punctuation, " " * len(string.punctuation))
+
+
+def reference_normalize(text: str) -> str:
+    return " ".join(text.lower().translate(PUNCTUATION_TO_SPACE).split())
 
 
 @given(
@@ -260,17 +265,15 @@ NORMALIZE_ALPHABET = "aAbBΣσς\u00ad'İı.,!?-() " + WHITESPACE_VARIANTS
 @settings(max_examples=300, deadline=None)
 @example(stems=["AΣ.B", "aς b", "AΣ\u00a0B"], eval_stems=["aσ b"], n=2)  # the sigma's case rests on its context
 def test_dedup_and_decontaminate_match_normalize_text(stems, eval_stems, n):
-    # deduplicate and decontaminate normalize each distinct token once; the
-    # reference normalizes each whole stem
-    normalize = _normalizer()
-    assert [normalize(stem) for stem in stems] == [normalize_text(stem) for stem in stems]
+    # normalize_text strips punctuation by regex; the reference by str.translate
+    assert [normalize_text(stem) for stem in stems] == [reference_normalize(stem) for stem in stems]
     pool = [question(f"p{i:02d}", stem, source=f"s{i % 2}") for i, stem in enumerate(stems)]
     eval_sets = [[question(f"e{i}", stem, source="eval") for i, stem in enumerate(eval_stems)]]
-    eval_ngrams = set().union(*(word_ngrams(normalize_text(stem), n) for stem in eval_stems))
+    eval_ngrams = set().union(*(word_ngrams(reference_normalize(stem), n) for stem in eval_stems))
     first: dict[str, McqQuestion] = {}
     clean: dict[str, McqQuestion] = {}
     for q in pool:
-        key = normalize_text(q.stem)
+        key = reference_normalize(q.stem)
         first.setdefault(key, q)
         if eval_ngrams.isdisjoint(word_ngrams(key, n)):
             clean.setdefault(key, q)
@@ -279,16 +282,12 @@ def test_dedup_and_decontaminate_match_normalize_text(stems, eval_stems, n):
 
 
 def test_unicode_facts_behind_the_token_split():
-    # annotate_domains, deduplicate and decontaminate work per whitespace
+    # annotate_domains searches terms without whitespace per whitespace
     # token; these facts of the Unicode database make that exact
     whitespace = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
     assert set(WHITESPACE_VARIANTS + " \n") <= set(whitespace)
     for w in whitespace:
         assert re.fullmatch(r"\W", w), f"{w!r} is a word character"
-        assert w.lower() == w == w.upper(), f"{w!r} changes case"
-        # the final sigma looks no further than a whitespace character
-        assert ("AΣ" + w + "B").lower() == "aς" + w + "b", repr(w)
-        assert ("A" + w + "Σ").lower() == "a" + w + "σ", repr(w)
     others = "".join(chr(c) for c in range(sys.maxunicode + 1) if not chr(c).isspace())
     whitespace_class = "[" + "".join(map(re.escape, whitespace)) + "]"
     assert re.search(whitespace_class, others, re.IGNORECASE) is None
