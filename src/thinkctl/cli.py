@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import curation, evaluation, plotting
 from .client import BackendError, ScriptedModel
-from .config import BACKEND_SECTION, CONFIG_FIELDS, SECTION_KEYS, Config, ConfigError, flag_for, load_config
+from .config import BACKEND_SECTION, CONFIG_FIELDS, RUN_SECTION, SECTION_KEYS, Config, ConfigError, flag_for, load_config
 from .curation import CurationReport, SamplingPlan
 from .evaluation import SweepResult
 from .jsonl import (
@@ -39,20 +39,20 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 
 
-def _add_config(parser: argparse.ArgumentParser, mock: str = "") -> None:
-    """``--config``, a flag per config key and, given its help, ``--mock``."""
+def _add_config(parser: argparse.ArgumentParser, mock: str, sections=SECTION_KEYS) -> None:
+    """``--config``, ``--mock`` and a flag per key of the config ``sections``."""
     parser.add_argument("--config", help="INI config file")
-    for key in CONFIG_FIELDS.values():
-        parser.add_argument(flag_for(key), dest=key.name, type=type(key.default), help=key.metadata["help"])
-    if mock:
-        parser.add_argument("--mock", action="append", help=mock)
+    for section in sections:
+        for key in (CONFIG_FIELDS[name] for name in SECTION_KEYS[section]):
+            parser.add_argument(flag_for(key), dest=key.name, type=type(key.default), help=key.metadata["help"])
+    parser.add_argument("--mock", action="append", help=mock)
 
 
 def _effective_config(args: argparse.Namespace) -> Config:
-    """The config of a command that builds a backend. Beside ``--mock`` a
-    backend flag would be recorded and never read, so it exits 1; a config
-    file or the environment may still set those keys, which are checked."""
-    cfg = load_config(args.config, flags={name: getattr(args, name) for name in CONFIG_FIELDS})
+    """The config of a command that builds a backend. A config file or the
+    environment may set any key, which is checked. Beside ``--mock`` a
+    backend flag would be recorded and never read, so it exits 1."""
+    cfg = load_config(args.config, flags={name: getattr(args, name) for name in CONFIG_FIELDS if name in args})
     given = [name for name in SECTION_KEYS[BACKEND_SECTION] if getattr(args, name) is not None]
     if args.mock and given:
         raise ConfigError(f"{flag_for(CONFIG_FIELDS[given[0]])} sets the wire backend; it cannot be combined with --mock")
@@ -95,9 +95,10 @@ def _graders(args: argparse.Namespace, cfg: Config) -> list:
 
 
 def _run_config(args: argparse.Namespace, cfg: Config) -> dict:
-    """The config a run records: a ``--mock`` run sends no request."""
+    """The config a run records: the keys its command takes a flag for,
+    but no backend key from a ``--mock`` run, which sends no request."""
     unread = SECTION_KEYS[BACKEND_SECTION] if args.mock else []
-    return {name: value for name, value in cfg.to_dict().items() if name not in unread}
+    return {name: value for name, value in cfg.to_dict().items() if name in args and name not in unread}
 
 
 def _provenance(inputs: list[str], config: dict | None = None) -> dict:
@@ -107,45 +108,40 @@ def _provenance(inputs: list[str], config: dict | None = None) -> dict:
     return provenance
 
 
-def _write_report(
-    path: str, stages: list[curation.StageCount], inputs: list[str], config: dict | None = None, header: dict | None = None
-) -> None:
+def _write_report(path: str, stages: list[curation.StageCount], provenance: dict, header: dict | None = None) -> None:
     report = CurationReport(header=dict(header or {}))
     for stage in stages:
         report.add_stage(stage.name, stage.counts, stage.params)
     report.validate()
     payload = report.to_dict()
-    payload["_provenance"] = _provenance(inputs, config)
+    payload["_provenance"] = provenance
     write_json(path, payload)
 
 
 def _write_pool_stage(
-    args,
-    pool: list,
-    kept: list,
-    row: curation.StageCount,
-    inputs: list[str],
-    *,
-    config: dict | None = None,
-    out_inputs: list[str] | None = None,
-    header: dict | None = None,
-    verb: str = "kept",
+    args, pool: list, kept: list, row: curation.StageCount, provenance: dict, *, header: dict | None = None, verb: str = "kept"
 ) -> None:
-    """Write the questions a stage kept, its ledger if ``--report`` was
-    given, and the one-line summary. ``out_inputs`` overrides the inputs
-    cited by the questions file."""
-    meta = _provenance(out_inputs or inputs, config)
-    write_jsonl(args.out, (question_to_record(q) for q in kept), meta=meta)
+    """Write the questions a stage kept and, if ``--report`` was given, its
+    ledger, both citing ``provenance``; then print the one-line summary."""
+    write_jsonl(args.out, (question_to_record(q) for q in kept), meta=provenance)
     if args.report:
-        _write_report(args.report, [curation.initial_collection_row(pool), row], inputs, config, header)
+        _write_report(args.report, [curation.initial_collection_row(pool), row], provenance, header)
     print(f"{verb} {len(kept)} of {len(pool)} questions")
+
+
+def _load_dataset(path: str) -> list:
+    """An evaluation dataset's questions; an empty one exits 1 naming its file."""
+    questions = load_questions(path)
+    if not questions:
+        raise ValueError(f"{path}: dataset is empty")
+    return questions
 
 
 def _add_sweep_parser(sub, name: str, help: str, handler, grid_flag: str, /, **grid_kwargs) -> None:
     """``sweep`` and ``force-sweep``: the options ``_run_sweep`` reads,
     around the grid option ``grid_flag``."""
     p = sub.add_parser(name, help=help)
-    _add_config(p, mock="scripted-model JSON in place of the wire backend")
+    _add_config(p, "scripted-model JSON in place of the wire backend")
     p.add_argument("--dataset", required=True)
     p.add_argument(grid_flag, **grid_kwargs)
     p.add_argument("--out-csv", dest="out_csv", required=True)
@@ -163,8 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     curate = sub.add_parser("curate", help="data curation pipeline stages")
     curate_sub = curate.add_subparsers(dest="stage", required=True)
 
+    # the filter sends no reasoning policy, so it takes no [policy] flag
     p = curate_sub.add_parser("filter", help="keep questions every grader misses")
-    _add_config(p, mock="scripted grader JSON in place of the wire graders; repeatable")
+    _add_config(p, "scripted grader JSON in place of the wire graders; repeatable", [BACKEND_SECTION, RUN_SECTION])
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_curate_format_sft)
 
     p = sub.add_parser("eval", help="accuracy per dataset under a policy, plus the macro average")
-    _add_config(p, mock="scripted-model JSON in place of the wire backend")
+    _add_config(p, "scripted-model JSON in place of the wire backend")
     p.add_argument("--dataset", action="append", required=True, dest="datasets", help="repeatable")
     p.add_argument("--out", help="per-question outcomes JSONL")
     p.add_argument("--summary", help="summary JSON")
@@ -248,21 +245,24 @@ def cmd_curate_filter(args, cfg: Config) -> int:
     pool = load_questions(args.pool)
     graders = _graders(args, cfg)
     kept, row = curation.difficulty_filter(pool, graders, workers=cfg.workers)
-    out_inputs = [args.pool] + (args.mock or [])
-    _write_pool_stage(args, pool, kept, row, [args.pool], config=_run_config(args, cfg), out_inputs=out_inputs)
+    config = _run_config(args, cfg)
+    if "model" in config:
+        # the graders' models, which --grader-model sets in place of --model
+        config["model"] = [g.model for g in graders]
+    _write_pool_stage(args, pool, kept, row, _provenance([args.pool] + (args.mock or []), config))
     return EXIT_OK
 
 
 def cmd_curate_validate(args) -> int:
     records = load_traces(args.traces)
     kept, row = curation.validate_traces(records)
-    meta = _provenance([args.traces])
-    write_jsonl(args.out, (trace_to_record(t) for t in kept), meta=meta)
+    provenance = _provenance([args.traces])
+    write_jsonl(args.out, (trace_to_record(t) for t in kept), meta=provenance)
     if args.report:
         input_row = curation.StageCount(
             "input_traces", curation.source_counts(t.question for t in records)
         )
-        _write_report(args.report, [input_row, row], [args.traces])
+        _write_report(args.report, [input_row, row], provenance)
     print(f"verified {len(kept)} of {len(records)} traces")
     return EXIT_OK
 
@@ -271,14 +271,14 @@ def cmd_curate_decontaminate(args) -> int:
     pool = load_questions(args.pool)
     eval_sets = [load_questions(path) for path in args.eval_sets]
     clean, row = curation.decontaminate(pool, eval_sets, ngram_size=args.ngram)
-    _write_pool_stage(args, pool, clean, row, [args.pool] + list(args.eval_sets))
+    _write_pool_stage(args, pool, clean, row, _provenance([args.pool] + args.eval_sets))
     return EXIT_OK
 
 
 def cmd_curate_dedup(args) -> int:
     pool = load_questions(args.pool)
     kept, row = curation.deduplicate(pool)
-    _write_pool_stage(args, pool, kept, row, [args.pool])
+    _write_pool_stage(args, pool, kept, row, _provenance([args.pool]))
     return EXIT_OK
 
 
@@ -289,7 +289,7 @@ def cmd_curate_sample(args) -> int:
     by_id = {q.id: q for q in pool}
     chosen = [by_id[item_id] for item_id, _ in selected]
     header = {"rng": curation.SAMPLER_RNG, "seed": args.seed}
-    _write_pool_stage(args, pool, chosen, row, [args.pool], config={"seed": args.seed}, header=header, verb="sampled")
+    _write_pool_stage(args, pool, chosen, row, _provenance([args.pool], {"seed": args.seed}), header=header, verb="sampled")
     return EXIT_OK
 
 
@@ -317,11 +317,13 @@ def cmd_curate_format_sft(args) -> int:
 
 
 def cmd_eval(args, cfg: Config) -> int:
+    # every dataset is loaded and checked before the first backend call
+    datasets = {path: _load_dataset(path) for path in args.datasets}
     backend = _backend(args, cfg)
     results = {}
-    for path in args.datasets:
-        results[path] = evaluation.evaluate(load_questions(path), backend, cfg.policy(), workers=cfg.workers)
-    inputs = list(args.datasets) + (args.mock or [])
+    for path, questions in datasets.items():
+        results[path] = evaluation.evaluate(questions, backend, cfg.policy(), workers=cfg.workers)
+    provenance = _provenance(args.datasets + (args.mock or []), _run_config(args, cfg))
     macro = evaluation.macro_average([100.0 * r.accuracy for r in results.values()])
     if args.out:
         records = (
@@ -336,7 +338,7 @@ def cmd_eval(args, cfg: Config) -> int:
             for path, result in results.items()
             for o in result.outcomes
         )
-        write_jsonl(args.out, records, meta=_provenance(inputs, _run_config(args, cfg)))
+        write_jsonl(args.out, records, meta=provenance)
     if args.transcripts:
         records = (
             o.transcript.to_record(o.question_id)
@@ -344,7 +346,7 @@ def cmd_eval(args, cfg: Config) -> int:
             for o in result.outcomes
             if o.transcript is not None
         )
-        write_jsonl(args.transcripts, records, meta=_provenance(inputs, _run_config(args, cfg)))
+        write_jsonl(args.transcripts, records, meta=provenance)
     if args.summary:
         write_json(
             args.summary,
@@ -359,7 +361,7 @@ def cmd_eval(args, cfg: Config) -> int:
                     for path, result in results.items()
                 },
                 "macro_average_percent": macro,
-                "_provenance": _provenance(inputs, _run_config(args, cfg)),
+                "_provenance": provenance,
             },
         )
     for path, result in results.items():
@@ -371,7 +373,7 @@ def cmd_eval(args, cfg: Config) -> int:
 def _run_sweep(args, cfg: Config, sweep_fn, grid, label: str) -> int:
     """Run ``sweep_fn`` over ``grid`` on ``--dataset`` and write the CSV,
     the optional SVG, the sweep JSON and the summary."""
-    questions = load_questions(args.dataset)
+    questions = _load_dataset(args.dataset)
     backend = _backend(args, cfg)
     sweep = sweep_fn(questions, backend, grid, cfg.policy(), dataset_name=args.dataset, workers=cfg.workers)
     fit = None
@@ -385,11 +387,11 @@ def _run_sweep(args, cfg: Config, sweep_fn, grid, label: str) -> int:
     if args.out_svg:
         atomic_write_bytes(args.out_svg, plotting.emit_plot(sweep, fit, plotting.FORMAT_SVG))
     # the summary and the sweep JSON for later plotting are the same document
+    payload = sweep.to_dict()
+    payload["fit"] = fit.to_dict() if fit else None
+    payload["_provenance"] = _provenance([args.dataset] + (args.mock or []), _run_config(args, cfg))
     for path in (args.out_json, args.summary):
         if path:
-            payload = sweep.to_dict()
-            payload["fit"] = fit.to_dict() if fit else None
-            payload["_provenance"] = _provenance([args.dataset] + (args.mock or []), _run_config(args, cfg))
             write_json(path, payload)
     for point in sweep.points:
         print(f"{label} {int(point.x)}: accuracy {point.accuracy:.4f} ({point.n_correct}/{point.n})")

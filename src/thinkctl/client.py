@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 from urllib.parse import urlsplit
@@ -513,6 +514,22 @@ def with_retries(fn: Callable[[], T]) -> T:
             if delay > 0:
                 time.sleep(delay)
             attempt += 1
+
+
+def in_order(calls: Iterable[Callable[[], T]], workers: int) -> Iterator[T]:
+    """Yield each call's result in the order given, inline in the calling
+    thread at ``workers`` <= 1. Otherwise ``map`` queues every call on one
+    pool of ``workers`` threads before the first is awaited, and drops each
+    future once gathered; an error or closing the iterator cancels the rest."""
+    if workers <= 1:
+        for call in calls:
+            yield call()
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(lambda call: call(), calls)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def probe_answer(backend, question_prompt: str) -> str:

@@ -29,6 +29,7 @@ _ASSIGNMENT = re.compile(r"([^=:]*)[=:](.*)")
 # the file sections whose keys are WireBackend and BudgetPolicy keyword arguments
 BACKEND_SECTION = "backend"
 POLICY_SECTION = "policy"
+RUN_SECTION = "run"
 
 
 class ConfigError(ValueError):
@@ -49,7 +50,7 @@ class Config:
     forcing_count: int = _key(POLICY_SECTION, 0)
     per_forcing_cap: int = _key(POLICY_SECTION, DEFAULT_PER_FORCING_CAP)
     forcing_text: str = _key(POLICY_SECTION, DEFAULT_FORCING_TEXT)
-    workers: int = _key("run", DEFAULT_WORKERS)
+    workers: int = _key(RUN_SECTION, DEFAULT_WORKERS)
 
     def __post_init__(self) -> None:
         self.backend()

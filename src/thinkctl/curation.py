@@ -13,12 +13,12 @@ from __future__ import annotations
 import logging
 import re
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .budget import ANSWER_MARKER, THINK_MARKER
-from .client import BackendError, probe_answer
+from .client import BackendError, in_order, probe_answer
 from .qa import DEFAULT_INSTRUCTION, McqQuestion, extract_answer, format_prompt, grade
 
 log = logging.getLogger(__name__)
@@ -236,6 +236,7 @@ def difficulty_filter(
     A grader hard failure counts as an incorrect answer for that question
     (logged), so flaky backends can only keep questions, never drop them.
     Results merge in item-id order regardless of worker completion order.
+    Any other error ends the stage and cancels the questions still queued.
     """
     if not graders:
         raise CurationError("difficulty_filter needs at least one grader")
@@ -248,18 +249,12 @@ def difficulty_filter(
             return False
         return grade(extract_answer(text, question.options), question.gold)
 
-    def verdict(question: McqQuestion) -> tuple[str, bool]:
+    def verdict(question: McqQuestion) -> bool:
         prompt = format_prompt(question)
-        keep = not any(grader_correct(g, question, prompt) for g in graders)
-        return question.id, keep
+        return not any(grader_correct(g, question, prompt) for g in graders)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            verdicts = dict(pool_exec.map(verdict, pool))
-    else:
-        verdicts = dict(verdict(q) for q in pool)
-
-    kept = sorted((q for q in pool if verdicts[q.id]), key=lambda q: q.id)
+    verdicts = in_order([partial(verdict, q) for q in pool], workers)
+    kept = sorted((q for keep, q in zip(verdicts, pool) if keep), key=lambda q: q.id)
     return kept, StageCount("difficulty_filter", source_counts(kept))
 
 

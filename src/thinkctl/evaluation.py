@@ -7,14 +7,15 @@ count of correct outcomes. Per-question hard failures count as incorrect
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import islice
 from statistics import fmean
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .budget import BudgetPolicy, ReasoningTranscript, run_with_budget
-from .client import BackendError, with_retries
+from .client import BackendError, in_order, with_retries
 from .qa import McqQuestion, extract_answer, format_prompt, grade
 
 DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
@@ -118,27 +119,21 @@ def evaluate(
     policy: BudgetPolicy,
     *,
     workers: int = DEFAULT_WORKERS,
-    runs: Sequence[Future] | None = None,
+    runs: Iterable[EvalOutcome] | None = None,
 ) -> EvalResult:
     """Run every question through the budget controller and grade it.
 
     Outcomes are merged in question-id order, so results do not depend on
     worker completion order. A question whose backend calls fail after
-    retries is flagged and counted incorrect. ``runs``, when given, holds
-    one already submitted ``_run_question`` future per question, which a
-    sweep's shared pool runs; they are gathered instead of run here.
+    retries is flagged and counted incorrect. ``runs``, when given, yields
+    each question's ``_run_question`` outcome from a sweep's runner.
     """
     if not questions:
         raise ValueError("dataset is empty")
 
-    if runs is not None:
-        outcomes = [run.result() for run in runs]
-    elif workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda q: _run_question(q, backend, policy), questions))
-    else:
-        outcomes = [_run_question(q, backend, policy) for q in questions]
-    outcomes.sort(key=lambda o: o.question_id)
+    if runs is None:
+        runs = in_order([partial(_run_question, q, backend, policy) for q in questions], workers)
+    outcomes = sorted(runs, key=lambda o: o.question_id)
 
     n = len(outcomes)
     n_correct = sum(1 for o in outcomes if o.correct)
@@ -166,31 +161,20 @@ def _sweep(
     """Evaluate once per value of the policy field ``knob``, in the order
     given, so every point is what a run at that value gives.
 
-    With ``workers`` > 1 the sweep shares one pool of ``workers`` threads
-    across its grid points: every point's question runs are queued, point
-    by point, before any is waited on, so a point's slowest run or retry
-    overlaps the next point's runs. Each point is still built by one
-    ``evaluate`` call, in the order of ``xs``. A run that raises anything
-    but a backend error cancels the runs still queued.
+    One ``in_order`` runner takes every point's runs, so on a pool a point's
+    slowest run overlaps the next point's; each point is one ``evaluate``.
     """
     policies = [replace(policy, **{knob: x}) for x in xs]
+    tasks = [partial(_run_question, q, backend, p) for p in policies for q in questions]
 
-    def point(x, at: BudgetPolicy, runs: Sequence[Future] | None = None) -> SweepPoint:
-        result = evaluate(questions, backend, at, workers=workers, runs=runs)
+    def point(x, at: BudgetPolicy, runs: Iterable[EvalOutcome]) -> SweepPoint:
+        # a function, so that a point's outcomes are freed before the next point is gathered
+        result = evaluate(questions, backend, at, runs=islice(runs, len(questions)))
         realized = [o.thinking_tokens for o in result.outcomes]
         return SweepPoint(x, result.accuracy, result.n, result.n_correct, fmean(realized))
 
-    if workers <= 1:
-        return SweepResult(dataset_name, kind, [point(x, p) for x, p in zip(xs, policies)])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            queued = deque([pool.submit(_run_question, q, backend, p) for q in questions] for p in policies)
-            # popleft drops each point's futures, and the outcomes they hold, once gathered
-            points = [point(x, p, queued.popleft()) for x, p in zip(xs, policies)]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return SweepResult(dataset_name, kind, points)
+    with closing(in_order(tasks, workers)) as runs:
+        return SweepResult(dataset_name, kind, [point(x, at, runs) for x, at in zip(xs, policies)])
 
 
 def budget_sweep(

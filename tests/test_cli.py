@@ -7,12 +7,14 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinkctl.budget import ANSWER_MARKER
+from thinkctl import cli, evaluation
 from thinkctl.cli import run
 from thinkctl.client import WireBackend
 from thinkctl.jsonl import load_questions
@@ -154,6 +156,19 @@ def test_malformed_dataset_exits_1_citing_line(tmp_path, oracle_script, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert ":7:" in err
+
+
+def test_eval_checks_every_dataset_before_the_first_run(tmp_path, dataset, oracle_script, monkeypatch, capsys):
+    data_path, _ = dataset
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "b1"}\n')
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("evaluate ran before every dataset was checked")
+
+    monkeypatch.setattr(evaluation, "evaluate", no_run)
+    assert run(["eval", "--dataset", str(data_path), "--dataset", str(bad), "--mock", str(oracle_script)]) == 1
+    assert f"{bad}:1: missing field 'question'" in capsys.readouterr().err
 
 
 def test_missing_dataset_exits_1(tmp_path, oracle_script, capsys):
@@ -724,6 +739,7 @@ def test_plot_and_report_take_no_config(capsys):
         pytest.param(["curate", "validate", "--traces", "t.jsonl", "--out", "o.jsonl", "--mock", "m.json"], id="validate-mock"),
         pytest.param(["curate", "dedup", "--pool", "p.jsonl", "--out", "o.jsonl", "--seed", "1"], id="dedup-seed"),
         pytest.param(["curate", "sample", "--pool", "p.jsonl", "--n", "2", "--out", "o.jsonl", "--budget", "8"], id="sample-budget"),
+        pytest.param(["curate", "filter", "--pool", "p.jsonl", "--out", "o.jsonl", "--budget", "8"], id="filter-budget"),
     ],
 )
 def test_removed_flags_are_usage_errors(argv, capsys):
@@ -763,6 +779,18 @@ def test_second_mock_exits_1(tmp_path, dataset, oracle_script, capsys, command):
     assert run([*argv, "--mock", str(oracle_script), "--mock", str(other)]) == 1
     err = capsys.readouterr().err
     assert "--mock" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "force-sweep"])
+def test_empty_dataset_exits_1_naming_the_file(tmp_path, oracle_script, capsys, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out"
+    assert run([*_backend_command(command, empty, out), "--mock", str(oracle_script)]) == 1
+    err = capsys.readouterr().err
+    assert f"{empty}: dataset is empty" in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("out*"))
 
@@ -807,11 +835,79 @@ def test_mock_run_records_no_backend_keys(tmp_path, dataset, oracle_script, monk
     argv = _backend_command(command, data_path, out)
     assert run([*argv, "--mock", str(oracle_script), "--config", str(cfg)]) == 0
     if command == "curate-filter":
+        # the filter sends no reasoning policy, so the file's [policy] section is checked but not recorded
         config = json.loads(out.read_text().splitlines()[0])["_meta"]["config"]
-    else:
-        config = json.loads(out.read_text())["_provenance"]["config"]
+        assert config == {"workers": 8}
+        return
+    config = json.loads(out.read_text())["_provenance"]["config"]
     assert set(config) == {"thinking_budget", "forcing_count", "per_forcing_cap", "forcing_text", "workers"}
     assert config["thinking_budget"] == 99
+
+
+def test_wire_filter_records_each_grader_model(tmp_path, dataset, monkeypatch):
+    # --grader-model replaces --model per grader; the [policy] section is checked but not recorded
+    data_path, _ = dataset
+    called = set()
+
+    def raw_stream(self, req):
+        called.add(self.model)
+        yield "\\boxed{A}"
+
+    monkeypatch.setattr(WireBackend, "raw_stream", raw_stream)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[policy]\nthinking_budget = 99\n")
+    out = tmp_path / "kept.jsonl"
+    argv = ["curate", "filter", "--pool", str(data_path), "--config", str(cfg), "--out", str(out)]
+    assert run([*argv, "--grader-model", "med-a", "--grader-model", "med-b"]) == 0
+    assert called == {"med-a", "med-b"}
+    config = json.loads(out.read_text().splitlines()[0])["_meta"]["config"]
+    assert set(config) == {"base_url", "model", "temperature", "seed", "workers"}
+    assert config["model"] == ["med-a", "med-b"]
+
+
+def _provenance_of(path: pathlib.Path) -> dict:
+    if path.suffix == ".jsonl":
+        return json.loads(path.read_text().splitlines()[0])["_meta"]
+    return json.loads(path.read_text())["_provenance"]
+
+
+@pytest.mark.parametrize(
+    "command", ["eval", "sweep", "force-sweep", "filter", "validate", "decontaminate", "dedup", "sample", "annotate", "format-sft"]
+)
+def test_each_input_is_digested_once_per_command(tmp_path, dataset, oracle_script, monkeypatch, command):
+    # every artifact of one command cites the one provenance the command computed
+    data_path, records = dataset
+    second = tmp_path / "second.jsonl"
+    write_jsonl_file(second, [dict(r, id=f"x{r['id']}") for r in records])
+    traces = tmp_path / "traces.jsonl"
+    write_jsonl_file(traces, [dict(records[0], thinking="step", response="\\boxed{A}", extracted="A", verified=True)])
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(json.dumps({"stem": "Diagnosis"}))
+    d, d2, m, t, lex = map(str, (data_path, second, oracle_script, traces, lexicon))
+    out = [tmp_path / name for name in ("o1.jsonl", "o2.jsonl", "o3.json", "o4.json")]
+    o1, o2, o3, o4 = map(str, out)
+    csv = str(tmp_path / "sweep.csv")
+    argv, inputs = {
+        "eval": (["eval", "--dataset", d, "--dataset", d2, "--mock", m, "--out", o1, "--transcripts", o2, "--summary", o3], {d, d2, m}),
+        "sweep": (["sweep", "--dataset", d, "--budgets", "16,32", "--mock", m, "--out-csv", csv, "--out-json", o3, "--summary", o4], {d, m}),
+        "force-sweep": (["force-sweep", "--dataset", d, "--max-forcings", "1", "--mock", m, "--out-csv", csv, "--out-json", o3, "--summary", o4], {d, m}),
+        "filter": (["curate", "filter", "--pool", d, "--mock", m, "--out", o1, "--report", o3], {d, m}),
+        "validate": (["curate", "validate", "--traces", t, "--out", o1, "--report", o3], {t}),
+        "decontaminate": (["curate", "decontaminate", "--pool", d, "--eval", d2, "--out", o1, "--report", o3], {d, d2}),
+        "dedup": (["curate", "dedup", "--pool", d, "--out", o1, "--report", o3], {d}),
+        "sample": (["curate", "sample", "--pool", d, "--n", "2", "--out", o1, "--report", o3], {d}),
+        "annotate": (["curate", "annotate", "--pool", d, "--lexicon", lex, "--out", o1], {d, lex}),
+        "format-sft": (["curate", "format-sft", "--traces", t, "--out", o1], {t}),
+    }[command]  # fmt: skip
+    digested = Counter()
+    sha256_file = cli.sha256_file
+    monkeypatch.setattr(cli, "sha256_file", lambda path: digested.update([path]) or sha256_file(path))
+    assert run(argv) == 0
+    assert digested == Counter(inputs)
+    provenances = [_provenance_of(path) for path in out if path.exists()]
+    assert provenances
+    assert all(p == provenances[0] for p in provenances)
+    assert set(provenances[0]["inputs"]) == inputs
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

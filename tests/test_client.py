@@ -27,6 +27,7 @@ from thinkctl.client import (
     WireBackend,
     _StopScanner,
     collect,
+    in_order,
     probe_answer,
     stream_generate,
     with_retries,
@@ -207,6 +208,29 @@ def test_with_retries_skips_nonretryable(monkeypatch):
     with pytest.raises(BackendStatusError):
         probe_answer(backend, "p")
     assert backend.calls == 1
+
+
+def test_in_order_yields_in_call_order_when_calls_finish_out_of_order():
+    """Each call waits for the one after it, so the calls finish in reverse."""
+    n = 4
+    finished = [threading.Event() for _ in range(n)]
+    done = []
+
+    def call(i):
+        if i + 1 < n:
+            assert finished[i + 1].wait(timeout=5)
+        done.append(i)
+        finished[i].set()
+        return i
+
+    assert list(in_order([lambda i=i: call(i) for i in range(n)], workers=n)) == list(range(n))
+    assert done == list(range(n))[::-1]
+
+
+def test_in_order_runs_inline_at_one_worker():
+    caller = threading.get_ident()
+    assert list(in_order([threading.get_ident] * 3, workers=1)) == [caller] * 3
+    assert caller not in in_order([threading.get_ident] * 3, workers=2)
 
 
 def test_error_classification_is_distinct_and_retry_classifiable():

@@ -4,6 +4,8 @@ import random
 import re
 import string
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -118,6 +120,33 @@ def test_difficulty_filter_worker_count_does_not_change_result():
     seq, _ = difficulty_filter(pool, graders, workers=1)
     par, _ = difficulty_filter(pool, graders, workers=4)
     assert [q.id for q in seq] == [q.id for q in par]
+
+
+def test_a_fatal_grader_error_cancels_the_queued_questions():
+    """An error that is not a backend error ends the stage; the questions
+    still queued are never graded."""
+
+    class Fatal:
+        token_joiner = " "
+
+        def __init__(self):
+            self.graded = []
+            self.lock = threading.Lock()
+
+        def raw_stream(self, req):
+            if "stem 0?" in req.prompt:
+                raise RuntimeError("bad grader")
+            with self.lock:
+                self.graded.append(req.prompt)
+            time.sleep(0.02)  # the questions already started outlast the cancel
+            yield "\\boxed{B}"
+
+    pool = [question(f"q{i:02d}", f"stem {i}?") for i in range(20)]
+    grader = Fatal()
+    with pytest.raises(RuntimeError, match="bad grader"):
+        difficulty_filter(pool, [grader], workers=2)
+    assert len(grader.graded) < 5
+    assert not any("stem 19?" in prompt for prompt in grader.graded)
 
 
 # --- trace validation -----------------------------------------------------------
