@@ -2,6 +2,8 @@
 
 The scripted model is the offline stand-in for a chat-completions server:
 entries pair a context-suffix trigger with a whitespace-tokenized emission.
+Each token is one unit of the emission with the space that follows it, so
+the tokens concatenate to the text, as a wire backend's deltas do.
 Every stream ends with one of three causes: the watched stop marker was
 emitted, the token cap was reached, or the backend stopped on its own.
 """
@@ -30,7 +32,7 @@ print("capped tokens:", [event.text for event in stream], "cause:", stream.cause
 stream = stream_generate(model, GenerationRequest("say anything", max_new_tokens=50, stop_on="<done>"))
 print("fallback tokens:", [event.text for event in stream], "cause:", stream.cause)
 
-# 4. markers are detected in the joined text, so they may arrive split
+# 4. markers are detected in the concatenated text, so they may arrive split
 #    across token events and are never delivered to the consumer
 model2 = ScriptedModel((ScriptEntry("", "thinking hard END OF THOUGHT leftover"),))
 stream = stream_generate(model2, GenerationRequest("go", max_new_tokens=50, stop_on="END OF THOUGHT"))

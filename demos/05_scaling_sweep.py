@@ -34,8 +34,9 @@ NEED = 12
 entries = []
 for q in questions:
     thought = " ".join(f"{q.id}w{j}" for j in range(NEED))
-    entries.append(ScriptEntry(format_prompt(q) + " <|im_start|>think", thought, ANSWER_MARKER))
-    entries.append(ScriptEntry(f"{q.id}w{NEED - 1} {ANSWER_MARKER} Final Answer:", f"\\boxed{{{q.gold}}}"))
+    # contexts are glued with no separator, as a wire backend is sent them
+    entries.append(ScriptEntry(format_prompt(q) + "<|im_start|>think", thought, ANSWER_MARKER))
+    entries.append(ScriptEntry(f"{q.id}w{NEED - 1}{ANSWER_MARKER}Final Answer:", f"\\boxed{{{q.gold}}}"))
 entries.append(ScriptEntry("Final Answer:", "thought was cut short"))
 model = ScriptedModel(tuple(entries))
 

@@ -6,6 +6,11 @@ marker) and forcing injections remain, the marker is suppressed and the
 forcing text is appended so the model keeps reasoning, each continuation
 capped separately. When the budget cuts a thought, the end-of-think marker
 and the answer cue are injected and the answer phase is streamed.
+
+Every context is glued as a wire backend is sent it: the prompt, the think
+marker, the model's own tokens, the forcing text and the end-of-think
+marker plus answer cue are concatenated with no separator, so forcing
+continues the model's own turn.
 """
 
 from __future__ import annotations
@@ -91,15 +96,13 @@ class ReasoningTranscript:
     The first segment is the initial thought and each later one a forced
     continuation, so ``injections`` is one less than the segment count.
     ``thinking_tokens`` counts model-emitted thinking tokens only; the
-    injected forcing text is not part of any segment. ``token_joiner`` is
-    the producing backend's join rule, kept so segment text reconstructs
-    exactly.
+    injected forcing text is not part of any segment. A segment's text is
+    its tokens concatenated.
     """
 
     segments: tuple[Segment, ...]
     answer_text: str
     termination: str
-    token_joiner: str = " "
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -123,7 +126,7 @@ class ReasoningTranscript:
             "segments": [
                 {
                     "provenance": s.provenance,
-                    "text": self.token_joiner.join(s.tokens),
+                    "text": "".join(s.tokens),
                     "tokens": list(s.tokens),
                 }
                 for s in self.segments
@@ -152,41 +155,31 @@ def _generate(backend, req: GenerationRequest, phase: str) -> tuple[list[str], s
         raise BudgetRunError(f"backend failed during {phase} phase: {exc}") from exc
 
 
-def render_context(prompt: str, segments: Sequence[Segment], policy: BudgetPolicy, joiner: str) -> str:
+def render_context(prompt: str, segments: Sequence[Segment], policy: BudgetPolicy) -> str:
     """The generation context the model continues after ``segments``.
 
     Prompt, think marker, then each segment's tokens, with the forcing text
-    before every forced segment. A forced segment with no tokens yet ends
-    the context at its forcing text, which is how the request for the next
-    forced continuation is built. Parts are separated by the backend's
-    ``joiner``, and an empty context takes the next part as is.
+    before every forced segment, all concatenated. A forced segment with
+    no tokens yet ends the context at its forcing text, which is how the
+    request for the next forced continuation is built.
     """
     parts = [prompt, policy.think_marker]
     for seg in segments:
         if seg.provenance != PROVENANCE_INITIAL:
             parts.append(policy.forcing_text)
-        if seg.tokens:
-            parts.append(joiner.join(seg.tokens))
-    return _join(parts, joiner)
+        parts.extend(seg.tokens)
+    return "".join(parts)
 
 
-def _join(parts: list[str], joiner: str) -> str:
-    context = ""
-    for part in parts:
-        context = context + joiner + part if context else part
-    return context
-
-
-def _answer_phase(prompt: str, segments: Sequence[Segment], policy: BudgetPolicy, backend, joiner: str) -> str:
+def _answer_phase(prompt: str, segments: Sequence[Segment], policy: BudgetPolicy, backend) -> str:
     """Inject the end-of-think marker and the answer cue after ``segments``
     and stream the answer."""
-    context = render_context(prompt, segments, policy, joiner)
     req = GenerationRequest(
-        prompt=_join([context, policy.end_of_think_marker, ANSWER_CUE], joiner),
+        prompt=render_context(prompt, segments, policy) + policy.end_of_think_marker + ANSWER_CUE,
         max_new_tokens=ANSWER_CAP,
     )
     answer_tokens, _ = _generate(backend, req, "answer")
-    return joiner.join(answer_tokens)
+    return "".join(answer_tokens)
 
 
 def run_with_budget(prompt: str, policy: BudgetPolicy, backend) -> ReasoningTranscript:
@@ -197,7 +190,6 @@ def run_with_budget(prompt: str, policy: BudgetPolicy, backend) -> ReasoningTran
     remaining is suppressed and replaced by the forcing text. A budget cut
     transitions to the answer phase via marker + answer cue injection.
     """
-    joiner = getattr(backend, "token_joiner", "")
     segments: list[Segment] = []
     while True:
         if segments:
@@ -205,7 +197,7 @@ def run_with_budget(prompt: str, policy: BudgetPolicy, backend) -> ReasoningTran
         else:
             cap, provenance = policy.thinking_budget, PROVENANCE_INITIAL
         req = GenerationRequest(
-            prompt=render_context(prompt, segments + [Segment(provenance, ())], policy, joiner),
+            prompt=render_context(prompt, segments + [Segment(provenance, ())], policy),
             max_new_tokens=cap,
             stop_on=policy.end_of_think_marker,
         )
@@ -221,10 +213,5 @@ def run_with_budget(prompt: str, policy: BudgetPolicy, backend) -> ReasoningTran
         termination = TERMINATION_FORCING
     else:
         termination = TERMINATION_NATURAL
-    answer_text = _answer_phase(prompt, segments, policy, backend, joiner)
-    return ReasoningTranscript(
-        segments=tuple(segments),
-        answer_text=answer_text,
-        termination=termination,
-        token_joiner=joiner,
-    )
+    answer_text = _answer_phase(prompt, segments, policy, backend)
+    return ReasoningTranscript(segments=tuple(segments), answer_text=answer_text, termination=termination)

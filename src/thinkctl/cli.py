@@ -36,7 +36,6 @@ from .regression import FitRefusedError, RegressionFit, fit_linear_with_ci
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_USAGE = 2
 
 
 def _add_config(parser: argparse.ArgumentParser, mock: str, sections=SECTION_KEYS) -> None:
@@ -90,6 +89,8 @@ def _graders(args: argparse.Namespace, cfg: Config) -> list:
         if args.grader_model:
             raise ConfigError("--grader-model names a wire grader; it cannot be combined with --mock")
         return [_read_json(path, ScriptedModel.from_dict) for path in args.mock]
+    if args.grader_model and args.model is not None:
+        raise ConfigError("--grader-model sets each grader's model; it cannot be combined with --model")
     backend = cfg.backend()
     return [replace(backend, model=m) for m in args.grader_model or [backend.model]]
 
@@ -437,7 +438,9 @@ def cmd_report(args) -> int:
         cells = [stage.name] + [str(stage.counts.get(s, 0)) for s in sources] + [str(stage.total)]
         print("\t".join(cells))
     if args.out:
-        write_json(args.out, report.to_dict())
+        payload = report.to_dict()
+        payload["_provenance"] = _provenance([args.report_in])
+        write_json(args.out, payload)
     return EXIT_OK
 
 

@@ -2,9 +2,11 @@
 deterministic scripted mock.
 
 A "token" here is one stream event as delimited by the backend; no
-independent tokenization is performed. The mock splits its scripted
-emissions on whitespace (one event per unit) and joins text back with
-single spaces, so fixtures are stable. Wire deltas concatenate directly.
+independent tokenization is performed. Every backend's tokens concatenate
+directly to the text it generated: wire deltas do, and the scripted mock
+yields each whitespace unit of an emission with the single space that
+follows it. Text is never joined with a separator, so a context is glued
+from its parts exactly as it is sent to a wire backend.
 """
 
 from __future__ import annotations
@@ -92,51 +94,38 @@ class TokenEvent(NamedTuple):
 class _StopScanner:
     """Incremental stop-marker detection over a token stream.
 
-    Tokens are scanned in the text formed by joining them with ``joiner``
-    (backends may split markers across token events, and an occurrence may
-    begin inside a joiner). A token is withheld only while the joined
+    Tokens are scanned in their concatenated text (backends may split
+    markers across token events). A token is withheld only while the
     text's tail could still grow into the marker, so it is released as
     soon as no future occurrence can overlap it; when the marker
     completes, a straddling token is truncated to its text before the
     marker, so the marker never reaches the consumer.
 
-    Offsets into the joined text are relative: they are only compared
-    with one another, so shifting all of them by one amount changes
-    nothing. When the joiner has no ``marker[0]`` and nothing is withheld,
-    a token without ``marker[0]`` can start no occurrence and is released
-    at once; the state after it differs from the state before it only by
-    such a shift. So a caller may release that token without calling
-    ``push``, and the next ``push`` continues from the unchanged state
-    with no re-base. ``watch`` is the character whose presence sends a
-    token to ``push`` while ``held`` is empty: ``marker[0]``, or ``""``
-    (in every token) when the joiner holds ``marker[0]``. ``held`` is only
+    Offsets into the text are relative: they are only compared with one
+    another, so shifting all of them by one amount changes nothing. While
+    nothing is withheld, a token without ``watch`` (``marker[0]``) can
+    start no occurrence and is released at once; the state after it
+    differs from the state before it only by such a shift. So a caller may
+    release that token without calling ``push``, and the next ``push``
+    continues from the unchanged state with no re-base. ``held`` is only
     changed in place, so a caller may test an alias of it.
     """
 
-    def __init__(self, marker: str, joiner: str):
+    def __init__(self, marker: str):
         if not marker:
             raise ValueError("stop marker must be nonempty")
         self.marker = marker
-        self.joiner = joiner
         self.found = False
-        self._first = marker[0]
-        self.watch = "" if self._first in joiner else self._first
+        self.watch = marker[0]
         self.held: list[tuple[str, int]] = []  # (token, start offset)
-        self._text_len = -len(joiner)  # end offset of the pushed text; no joiner precedes the first token
-        self._tail = ""  # joined text from _tail_from onward
+        self._tail = ""  # the pushed text from _tail_from onward
         self._tail_from = 0
 
     def push(self, token: str) -> list[str]:
         if self.found:
             return []
-        start = self._text_len + len(self.joiner)
-        if self._tail_from <= self._text_len:
-            self._tail += self.joiner + token
-        else:
-            # the tail watermark sits inside the committed joiner
-            self._tail = (self.joiner + token)[self._tail_from - self._text_len :]
-        self.held.append((token, start))
-        self._text_len = start + len(token)
+        self.held.append((token, self._tail_from + len(self._tail)))
+        self._tail += token
 
         idx = self._tail.find(self.marker)
         if idx != -1:
@@ -154,18 +143,14 @@ class _StopScanner:
         return out
 
     def _earliest_future_start(self) -> int:
-        # a future occurrence must end beyond the current text; its known
-        # prefix (remaining text plus the joiner committed before any next
-        # token) must match the start of the marker, so it starts at a
-        # ``marker[0]`` or at the end of the known text (a multi-character
-        # joiner may hold the marker's end, so compare at most its length)
-        known = self._tail + self.joiner
-        p = known.find(self._first, max(0, self._text_len - len(self.marker) + 1 - self._tail_from))
-        while p != -1:
-            if self.marker.startswith(known[p : p + len(self.marker)]):
-                return self._tail_from + p
-            p = known.find(self._first, p + 1)
-        return self._tail_from + len(known)
+        # a future occurrence must end beyond the current text, and the
+        # text it already covers must match the start of the marker, so
+        # it starts at a ``marker[0]`` or at the end of the text
+        tail = self._tail
+        p = tail.find(self.watch, max(0, len(tail) - len(self.marker) + 1))
+        while p != -1 and not self.marker.startswith(tail[p:]):
+            p = tail.find(self.watch, p + 1)
+        return self._tail_from + (len(tail) if p == -1 else p)
 
     def _cut_tokens(self, marker_start: int) -> list[str]:
         out = []
@@ -217,7 +202,7 @@ class TokenStream:
         self._req = req
         self._cap = req.max_new_tokens
         self._raw: Iterator[str] | None = None  # opened by the first read
-        self._scanner = _StopScanner(req.stop_on, getattr(backend, "token_joiner", "")) if req.stop_on else None
+        self._scanner = _StopScanner(req.stop_on) if req.stop_on else None
         self._texts: list[str] = []  # every released text, in order
         self._pos = 0  # texts returned as events
         self._end: str | None = None  # the cause, once the pump has stopped
@@ -324,10 +309,14 @@ class ScriptEntry:
     """One scripted reaction.
 
     ``trigger`` is a suffix pattern on the current prompt/context; the empty
-    string matches any context. ``emission`` is whitespace-tokenized. An
-    optional ``terminal_marker`` is emitted as a final token after the
-    emission (a watched ``stop_on`` marker turns it into a ``marker`` stop;
-    otherwise it is ordinary text).
+    string matches any context. Contexts are glued with no separator, so a
+    trigger spells none either: ``"Wait."`` matches a forcing, and
+    ``"end<|im_start|>answerFinal Answer:"`` an answer cue after a thought
+    that ended at ``end``. ``emission`` is whitespace-tokenized: each unit
+    is one token carrying the single space that follows it (the last unit
+    carries none). An optional ``terminal_marker`` is emitted bare as a
+    final token after the emission (a watched ``stop_on`` marker turns it
+    into a ``marker`` stop; otherwise it is ordinary text).
     """
 
     trigger: str
@@ -352,8 +341,6 @@ class ScriptedModel:
 
     entries: tuple[ScriptEntry, ...]
 
-    token_joiner = " "
-
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("script must contain at least one entry")
@@ -368,7 +355,10 @@ class ScriptedModel:
         entry = self.match(req.prompt)
         if entry is None:
             return
-        yield from entry.emission.split()
+        units = entry.emission.split()
+        for unit in units[:-1]:
+            yield unit + " "
+        yield from units[-1:]
         if entry.terminal_marker is not None:
             yield entry.terminal_marker
 
@@ -415,8 +405,6 @@ class WireBackend:
     seed: int = DEFAULT_SEED
     api_key: str | None = None
     timeout: float = 120.0
-
-    token_joiner = ""
 
     def __post_init__(self) -> None:
         url = urlsplit(self.base_url)
@@ -542,7 +530,6 @@ def probe_answer(backend, question_prompt: str) -> str:
     def attempt() -> str:
         req = GenerationRequest(prompt=question_prompt, max_new_tokens=TRACE_TOKEN_LIMIT)
         texts, _ = collect(stream_generate(backend, req))
-        joiner = getattr(backend, "token_joiner", "")
-        return joiner.join(texts)
+        return "".join(texts)
 
     return with_retries(attempt)

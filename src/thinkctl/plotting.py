@@ -67,6 +67,9 @@ def _scale(values: list[float]) -> tuple[float, float]:
 
 
 def _emit_svg(sweep: SweepResult, fit: RegressionFit | None) -> bytes:
+    # imported here, so that a run which draws no SVG never loads it
+    from html import escape
+
     xs = [p.x for p in sweep.points]
     ys = [100.0 * p.accuracy for p in sweep.points]
     band_values = []
@@ -97,7 +100,7 @@ def _emit_svg(sweep: SweepResult, fit: RegressionFit | None) -> bytes:
         f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 15}" text-anchor="middle" font-size="14">{x_label}</text>',
         f'<text x="18" y="{_HEIGHT // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {_HEIGHT // 2})">accuracy (%)</text>',
-        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" font-size="15">{sweep.dataset}</text>',
+        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" font-size="15">{escape(sweep.dataset, quote=False)}</text>',
     ]
     if fit is not None:
         upper = [pt(x, fit.band(x)[1]) for x in xs]

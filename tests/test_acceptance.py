@@ -106,7 +106,7 @@ def random_scripted_model(rng: random.Random) -> tuple[ScriptedModel, int]:
 
     for i in range(rounds, 0, -1):
         marker = ANSWER_MARKER if rng.random() < 0.9 else None
-        entries.append(ScriptEntry(f"r{i - 1}end Wait.", emission(i), marker))
+        entries.append(ScriptEntry(f"r{i - 1}endWait.", emission(i), marker))
     if rng.random() < 0.9:
         entries.append(ScriptEntry("Final Answer:", "\\boxed{B}", None))
     entries.append(
@@ -155,7 +155,7 @@ def test_budget_state_machine_suite(criterion):
             # (d) marker hygiene
             for segment in transcript.segments:
                 assert all(ANSWER_MARKER not in token for token in segment.tokens)
-                assert ANSWER_MARKER not in " ".join(segment.tokens)
+                assert ANSWER_MARKER not in "".join(segment.tokens)
 
 
 # --- 4. difficulty-filter oracle ----------------------------------------------------
@@ -321,14 +321,14 @@ def step_dataset_and_script(tmp_path, n_questions: int, k: int):
         thought = " ".join(f"{qid}w{j}" for j in range(k))
         entries.append(
             {
-                "trigger": format_prompt(q) + " <|im_start|>think",
+                "trigger": format_prompt(q) + "<|im_start|>think",
                 "emission": thought,
                 "terminal_marker": ANSWER_MARKER,
             }
         )
         entries.append(
             {
-                "trigger": f"{qid}w{k - 1} {ANSWER_MARKER} Final Answer:",
+                "trigger": f"{qid}w{k - 1}{ANSWER_MARKER}Final Answer:",
                 "emission": f"\\boxed{{{gold}}}",
             }
         )
@@ -384,11 +384,11 @@ def test_forcing_flip_reproduction(criterion, questions_abcd):
             wrong = "A" if q.gold != "A" else "B"
             entries += [
                 ScriptEntry(
-                    format_prompt(q) + " <|im_start|>think", f"sure-{q.id}", ANSWER_MARKER
+                    format_prompt(q) + "<|im_start|>think", f"sure-{q.id}", ANSWER_MARKER
                 ),
-                ScriptEntry(f"sure-{q.id} Wait.", f"doubt-{q.id}", ANSWER_MARKER),
-                ScriptEntry(f"sure-{q.id} {ANSWER_MARKER} Final Answer:", f"\\boxed{{{q.gold}}}"),
-                ScriptEntry(f"doubt-{q.id} {ANSWER_MARKER} Final Answer:", f"\\boxed{{{wrong}}}"),
+                ScriptEntry(f"sure-{q.id}Wait.", f"doubt-{q.id}", ANSWER_MARKER),
+                ScriptEntry(f"sure-{q.id}{ANSWER_MARKER}Final Answer:", f"\\boxed{{{q.gold}}}"),
+                ScriptEntry(f"doubt-{q.id}{ANSWER_MARKER}Final Answer:", f"\\boxed{{{wrong}}}"),
             ]
         model = ScriptedModel(tuple(entries))
         sweep = forcing_sweep(questions, model, 1, BudgetPolicy())

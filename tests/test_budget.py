@@ -84,7 +84,7 @@ def test_forcing_trace_matches_hand_replay():
 def test_budget_cut_transitions_to_answer():
     model = forcing_model(50, 7)
     transcript = run_with_budget("Q?", BudgetPolicy(thinking_budget=8, forcing_count=3), model)
-    assert transcript.segments[0].tokens == tuple(f"t{i}" for i in range(8))
+    assert transcript.segments[0].tokens == tuple(f"t{i} " for i in range(8))  # cut by the cap after "t7 "
     assert transcript.termination == TERMINATION_BUDGET
     assert transcript.injections == 0
     assert transcript.answer_text == "\\boxed{B}"
@@ -111,8 +111,8 @@ def test_marker_never_stored_in_segments():
     transcript = run_with_budget("Q?", BudgetPolicy(thinking_budget=100), model)
     for segment in transcript.segments:
         assert all(ANSWER_MARKER not in token for token in segment.tokens)
-        assert ANSWER_MARKER not in " ".join(segment.tokens)
-    assert transcript.segments[0].tokens == ("one", "two")
+        assert ANSWER_MARKER not in "".join(segment.tokens)
+    assert transcript.segments[0].tokens == ("one ", "two ")
 
 
 def test_backend_stop_during_thinking_is_natural():
@@ -138,8 +138,6 @@ def test_empty_answer_sets_flag():
 
 def test_backend_error_carries_partial_transcript():
     class Flaky:
-        token_joiner = " "
-
         def __init__(self):
             self.calls = 0
 
@@ -187,7 +185,7 @@ def test_serialization_round_trip():
     record = transcript.to_record("q1")
     assert record["id"] == "q1"
     assert record["segments"][0]["text"] == "t0 t1 t2 t3"
-    assert record["segments"][0]["tokens"] == ["t0", "t1", "t2", "t3"]
+    assert record["segments"][0]["tokens"] == ["t0 ", "t1 ", "t2 ", "t3"]
     assert record["injections"] == 1
     assert record["thinking_tokens"] == 7
     assert record["answer"] == transcript.answer_text
@@ -195,35 +193,44 @@ def test_serialization_round_trip():
 
 
 class RecordingBackend:
-    """Serves a scripted model under the given join rule and logs every
-    request it receives."""
+    """Serves a scripted model's emissions and logs every request it
+    receives. It yields each whitespace unit with the space that follows
+    it by its own code, so the pinned log below does not move with the
+    scripted mock's implementation."""
 
-    def __init__(self, model: ScriptedModel, token_joiner: str):
+    def __init__(self, model: ScriptedModel):
         self.model = model
-        self.token_joiner = token_joiner
         self.requests = []
 
     def raw_stream(self, req):
         self.requests.append(req)
-        return self.model.raw_stream(req)
+        entry = self.model.match(req.prompt)
+        if entry is None:
+            return
+        units = entry.emission.split()
+        yield from [unit + " " for unit in units[:-1]] + units[-1:]
+        if entry.terminal_marker is not None:
+            yield entry.terminal_marker
 
 
 # sha256 of the request log below; any change to the bytes of a generation
 # context, or to a request's cap or stop marker, moves it
-REQUEST_LOG_SHA256 = "f234d76813d336aec691d3e052712d6a005606d012c4fa0cf8b001748ac7fa8c"
+REQUEST_LOG_SHA256 = "61cf4e26a9f68400b520128e4d0ff949ef8e88993708e38010125308c2f43057"
 
 
 def test_request_bytes_are_pinned():
     digest = hashlib.sha256()
+    requests = 0
     for trial in range(250):
         rng = random.Random(10_000 + trial)
         model, _ = random_scripted_model(rng)
         policy = BudgetPolicy(thinking_budget=rng.randint(1, 200), forcing_count=rng.randint(0, 3))
-        for joiner in (" ", ""):
-            for prompt in ("Prompt?", ""):
-                backend = RecordingBackend(model, joiner)
-                run_with_budget(prompt, policy, backend)
-                for req in backend.requests:
-                    record = (req.prompt, req.max_new_tokens, req.stop_on)
-                    digest.update(repr(record).encode("utf-8"))
+        for prompt in ("Prompt?", ""):
+            backend = RecordingBackend(model)
+            run_with_budget(prompt, policy, backend)
+            for req in backend.requests:
+                record = (req.prompt, req.max_new_tokens, req.stop_on)
+                digest.update(repr(record).encode("utf-8"))
+            requests += len(backend.requests)
+    assert requests == 1414
     assert digest.hexdigest() == REQUEST_LOG_SHA256

@@ -19,6 +19,7 @@ from thinkctl.cli import run
 from thinkctl.client import WireBackend
 from thinkctl.jsonl import load_questions
 from thinkctl.qa import DEFAULT_INSTRUCTION, McqQuestion, format_prompt
+from test_client import _SSEHandler, sse_server  # noqa: F401  (the loopback SSE server fixture)
 
 
 def write_jsonl_file(path, records):
@@ -49,11 +50,11 @@ def scripted_answers(questions, letter_for) -> dict:
         )
         prompt = format_prompt(q, DEFAULT_INSTRUCTION)
         entries.append(
-            {"trigger": prompt + " <|im_start|>think", "emission": f"mull-{q.id}", "terminal_marker": ANSWER_MARKER}
+            {"trigger": prompt + "<|im_start|>think", "emission": f"mull-{q.id}", "terminal_marker": ANSWER_MARKER}
         )
         entries.append(
             {
-                "trigger": f"mull-{q.id} {ANSWER_MARKER} Final Answer:",
+                "trigger": f"mull-{q.id}{ANSWER_MARKER}Final Answer:",
                 "emission": f"\\boxed{{{letter_for(record)}}}",
                 "terminal_marker": None,
             }
@@ -274,10 +275,10 @@ def test_force_sweep_flip(tmp_path, dataset):
         wrong = "A" if q.gold != "A" else "B"
         prompt = format_prompt(q, DEFAULT_INSTRUCTION)
         entries += [
-            {"trigger": prompt + " <|im_start|>think", "emission": f"sure-{q.id}", "terminal_marker": ANSWER_MARKER},
-            {"trigger": f"sure-{q.id} Wait.", "emission": f"doubt-{q.id}", "terminal_marker": ANSWER_MARKER},
-            {"trigger": f"sure-{q.id} {ANSWER_MARKER} Final Answer:", "emission": f"\\boxed{{{q.gold}}}"},
-            {"trigger": f"doubt-{q.id} {ANSWER_MARKER} Final Answer:", "emission": f"\\boxed{{{wrong}}}"},
+            {"trigger": prompt + "<|im_start|>think", "emission": f"sure-{q.id}", "terminal_marker": ANSWER_MARKER},
+            {"trigger": f"sure-{q.id}Wait.", "emission": f"doubt-{q.id}", "terminal_marker": ANSWER_MARKER},
+            {"trigger": f"sure-{q.id}{ANSWER_MARKER}Final Answer:", "emission": f"\\boxed{{{q.gold}}}"},
+            {"trigger": f"doubt-{q.id}{ANSWER_MARKER}Final Answer:", "emission": f"\\boxed{{{wrong}}}"},
         ]
     script = tmp_path / "flip.json"
     script.write_text(json.dumps({"entries": entries}))
@@ -574,6 +575,24 @@ def test_report_validates_and_prints(tmp_path, capsys):
     assert run(["report", "--in", str(bad)]) == 1
 
 
+def test_report_out_cites_its_input(tmp_path, dataset, oracle_script, capsys):
+    data_path, _ = dataset
+    ledger = tmp_path / "r1.json"
+    argv = ["curate", "filter", "--pool", str(data_path), "--mock", str(oracle_script), "--out", str(tmp_path / "hard.jsonl")]
+    assert run([*argv, "--report", str(ledger)]) == 0
+    normalized = tmp_path / "normalized.json"
+    assert run(["report", "--in", str(ledger), "--out", str(normalized)]) == 0
+    payload = json.loads(normalized.read_text())
+    assert payload["_provenance"] == {"inputs": {str(ledger): cli.sha256_file(str(ledger))}}
+    assert [stage["name"] for stage in payload["stages"]] == ["initial_collection", "difficulty_filter"]
+    # the normalized report is itself a report, and prints as its input does
+    capsys.readouterr()
+    assert run(["report", "--in", str(normalized)]) == 0
+    printed = capsys.readouterr().out
+    assert run(["report", "--in", str(ledger)]) == 0
+    assert capsys.readouterr().out == printed
+
+
 @pytest.mark.parametrize(
     "option, content",
     [
@@ -807,6 +826,20 @@ def test_grader_model_with_mock_exits_1(tmp_path, dataset, oracle_script, capsys
     assert not out.exists()
 
 
+def test_grader_model_with_model_exits_1(tmp_path, dataset, monkeypatch, capsys):
+    # --grader-model sets each wire grader's model, so --model would be dropped unread
+    data_path, _ = dataset
+    called = []
+    monkeypatch.setattr(WireBackend, "raw_stream", lambda self, req: called.append(self.model) or iter(["\\boxed{A}"]))
+    out = tmp_path / "kept.jsonl"
+    argv = ["curate", "filter", "--pool", str(data_path), "--model", "x", "--grader-model", "a", "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "--grader-model" in err and "--model" in err
+    assert "Traceback" not in err
+    assert not out.exists() and called == []
+
+
 BACKEND_FLAGS = {"--base-url": "http://example.invalid:1", "--model": "gpt-x", "--temperature": "0.5", "--seed": "3"}
 
 
@@ -863,6 +896,52 @@ def test_wire_filter_records_each_grader_model(tmp_path, dataset, monkeypatch):
     config = json.loads(out.read_text().splitlines()[0])["_meta"]["config"]
     assert set(config) == {"base_url", "model", "temperature", "seed", "workers"}
     assert config["model"] == ["med-a", "med-b"]
+
+
+def test_eval_against_the_loopback_server(tmp_path, dataset, sse_server):
+    # every request gets the same two deltas, so each thought is "ponder \\boxed{B}"
+    # and the answer request glues the marker and cue onto it as they came
+    data_path, records = dataset
+    _SSEHandler.deltas = ["ponder ", "\\boxed{B}"]
+    summary = tmp_path / "summary.json"
+    argv = ["eval", "--dataset", str(data_path), "--base-url", sse_server, "--model", "m", "--workers", "2"]
+    assert run([*argv, "--summary", str(summary)]) == 0
+    payload = json.loads(summary.read_text())
+    golds = [r["answer"] for r in records]
+    assert payload["datasets"][str(data_path)]["n_correct"] == golds.count("B")
+    assert payload["_provenance"]["config"]["base_url"] == sse_server
+    bodies = _SSEHandler.requests_seen
+    assert len(bodies) == 2 * len(records) and {b["model"] for b in bodies} == {"m"}
+    prompts = sorted(b["messages"][0]["content"] for b in bodies if b["max_tokens"] == 4096)
+    answers = sorted(b["messages"][0]["content"] for b in bodies if b["max_tokens"] == 1024)
+    assert [p.endswith("<|im_start|>think") for p in prompts] == [True] * len(records)
+    assert answers == [p + f"ponder \\boxed{{B}}{ANSWER_MARKER}Final Answer:" for p in prompts]
+
+
+def test_sweep_against_the_loopback_server(tmp_path, dataset, sse_server):
+    # a budget of 1 cuts each thought after "ponder ", and the cut thought is sent back as it came
+    data_path, records = dataset
+    _SSEHandler.deltas = ["ponder ", "\\boxed{B}"]
+    curve = tmp_path / "curve.csv"
+    argv = ["sweep", "--dataset", str(data_path), "--budgets", "1,2", "--base-url", sse_server, "--workers", "1"]
+    assert run([*argv, "--out-csv", str(curve), "--no-fit"]) == 0
+    rows = curve.read_text().splitlines()
+    assert [row.split(",")[:3] for row in rows[1:]] == [["1", "25.0", "8"], ["2", "25.0", "8"]]
+    bodies = _SSEHandler.requests_seen
+    assert Counter(b["max_tokens"] for b in bodies) == {1: 8, 2: 8, 1024: 16}
+    cut = [b["messages"][0]["content"] for b in bodies if b["max_tokens"] == 1024]
+    assert sum(c.endswith(f"<|im_start|>thinkponder {ANSWER_MARKER}Final Answer:") for c in cut) == 8
+
+
+def test_unparsable_budgets_exit_1(tmp_path, dataset, oracle_script, capsys):
+    data_path, _ = dataset
+    out = tmp_path / "curve.csv"
+    argv = ["sweep", "--dataset", str(data_path), "--mock", str(oracle_script), "--budgets", "8,x", "--out-csv", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "cannot parse --budgets '8,x'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _provenance_of(path: pathlib.Path) -> dict:

@@ -53,7 +53,7 @@ def test_script_shorter_than_cap_stops_on_marker():
     model = single_entry_model("a b c", marker="END")
     stream = stream_generate(model, GenerationRequest("p", max_new_tokens=10, stop_on="END"))
     events = list(stream)
-    assert [e.text for e in events] == ["a", "b", "c"]
+    assert [e.text for e in events] == ["a ", "b ", "c"]
     assert stream.cause == CAUSE_MARKER
     assert [e.cause for e in events] == [None, None, CAUSE_MARKER]
     assert [e.ordinal for e in events] == [0, 1, 2]
@@ -78,14 +78,14 @@ def test_backend_stop_when_script_runs_dry():
     model = single_entry_model("only two")
     stream = stream_generate(model, GenerationRequest("p", max_new_tokens=10))
     texts, cause = collect(stream)
-    assert texts == ["only", "two"]
+    assert texts == ["only ", "two"]
     assert cause == CAUSE_BACKEND_STOP
 
 
 def test_unwatched_terminal_marker_is_plain_text():
     model = single_entry_model("a b", marker="<|eot|>")
     texts, cause = collect(stream_generate(model, GenerationRequest("p", max_new_tokens=10)))
-    assert texts == ["a", "b", "<|eot|>"]
+    assert texts == ["a ", "b", "<|eot|>"]
     assert cause == CAUSE_BACKEND_STOP
 
 
@@ -99,18 +99,18 @@ def test_zero_token_stream_reports_cause():
 def test_marker_inside_emission_is_suppressed():
     model = single_entry_model("keep this END drop that")
     texts, cause = collect(stream_generate(model, GenerationRequest("p", max_new_tokens=10, stop_on="END")))
-    assert texts == ["keep", "this"]
+    assert texts == ["keep ", "this "]
     assert cause == CAUSE_MARKER
 
 
 def test_marker_split_across_tokens_detected_via_joined_text():
-    # whitespace-tokenized marker arrives as two events; the joined text
-    # contains it, so detection must span events
+    # whitespace-tokenized marker arrives as two events; their concatenated
+    # text contains it, so detection must span events
     model = single_entry_model("alpha STOP NOW beta")
     texts, cause = collect(
         stream_generate(model, GenerationRequest("p", max_new_tokens=10, stop_on="STOP NOW"))
     )
-    assert texts == ["alpha"]
+    assert texts == ["alpha "]
     assert cause == CAUSE_MARKER
 
 
@@ -160,8 +160,6 @@ def test_script_round_trips_through_json(tmp_path):
 class _FailingBackend:
     """Raises a configurable number of retryable errors before succeeding."""
 
-    token_joiner = " "
-
     def __init__(self, failures: int, error: BackendError):
         self.failures = failures
         self.error = error
@@ -171,12 +169,13 @@ class _FailingBackend:
         self.calls += 1
         if self.calls <= self.failures:
             raise self.error
-        yield from ["recovered", "text"]
+        yield from ["recovered", " text"]
 
 
 def test_probe_answer_returns_joined_text():
-    model = single_entry_model("\\boxed{B}")
-    assert "\\boxed{B}" in probe_answer(model, "prompt")
+    # the mock's tokens carry their own spaces, so they concatenate to the emission
+    model = single_entry_model("so  it is\n\\boxed{B}", marker="<|eot|>")
+    assert probe_answer(model, "prompt") == "so it is \\boxed{B}<|eot|>"
 
 
 def test_probe_answer_deterministic_across_invocations():
@@ -246,10 +245,10 @@ def test_error_classification_is_distinct_and_retry_classifiable():
 # --- stop scanner ---------------------------------------------------------
 
 
-def eager_stop_split(tokens: list[str], marker: str, joiner: str) -> list[str]:
-    """Independent oracle: split the fully joined text at the marker, then
-    rebuild token texts from the prefix."""
-    text = joiner.join(tokens)
+def eager_stop_split(tokens: list[str], marker: str) -> list[str]:
+    """Independent oracle: split the fully concatenated text at the marker,
+    then rebuild token texts from the prefix."""
+    text = "".join(tokens)
     idx = text.find(marker)
     if idx == -1:
         return tokens
@@ -264,12 +263,12 @@ def eager_stop_split(tokens: list[str], marker: str, joiner: str) -> list[str]:
             break
         else:
             break
-        pos = end + len(joiner)
+        pos = end
     return out
 
 
-def run_scanner(tokens: list[str], marker: str, joiner: str) -> tuple[list[str], bool]:
-    scanner = _StopScanner(marker, joiner)
+def run_scanner(tokens: list[str], marker: str) -> tuple[list[str], bool]:
+    scanner = _StopScanner(marker)
     out: list[str] = []
     for tok in tokens:
         out.extend(scanner.push(tok))
@@ -282,60 +281,53 @@ def run_scanner(tokens: list[str], marker: str, joiner: str) -> tuple[list[str],
 @given(
     tokens=st.lists(st.text(alphabet="ab XY", min_size=1, max_size=4), min_size=0, max_size=12),
     marker=st.text(alphabet="ab XY", min_size=1, max_size=5),
-    joiner=st.sampled_from(["", " "]),
 )
 @settings(max_examples=400, deadline=None)
-def test_scanner_matches_eager_oracle(tokens, marker, joiner):
-    got, found = run_scanner(tokens, marker, joiner)
-    expected = eager_stop_split(tokens, marker, joiner)
-    assert found == (marker in joiner.join(tokens))
+def test_scanner_matches_eager_oracle(tokens, marker):
+    got, found = run_scanner(tokens, marker)
+    expected = eager_stop_split(tokens, marker)
+    assert found == (marker in "".join(tokens))
     assert got == expected
 
 
-def safe_prefix(tokens: list[str], marker: str, joiner: str) -> list[str]:
+def safe_prefix(tokens: list[str], marker: str) -> list[str]:
     """Brute-force oracle for release timing: once the marker has occurred,
     the eager split; otherwise every token ending at or before the earliest
     offset where a future occurrence could still start."""
-    text = joiner.join(tokens)
+    text = "".join(tokens)
     if marker in text:
-        return eager_stop_split(tokens, marker, joiner)
-    known = text + joiner
+        return eager_stop_split(tokens, marker)
     lo = max(0, len(text) - len(marker) + 1)
-    # a multi-character joiner may complete the marker before its own end
-    safe = next(p for p in range(lo, len(known) + 1) if marker.startswith(known[p : p + len(marker)]))
+    safe = next(p for p in range(lo, len(text) + 1) if marker.startswith(text[p:]))
     out = []
     pos = 0
     for tok in tokens:
-        if pos + len(tok) > safe:
+        pos += len(tok)
+        if pos > safe:
             break
         out.append(tok)
-        pos += len(tok) + len(joiner)
     return out
 
 
-# " x" starts with the space joiner, "aab" repeats its first character and
-# one-character markers leave nothing to withhold, so both the fast path
-# and the withholding path of the scanner run
+# " x" starts with the space a mock token ends with, "aab" repeats its
+# first character and one-character markers leave nothing to withhold, so
+# both the fast path and the withholding path of the scanner run
 SCANNER_MARKERS = st.one_of(
     st.sampled_from([" x", "aab", "a", "x", " ", "xa x"]),
     st.text(alphabet="ab x", min_size=1, max_size=4),
 )
-# empty tokens included: a leading one is still followed by the joiner
+# empty tokens included
 SCANNER_TOKENS = st.lists(st.text(alphabet="ab x", max_size=4), max_size=12)
-# the wire joiner, the mock's space, and multi-character joiners in which
-# a marker can start, end or be wholly contained
-SCANNER_JOINERS = st.sampled_from(["", " ", " X", "ab", "\n\n"])
 
 
-@given(tokens=SCANNER_TOKENS, marker=SCANNER_MARKERS, joiner=SCANNER_JOINERS)
-@example(tokens=["Y", "b"], marker="Y ", joiner=" X")  # joined "Y Xb": the marker ends inside the joiner
+@given(tokens=SCANNER_TOKENS, marker=SCANNER_MARKERS)
 @settings(max_examples=400, deadline=None)
-def test_scanner_releases_maximal_safe_prefix_after_every_push(tokens, marker, joiner):
-    scanner = _StopScanner(marker, joiner)
+def test_scanner_releases_maximal_safe_prefix_after_every_push(tokens, marker):
+    scanner = _StopScanner(marker)
     released: list[str] = []
     for i, tok in enumerate(tokens):
         released.extend(scanner.push(tok))
-        assert released == safe_prefix(tokens[: i + 1], marker, joiner)
+        assert released == safe_prefix(tokens[: i + 1], marker)
         if scanner.found:
             break
 
@@ -343,9 +335,8 @@ def test_scanner_releases_maximal_safe_prefix_after_every_push(tokens, marker, j
 class _ListBackend:
     """Streams a fixed token list and counts the tokens handed out."""
 
-    def __init__(self, tokens: list[str], joiner: str):
+    def __init__(self, tokens: list[str]):
         self.tokens = tokens
-        self.token_joiner = joiner
         self.read = 0
 
     def raw_stream(self, req):
@@ -357,12 +348,11 @@ class _ListBackend:
 @given(
     tokens=SCANNER_TOKENS,
     marker=st.none() | SCANNER_MARKERS,
-    joiner=SCANNER_JOINERS,
     cap=st.integers(min_value=1, max_value=8),
 )
 @settings(max_examples=300, deadline=None)
-def test_stream_cap_and_marker_match_oracle(tokens, marker, joiner, cap):
-    backend = _ListBackend(tokens, joiner)
+def test_stream_cap_and_marker_match_oracle(tokens, marker, cap):
+    backend = _ListBackend(tokens)
     stream = stream_generate(backend, GenerationRequest("p", max_new_tokens=cap, stop_on=marker))
     got = [(e.text, e.ordinal, e.cause) for e in stream]
 
@@ -370,16 +360,16 @@ def test_stream_cap_and_marker_match_oracle(tokens, marker, joiner, cap):
     # backend as soon as the scanner has released the cap-th token, or when
     # the backend runs dry and the withheld tokens are flushed
     def released(prefix: list[str]) -> list[str]:
-        return prefix if marker is None else safe_prefix(prefix, marker, joiner)
+        return prefix if marker is None else safe_prefix(prefix, marker)
 
-    found = marker is not None and marker in joiner.join(tokens)
-    kept = eager_stop_split(tokens, marker, joiner) if marker is not None else tokens
+    found = marker is not None and marker in "".join(tokens)
+    kept = eager_stop_split(tokens, marker) if marker is not None else tokens
     if len(kept) >= cap:
         cause = CAUSE_CAP
         read = next((k for k in range(len(tokens) + 1) if len(released(tokens[:k])) >= cap), len(tokens))
     elif found:
         cause = CAUSE_MARKER
-        read = next(k for k in range(len(tokens) + 1) if marker in joiner.join(tokens[:k]))
+        read = next(k for k in range(len(tokens) + 1) if marker in "".join(tokens[:k]))
     else:
         cause = CAUSE_BACKEND_STOP
         read = len(tokens)
@@ -390,7 +380,7 @@ def test_stream_cap_and_marker_match_oracle(tokens, marker, joiner, cap):
     assert backend.read == read
 
 
-def reads_to_release(tokens: list[str], marker: str | None, joiner: str, m: int) -> int:
+def reads_to_release(tokens: list[str], marker: str | None, m: int) -> int:
     """Backend tokens a stream reads before it has released ``m`` texts,
     found the marker, or run dry."""
     for k in range(len(tokens) + 1):
@@ -398,7 +388,7 @@ def reads_to_release(tokens: list[str], marker: str | None, joiner: str, m: int)
         if marker is None:
             if len(prefix) >= m:
                 return k
-        elif marker in joiner.join(prefix) or len(safe_prefix(prefix, marker, joiner)) >= m:
+        elif marker in "".join(prefix) or len(safe_prefix(prefix, marker)) >= m:
             return k
     return len(tokens)
 
@@ -424,35 +414,34 @@ class _EventProxy:
 @given(
     tokens=SCANNER_TOKENS,
     marker=st.none() | SCANNER_MARKERS,
-    joiner=SCANNER_JOINERS,
     cap=st.integers(min_value=1, max_value=8),
     taken=st.integers(min_value=0, max_value=10),
 )
 @settings(max_examples=300, deadline=None)
-def test_collect_matches_the_event_path(tokens, marker, joiner, cap, taken):
+def test_collect_matches_the_event_path(tokens, marker, cap, taken):
     req = GenerationRequest("p", max_new_tokens=cap, stop_on=marker)
-    events_backend = _ListBackend(tokens, joiner)
+    events_backend = _ListBackend(tokens)
     events_stream = stream_generate(events_backend, req)
     events = list(events_stream)
     expected = ([e.text for e in events], events_stream.cause)
 
     # a fresh stream: the same texts, cause and backend reads, no events
-    backend = _ListBackend(tokens, joiner)
+    backend = _ListBackend(tokens)
     assert collect(stream_generate(backend, req)) == expected
     assert backend.read == events_backend.read
 
     # the fallback for other iterables of events
-    backend = _ListBackend(tokens, joiner)
+    backend = _ListBackend(tokens)
     assert collect(_EventProxy(stream_generate(backend, req))) == expected
     assert backend.read == events_backend.read
 
     # ``taken`` events one at a time, each read at most one text ahead of
     # itself, then the rest drained
-    backend = _ListBackend(tokens, joiner)
+    backend = _ListBackend(tokens)
     stream = stream_generate(backend, req)
     head = [event for _, event in zip(range(taken), stream)]
     assert head == events[:taken]
-    assert backend.read == (reads_to_release(tokens, marker, joiner, min(taken + 1, cap)) if taken else 0)
+    assert backend.read == (reads_to_release(tokens, marker, min(taken + 1, cap)) if taken else 0)
     assert stream.cause == (expected[1] if taken >= max(len(events), 1) else None)
     texts, cause = collect(stream)
     assert [e.text for e in head] + texts == expected[0]
@@ -465,28 +454,31 @@ def test_stream_is_its_own_iterator_of_immutable_tuple_events():
     stream = stream_generate(single_entry_model("a b"), GenerationRequest("p", max_new_tokens=5))
     assert iter(stream) is stream
     events = list(stream)
-    assert events == [TokenEvent("a", 0), TokenEvent("b", 1, CAUSE_BACKEND_STOP)]
-    assert events[0] == ("a", 0, None) and events[0] != TokenEvent("a", 1)
+    assert events == [TokenEvent("a ", 0), TokenEvent("b", 1, CAUSE_BACKEND_STOP)]
+    assert events[0] == ("a ", 0, None) and events[0] != TokenEvent("a ", 1)
     assert TokenEvent("x", 3).cause is None
     assert events[1]._replace(cause=None) == TokenEvent("b", 1)
     with pytest.raises(AttributeError):
         events[0].text = "c"
 
 
+# ``space`` follows every one of ``tokens`` but the last, as the scripted
+# mock sends its units (" "), or is absent, as wire deltas come ("")
 @pytest.mark.parametrize(
-    "tokens, joiner, stop_on, cap, texts, cause",
+    "tokens, space, stop_on, cap, texts, cause",
     [
-        (["a", "b", "c", "d"], " ", None, 2, ["a", "b"], CAUSE_CAP),
-        (["a", "b", "c"], " ", None, 3, ["a", "b", "c"], CAUSE_CAP),  # exactly the cap
-        (["a", "b", "END", "c"], " ", "END", 9, ["a", "b"], CAUSE_MARKER),
+        (["a", "b", "c", "d"], " ", None, 2, ["a ", "b "], CAUSE_CAP),
+        (["a", "b", "c"], " ", None, 3, ["a ", "b ", "c"], CAUSE_CAP),  # exactly the cap
+        (["a", "b", "END", "c"], " ", "END", 9, ["a ", "b "], CAUSE_MARKER),
         (["a", "E", "ND"], "", "END", 9, ["a"], CAUSE_MARKER),  # the marker's start was withheld
-        (["a", "b"], " ", "END", 9, ["a", "b"], CAUSE_BACKEND_STOP),
+        (["a", "b"], " ", "END", 9, ["a ", "b"], CAUSE_BACKEND_STOP),
         (["a", "E"], "", "END", 9, ["a", "E"], CAUSE_BACKEND_STOP),  # flushed at the end
         ([], " ", None, 3, [], CAUSE_BACKEND_STOP),
     ],
 )
-def test_final_event_carries_the_cause(tokens, joiner, stop_on, cap, texts, cause):
-    stream = stream_generate(_ListBackend(tokens, joiner), GenerationRequest("p", max_new_tokens=cap, stop_on=stop_on))
+def test_final_event_carries_the_cause(tokens, space, stop_on, cap, texts, cause):
+    sent = [token + space for token in tokens[:-1]] + tokens[-1:]
+    stream = stream_generate(_ListBackend(sent), GenerationRequest("p", max_new_tokens=cap, stop_on=stop_on))
     events = list(stream)
     assert [e.text for e in events] == texts
     assert [e.cause for e in events] == [None] * (len(texts) - 1) + [cause] * bool(texts)
@@ -494,30 +486,30 @@ def test_final_event_carries_the_cause(tokens, joiner, stop_on, cap, texts, caus
 
 
 def test_scanner_truncates_straddling_token():
-    # wire-style empty joiner: marker split across deltas
-    got, found = run_scanner(["ab", "cMARK", "ER tail"], "MARKER", "")
+    # wire-style deltas: marker split across them
+    got, found = run_scanner(["ab", "cMARK", "ER tail"], "MARKER")
     assert found
     assert got == ["ab", "c"]
 
 
 def test_scanner_withholds_possible_marker_prefix():
-    scanner = _StopScanner("ZZZ", "")
+    scanner = _StopScanner("ZZZ")
     assert scanner.push("plain") == ["plain"]
     assert scanner.push("Z") == []  # could still grow into the marker
     assert scanner.push("done") == ["Z", "done"]
 
 
-def test_scanner_space_joiner_interrupts_prefix():
-    # with a space joiner a bare "Z" cannot start "ZZZ" across tokens,
-    # so it is released immediately
-    scanner = _StopScanner("ZZZ", " ")
-    assert scanner.push("plain") == ["plain"]
-    assert scanner.push("Z") == ["Z"]
+def test_scanner_trailing_space_interrupts_prefix():
+    # a mock token's trailing space keeps "Z " from starting "ZZZ" across
+    # tokens, so it is released immediately
+    scanner = _StopScanner("ZZZ")
+    assert scanner.push("plain ") == ["plain "]
+    assert scanner.push("Z ") == ["Z "]
 
 
-def test_scanner_marker_starting_inside_joiner():
-    # the marker begins with the joiner character itself
-    got, found = run_scanner(["a", "x", "rest"], " x", " ")
+def test_scanner_marker_starting_inside_trailing_space():
+    # the marker begins with the space that ends the token before it
+    got, found = run_scanner(["a ", "x ", "rest"], " x")
     assert found
     assert got == ["a"]
 
@@ -540,6 +532,7 @@ class _SSEHandler(BaseHTTPRequestHandler):
     mode = "ok"
     status = 200  # mode "status": the status sent with ``STATUS_BODY``
     deltas = OK_DELTAS  # modes "ok" and "truncate": the deltas sent
+    raw = b""  # mode "raw": the whole response body
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -560,6 +553,12 @@ class _SSEHandler(BaseHTTPRequestHandler):
             return
         if type(self).mode == "cut-chunk":
             self._send_cut_chunk()
+            return
+        if type(self).mode == "raw":
+            self.send_response(200)
+            self.send_header("Content-Type", "text/event-stream")
+            self.end_headers()
+            self.wfile.write(type(self).raw)
             return
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
@@ -713,6 +712,27 @@ def test_wire_truncated_stream_surfaces_distinct_error(sse_server):
     backend = WireBackend(base_url=sse_server, model="m")
     with pytest.raises(TruncatedStreamError):
         collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16)))
+
+
+def test_wire_malformed_chunk_is_a_truncated_stream(sse_server):
+    _SSEHandler.mode = "raw"
+    _SSEHandler.raw = b'data: {"choices": [{"delta": {"content": "Hi"}}]}\n\ndata: {"choi\n\ndata: [DONE]\n\n'
+    backend = WireBackend(base_url=sse_server, model="m")
+    with pytest.raises(TruncatedStreamError, match="malformed stream chunk") as excinfo:
+        collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16)))
+    assert excinfo.value.retryable
+
+
+def test_wire_chunk_without_choices_is_skipped(sse_server):
+    _SSEHandler.mode = "raw"
+    _SSEHandler.raw = (
+        b'data: {"choices": []}\n\n'
+        b'data: {"choices": [{"delta": {"content": "Hi"}}]}\n\n'
+        b'data: {"usage": {"total_tokens": 3}}\n\n'
+        b"data: [DONE]\n\n"
+    )
+    backend = WireBackend(base_url=sse_server, model="m")
+    assert collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16))) == (["Hi"], CAUSE_BACKEND_STOP)
 
 
 def test_wire_connection_failure():

@@ -82,8 +82,6 @@ def test_grader_hard_failure_counts_as_incorrect(monkeypatch):
     monkeypatch.setattr(client, "BACKOFF_S", 0.0)
 
     class Broken:
-        token_joiner = " "
-
         def raw_stream(self, req):
             from thinkctl.client import ConnectionFailure
 
@@ -127,8 +125,6 @@ def test_a_fatal_grader_error_cancels_the_queued_questions():
     still queued are never graded."""
 
     class Fatal:
-        token_joiner = " "
-
         def __init__(self):
             self.graded = []
             self.lock = threading.Lock()

@@ -38,12 +38,12 @@ def oracle_model(questions) -> ScriptedModel:
     for q in questions:
         entries.append(
             ScriptEntry(
-                f"thought-{q.id} {ANSWER_MARKER} Final Answer:",
+                f"thought-{q.id}{ANSWER_MARKER}Final Answer:",
                 f"\\boxed{{{q.gold}}}",
                 None,
             )
         )
-        entries.append(ScriptEntry(format_prompt(q) + " <|im_start|>think", f"thought-{q.id}", ANSWER_MARKER))
+        entries.append(ScriptEntry(format_prompt(q) + "<|im_start|>think", f"thought-{q.id}", ANSWER_MARKER))
     return ScriptedModel(tuple(entries))
 
 
@@ -77,9 +77,9 @@ def test_mixed_fixture_scores_hand_count(make_questions):
     entries = []
     for i, q in enumerate(questions):
         letter = q.gold if i < 6 else ("A" if q.gold != "A" else "B")
-        entries.append(ScriptEntry(format_prompt(q) + " <|im_start|>think", f"think-{q.id}", ANSWER_MARKER))
+        entries.append(ScriptEntry(format_prompt(q) + "<|im_start|>think", f"think-{q.id}", ANSWER_MARKER))
         entries.append(
-            ScriptEntry(f"think-{q.id} {ANSWER_MARKER} Final Answer:", f"\\boxed{{{letter}}}", None)
+            ScriptEntry(f"think-{q.id}{ANSWER_MARKER}Final Answer:", f"\\boxed{{{letter}}}", None)
         )
     result = evaluate(questions, ScriptedModel(tuple(entries)), BudgetPolicy())
     assert result.accuracy == 0.6
@@ -112,8 +112,6 @@ def test_hard_failure_counts_incorrect_and_flags(make_questions, monkeypatch):
     monkeypatch.setattr(client, "BACKOFF_S", 0.0)
 
     class Dead:
-        token_joiner = " "
-
         def raw_stream(self, req):
             raise ConnectionFailure("unreachable")
             yield  # pragma: no cover
@@ -174,10 +172,10 @@ def step_model(questions, k: int) -> ScriptedModel:
     entries = []
     for q in questions:
         thought = " ".join(f"{q.id}w{i}" for i in range(k))
-        entries.append(ScriptEntry(format_prompt(q) + " <|im_start|>think", thought, ANSWER_MARKER))
+        entries.append(ScriptEntry(format_prompt(q) + "<|im_start|>think", thought, ANSWER_MARKER))
         entries.append(
             ScriptEntry(
-                f"{q.id}w{k - 1} {ANSWER_MARKER} Final Answer:",
+                f"{q.id}w{k - 1}{ANSWER_MARKER}Final Answer:",
                 f"\\boxed{{{q.gold}}}",
                 None,
             )
@@ -232,8 +230,6 @@ class AnswerOutage:
     for ``qid`` that follow a thought ending in ``last_word``. Counts every
     answer request for ``qid``, whichever worker sends it."""
 
-    token_joiner = " "
-
     def __init__(self, model: ScriptedModel, qid: str, last_word: str, failures: int):
         self.model = model
         self.qid = qid
@@ -247,7 +243,7 @@ class AnswerOutage:
         if req.prompt.endswith(ANSWER_CUE) and f"for {self.qid}?" in req.prompt:
             with self.lock:
                 self.answer_requests += 1
-                fail = f"{self.last_word} {ANSWER_MARKER}" in req.prompt and self.failed < self.failures
+                fail = f"{self.last_word}{ANSWER_MARKER}" in req.prompt and self.failed < self.failures
                 self.failed += fail
             if fail:
                 raise ConnectionFailure("answer outage")
@@ -295,13 +291,13 @@ def flip_model(questions) -> ScriptedModel:
     entries = []
     for q in questions:
         wrong = "A" if q.gold != "A" else "B"
-        entries.append(ScriptEntry(format_prompt(q) + " <|im_start|>think", f"sure-{q.id}", ANSWER_MARKER))
+        entries.append(ScriptEntry(format_prompt(q) + "<|im_start|>think", f"sure-{q.id}", ANSWER_MARKER))
         entries.append(ScriptEntry("Wait.", f"doubt-{q.id}", ANSWER_MARKER))
         entries.append(
-            ScriptEntry(f"sure-{q.id} {ANSWER_MARKER} Final Answer:", f"\\boxed{{{q.gold}}}", None)
+            ScriptEntry(f"sure-{q.id}{ANSWER_MARKER}Final Answer:", f"\\boxed{{{q.gold}}}", None)
         )
         entries.append(
-            ScriptEntry(f"doubt-{q.id} {ANSWER_MARKER} Final Answer:", f"\\boxed{{{wrong}}}", None)
+            ScriptEntry(f"doubt-{q.id}{ANSWER_MARKER}Final Answer:", f"\\boxed{{{wrong}}}", None)
         )
     return ScriptedModel(tuple(entries))
 
@@ -326,10 +322,10 @@ def insensitive_model(questions) -> ScriptedModel:
     """Keeps answering the gold letter no matter how often it is forced."""
     entries = []
     for q in questions:
-        entries.append(ScriptEntry(format_prompt(q) + " <|im_start|>think", f"sure-{q.id}", ANSWER_MARKER))
-        entries.append(ScriptEntry(f"sure-{q.id} Wait.", f"sure-{q.id}", ANSWER_MARKER))
+        entries.append(ScriptEntry(format_prompt(q) + "<|im_start|>think", f"sure-{q.id}", ANSWER_MARKER))
+        entries.append(ScriptEntry(f"sure-{q.id}Wait.", f"sure-{q.id}", ANSWER_MARKER))
         entries.append(
-            ScriptEntry(f"sure-{q.id} {ANSWER_MARKER} Final Answer:", f"\\boxed{{{q.gold}}}", None)
+            ScriptEntry(f"sure-{q.id}{ANSWER_MARKER}Final Answer:", f"\\boxed{{{q.gold}}}", None)
         )
     return ScriptedModel(tuple(entries))
 
@@ -370,8 +366,6 @@ def test_sweep_result_round_trip(make_questions):
 class RecordingBackend:
     """Serves ``model`` and records every request, from any worker."""
 
-    token_joiner = " "
-
     def __init__(self, model: ScriptedModel):
         self.model = model
         self.requests: list = []
@@ -398,11 +392,11 @@ def random_sweep_model(rng: random.Random, questions) -> ScriptedModel:
     for q in questions:
         rounds = rng.randint(0, 3)
         for i in range(rounds, 0, -1):
-            entries.append(ScriptEntry(f"{q.id}r{i - 1}end Wait.", words(q.id, i), marker()))
+            entries.append(ScriptEntry(f"{q.id}r{i - 1}endWait.", words(q.id, i), marker()))
         for i in range(rounds + 1):
             letter = rng.choice("ABCD")
-            entries.append(ScriptEntry(f"{q.id}r{i}end {ANSWER_MARKER} Final Answer:", f"\\boxed{{{letter}}}", None))
-        entries.append(ScriptEntry(format_prompt(q) + " <|im_start|>think", words(q.id, 0), marker()))
+            entries.append(ScriptEntry(f"{q.id}r{i}end{ANSWER_MARKER}Final Answer:", f"\\boxed{{{letter}}}", None))
+        entries.append(ScriptEntry(format_prompt(q) + "<|im_start|>think", words(q.id, 0), marker()))
     entries.append(ScriptEntry("Final Answer:", f"\\boxed{{{rng.choice('ABCD')}}}", None))
     return ScriptedModel(tuple(entries))
 
@@ -438,8 +432,6 @@ def test_shared_pool_runs_the_next_point_while_a_point_waits(make_questions):
     budget, which only a pool shared across points can send meanwhile."""
 
     class Barrier:
-        token_joiner = " "
-
         def __init__(self):
             self.model = always_right_model(20)
             self.second_point = threading.Event()
@@ -464,8 +456,6 @@ def test_a_fatal_run_error_cancels_the_queued_points(make_questions):
     sweep; the runs still queued for later points never start."""
 
     class Fatal:
-        token_joiner = " "
-
         def __init__(self):
             self.model = always_right_model(20)
             self.budgets = Counter()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+from xml.dom import minidom
 
 import pytest
 
@@ -69,6 +70,14 @@ def test_svg_without_fit_has_points_only():
     assert "<path" not in svg
     assert "<polygon" not in svg
     assert svg.count("<circle") == 3
+
+
+@pytest.mark.parametrize("name", ["a&b<c.jsonl", "x>y.jsonl", "&amp;.jsonl", "demo.jsonl"])
+def test_svg_is_well_formed_for_any_dataset_name(name):
+    sweep = SweepResult(name, "budget", sample_sweep(3).points)
+    doc = minidom.parseString(emit_plot(sweep, percent_fit(sweep), "svg"))
+    titles = [t for t in doc.getElementsByTagName("text") if t.getAttribute("y") == "24"]
+    assert [t.firstChild.data for t in titles] == [name]
 
 
 def test_unknown_format_rejected():
