@@ -10,6 +10,7 @@ counts so the ledger reconciles end to end.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import re
 import string
@@ -25,7 +26,7 @@ log = logging.getLogger(__name__)
 
 UNLABELED_DOMAIN = "Unlabeled"
 DEFAULT_NGRAM_SIZE = 8
-SAMPLER_RNG = "pcg64"
+SAMPLER_RNG = "blake2b-counter"
 _PUNCTUATION = re.compile(f"[{re.escape(string.punctuation)}]")
 
 
@@ -33,94 +34,30 @@ class CurationError(ValueError):
     pass
 
 
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_WORDS = 1 << 64
 
 
-def _seed_words(seed: int) -> list[int]:
-    """numpy's ``SeedSequence(seed).generate_state(4, uint64)``: hash the
-    seed's 32-bit words into a pool of four, then hash the pool out to
-    eight 32-bit words and pair them little-endian."""
-    if seed < 0:
-        raise CurationError(f"sampler seed must be >= 0, got {seed}")
-    entropy = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = 0x8B51F9DD
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-class _Pcg64:
-    """numpy's ``Generator(PCG64(seed)).integers(n)``, draw for draw, for
-    1 <= n <= 2**32 (O'Neill's PCG64: a 128-bit LCG with the XSL-RR
-    output; Lemire's bounded draw on its 32-bit halves)."""
+class _CounterDraws:
+    """Uniform draws from ``range(n)``, 1 <= n <= 2**64, reproducible from a
+    seed. Draw i, counting rejected words, hashes ``f"{seed}:{i}"`` with
+    BLAKE2b to a little-endian 64-bit word ``w`` and returns ``w % n`` if
+    ``w < 2**64 - 2**64 % n``, else rejects it, so each residue is equally
+    likely. The counter is all the state (counter-based generation: Salmon
+    et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011)."""
 
     def __init__(self, seed: int) -> None:
-        state_hi, state_lo, inc_hi, inc_lo = _seed_words(seed)
-        self._inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        # PCG's srandom: one step from 0 (giving inc), add the seed, step again
-        self._state = (self._inc + (state_hi << 64 | state_lo)) & _MASK128
-        self._next_uint64()
-        self._spare: int | None = None  # the unused high half of the last output
-
-    def _next_uint64(self) -> int:
-        state = self._state = (self._state * _PCG64_MULTIPLIER + self._inc) & _MASK128
-        rot = state >> 122
-        value = (state >> 64 ^ state) & _MASK64
-        return (value >> rot | value << (64 - rot)) & _MASK64
-
-    def _next_uint32(self) -> int:
-        if self._spare is not None:
-            value, self._spare = self._spare, None
-            return value
-        value = self._next_uint64()
-        self._spare = value >> 32
-        return value & _MASK32
+        if seed < 0:
+            raise CurationError(f"sampler seed must be >= 0, got {seed}")
+        self._seed = seed
+        self._counter = 0
 
     def integers(self, n: int) -> int:
-        """A uniform draw from ``range(n)``; n = 1 consumes nothing."""
-        if not 1 <= n <= 1 << 32:
-            raise CurationError(f"cannot draw from {n} items: the sampler takes 1 to 2**32")
-        if n == 1:
-            return 0
-        if n == 1 << 32:
-            return self._next_uint32()
-        scaled = self._next_uint32() * n
-        if scaled & _MASK32 < n:
-            threshold = (1 << 32) % n
-            while scaled & _MASK32 < threshold:
-                scaled = self._next_uint32() * n
-        return scaled >> 32
+        while True:
+            key = f"{self._seed}:{self._counter}".encode()
+            self._counter += 1
+            word = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
+            if word < _WORDS - _WORDS % n:
+                return word % n
 
 
 @dataclass
@@ -366,11 +303,11 @@ def diversity_sample(plan: SamplingPlan) -> tuple[list[tuple[str, str]], StageCo
     """Draw ``target_n`` items: a uniform domain (among nonempty ones), a
     uniform dataset within it, then a uniform item without replacement.
 
-    Deterministic given the plan seed; the draws are those of numpy's
-    ``Generator(PCG64(seed)).integers``. Returns (item id, dataset) pairs
-    in draw order plus the per-dataset report row.
+    Deterministic given the plan seed: every draw is the BLAKE2b counter
+    rule of ``_CounterDraws``, with rejected words counted. Returns
+    (item id, dataset) pairs in draw order plus the per-dataset report row.
     """
-    rng = _Pcg64(plan.seed)
+    rng = _CounterDraws(plan.seed)
 
     pools: dict[tuple[str, str], list[str]] = {}
     position: dict[tuple[str, str], dict[str, int]] = {}

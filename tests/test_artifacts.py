@@ -236,11 +236,11 @@ PINNED = {'eval': (0,
                      {'annotated.jsonl': '671c55221a9b1aba366a405ec4cb567397865d166daa81a158386232e53eaa68'}),
  'curate-sample': (0,
                    'sampled 8 of 15 questions\n',
-                   {'sample.jsonl': 'ea8f086627b72a13de7297a77e03728578b474297b6fc1ba2207ce1599a4a217',
-                    'sample_report.json': '0139f026d59d0780730d3dd06bdf4034c25ed353adeff5ac0e31b1a703d2cb93'}),
+                   {'sample.jsonl': 'e39f5b24eb27b14ac64b171de6547b35fc282ac022bfaf821a4b1347ffa3a150',
+                    'sample_report.json': '7b2941a26e738b566c59c9146e695b380f43007783aa9e6303f59bfc9102bbf5'}),
  'curate-sample-default-seed': (0,
                                 'sampled 12 of 15 questions\n',
-                                {'sample42.jsonl': '7822b59d21f351ace895defd0d0b7d5703a9e6c228bda311b5a8297a330e54fd'}),
+                                {'sample42.jsonl': 'cc84057483a8c138e1496fd339b452b00a12042aec819b749475bb505abd998b'}),
  'curate-validate': (0,
                      'verified 2 of 4 traces\n',
                      {'validate_report.json': '73ff775a0252975b27d0e6da56c140d187377537b9d6a49394860db1fb7560b4',
@@ -252,8 +252,8 @@ PINNED = {'eval': (0,
                    'stage\tds0\tds1\tds2\ttotal\ninitial_collection\t10\t10\t10\t30\ndifficulty_filter\t5\t5\t10\t20\n',
                    {'filter_report_norm.json': '1aa3413962b884177ae6c58f2c3abe09ed19ce4a0986a443b7ac750bd36bcb31'}),
  'report-sample': (0,
-                   'stage\tds0\tds1\tds2\ttotal\ninitial_collection\t5\t5\t5\t15\ndiversity_sampling\t2\t2\t4\t8\n',
-                   {'sample_report_norm.json': 'f4fb07a79f9896b6d77c3f524443c1921ca73aca9ab4eba27b7f78e053e3d689'})}
+                   'stage\tds0\tds1\tds2\ttotal\ninitial_collection\t5\t5\t5\t15\ndiversity_sampling\t1\t5\t2\t8\n',
+                   {'sample_report_norm.json': '874b623b0729bf6a813591c89f738d89ba025eb5b6561a03744fcdcb7886238c'})}
 
 
 if __name__ == "__main__":

@@ -502,6 +502,17 @@ def test_curate_sample_rejects_repeated_domain_label(tmp_path, capsys):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_curate_sample_rejects_a_negative_seed(tmp_path, capsys):
+    pool = tmp_path / "pool.jsonl"
+    write_jsonl_file(pool, [question_record("q0"), question_record("q1")])
+    out = tmp_path / "out.jsonl"
+    assert run(["curate", "sample", "--pool", str(pool), "--n", "1", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "sampler seed must be >= 0, got -1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lexicon", [["stem"], 3, {"stem": 3}, {}])
 def test_curate_annotate_rejects_malformed_lexicon(tmp_path, capsys, lexicon):
     pool = tmp_path / "pool.jsonl"

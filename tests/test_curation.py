@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import string
@@ -7,7 +8,6 @@ import sys
 import threading
 import time
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +22,7 @@ from thinkctl.curation import (
     SamplingPlan,
     StageCount,
     TraceRecord,
-    _Pcg64,
+    _CounterDraws,
     annotate_domains,
     decontaminate,
     deduplicate,
@@ -325,30 +325,30 @@ def plan_from(strata, target_n, seed=42) -> SamplingPlan:
     return SamplingPlan(target_n=target_n, seed=seed, strata=strata)
 
 
-SAMPLER_EDGE_BOUNDS = [1, 2, 3, 2**31 + 11, 2**32 - 1, 2**32]
+def documented_draws(seed: int, n: int, count: int) -> tuple[list[int], int]:
+    """The sampler's documented rule, recomputed: draw i, counting rejected
+    words, reads a BLAKE2b word of ``f"{seed}:{i}"``. Returns the first
+    ``count`` draws and the number of words rejected on the way."""
+    draws, rejected, i = [], 0, 0
+    while len(draws) < count:
+        w = int.from_bytes(hashlib.blake2b(f"{seed}:{i}".encode(), digest_size=8).digest(), "little")
+        i += 1
+        if w < 2**64 - 2**64 % n:
+            draws.append(w % n)
+        else:
+            rejected += 1
+    return draws, rejected
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**160)),
-    bounds=st.lists(
-        st.one_of(st.sampled_from(SAMPLER_EDGE_BOUNDS), st.integers(1, 2**32)), min_size=1, max_size=300
-    ),
-)
-@example(seed=2**64 + 3, bounds=SAMPLER_EDGE_BOUNDS * 50)
-@example(seed=2**140 + 12345, bounds=SAMPLER_EDGE_BOUNDS * 50)  # more than the four words the seed hash pools
-def test_sampler_draws_match_numpy(seed, bounds):
-    # one stream, bounds interleaved: a draw of n = 1 consumes nothing, one of
-    # 2**32 takes a raw 32-bit half, and the others may reject and redraw
-    ours = _Pcg64(seed)
-    theirs = np.random.Generator(np.random.PCG64(seed))
-    assert [ours.integers(n) for n in bounds] == [int(theirs.integers(n)) for n in bounds]
-
-
-@pytest.mark.parametrize("n", [0, 2**32 + 1, 2**40])
-def test_sampler_refuses_bounds_outside_1_to_2_to_32(n):
-    with pytest.raises(CurationError):
-        _Pcg64(7).integers(n)
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 2**63 + 1])
+@pytest.mark.parametrize("seed", [0, 42, 2**70 + 3])
+def test_sampler_draws_follow_the_documented_rule(seed, n):
+    expected, rejected = documented_draws(seed, n, 500)
+    rng = _CounterDraws(seed)
+    assert [rng.integers(n) for _ in range(500)] == expected
+    if n == 2**63 + 1:
+        # just under half of all words are rejected, about one per accepted draw
+        assert 400 < rejected < 600
 
 
 def test_one_item_per_domain_forces_whole_pool():
@@ -405,7 +405,7 @@ def test_report_row_counts_by_dataset():
     strata = {"d1": {"ds1": ["a1", "a2"], "ds2": ["b1"]}}
     selected, row = diversity_sample(plan_from(strata, 3))
     assert row.counts == {"ds1": 2, "ds2": 1}
-    assert row.params["rng"] == "pcg64"
+    assert row.params["rng"] == "blake2b-counter"
 
 
 def test_exhausted_domains_are_skipped():
