@@ -458,18 +458,21 @@ class WireBackend:
                     if payload == "[DONE]":
                         completed = True
                         break
+                    # a chunk that is not JSON, or not shaped as the objects
+                    # read here, is as retryable as a cut stream
                     try:
-                        chunk = json.loads(payload)
-                    except json.JSONDecodeError as exc:
+                        choices = json.loads(payload).get("choices") or []
+                        if not choices:
+                            continue
+                        text = (choices[0].get("delta") or {}).get("content") or ""
+                        finished = choices[0].get("finish_reason")
+                        if not isinstance(text, str):
+                            raise TypeError(f"content is a {type(text).__name__}")
+                    except (ValueError, LookupError, AttributeError, TypeError) as exc:
                         raise TruncatedStreamError(f"malformed stream chunk: {payload[:80]}") from exc
-                    choices = chunk.get("choices") or []
-                    if not choices:
-                        continue
-                    delta = choices[0].get("delta") or {}
-                    text = delta.get("content")
                     if text:
                         yield text
-                    if choices[0].get("finish_reason"):
+                    if finished:
                         completed = True
             except (OSError, http.client.HTTPException) as exc:
                 raise ConnectionFailure(str(exc)) from exc

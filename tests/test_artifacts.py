@@ -35,8 +35,8 @@ from thinkctl.qa import McqQuestion, format_prompt
 OPTIONS = {"A": "one", "B": "two", "C": "three", "D": "four"}
 
 
-def _question(qid: str, stem: str, gold: str, source: str, domains=()) -> dict:
-    return {"id": qid, "question": stem, "options": OPTIONS, "answer": gold, "source": source, "domains": list(domains)}
+def _question(qid: str, stem: str, gold: str, source: str) -> dict:
+    return {"id": qid, "question": stem, "options": OPTIONS, "answer": gold, "source": source, "domains": []}
 
 
 def _jsonl(records) -> str:

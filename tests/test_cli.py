@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinkctl.budget import ANSWER_MARKER
-from thinkctl import cli, evaluation
+from thinkctl import cli, client, evaluation
 from thinkctl.cli import run
 from thinkctl.client import WireBackend
 from thinkctl.jsonl import load_questions
@@ -942,6 +942,23 @@ def test_sweep_against_the_loopback_server(tmp_path, dataset, sse_server):
     assert Counter(b["max_tokens"] for b in bodies) == {1: 8, 2: 8, 1024: 16}
     cut = [b["messages"][0]["content"] for b in bodies if b["max_tokens"] == 1024]
     assert sum(c.endswith(f"<|im_start|>thinkponder {ANSWER_MARKER}Final Answer:") for c in cut) == 8
+
+
+def test_eval_records_a_persistent_non_object_chunk(tmp_path, dataset, sse_server, monkeypatch, capsys):
+    # each attempt is cut by a malformed chunk: the question fails after its
+    # retries and counts incorrect, and the run ends without a traceback
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    data_path, records = dataset
+    _SSEHandler.mode = "raw"
+    _SSEHandler.raw = b"data: [1]\n\ndata: [DONE]\n\n"
+    out = tmp_path / "outcomes.jsonl"
+    argv = ["eval", "--dataset", str(data_path), "--base-url", sse_server, "--workers", "1", "--out", str(out)]
+    assert run(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    outcomes = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert [o["correct"] for o in outcomes] == [False] * len(records)
+    assert all("malformed stream chunk: [1]" in o["error"] for o in outcomes)
+    assert len(_SSEHandler.requests_seen) == len(records) * (1 + client.RETRIES)
 
 
 def test_unparsable_budgets_exit_1(tmp_path, dataset, oracle_script, capsys):

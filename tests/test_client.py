@@ -723,6 +723,30 @@ def test_wire_malformed_chunk_is_a_truncated_stream(sse_server):
     assert excinfo.value.retryable
 
 
+NON_OBJECT_CHUNKS = {
+    "list": b"[1]",
+    "choice-not-object": b'{"choices": [1]}',
+    "delta-not-object": b'{"choices": [{"delta": "x"}]}',
+    "choices-object": b'{"choices": {"0": {}}}',
+    "content-not-text": b'{"choices": [{"delta": {"content": 5}}]}',
+}
+
+
+@pytest.mark.parametrize("chunk", list(NON_OBJECT_CHUNKS.values()), ids=list(NON_OBJECT_CHUNKS))
+def test_wire_non_object_chunk_is_a_retried_truncated_stream(sse_server, monkeypatch, chunk):
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    _SSEHandler.mode = "raw"
+    _SSEHandler.raw = b"data: " + chunk + b"\n\ndata: [DONE]\n\n"
+    backend = WireBackend(base_url=sse_server, model="m")
+    with pytest.raises(TruncatedStreamError, match="malformed stream chunk") as excinfo:
+        collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16)))
+    assert excinfo.value.retryable
+    # probe_answer goes through with_retries: every attempt is sent, then the error surfaces
+    with pytest.raises(TruncatedStreamError):
+        probe_answer(backend, "p")
+    assert len(_SSEHandler.requests_seen) == 1 + 1 + client.RETRIES
+
+
 def test_wire_chunk_without_choices_is_skipped(sse_server):
     _SSEHandler.mode = "raw"
     _SSEHandler.raw = (
