@@ -16,7 +16,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 from urllib.parse import urlsplit
 
@@ -316,18 +316,25 @@ class ScriptEntry:
     is one token carrying the single space that follows it (the last unit
     carries none). An optional ``terminal_marker`` is emitted bare as a
     final token after the emission (a watched ``stop_on`` marker turns it
-    into a ``marker`` stop; otherwise it is ordinary text).
+    into a ``marker`` stop; otherwise it is ordinary text). ``tokens`` is
+    that stream, split once when the entry is built.
     """
 
     trigger: str
     emission: str
     terminal_marker: str | None = None
+    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.trigger, str) or not isinstance(self.emission, str):
             raise TypeError("script entry trigger and emission must be strings")
         if self.terminal_marker is not None and not isinstance(self.terminal_marker, str):
             raise TypeError("script entry terminal_marker must be a string or null")
+        units = self.emission.split()
+        tokens = [unit + " " for unit in units[:-1]] + units[-1:]
+        if self.terminal_marker is not None:
+            tokens.append(self.terminal_marker)
+        object.__setattr__(self, "tokens", tuple(tokens))
 
 
 @dataclass(frozen=True)
@@ -353,14 +360,8 @@ class ScriptedModel:
 
     def raw_stream(self, req: GenerationRequest) -> Iterator[str]:
         entry = self.match(req.prompt)
-        if entry is None:
-            return
-        units = entry.emission.split()
-        for unit in units[:-1]:
-            yield unit + " "
-        yield from units[-1:]
-        if entry.terminal_marker is not None:
-            yield entry.terminal_marker
+        if entry is not None:
+            yield from entry.tokens
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScriptedModel":

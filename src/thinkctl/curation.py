@@ -14,9 +14,9 @@ import hashlib
 import logging
 import re
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budget import ANSWER_MARKER, THINK_MARKER
 from .client import BackendError, in_order, probe_answer
@@ -205,12 +205,19 @@ def normalize_text(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace. One regex
     substitution replaces the ASCII punctuation: CPython's ``str.translate``
     looks each character up in its table, which is slower."""
-    return " ".join(_PUNCTUATION.sub(" ", text.lower()).split())
+    return " ".join(_normalized_words(text))
 
 
-def word_ngrams(text: str, n: int) -> set[str]:
-    words = text.split()
-    return {" ".join(words[i : i + n]) for i in range(len(words) - n + 1)}
+def _normalized_words(text: str) -> list[str]:
+    """The words of ``normalize_text(text)``, without joining them."""
+    return _PUNCTUATION.sub(" ", text.lower()).split()
+
+
+def _windows(words: list[str], n: int) -> Iterator[tuple[str, ...]]:
+    """Each run of ``n`` consecutive words, as a tuple: no word holds
+    whitespace, so two tuples are equal exactly when their space-joined
+    texts are, and building them joins nothing."""
+    return zip(*(words[i:] for i in range(n)))
 
 
 def _first_per_key(keyed: Iterable[tuple[str, McqQuestion]]) -> list[McqQuestion]:
@@ -240,16 +247,16 @@ def decontaminate(
     """
     if ngram_size < 1:
         raise CurationError(f"ngram_size must be >= 1, got {ngram_size}")
-    eval_ngrams: set[str] = set()
+    eval_ngrams: set[tuple[str, ...]] = set()
     for eval_set in eval_sets:
         for q in eval_set:
-            eval_ngrams |= word_ngrams(normalize_text(q.stem), ngram_size)
+            eval_ngrams.update(_windows(_normalized_words(q.stem), ngram_size))
 
     clean = []
     for q in pool:
-        key = normalize_text(q.stem)  # also the dedup key
-        if eval_ngrams.isdisjoint(word_ngrams(key, ngram_size)):
-            clean.append((key, q))
+        words = _normalized_words(q.stem)
+        if eval_ngrams.isdisjoint(_windows(words, ngram_size)):
+            clean.append((" ".join(words), q))  # the dedup key, normalize_text(q.stem)
     deduped = _first_per_key(clean)
     params = {
         "ngram_size": ngram_size,
@@ -400,7 +407,7 @@ def annotate_domains(
                     else no_labels
                 )
             labels |= hits
-        annotated.append(replace(q, domains=sorted(labels) or [UNLABELED_DOMAIN]))
+        annotated.append(McqQuestion(q.id, q.stem, q.options, q.gold, q.source, sorted(labels) or [UNLABELED_DOMAIN]))
     return annotated
 
 

@@ -4,8 +4,8 @@ writes, and content digests for reproducibility headers.
 The question schema is the canonical interchange format:
 ``{"id", "question", "options": {"A": ...}, "answer", "source", "domains"}``.
 Trace files add ``{"thinking", "response", "extracted", "verified"}``.
-A leading ``{"_meta": ...}`` line carries provenance and is skipped by
-readers.
+Writers put a ``{"_meta": ...}`` provenance line first; readers skip every
+line whose only key is ``_meta``.
 """
 
 from __future__ import annotations
@@ -13,13 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Iterable, Iterator
 
 from .curation import TraceRecord
 from .qa import McqQuestion
 
 META_KEY = "_meta"
+# what json.loads reports for a line that starts with a byte order mark
+_BOM_REASON = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+_QUESTION_FIELDS = (("id", str), ("question", str), ("options", dict), ("answer", str))
 
 
 class SchemaError(ValueError):
@@ -44,19 +46,29 @@ def read_lines(path: str) -> Iterator[tuple[int, str]]:
 
 
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) pairs, skipping blanks and meta lines."""
+    """Yield (line number, record) pairs. A line is split on ``\\n`` alone and
+    stripped; blank lines and ``{"_meta": ...}`` provenance lines are
+    skipped, wherever they appear, so concatenated outputs still load."""
+    # raw_decode of the stripped line plus the "Extra data" check is what
+    # json.loads does, without its per-call wrappers; a BOM fails raw_decode
+    decode = json.JSONDecoder().raw_decode
     for lineno, line in read_lines(path):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record, end = decode(line)
         except json.JSONDecodeError as exc:
-            raise SchemaError(path, lineno, f"invalid JSON ({exc.msg})") from exc
+            reason = _BOM_REASON if line[0] == "\ufeff" else exc.msg
+            raise SchemaError(path, lineno, f"invalid JSON ({reason})") from exc
+        if end != len(line):
+            raise SchemaError(path, lineno, "invalid JSON (Extra data)")
         if not isinstance(record, dict):
             raise SchemaError(path, lineno, "record is not a JSON object")
         if META_KEY in record:
-            continue
+            if len(record) == 1:
+                continue
+            raise SchemaError(path, lineno, f"field {META_KEY!r} must be the only field of a provenance line")
         yield lineno, record
 
 
@@ -70,12 +82,14 @@ def _require(record: dict, key: str, kind, path: str, lineno: int):
 
 
 def record_to_question(record: dict, path: str = "<memory>", lineno: int = 0) -> McqQuestion:
-    qid = _require(record, "id", str, path, lineno)
-    stem = _require(record, "question", str, path, lineno)
-    options = _require(record, "options", dict, path, lineno)
-    answer = _require(record, "answer", str, path, lineno)
-    source = record.get("source", "")
-    domains = record.get("domains", [])
+    get = record.get
+    qid, stem, options, answer = get("id"), get("question"), get("options"), get("answer")
+    if not (isinstance(qid, str) and isinstance(stem, str) and isinstance(options, dict) and isinstance(answer, str)):
+        # name the first field, in schema order, that is missing or of the wrong type
+        for key, kind in _QUESTION_FIELDS:
+            _require(record, key, kind, path, lineno)
+    source = get("source", "")
+    domains = get("domains", [])
     # the scans are skipped for the empty list of a pool not yet annotated
     if not isinstance(domains, list) or domains and not all(isinstance(d, str) for d in domains):
         raise SchemaError(path, lineno, "field 'domains' must be a list of strings")
@@ -165,10 +179,13 @@ def sha256_file(path: str) -> str:
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write via a temp file plus rename; an interrupted run never leaves a
-    truncated file at the destination."""
+    truncated file at the destination. The temp file is created with mode
+    0o666, so the file gets the mode the umask gives any new file, where
+    ``tempfile.mkstemp`` would give 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}{os.path.basename(path)}")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -188,7 +205,9 @@ def write_jsonl(path: str, records: Iterable[dict], meta: dict | None = None) ->
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     lines = [] if meta is None else [encode({META_KEY: meta})]
     lines += map(encode, records)
-    atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
+    if lines:
+        lines.append("")  # the join then ends the last line, with no copy of the text to add it
+    atomic_write_text(path, "\n".join(lines))
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import functools
 import logging
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 log = logging.getLogger(__name__)
 
@@ -27,13 +27,13 @@ METHOD_NONE = "none"
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-@dataclass
+@dataclass(slots=True)
 class McqQuestion:
     """One multiple-choice item with lettered options.
 
     Option letters are consecutive from 'A'; the gold answer must be one of
     them. ``domains`` holds MeSH-qualifier style labels used as sampling
-    strata.
+    strata. Slotted: a loaded pool keeps no ``__dict__`` per question.
     """
 
     id: str
@@ -112,7 +112,20 @@ def _fallback_patterns(letters: tuple[str, ...]) -> tuple[tuple[str, re.Pattern]
     return tuple((name, re.compile(t.format(letters=alternation), re.IGNORECASE)) for name, t in FALLBACK_CASCADE)
 
 
+_BOXED = re.compile(r"\\boxed\s*\{")
+_LETTER_LEAD = re.compile(r"^([A-Za-z])[.):]?\s+(.*)$", re.DOTALL)
+
+
 def _normalize_options(options) -> dict[str, str]:
+    """Options keyed by upper-case ``str`` letter with ``str`` texts. A dict
+    already in that form, as a loaded question's options are, is returned
+    as it is, not rebuilt."""
+    if type(options) is dict:
+        for k, v in options.items():
+            if type(k) is not str or type(v) is not str or k != k.upper():
+                break
+        else:
+            return options
     if isinstance(options, Mapping):
         return {str(k).upper(): str(v) for k, v in options.items()}
     return {str(letter).upper(): "" for letter in options}
@@ -120,7 +133,7 @@ def _normalize_options(options) -> dict[str, str]:
 
 def _iter_boxed(text: str):
     """Yield (content, span) for each ``\\boxed{...}`` with balanced braces."""
-    for match in re.finditer(r"\\boxed\s*\{", text):
+    for match in _BOXED.finditer(text):
         depth = 1
         pos = match.end()
         while pos < len(text) and depth > 0:
@@ -144,7 +157,7 @@ def _resolve_boxed(content: str, options: dict[str, str]) -> str | None:
     if len(content) == 2 and content[1] in ".)" and upper[0] in options:
         return upper[0]
     # letter plus the option text, e.g. "B. no" / "B) no"
-    lead = re.match(r"^([A-Za-z])[.):]?\s+(.*)$", content, re.DOTALL)
+    lead = _LETTER_LEAD.match(content)
     if lead and lead.group(1).upper() in options:
         letter = lead.group(1).upper()
         if lead.group(2).strip().casefold() == options[letter].strip().casefold():
@@ -184,7 +197,7 @@ def extract_answer(text: str, options) -> ExtractionOutcome:
             region = text
         match = pattern.search(region)
         if match:
-            letter = next(g for g in match.groups() if g is not None).upper()
+            letter = match[match.lastindex].upper()  # each pattern's one matching group
             span = (offset + match.start(), offset + match.end())
             return ExtractionOutcome(letter, METHOD_FALLBACK, span)
 

@@ -2,21 +2,28 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thinkctl.config import Config, ConfigError, load_config
 from thinkctl.jsonl import (
+    META_KEY,
     SchemaError,
     atomic_write_bytes,
     load_questions,
     load_traces,
     question_to_record,
     read_jsonl,
+    read_lines,
+    record_to_question,
     sha256_file,
     trace_to_record,
     write_jsonl,
 )
+from thinkctl.qa import McqQuestion
 
 
 def test_defaults_carry_paper_anchored_values():
@@ -226,3 +233,235 @@ def test_sha256_digest_is_stable(tmp_path):
     path.write_bytes(b"fixed bytes")
     assert sha256_file(str(path)) == sha256_file(str(path))
     assert len(sha256_file(str(path))) == 64
+
+
+def test_meta_only_lines_are_skipped_wherever_they_appear(tmp_path):
+    # two outputs concatenated: the second one's provenance line is mid-file
+    path = tmp_path / "qs.jsonl"
+    meta = json.dumps({"_meta": {"inputs": {}}})
+    write_lines(path, [meta, json.dumps(question_record("q1")), meta, json.dumps(question_record("q2"))])
+    assert [q.id for q in load_questions(str(path))] == ["q1", "q2"]
+
+
+def test_meta_beside_other_fields_is_a_schema_error(tmp_path):
+    path = tmp_path / "qs.jsonl"
+    stray = dict(question_record("q2"), _meta="stray")
+    write_lines(path, [json.dumps(question_record("q1")), json.dumps(stray), json.dumps(question_record("q3"))])
+    with pytest.raises(SchemaError) as excinfo:
+        load_questions(str(path))
+    assert str(excinfo.value) == f"{path}:2: field '_meta' must be the only field of a provenance line"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_artifacts_get_the_mode_the_umask_gives(tmp_path, umask, mode):
+    fresh, rewritten = tmp_path / "fresh.jsonl", tmp_path / "rewritten.jsonl"
+    rewritten.write_bytes(b"old\n")
+    os.chmod(rewritten, 0o644)
+    old = os.umask(umask)
+    try:
+        write_jsonl(str(fresh), [question_record("q1")])
+        atomic_write_bytes(str(rewritten), b"new\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(fresh).st_mode) == mode
+    assert stat.S_IMODE(os.stat(rewritten).st_mode) == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.jsonl", "rewritten.jsonl"]
+
+
+# --- the codec against the one it replaced --------------------------------------
+# The reader and writer before raw_decode, the one-pass field check and the
+# joined line end, kept verbatim as the reference. The reference skips any
+# record holding "_meta"; the generated files hold "_meta" only alone on
+# its line, where both readers skip it (the mixed case is tested above).
+
+
+def reference_read_jsonl(path):
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(path, lineno, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise SchemaError(path, lineno, "record is not a JSON object")
+        if META_KEY in record:
+            continue
+        yield lineno, record
+
+
+def reference_require(record, key, kind, path, lineno):
+    if key not in record:
+        raise SchemaError(path, lineno, f"missing field {key!r}")
+    value = record[key]
+    if not isinstance(value, kind):
+        raise SchemaError(path, lineno, f"field {key!r} must be {kind.__name__}")
+    return value
+
+
+def reference_record_to_question(record, path="<memory>", lineno=0):
+    qid = reference_require(record, "id", str, path, lineno)
+    stem = reference_require(record, "question", str, path, lineno)
+    options = reference_require(record, "options", dict, path, lineno)
+    answer = reference_require(record, "answer", str, path, lineno)
+    source = record.get("source", "")
+    domains = record.get("domains", [])
+    if not isinstance(domains, list) or domains and not all(isinstance(d, str) for d in domains):
+        raise SchemaError(path, lineno, "field 'domains' must be a list of strings")
+    if domains and len(set(domains)) != len(domains):
+        raise SchemaError(path, lineno, f"field 'domains' repeats a label: {domains}")
+    try:
+        return McqQuestion(
+            id=qid,
+            stem=stem,
+            options={str(k): v if type(v) is str else str(v) for k, v in options.items()},
+            gold=answer,
+            source=source if type(source) is str else str(source),
+            domains=list(domains),
+        )
+    except ValueError as exc:
+        raise SchemaError(path, lineno, str(exc)) from exc
+
+
+def reference_load_questions(path):
+    questions = []
+    seen = {}
+    for lineno, record in reference_read_jsonl(path):
+        question = reference_record_to_question(record, path, lineno)
+        if question.id in seen:
+            raise SchemaError(path, lineno, f"duplicate id {question.id!r} (first seen on line {seen[question.id]})")
+        seen[question.id] = lineno
+        questions.append(question)
+    return questions
+
+
+def reference_jsonl_text(records, meta=None):
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+    lines = [] if meta is None else [encode({META_KEY: meta})]
+    lines += map(encode, records)
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def result_or_error(fn):
+    """What ``fn`` returns, by repr (NaN is not equal to itself), or the
+    SchemaError's text and line."""
+    try:
+        return repr(fn())
+    except SchemaError as exc:
+        return str(exc), exc.line
+
+
+# text that JSON, str.strip or str.splitlines treat specially
+_CODEC_TEXT = st.text(alphabet="aB1 \t\u0085\u2028\u00e9\"\\{}", max_size=6)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(), _CODEC_TEXT)
+_FIELD = {
+    "id": st.one_of(st.sampled_from(["q1", "q2", "q3"]), _SCALARS),
+    "question": st.one_of(_CODEC_TEXT, _SCALARS),
+    "options": st.one_of(
+        st.dictionaries(st.sampled_from("ABCDa"), _SCALARS, max_size=4),
+        st.fixed_dictionaries({"A": _SCALARS, "B": _SCALARS}),
+        _SCALARS,
+    ),
+    "answer": st.one_of(st.sampled_from("ABCa"), _SCALARS),
+    "source": _SCALARS,
+    "domains": st.one_of(st.lists(st.one_of(st.sampled_from(["x", "y"]), _SCALARS), max_size=3), _SCALARS),
+    "extra": _SCALARS,  # unknown keys are ignored
+}
+_RECORDS = st.fixed_dictionaries(
+    {"id": _FIELD["id"]},
+    optional={key: strategy for key, strategy in _FIELD.items() if key != "id"},
+)
+_VALID = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["q1", "q2", "q3", "q4"]),
+        "question": _CODEC_TEXT,
+        "options": st.fixed_dictionaries({"A": _SCALARS, "B": _SCALARS}),
+        "answer": st.sampled_from("AB"),
+    },
+    optional={"source": _SCALARS, "domains": st.lists(st.sampled_from(["x", "y"]), max_size=2, unique=True)},
+)
+
+
+def _dump(draw, value):
+    return json.dumps(value, ensure_ascii=draw(st.booleans()))
+
+
+@st.composite
+def _jsonl_line(draw):
+    kind = draw(st.sampled_from(["valid", "valid", "record", "meta", "bom", "two", "scalar", "blank", "broken"]))
+    if kind in ("valid", "record"):
+        line = _dump(draw, draw(_VALID if kind == "valid" else _RECORDS))
+    elif kind == "meta":
+        line = _dump(draw, {META_KEY: draw(_SCALARS)})
+    elif kind == "bom":
+        line = "\ufeff" + _dump(draw, draw(_VALID))
+    elif kind == "two":
+        line = _dump(draw, draw(_VALID)) + draw(st.sampled_from(["", " ", "\t"])) + _dump(draw, draw(_VALID))
+    elif kind == "scalar":
+        line = _dump(draw, draw(st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2))))
+    elif kind == "blank":
+        line = draw(st.text(alphabet=" \t\r\u0085\u2028\x0b", max_size=3))
+    else:
+        line = draw(st.sampled_from(["{", "{]", "NaN", "{\"id\": NaN", "nul", "{\"a\": 1,}"]))
+    pad = st.text(alphabet=" \t\u0085\u2028", max_size=2)
+    return draw(pad) + line + draw(pad)
+
+
+@given(
+    lines=st.lists(_jsonl_line(), max_size=6),
+    ending=st.sampled_from(["\n", "\r\n"]),
+    last_ending=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+@example(lines=['\ufeff{"id": "q1"}'], ending="\n", last_ending=True)
+@example(lines=['{"id": "q1"} {"id": "q2"}'], ending="\n", last_ending=True)
+@example(lines=['{"_meta": 1}', "[1]"], ending="\r\n", last_ending=False)
+@example(lines=['{"id": "q1", "question": "a\u0085b\u2028c", "options": {"A": NaN, "B": 2}, "answer": "A", "source": 7}'],
+         ending="\r\n", last_ending=True)  # fmt: skip
+def test_reader_matches_the_reference(tmp_path_factory, lines, ending, last_ending):
+    path = str(tmp_path_factory.getbasetemp() / "codec-in.jsonl")  # rewritten by each example
+    with open(path, "wb") as fh:
+        fh.write((ending.join(lines) + (ending if last_ending and lines else "")).encode("utf-8"))
+    assert result_or_error(lambda: list(read_jsonl(path))) == result_or_error(lambda: list(reference_read_jsonl(path)))
+    assert result_or_error(lambda: load_questions(path)) == result_or_error(lambda: reference_load_questions(path))
+
+
+@given(record=_RECORDS)
+@settings(max_examples=300, deadline=None)
+@example(record={"id": "q1", "question": "s", "options": ["A", "B"], "answer": "A"})
+@example(record={"id": "q1", "question": "s", "options": None, "answer": "A"})
+@example(record={"id": "q1", "question": "s", "options": {"A": 1, "B": None}, "answer": "A", "extra": [], "domains": []})
+def test_record_to_question_matches_the_reference(record):
+    args = (record, "f.jsonl", 3)
+    assert result_or_error(lambda: record_to_question(*args)) == result_or_error(lambda: reference_record_to_question(*args))
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(_SCALARS, st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@given(
+    records=st.lists(st.dictionaries(st.text(max_size=3), _JSON_VALUES, max_size=4), max_size=4),
+    meta=st.one_of(st.none(), st.dictionaries(st.text(max_size=3), _JSON_VALUES, max_size=2)),
+)
+@settings(max_examples=150, deadline=None)
+@example(records=[], meta=None)
+@example(records=[{"a": float("nan"), "b": "\u2028\u00e9"}], meta={})
+def test_writer_matches_the_reference(tmp_path_factory, records, meta):
+    path = tmp_path_factory.getbasetemp() / "codec-out.jsonl"  # rewritten by each example
+    write_jsonl(str(path), records, meta=meta)
+    assert path.read_bytes() == reference_jsonl_text(records, meta).encode("utf-8")
+
+
+def test_writer_reports_an_unencodable_record_as_the_reference_does(tmp_path):
+    records = [question_record("q1"), question_record("q2", question="lone \ud800 surrogate")]
+    with pytest.raises(UnicodeEncodeError) as excinfo:
+        write_jsonl(str(tmp_path / "out.jsonl"), records, meta={"config": {}})
+    with pytest.raises(UnicodeEncodeError) as expected:
+        reference_jsonl_text(records, {"config": {}}).encode("utf-8")
+    assert str(excinfo.value) == str(expected.value)
+    assert list(tmp_path.iterdir()) == []

@@ -33,7 +33,6 @@ from thinkctl.curation import (
     parse_sft_example,
     source_counts,
     validate_traces,
-    word_ngrams,
 )
 from thinkctl.qa import McqQuestion, format_prompt
 
@@ -223,6 +222,12 @@ def test_decontaminate_is_idempotent():
     assert [q.id for q in once] == [q.id for q in twice] == ["p2"]
 
 
+def reference_word_ngrams(text: str, n: int) -> set[str]:
+    # the n-grams decontaminate built before it compared tuples of words
+    words = text.split()
+    return {" ".join(words[i : i + n]) for i in range(len(words) - n + 1)}
+
+
 def _variant(stem: str, upper: bool, punct: str) -> str:
     # the same normalized stem: case and punctuation differ
     words = stem.split()
@@ -249,8 +254,8 @@ def test_decontaminate_equals_filter_then_deduplicate(picks, n):
     eval_sets = [[question("e1", "Gamma, delta epsilon!", source="eval")], [question("e2", "mu nu xi", source="eval")]]
     pool = [question(f"p{i:02d}", _variant(bases[b], upper, punct), source=f"s{b % 2}") for i, (b, upper, punct) in enumerate(picks)]
 
-    eval_ngrams = set().union(*(word_ngrams(normalize_text(q.stem), n) for s in eval_sets for q in s))
-    clean = [q for q in pool if not word_ngrams(normalize_text(q.stem), n) & eval_ngrams]
+    eval_ngrams = set().union(*(reference_word_ngrams(normalize_text(q.stem), n) for s in eval_sets for q in s))
+    clean = [q for q in pool if not reference_word_ngrams(normalize_text(q.stem), n) & eval_ngrams]
     expected, _ = deduplicate(clean)
 
     got, row = decontaminate(pool, eval_sets, ngram_size=n)
@@ -294,13 +299,13 @@ def test_dedup_and_decontaminate_match_normalize_text(stems, eval_stems, n):
     assert [normalize_text(stem) for stem in stems] == [reference_normalize(stem) for stem in stems]
     pool = [question(f"p{i:02d}", stem, source=f"s{i % 2}") for i, stem in enumerate(stems)]
     eval_sets = [[question(f"e{i}", stem, source="eval") for i, stem in enumerate(eval_stems)]]
-    eval_ngrams = set().union(*(word_ngrams(reference_normalize(stem), n) for stem in eval_stems))
+    eval_ngrams = set().union(*(reference_word_ngrams(reference_normalize(stem), n) for stem in eval_stems))
     first: dict[str, McqQuestion] = {}
     clean: dict[str, McqQuestion] = {}
     for q in pool:
         key = reference_normalize(q.stem)
         first.setdefault(key, q)
-        if eval_ngrams.isdisjoint(word_ngrams(key, n)):
+        if eval_ngrams.isdisjoint(reference_word_ngrams(key, n)):
             clean.setdefault(key, q)
     assert deduplicate(pool)[0] == list(first.values())
     assert decontaminate(pool, eval_sets, ngram_size=n)[0] == list(clean.values())

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import OrderedDict
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path, load_fixture
@@ -18,6 +21,7 @@ from thinkctl.qa import (
     METHOD_NONE,
     STANDALONE_TAIL,
     ExtractionOutcome,
+    _fallback_patterns,
     McqQuestion,
     extract_answer,
     format_options,
@@ -253,3 +257,106 @@ def test_outcome_invariant_enforced():
         ExtractionOutcome(None, METHOD_BOXED, (0, 1))
     with pytest.raises(ValueError):
         ExtractionOutcome("A", METHOD_NONE, None)
+
+
+# --- extract_answer against the option handling it replaced -------------------
+# The extractor before it returned a dict already keyed by upper-case str
+# letters with str texts as it is, and before its patterns were compiled
+# once. Kept verbatim as the reference; the fallback cascade is shared.
+
+
+def reference_normalize_options(options) -> dict[str, str]:
+    if isinstance(options, Mapping):
+        return {str(k).upper(): str(v) for k, v in options.items()}
+    return {str(letter).upper(): "" for letter in options}
+
+
+def reference_iter_boxed(text: str):
+    for match in re.finditer(r"\\boxed\s*\{", text):
+        depth = 1
+        pos = match.end()
+        while pos < len(text) and depth > 0:
+            if text[pos] == "{":
+                depth += 1
+            elif text[pos] == "}":
+                depth -= 1
+            pos += 1
+        if depth == 0:
+            yield text[match.end() : pos - 1], (match.start(), pos)
+
+
+def reference_resolve_boxed(content: str, options: dict[str, str]) -> str | None:
+    content = content.strip()
+    if not content:
+        return None
+    upper = content.upper()
+    if upper in options:
+        return upper
+    if len(content) == 2 and content[1] in ".)" and upper[0] in options:
+        return upper[0]
+    lead = re.match(r"^([A-Za-z])[.):]?\s+(.*)$", content, re.DOTALL)
+    if lead and lead.group(1).upper() in options:
+        letter = lead.group(1).upper()
+        if lead.group(2).strip().casefold() == options[letter].strip().casefold():
+            return letter
+    for letter, option_text in options.items():
+        if option_text and content.casefold() == option_text.strip().casefold():
+            return letter
+    return None
+
+
+def reference_extract_answer(text: str, options) -> ExtractionOutcome:
+    option_map = reference_normalize_options(options)
+    if not option_map:
+        raise ValueError("options must be nonempty")
+    for content, span in reference_iter_boxed(text):
+        letter = reference_resolve_boxed(content, option_map)
+        if letter is not None:
+            return ExtractionOutcome(letter, METHOD_BOXED, span)
+    for name, pattern in _fallback_patterns(tuple(option_map)):
+        if name == "standalone":
+            offset = max(0, len(text) - STANDALONE_TAIL)
+            region = text[offset:]
+        else:
+            offset = 0
+            region = text
+        match = pattern.search(region)
+        if match:
+            letter = next(g for g in match.groups() if g is not None).upper()
+            span = (offset + match.start(), offset + match.end())
+            return ExtractionOutcome(letter, METHOD_FALLBACK, span)
+    return ExtractionOutcome(None, METHOD_NONE, None)
+
+
+def outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_OPTION_KEYS = st.one_of(st.sampled_from("ABCDabcd\u00df1"), st.text(alphabet="ABab", max_size=2), st.integers(0, 3))
+_OPTION_TEXTS = st.one_of(
+    st.sampled_from(["yes", "no", " Maybe ", "", "b. no"]), st.integers(-1, 2), st.floats(), st.none(), st.booleans()
+)
+_EXTRACT_OPTIONS = st.one_of(
+    st.dictionaries(_OPTION_KEYS, _OPTION_TEXTS, max_size=5),
+    st.dictionaries(_OPTION_KEYS, _OPTION_TEXTS, max_size=5).map(MappingProxyType),
+    st.dictionaries(_OPTION_KEYS, _OPTION_TEXTS, max_size=5).map(OrderedDict),
+    st.lists(_OPTION_KEYS, max_size=5),
+    st.lists(_OPTION_KEYS, max_size=5).map(tuple),
+)
+_EXTRACT_PIECES = ["\\boxed{", "\\boxed {", "{", "}", "A", "b", "C", "d", "\u00df", "1", "yes", "No", " maybe ", "answer is ",
+                   "Answer: ", "option ", "(", ")", ".", " ", "\n"]  # fmt: skip
+
+
+@given(pieces=st.lists(st.sampled_from(_EXTRACT_PIECES), max_size=24), options=_EXTRACT_OPTIONS)
+@settings(max_examples=300, deadline=None)
+@example(pieces=["\\boxed{", "b", "}"], options={"A": "yes", "B": "no"})  # canonical: used as given
+@example(pieces=["\\boxed{", "b", "}"], options={"a": "yes", "b": "no"})  # lower-case keys, str texts
+@example(pieces=["\\boxed{", "1", "}"], options={"A": 1, "B": "no"})  # an int text
+@example(pieces=["\\boxed{", "yes", "}"], options={"a": "yes", "B": 2})  # lower-case key, int text
+@example(pieces=["answer is ", "b"], options=["a", "b"])
+def test_extract_answer_matches_the_reference(pieces, options):
+    text = "".join(pieces)
+    assert outcome_or_error(extract_answer, text, options) == outcome_or_error(reference_extract_answer, text, options)
