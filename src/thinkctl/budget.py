@@ -10,13 +10,13 @@ and the answer cue are injected and the answer phase is streamed.
 Every context is glued as a wire backend is sent it: the prompt, the think
 marker, the model's own tokens, the forcing text and the end-of-think
 marker plus answer cue are concatenated with no separator, so forcing
-continues the model's own turn.
+continues the model's own turn. A run keeps one context and extends it
+after each request, so no earlier token is joined twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .client import (
     CAUSE_CAP,
@@ -155,27 +155,11 @@ def _generate(backend, req: GenerationRequest, phase: str) -> tuple[list[str], s
         raise BudgetRunError(f"backend failed during {phase} phase: {exc}") from exc
 
 
-def render_context(prompt: str, segments: Sequence[Segment], policy: BudgetPolicy) -> str:
-    """The generation context the model continues after ``segments``.
-
-    Prompt, think marker, then each segment's tokens, with the forcing text
-    before every forced segment, all concatenated. A forced segment with
-    no tokens yet ends the context at its forcing text, which is how the
-    request for the next forced continuation is built.
-    """
-    parts = [prompt, policy.think_marker]
-    for seg in segments:
-        if seg.provenance != PROVENANCE_INITIAL:
-            parts.append(policy.forcing_text)
-        parts.extend(seg.tokens)
-    return "".join(parts)
-
-
-def _answer_phase(prompt: str, segments: Sequence[Segment], policy: BudgetPolicy, backend) -> str:
-    """Inject the end-of-think marker and the answer cue after ``segments``
-    and stream the answer."""
+def _answer_phase(context: str, policy: BudgetPolicy, backend) -> str:
+    """Inject the end-of-think marker and the answer cue after the thinking
+    ``context`` and stream the answer."""
     req = GenerationRequest(
-        prompt=render_context(prompt, segments, policy) + policy.end_of_think_marker + ANSWER_CUE,
+        prompt=context + policy.end_of_think_marker + ANSWER_CUE,
         max_new_tokens=ANSWER_CAP,
     )
     answer_tokens, _ = _generate(backend, req, "answer")
@@ -190,19 +174,20 @@ def run_with_budget(prompt: str, policy: BudgetPolicy, backend) -> ReasoningTran
     remaining is suppressed and replaced by the forcing text. A budget cut
     transitions to the answer phase via marker + answer cue injection.
     """
+    # prompt and think marker, then each segment's tokens, with the forcing
+    # text before every forced segment
+    context = prompt + policy.think_marker
     segments: list[Segment] = []
     while True:
         if segments:
             cap, provenance = policy.per_forcing_cap, forced_provenance(len(segments))
+            context += policy.forcing_text
         else:
             cap, provenance = policy.thinking_budget, PROVENANCE_INITIAL
-        req = GenerationRequest(
-            prompt=render_context(prompt, segments + [Segment(provenance, ())], policy),
-            max_new_tokens=cap,
-            stop_on=policy.end_of_think_marker,
-        )
+        req = GenerationRequest(prompt=context, max_new_tokens=cap, stop_on=policy.end_of_think_marker)
         tokens, cause = _generate(backend, req, "thinking")
         segments.append(Segment(provenance, tuple(tokens)))
+        context += "".join(tokens)
         # a marker means the model ended its thought: force while forcings remain
         if cause != CAUSE_MARKER or len(segments) > policy.forcing_count:
             break
@@ -213,5 +198,5 @@ def run_with_budget(prompt: str, policy: BudgetPolicy, backend) -> ReasoningTran
         termination = TERMINATION_FORCING
     else:
         termination = TERMINATION_NATURAL
-    answer_text = _answer_phase(prompt, segments, policy, backend)
+    answer_text = _answer_phase(context, policy, backend)
     return ReasoningTranscript(segments=tuple(segments), answer_text=answer_text, termination=termination)

@@ -17,6 +17,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 from urllib.parse import urlsplit
 
@@ -190,11 +191,13 @@ class TokenStream:
     stream is exhausted; the final yielded event carries it too. Streams no
     more than ``req.max_new_tokens`` events.
 
-    One loop, ``_pump``, reads the backend and buffers the texts it
-    releases; ``collect`` drains a stream through it without building
-    events. The iterator holds back the newest released text until the
-    next one is released or the stream ends, so it reads at most one text
-    ahead of the event it returns.
+    One loop, ``_pump``, reads the backend in bounded passes and buffers
+    the texts it releases; it never reads past the token that releases the
+    cap-th text or completes the marker. ``collect`` drains a stream
+    through it without building events, and is handed the buffer itself
+    when no event was taken. The iterator holds back the newest released
+    text until the next one is released or the stream ends, so it reads at
+    most one text ahead of the event it returns.
     """
 
     def __init__(self, backend, req: GenerationRequest):
@@ -203,7 +206,7 @@ class TokenStream:
         self._cap = req.max_new_tokens
         self._raw: Iterator[str] | None = None  # opened by the first read
         self._scanner = _StopScanner(req.stop_on) if req.stop_on else None
-        self._texts: list[str] = []  # every released text, in order
+        self._texts: list[str] = []  # released texts, in order, until a drain takes them
         self._pos = 0  # texts returned as events
         self._end: str | None = None  # the cause, once the pump has stopped
         self.cause: str | None = None
@@ -228,15 +231,25 @@ class TokenStream:
     def _drain(self) -> tuple[list[str], str]:
         if self._end is None:
             self._pump(self._cap)
-        texts = self._texts[self._pos :]
-        self._pos = len(self._texts)
+        texts = self._texts
+        if self._pos:
+            texts = texts[self._pos :]
+            self._pos = len(self._texts)
+        else:
+            self._texts = []  # hand the buffer over: no event was taken from it
         self.cause = self._end
         return texts, self.cause
 
     def _pump(self, want: int) -> None:
         """Read the backend until ``want`` texts (at most the cap) have been
         released or the stream ends; at the end, set ``_end`` and close the
-        backend's stream."""
+        backend's stream.
+
+        Each pass reads at most ``want - len(texts)`` tokens. A token
+        releases at most one text of its own, so only ``push``, which may
+        also release withheld texts, re-checks ``want``. A short pass
+        without a scanner, or an empty one with it, means the backend ran
+        dry."""
         texts = self._texts
         cap = self._cap
         if want > cap:
@@ -248,27 +261,26 @@ class TokenStream:
         end = None
         try:
             if scanner is None:
-                for token in raw:
-                    texts.append(token)
-                    if len(texts) >= want:
-                        break
-                else:
+                texts.extend(islice(raw, want - len(texts)))
+                if len(texts) < want:
                     end = CAUSE_BACKEND_STOP
             else:
-                held, watch = scanner.held, scanner.watch
-                for token in raw:
-                    if held or watch in token:
-                        texts.extend(scanner.push(token))
-                        if scanner.found:
-                            end = CAUSE_MARKER
-                            break
-                    else:
-                        texts.append(token)
-                    if len(texts) >= want:
-                        break
-                else:
-                    texts.extend(scanner.finish())
-                    end = CAUSE_BACKEND_STOP
+                held, watch, append = scanner.held, scanner.watch, texts.append
+                while end is None and len(texts) < want:
+                    token = None
+                    for token in islice(raw, want - len(texts)):
+                        if held or watch in token:
+                            texts.extend(scanner.push(token))
+                            if scanner.found:
+                                end = CAUSE_MARKER
+                                break
+                            if len(texts) >= want:
+                                break
+                        else:
+                            append(token)
+                    if token is None:
+                        texts.extend(scanner.finish())
+                        end = CAUSE_BACKEND_STOP
         except BaseException:
             self._close()
             raise

@@ -52,6 +52,7 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     # raw_decode of the stripped line plus the "Extra data" check is what
     # json.loads does, without its per-call wrappers; a BOM fails raw_decode
     decode = json.JSONDecoder().raw_decode
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     for lineno, line in read_lines(path):
         line = line.strip()
         if not line:
@@ -65,6 +66,16 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
             raise SchemaError(path, lineno, "invalid JSON (Extra data)")
         if not isinstance(record, dict):
             raise SchemaError(path, lineno, "record is not a JSON object")
+        # a UTF-8 line holds no surrogate and the decoder joins an escaped
+        # pair, so only a lone "\\ud800"-style escape leaves one in a record;
+        # the one-character search is far cheaper than "\\u" on a long line
+        if "\\" in line and "\\u" in line:
+            text = encode(record)
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                escape = f"\\u{ord(text[exc.start]):04x}"
+                raise SchemaError(path, lineno, f"lone surrogate escape {escape} (not encodable as UTF-8)") from exc
         if META_KEY in record:
             if len(record) == 1:
                 continue

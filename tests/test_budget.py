@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import Sequence
 
 import pytest
 
 from thinkctl.budget import (
+    ANSWER_CUE,
     ANSWER_MARKER,
+    PROVENANCE_INITIAL,
     THINK_MARKER,
     BudgetPolicy,
     BudgetRunError,
@@ -234,3 +237,51 @@ def test_request_bytes_are_pinned():
             requests += len(backend.requests)
     assert requests == 1414
     assert digest.hexdigest() == REQUEST_LOG_SHA256
+
+
+# The context builder the controller used before it kept one context per run
+# and extended it, kept verbatim as the reference.
+def render_context(prompt: str, segments: Sequence[Segment], policy: BudgetPolicy) -> str:
+    """The generation context the model continues after ``segments``.
+
+    Prompt, think marker, then each segment's tokens, with the forcing text
+    before every forced segment, all concatenated. A forced segment with
+    no tokens yet ends the context at its forcing text, which is how the
+    request for the next forced continuation is built.
+    """
+    parts = [prompt, policy.think_marker]
+    for seg in segments:
+        if seg.provenance != PROVENANCE_INITIAL:
+            parts.append(policy.forcing_text)
+        parts.extend(seg.tokens)
+    return "".join(parts)
+
+
+def test_every_request_context_matches_the_reference():
+    forced = nonempty = 0
+    for trial in range(400):
+        rng = random.Random(20_000 + trial)
+        model, _ = random_scripted_model(rng)
+        policy = BudgetPolicy(
+            thinking_budget=rng.randint(1, 200),
+            forcing_count=rng.randint(0, 3),
+            # a forcing text the script has no trigger for ends each forced
+            # segment empty, by backend stop
+            forcing_text=rng.choice(["Wait.", "Wait.", " Hmm,"]),
+            per_forcing_cap=rng.choice([rng.randint(1, 60), 2048]),
+        )
+        prompt = rng.choice(["Prompt?", "", "Q: 2+2?\n"])
+        backend = RecordingBackend(model)
+        transcript = run_with_budget(prompt, policy, backend)
+        segments = transcript.segments
+        *thinking, answer = backend.requests
+        assert len(thinking) == len(segments)
+        for i, (req, segment) in enumerate(zip(thinking, segments)):
+            assert req.prompt == render_context(prompt, [*segments[:i], Segment(segment.provenance, ())], policy)
+            assert req.max_new_tokens == (policy.thinking_budget if i == 0 else policy.per_forcing_cap)
+            assert req.stop_on == ANSWER_MARKER
+        assert answer.prompt == render_context(prompt, segments, policy) + ANSWER_MARKER + ANSWER_CUE
+        assert answer.stop_on is None
+        forced += len(segments) - 1
+        nonempty += sum(1 for segment in segments[1:] if segment.tokens)
+    assert (forced, nonempty) == (247, 101)  # forced segments, with and without tokens, are in the sample

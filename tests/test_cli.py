@@ -626,6 +626,7 @@ def test_report_out_cites_its_input(tmp_path, dataset, oracle_script, capsys):
         ),
         pytest.param("--sweep", b"\xff\xfe{}", id="sweep-not-utf8"),
         pytest.param("--pool", b"\xff\xfe\n", id="pool-not-utf8"),
+        pytest.param("--pool", '{"id": "q1", "question": "\\ud800", "options": {"A": "x"}, "answer": "A"}', id="pool-lone-surrogate"),
     ],
 )
 def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset, oracle_script, option, content):

@@ -450,6 +450,97 @@ def test_collect_matches_the_event_path(tokens, marker, cap, taken):
     assert list(stream) == [] and collect(stream) == ([], cause)
 
 
+# --- long drains ------------------------------------------------------------
+# Thousands of tokens, so a drain reads the backend in several bounded passes:
+# a marker split over 2-3 tokens that completes just before, at or just after
+# the cap-th token, and tokens holding marker[0] without completing the
+# marker where a pass ends (the cap-th token read) or where the backend runs
+# dry. Checked against the oracles above on the drain and on the event path.
+
+LONG_MARKER = "<|im_start|>answer"
+LONG_FILLER = 2500
+
+
+def filler(n: int, start: int = 0) -> list[str]:
+    return [f"w{i} " for i in range(start, start + n)]
+
+
+def split_marker_stream(pieces: int, end: int) -> list[str]:
+    """Filler with the marker split over ``pieces`` tokens, the last of them
+    token number ``end`` (1-based); the first carries text before the
+    marker, the last text after it."""
+    cuts = {2: ["x <|im_sta", "rt|>answer y "], 3: ["x <|im", "_start|>ans", "wer y "]}[pieces]
+    return filler(end - pieces) + cuts + filler(50, end)
+
+
+def held_at(positions: list[int], n: int) -> list[str]:
+    """``n`` filler tokens, except that token number p (1-based) of
+    ``positions`` ends in a prefix of the marker that the next token breaks."""
+    tokens = filler(n)
+    for p in positions:
+        tokens[p - 1] = f"h{p} <|im_st"
+    return tokens
+
+
+def held_prefix_at(end: int, n: int) -> list[str]:
+    """``n`` filler tokens, except that a prefix of the marker is split over
+    tokens ``end - 2`` to ``end`` (1-based) and broken by the next token, so
+    one push releases four texts."""
+    tokens = filler(n)
+    tokens[end - 3 : end + 1] = ["h <|im", "_sta", "rt|>", "nope "]
+    return tokens
+
+
+LONG_CAP = 2000
+LONG_STREAMS = {
+    **{
+        f"split{pieces}-end{delta:+d}": (split_marker_stream(pieces, LONG_CAP + delta), LONG_CAP)
+        for pieces in (2, 3)
+        for delta in (-1, 0, 1)
+    },
+    # the first pass of a drain reads exactly cap tokens and ends on a held one
+    "held-at-pass-end": (held_at([LONG_CAP], LONG_FILLER), LONG_CAP),
+    "held-before-pass-end": (held_at([LONG_CAP - 1], LONG_FILLER), LONG_CAP),
+    # the next pass reads 3 tokens, and the first of them releases 4 texts
+    "held-prefix-at-pass-end": (held_prefix_at(LONG_CAP, LONG_FILLER), LONG_CAP),
+    "held-throughout": (held_at(list(range(7, LONG_FILLER, 7)), LONG_FILLER), LONG_CAP),
+    # the backend runs dry on a held token: the last pass reads nothing
+    "held-at-dry-end": (held_at([LONG_CAP], LONG_CAP), LONG_CAP),
+    "held-at-dry-end-under-cap": (held_at([LONG_CAP - 3], LONG_CAP - 3), LONG_CAP),
+}
+
+
+def long_drain_oracle(tokens: list[str], marker: str | None, cap: int) -> tuple[list[str], str, int]:
+    kept = eager_stop_split(tokens, marker) if marker is not None else tokens
+    if len(kept) >= cap:
+        cause = CAUSE_CAP
+    elif marker is not None and marker in "".join(tokens):
+        cause = CAUSE_MARKER
+    else:
+        cause = CAUSE_BACKEND_STOP
+    return kept[:cap], cause, reads_to_release(tokens, marker, cap)
+
+
+@pytest.mark.parametrize("marker", [LONG_MARKER, None], ids=["marker", "no-marker"])
+@pytest.mark.parametrize("name", list(LONG_STREAMS))
+def test_long_drain_matches_oracle(name, marker):
+    tokens, cap = LONG_STREAMS[name]
+    texts, cause, read = long_drain_oracle(tokens, marker, cap)
+    req = GenerationRequest("p", max_new_tokens=cap, stop_on=marker)
+
+    backend = _ListBackend(tokens)
+    stream = stream_generate(backend, req)
+    assert collect(stream) == (texts, cause)
+    assert stream.cause == cause
+    assert backend.read == read
+
+    backend = _ListBackend(tokens)
+    events = list(stream_generate(backend, req))
+    assert [e.text for e in events] == texts
+    assert [e.cause for e in events] == [None] * (len(texts) - 1) + [cause]
+    assert backend.read == read
+
+
 def test_stream_is_its_own_iterator_of_immutable_tuple_events():
     stream = stream_generate(single_entry_model("a b"), GenerationRequest("p", max_new_tokens=5))
     assert iter(stream) is stream

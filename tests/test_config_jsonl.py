@@ -252,6 +252,31 @@ def test_meta_beside_other_fields_is_a_schema_error(tmp_path):
     assert str(excinfo.value) == f"{path}:2: field '_meta' must be the only field of a provenance line"
 
 
+@pytest.mark.parametrize(
+    "text, escape",
+    [
+        ("lone \\ud800 high", "\\ud800"),
+        ("lone \\udfff low", "\\udfff"),
+        ("high then text \\ud83dx", "\\ud83d"),
+        ("pair reversed \\ude00\\ud83d", "\\ude00"),
+    ],
+)
+def test_lone_surrogate_escape_is_a_schema_error(tmp_path, text, escape):
+    path = tmp_path / "qs.jsonl"
+    line = json.dumps(question_record("q2")).replace('"stem q2"', f'"{text}"')
+    write_lines(path, [json.dumps(question_record("q1")), line])
+    with pytest.raises(SchemaError) as excinfo:
+        load_questions(str(path))
+    assert str(excinfo.value) == f"{path}:2: lone surrogate escape {escape} (not encodable as UTF-8)"
+
+
+def test_escaped_surrogate_pair_and_escaped_backslash_load(tmp_path):
+    path = tmp_path / "qs.jsonl"
+    line = json.dumps(question_record("q1")).replace('"stem q1"', '"smile \\ud83d\\ude00 and \\\\ud800"')
+    write_lines(path, [line, json.dumps(question_record("q2", question="caf\u00e9"))])  # the second with an \u escape
+    assert [q.stem for q in load_questions(str(path))] == ["smile \U0001f600 and \\ud800", "caf\u00e9"]
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
 def test_artifacts_get_the_mode_the_umask_gives(tmp_path, umask, mode):
     fresh, rewritten = tmp_path / "fresh.jsonl", tmp_path / "rewritten.jsonl"
