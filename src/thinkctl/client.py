@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -179,122 +180,84 @@ class _StopScanner:
         return released
 
 
-# what ``TokenEvent.__new__`` calls; calling it directly skips that
-# method's Python frame, a large share of the cost of an event
-_new_event = tuple.__new__
-
-
 class TokenStream:
     """Single-consumer iterator of ``TokenEvent``.
 
-    ``cause`` is ``None`` while streaming and one of ``CAUSE_*`` once the
-    stream is exhausted; the final yielded event carries it too. Streams no
+    ``cause`` is ``None`` until the stream has been read and one of
+    ``CAUSE_*`` after; the final yielded event carries it too. Streams no
     more than ``req.max_new_tokens`` events.
 
-    One loop, ``_pump``, reads the backend in bounded passes and buffers
-    the texts it releases; it never reads past the token that releases the
-    cap-th text or completes the marker. ``collect`` drains a stream
-    through it without building events, and is handed the buffer itself
-    when no event was taken. The iterator holds back the newest released
-    text until the next one is released or the stream ends, so it reads at
-    most one text ahead of the event it returns.
+    The backend is read once, by ``_read``: ``collect`` calls it on an
+    unread stream and builds no event, and the first ``next()`` calls it
+    and then yields an event per text. Either way the whole stream is read
+    and the backend's stream closed at once, so a consumer that stops
+    after one event leaves no response open.
     """
 
     def __init__(self, backend, req: GenerationRequest):
         self._backend = backend
         self._req = req
-        self._cap = req.max_new_tokens
-        self._raw: Iterator[str] | None = None  # opened by the first read
-        self._scanner = _StopScanner(req.stop_on) if req.stop_on else None
-        self._texts: list[str] = []  # released texts, in order, until a drain takes them
-        self._pos = 0  # texts returned as events
-        self._end: str | None = None  # the cause, once the pump has stopped
+        self._events: Iterator[TokenEvent] | None = None  # set once the stream is read
         self.cause: str | None = None
 
     def __iter__(self) -> "TokenStream":
         return self
 
     def __next__(self) -> TokenEvent:
-        pos = self._pos
-        texts = self._texts
-        if len(texts) < pos + 2 and self._end is None:
-            self._pump(pos + 2)
-        if pos + 1 < len(texts):
-            self._pos = pos + 1
-            return _new_event(TokenEvent, (texts[pos], pos, None))
-        self.cause = self._end
-        if pos == len(texts):
-            raise StopIteration
-        self._pos = pos + 1
-        return TokenEvent(texts[pos], pos, self.cause)
+        if self._events is None:
+            texts = self._read()
+            cause, last = self.cause, len(texts) - 1
+            self._events = (TokenEvent(text, i, cause if i == last else None) for i, text in enumerate(texts))
+        return next(self._events)
 
-    def _drain(self) -> tuple[list[str], str]:
-        if self._end is None:
-            self._pump(self._cap)
-        texts = self._texts
-        if self._pos:
-            texts = texts[self._pos :]
-            self._pos = len(self._texts)
-        else:
-            self._texts = []  # hand the buffer over: no event was taken from it
-        self.cause = self._end
-        return texts, self.cause
+    def _read(self) -> list[str]:
+        """Read the backend until ``req.max_new_tokens`` texts have been
+        released or the stream ends, close the backend's stream, set
+        ``cause`` and return the texts.
 
-    def _pump(self, want: int) -> None:
-        """Read the backend until ``want`` texts (at most the cap) have been
-        released or the stream ends; at the end, set ``_end`` and close the
-        backend's stream.
-
-        Each pass reads at most ``want - len(texts)`` tokens. A token
+        Each pass reads at most ``cap - len(texts)`` tokens. A token
         releases at most one text of its own, so only ``push``, which may
-        also release withheld texts, re-checks ``want``. A short pass
-        without a scanner, or an empty one with it, means the backend ran
-        dry."""
-        texts = self._texts
-        cap = self._cap
-        if want > cap:
-            want = cap
-        raw = self._raw
-        if raw is None:
-            raw = self._raw = self._backend.raw_stream(self._req)
-        scanner = self._scanner
+        also release withheld texts, re-checks the cap. A short pass
+        without a marker, or an empty one with it, means the backend ran
+        dry. So no token is read past the one that releases the cap-th
+        text or completes the marker."""
+        self._events = iter(())  # a stream is read once
+        req = self._req
+        cap = req.max_new_tokens
+        texts: list[str] = []
         end = None
+        raw = self._backend.raw_stream(req)
         try:
-            if scanner is None:
-                texts.extend(islice(raw, want - len(texts)))
-                if len(texts) < want:
-                    end = CAUSE_BACKEND_STOP
+            if not req.stop_on:
+                texts.extend(islice(raw, cap))
+                end = CAUSE_BACKEND_STOP
             else:
+                scanner = _StopScanner(req.stop_on)
                 held, watch, append = scanner.held, scanner.watch, texts.append
-                while end is None and len(texts) < want:
+                while end is None and len(texts) < cap:
                     token = None
-                    for token in islice(raw, want - len(texts)):
+                    for token in islice(raw, cap - len(texts)):
                         if held or watch in token:
                             texts.extend(scanner.push(token))
                             if scanner.found:
                                 end = CAUSE_MARKER
                                 break
-                            if len(texts) >= want:
+                            if len(texts) >= cap:
                                 break
                         else:
                             append(token)
                     if token is None:
                         texts.extend(scanner.finish())
                         end = CAUSE_BACKEND_STOP
-        except BaseException:
-            self._close()
-            raise
+        finally:
+            close = getattr(raw, "close", None)  # a generator's; a plain iterator has none
+            if close is not None:
+                close()
         if len(texts) >= cap:
             del texts[cap:]
             end = CAUSE_CAP
-        if end is not None:
-            self._end = end
-            self._close()
-
-    def _close(self) -> None:
-        close = getattr(self._raw, "close", None)
-        if close is not None:
-            close()
+        self.cause = end
+        return texts
 
 
 def stream_generate(backend, req: GenerationRequest) -> TokenStream:
@@ -306,11 +269,11 @@ def stream_generate(backend, req: GenerationRequest) -> TokenStream:
 def collect(stream: Iterable[TokenEvent]) -> tuple[list[str], str]:
     """Drain a stream; returns (token texts, terminating cause).
 
-    A ``TokenStream`` is drained through its pump and builds no
-    ``TokenEvent``. Any other iterable of events with a ``cause`` once
-    drained, such as a wrapper around a stream, is iterated."""
-    if isinstance(stream, TokenStream):
-        return stream._drain()
+    An unread ``TokenStream`` is read once and builds no ``TokenEvent``.
+    Any other iterable of events with a ``cause`` once drained, such as a
+    wrapper around a stream or a stream with events taken, is iterated."""
+    if isinstance(stream, TokenStream) and stream._events is None:
+        return stream._read(), stream.cause
     texts = [event.text for event in stream]
     assert stream.cause is not None
     return texts, stream.cause
@@ -427,8 +390,8 @@ class WireBackend:
             port_ok = False
         if url.scheme not in ("http", "https") or not url.hostname or not port_ok:
             raise ValueError(f"base_url must be an http(s):// URL with a host and a valid port, not {self.base_url!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:  # json.dumps would send NaN or Infinity, not JSON
+            raise ValueError(f"temperature must be a finite number >= 0, not {self.temperature}")
 
     def raw_stream(self, req: GenerationRequest) -> Iterator[str]:
         # imported here, not at module level, so that runs which send no

@@ -125,8 +125,8 @@ class CurationReport:
         never increase from one stage to the next."""
         previous = None
         for stage in self.stages:
-            if any(v < 0 for v in stage.counts.values()):
-                raise CurationError(f"stage {stage.name!r}: negative count")
+            if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in stage.counts.values()):
+                raise CurationError(f"stage {stage.name!r}: a count is not a non-negative integer")
             if previous is not None and stage.total > previous.total:
                 raise CurationError(
                     f"stage {stage.name!r}: total {stage.total} exceeds previous "

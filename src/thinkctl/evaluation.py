@@ -78,6 +78,8 @@ class SweepResult:
     points: list[SweepPoint]
 
     def __post_init__(self) -> None:
+        if self.kind not in (KIND_BUDGET, KIND_FORCING):
+            raise ValueError(f"sweep kind must be {KIND_BUDGET!r} or {KIND_FORCING!r}, not {self.kind!r}")
         xs = [p.x for p in self.points]
         if sorted(xs) != xs:
             raise ValueError("sweep points must be sorted by x")

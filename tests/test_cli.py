@@ -627,6 +627,8 @@ def test_report_out_cites_its_input(tmp_path, dataset, oracle_script, capsys):
         pytest.param("--sweep", b"\xff\xfe{}", id="sweep-not-utf8"),
         pytest.param("--pool", b"\xff\xfe\n", id="pool-not-utf8"),
         pytest.param("--pool", '{"id": "q1", "question": "\\ud800", "options": {"A": "x"}, "answer": "A"}', id="pool-lone-surrogate"),
+        pytest.param("--sweep", '{"dataset": "d", "kind": "bogus", "points": []}', id="sweep-unknown-kind"),
+        pytest.param("--in", '{"stages": [{"name": "s", "counts": {"x": 1.5, "y": true}}]}', id="report-count-not-integer"),
     ],
 )
 def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset, oracle_script, option, content):
@@ -703,6 +705,7 @@ def test_unknown_config_key_exits_1(tmp_path, dataset, oracle_script, capsys):
         pytest.param(b"[policy]\nforcing_text =\nthinking_budget = 8\nforcing_count = 2\n", 4, id="forcing-count-after-empty-text"),
         pytest.param(b"[backend]\nbase_url = localhost:8000\n", 2, id="base-url-without-scheme"),
         pytest.param(b"[backend]\ntemperature = -0.5\n", 2, id="temperature-negative"),
+        pytest.param(b"[backend]\ntemperature = nan\n", 2, id="temperature-nan"),
     ],
 )
 def test_malformed_config_exits_1_citing_file_and_line(tmp_path, dataset, oracle_script, capsys, content, line):

@@ -44,6 +44,13 @@ def test_defaults_are_greedy_with_fixed_seed():
     assert backend.seed == 42
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+def test_wire_backend_rejects_a_temperature_that_is_not_finite_and_nonnegative(temperature):
+    # json.dumps would write NaN or Infinity into the request body, which is not JSON
+    with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
+        WireBackend(base_url="http://localhost:8000", model="m", temperature=temperature)
+
+
 def test_request_rejects_nonpositive_cap():
     with pytest.raises(ValueError):
         GenerationRequest(prompt="p", max_new_tokens=0)
@@ -333,16 +340,21 @@ def test_scanner_releases_maximal_safe_prefix_after_every_push(tokens, marker):
 
 
 class _ListBackend:
-    """Streams a fixed token list and counts the tokens handed out."""
+    """Streams a fixed token list, counts the tokens handed out and records
+    when its generator has been closed or run dry."""
 
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.read = 0
+        self.closed = False
 
     def raw_stream(self, req):
-        for tok in self.tokens:
-            self.read += 1
-            yield tok
+        try:
+            for tok in self.tokens:
+                self.read += 1
+                yield tok
+        finally:
+            self.closed = True
 
 
 @given(
@@ -435,19 +447,35 @@ def test_collect_matches_the_event_path(tokens, marker, cap, taken):
     assert collect(_EventProxy(stream_generate(backend, req))) == expected
     assert backend.read == events_backend.read
 
-    # ``taken`` events one at a time, each read at most one text ahead of
-    # itself, then the rest drained
+    # ``taken`` events one at a time, then the rest drained: the first event
+    # reads the backend as far as a drain does and sets the cause
     backend = _ListBackend(tokens)
     stream = stream_generate(backend, req)
     head = [event for _, event in zip(range(taken), stream)]
     assert head == events[:taken]
-    assert backend.read == (reads_to_release(tokens, marker, min(taken + 1, cap)) if taken else 0)
-    assert stream.cause == (expected[1] if taken >= max(len(events), 1) else None)
+    assert backend.read == (events_backend.read if taken else 0)
+    assert stream.cause == (expected[1] if taken else None)
+    assert backend.closed == bool(taken)
     texts, cause = collect(stream)
     assert [e.text for e in head] + texts == expected[0]
     assert cause == expected[1]
     assert backend.read == events_backend.read
     assert list(stream) == [] and collect(stream) == ([], cause)
+
+
+@pytest.mark.parametrize("marker, cause", [(None, CAUSE_CAP), ("c", CAUSE_MARKER)], ids=["no-marker", "marker"])
+def test_stream_abandoned_after_one_event_has_closed_its_backend(marker, cause):
+    backend = _ListBackend(["a ", "b ", "c ", "d"])
+
+    def raw_stream(req, inner=backend.raw_stream):
+        backend.raw = inner(req)  # a held reference: only an explicit close finishes the generator
+        return backend.raw
+
+    backend.raw_stream = raw_stream
+    stream = stream_generate(backend, GenerationRequest("p", max_new_tokens=3, stop_on=marker))
+    assert next(stream) == TokenEvent("a ", 0)
+    assert backend.closed and backend.read == 3
+    assert stream.cause == cause
 
 
 # --- long drains ------------------------------------------------------------
@@ -745,14 +773,17 @@ def test_wire_stop_marker_client_side(sse_server):
 
 
 @pytest.mark.parametrize(
-    "req, cause",
+    "req, cause, consume",
     [
-        (GenerationRequest("p", max_new_tokens=16, stop_on="wor"), CAUSE_MARKER),
-        (GenerationRequest("p", max_new_tokens=1), CAUSE_CAP),
+        (GenerationRequest("p", max_new_tokens=16, stop_on="wor"), CAUSE_MARKER, collect),
+        (GenerationRequest("p", max_new_tokens=1), CAUSE_CAP, collect),
+        # one event taken, and the stream abandoned
+        (GenerationRequest("p", max_new_tokens=16, stop_on="wor"), CAUSE_MARKER, next),
+        (GenerationRequest("p", max_new_tokens=1), CAUSE_CAP, next),
     ],
-    ids=["marker", "cap"],
+    ids=["marker", "cap", "next-marker", "next-cap"],
 )
-def test_wire_consumer_that_stops_early_closes_the_response(sse_server, monkeypatch, req, cause):
+def test_wire_consumer_that_stops_early_closes_the_response(sse_server, monkeypatch, req, cause, consume):
     opened = []
     urlopen = urllib.request.urlopen
 
@@ -762,7 +793,9 @@ def test_wire_consumer_that_stops_early_closes_the_response(sse_server, monkeypa
 
     monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
     backend = WireBackend(base_url=sse_server, model="m")
-    assert collect(stream_generate(backend, req))[1] == cause
+    stream = stream_generate(backend, req)
+    consume(stream)
+    assert stream.cause == cause
     assert len(opened) == 1 and opened[0].isclosed()
 
 

@@ -576,6 +576,14 @@ def test_report_validate_rejects_increasing_totals():
         report.validate()
 
 
+@pytest.mark.parametrize("count", [-1, 1.5, 2.0, True, "3", None])
+def test_report_validate_rejects_a_count_that_is_not_a_nonnegative_int(count):
+    report = CurationReport()
+    report.add_stage("first", {"a": 5, "b": count})
+    with pytest.raises(CurationError, match="not a non-negative integer"):
+        report.validate()
+
+
 def test_report_from_dict_rejects_wrong_total():
     with pytest.raises(CurationError):
         CurationReport.from_dict(

@@ -351,6 +351,8 @@ def test_sweep_result_validation():
             "budget",
             [SweepPoint(x=1, accuracy=0.4, n=2, n_correct=1, mean_thinking_tokens=3.0)],
         )
+    with pytest.raises(ValueError, match="sweep kind"):
+        SweepResult("d", "bogus", [good])
 
 
 def test_sweep_result_round_trip(make_questions):
