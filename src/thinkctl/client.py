@@ -96,21 +96,19 @@ class TokenEvent(NamedTuple):
 class _StopScanner:
     """Incremental stop-marker detection over a token stream.
 
-    Tokens are scanned in their concatenated text (backends may split
-    markers across token events). A token is withheld only while the
-    text's tail could still grow into the marker, so it is released as
-    soon as no future occurrence can overlap it; when the marker
-    completes, a straddling token is truncated to its text before the
-    marker, so the marker never reaches the consumer.
+    Backends may split the marker across tokens, so it is searched in the
+    concatenated text of ``held``: the tokens that may still overlap an
+    occurrence. Everything before the first held text has already been
+    searched, so no occurrence can start there. A push that completes the
+    marker releases the texts before it, truncating a straddling one, so
+    the marker never reaches the consumer; any other push releases every
+    held text that ends at or before the earliest offset whose suffix is a
+    start of the marker.
 
-    Offsets into the text are relative: they are only compared with one
-    another, so shifting all of them by one amount changes nothing. While
-    nothing is withheld, a token without ``watch`` (``marker[0]``) can
-    start no occurrence and is released at once; the state after it
-    differs from the state before it only by such a shift. So a caller may
-    release that token without calling ``push``, and the next ``push``
-    continues from the unchanged state with no re-base. ``held`` is only
-    changed in place, so a caller may test an alias of it.
+    While nothing is held, a token without ``watch`` (``marker[0]``) can
+    start no occurrence: ``push`` would release it and leave nothing held.
+    So a caller may release that token without calling ``push``. ``held``
+    is only changed in place, so a caller may test an alias of it.
     """
 
     def __init__(self, marker: str):
@@ -119,65 +117,47 @@ class _StopScanner:
         self.marker = marker
         self.found = False
         self.watch = marker[0]
-        self.held: list[tuple[str, int]] = []  # (token, start offset)
-        self._tail = ""  # the pushed text from _tail_from onward
-        self._tail_from = 0
+        self.held: list[str] = []
+        self._text = ""  # "".join(held)
 
     def push(self, token: str) -> list[str]:
         if self.found:
             return []
-        self.held.append((token, self._tail_from + len(self._tail)))
-        self._tail += token
-
-        idx = self._tail.find(self.marker)
-        if idx != -1:
-            self.found = True
-            out = self._cut_tokens(self._tail_from + idx)
-            self.held.clear()
-            self._tail = ""
-            return out
-        return self._release(self._earliest_future_start())
+        marker, held = self.marker, self.held
+        held.append(token)
+        text = self._text + token
+        cut = text.find(marker)
+        self.found = cut != -1
+        if not self.found:
+            # a later occurrence ends beyond the text, so the part of it
+            # already here is a start of the marker
+            cut = text.find(self.watch, max(0, len(text) - len(marker) + 1))
+            while cut != -1 and not marker.startswith(text[cut:]):
+                cut = text.find(self.watch, cut + 1)
+            if cut == -1:
+                cut = len(text)
+        n, rest = 0, cut  # the texts that end at or before cut, and what is left of it
+        for tok in held:
+            if len(tok) > rest:
+                break
+            rest -= len(tok)
+            n += 1
+        out = held[:n]
+        if self.found:  # no later push reads _text
+            if rest:
+                out.append(held[n][:rest])
+            held.clear()
+        else:
+            del held[:n]
+            self._text = text[cut - rest :]
+        return out
 
     def finish(self) -> list[str]:
         """Flush anything withheld once the backend stops on its own."""
-        out = [tok for tok, _ in self.held]
+        out = self.held[:]
         self.held.clear()
+        self._text = ""
         return out
-
-    def _earliest_future_start(self) -> int:
-        # a future occurrence must end beyond the current text, and the
-        # text it already covers must match the start of the marker, so
-        # it starts at a ``marker[0]`` or at the end of the text
-        tail = self._tail
-        p = tail.find(self.watch, max(0, len(tail) - len(self.marker) + 1))
-        while p != -1 and not self.marker.startswith(tail[p:]):
-            p = tail.find(self.watch, p + 1)
-        return self._tail_from + (len(tail) if p == -1 else p)
-
-    def _cut_tokens(self, marker_start: int) -> list[str]:
-        out = []
-        for tok, start in self.held:
-            end = start + len(tok)
-            if end <= marker_start:
-                out.append(tok)
-            elif start < marker_start:
-                out.append(tok[: marker_start - start])
-            else:
-                break
-        return out
-
-    def _release(self, safe_until: int) -> list[str]:
-        n = 0
-        for tok, start in self.held:
-            if start + len(tok) > safe_until:
-                break
-            n += 1
-        released = [tok for tok, _ in self.held[:n]]
-        del self.held[:n]
-        if safe_until > self._tail_from:
-            self._tail = self._tail[safe_until - self._tail_from :]
-            self._tail_from = safe_until
-        return released
 
 
 class TokenStream:

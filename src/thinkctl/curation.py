@@ -139,9 +139,19 @@ class CurationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CurationReport":
-        report = cls(header=dict(data.get("header", {})))
+        header = data.get("header", {})
+        if not isinstance(header, dict):
+            raise CurationError(f"ledger header must be a JSON object, not {header!r}")
+        report = cls(header=dict(header))
         for row in data["stages"]:
-            stage = report.add_stage(row["name"], row["counts"], row.get("params"))
+            name, counts, params = row["name"], row["counts"], row.get("params")
+            if not isinstance(name, str):
+                raise CurationError(f"stage name must be a string, not {name!r}")
+            if not isinstance(counts, dict):
+                raise CurationError(f"stage {name!r}: counts must be a JSON object, not {counts!r}")
+            if not isinstance(params, (dict, type(None))):
+                raise CurationError(f"stage {name!r}: params must be a JSON object or null, not {params!r}")
+            stage = report.add_stage(name, counts, params)
             if "total" in row and row["total"] != stage.total:
                 raise CurationError(
                     f"stage {row['name']!r}: recorded total {row['total']} does not "

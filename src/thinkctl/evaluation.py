@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
 from statistics import fmean
+from sys import float_info
 from typing import Iterable, Sequence
 
 from .budget import BudgetPolicy, ReasoningTranscript, run_with_budget
@@ -64,6 +65,10 @@ class SweepPoint:
             kinds = (int,) if name in ("n", "n_correct") else (int, float)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise TypeError(f"sweep point field {name!r} must be {kinds[-1].__name__}, got {value!r}")
+            if not -float_info.max <= value <= float_info.max:  # NaN, an infinity, or an int no float holds
+                raise ValueError(f"sweep point field {name!r} must be finite, got {value!r}")
+        if not 0 <= self.n_correct <= self.n:
+            raise ValueError(f"point x={self.x}: n_correct {self.n_correct} is not within 0..n={self.n}")
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -78,6 +83,8 @@ class SweepResult:
     points: list[SweepPoint]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dataset, str):
+            raise TypeError(f"sweep dataset must be a string, not {self.dataset!r}")
         if self.kind not in (KIND_BUDGET, KIND_FORCING):
             raise ValueError(f"sweep kind must be {KIND_BUDGET!r} or {KIND_FORCING!r}, not {self.kind!r}")
         xs = [p.x for p in self.points]

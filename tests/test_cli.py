@@ -629,6 +629,30 @@ def test_report_out_cites_its_input(tmp_path, dataset, oracle_script, capsys):
         pytest.param("--pool", '{"id": "q1", "question": "\\ud800", "options": {"A": "x"}, "answer": "A"}', id="pool-lone-surrogate"),
         pytest.param("--sweep", '{"dataset": "d", "kind": "bogus", "points": []}', id="sweep-unknown-kind"),
         pytest.param("--in", '{"stages": [{"name": "s", "counts": {"x": 1.5, "y": true}}]}', id="report-count-not-integer"),
+        pytest.param(
+            "--sweep",
+            '{"dataset": 5, "points": [{"x": 1, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
+            id="sweep-dataset-not-string",
+        ),
+        pytest.param(
+            "--sweep",
+            '{"dataset": "d", "points": [{"x": Infinity, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
+            id="sweep-x-infinite",
+        ),
+        pytest.param(
+            "--sweep",
+            '{"dataset": "d", "points": [{"x": NaN, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
+            id="sweep-x-nan",
+        ),
+        pytest.param(
+            "--sweep",
+            '{"dataset": "d", "points": [{"x": 1, "accuracy": 0.5, "n": -2, "n_correct": -1, "mean_thinking_tokens": 1}]}',
+            id="sweep-count-negative",
+        ),
+        pytest.param("--in", '{"stages": [{"name": ["x"], "counts": {"a": 1}}]}', id="report-name-not-string"),
+        pytest.param("--in", '{"stages": [{"name": "s", "counts": {"a": 1}, "params": [1]}]}', id="report-params-not-object"),
+        pytest.param("--in", '{"stages": [{"name": "s", "counts": [["a", 1]]}]}', id="report-counts-not-object"),
+        pytest.param("--in", '{"header": [["a", 1]], "stages": []}', id="report-header-not-object"),
     ],
 )
 def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset, oracle_script, option, content):

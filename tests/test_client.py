@@ -532,6 +532,8 @@ LONG_STREAMS = {
     # the next pass reads 3 tokens, and the first of them releases 4 texts
     "held-prefix-at-pass-end": (held_prefix_at(LONG_CAP, LONG_FILLER), LONG_CAP),
     "held-throughout": (held_at(list(range(7, LONG_FILLER, 7)), LONG_FILLER), LONG_CAP),
+    # every token goes through push and is held until the next one, across every pass end
+    "held-every-token": (held_at(list(range(1, LONG_FILLER + 1)), LONG_FILLER), LONG_CAP),
     # the backend runs dry on a held token: the last pass reads nothing
     "held-at-dry-end": (held_at([LONG_CAP], LONG_CAP), LONG_CAP),
     "held-at-dry-end-under-cap": (held_at([LONG_CAP - 3], LONG_CAP - 3), LONG_CAP),

@@ -353,6 +353,16 @@ def test_sweep_result_validation():
         )
     with pytest.raises(ValueError, match="sweep kind"):
         SweepResult("d", "bogus", [good])
+    with pytest.raises(TypeError, match="dataset"):
+        SweepResult(5, "budget", [good])
+    # plotting converts x to a float, so an int no float holds is as bad as an infinity
+    not_finite = [("x", float("inf")), ("x", 10**400), ("accuracy", float("nan")), ("mean_thinking_tokens", -float("inf"))]
+    for field, value in not_finite:
+        with pytest.raises(ValueError, match="finite"):
+            SweepPoint(**{**good.to_dict(), field: value})
+    for n, n_correct in [(-2, -1), (2, 3), (0, -1)]:
+        with pytest.raises(ValueError, match="n_correct"):
+            SweepPoint(x=1, accuracy=0.5, n=n, n_correct=n_correct, mean_thinking_tokens=3.0)
 
 
 def test_sweep_result_round_trip(make_questions):
