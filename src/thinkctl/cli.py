@@ -62,10 +62,15 @@ def _read_json(path: str, build):
     """Return ``build`` of the JSON object in ``path``. A file that is not
     JSON, not an object, or not what ``build`` reads raises SchemaError
     citing the file, so the command exits 1 without a traceback."""
+    text = "".join(line for _, line in read_lines(path))
     try:
-        payload = json.loads("".join(line for _, line in read_lines(path)))
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(path, exc.lineno, f"invalid JSON ({exc.msg})") from exc
+    # an integer or a nesting past the interpreter's limits: the decoder
+    # gives no position for either, so the error cites line 1
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(path, 1, f"invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise SchemaError(path, 1, "top level is not a JSON object")
     try:

@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
@@ -424,7 +423,7 @@ class WireBackend:
                         finished = choices[0].get("finish_reason")
                         if not isinstance(text, str):
                             raise TypeError(f"content is a {type(text).__name__}")
-                    except (ValueError, LookupError, AttributeError, TypeError) as exc:
+                    except (ValueError, LookupError, AttributeError, TypeError, RecursionError) as exc:
                         raise TruncatedStreamError(f"malformed stream chunk: {payload[:80]}") from exc
                     if text:
                         yield text
@@ -463,6 +462,10 @@ def with_retries(fn: Callable[[], T]) -> T:
             attempt += 1
 
 
+# the default pool size of evaluation and of the config's run.workers key
+DEFAULT_WORKERS = 8
+
+
 def in_order(calls: Iterable[Callable[[], T]], workers: int) -> Iterator[T]:
     """Yield each call's result in the order given, inline in the calling
     thread at ``workers`` <= 1. Otherwise ``map`` queues every call on one
@@ -472,6 +475,9 @@ def in_order(calls: Iterable[Callable[[], T]], workers: int) -> Iterator[T]:
         for call in calls:
             yield call()
         return
+    # imported here so that a run on one worker never loads concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         yield from pool.map(lambda call: call(), calls)

@@ -17,8 +17,7 @@ from dataclasses import Field, dataclass, field, fields
 from typing import Mapping
 
 from .budget import DEFAULT_FORCING_TEXT, DEFAULT_PER_FORCING_CAP, DEFAULT_THINKING_BUDGET, BudgetPolicy
-from .client import DEFAULT_SEED, DEFAULT_TEMPERATURE, WireBackend
-from .evaluation import DEFAULT_WORKERS
+from .client import DEFAULT_SEED, DEFAULT_TEMPERATURE, DEFAULT_WORKERS, WireBackend
 from .jsonl import SchemaError, read_lines
 
 BASE_URL_ENV = "M1_BASE_URL"

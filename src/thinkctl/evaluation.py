@@ -16,11 +16,10 @@ from sys import float_info
 from typing import Iterable, Sequence
 
 from .budget import BudgetPolicy, ReasoningTranscript, run_with_budget
-from .client import BackendError, in_order, with_retries
+from .client import DEFAULT_WORKERS, BackendError, in_order, with_retries
 from .qa import McqQuestion, extract_answer, format_prompt, grade
 
 DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
-DEFAULT_WORKERS = 8
 
 KIND_BUDGET = "budget"
 KIND_FORCING = "forcing"

@@ -10,13 +10,14 @@ line whose only key is ``_meta``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .curation import TraceRecord
 from .qa import McqQuestion
+
+if TYPE_CHECKING:
+    from .curation import TraceRecord
 
 META_KEY = "_meta"
 # what json.loads reports for a line that starts with a byte order mark
@@ -62,6 +63,10 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
         except json.JSONDecodeError as exc:
             reason = _BOM_REASON if line[0] == "\ufeff" else exc.msg
             raise SchemaError(path, lineno, f"invalid JSON ({reason})") from exc
+        # an integer of more than sys.get_int_max_str_digits() digits
+        # (ValueError) or nesting past the recursion limit (RecursionError)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(path, lineno, f"invalid JSON ({exc})") from exc
         if end != len(line):
             raise SchemaError(path, lineno, "invalid JSON (Extra data)")
         if not isinstance(record, dict):
@@ -144,6 +149,9 @@ def load_questions(path: str) -> list[McqQuestion]:
 
 
 def record_to_trace(record: dict, path: str = "<memory>", lineno: int = 0) -> TraceRecord:
+    # imported here so that loading questions never loads the curation module
+    from .curation import TraceRecord
+
     question = record_to_question(record, path, lineno)
     thinking = _require(record, "thinking", str, path, lineno)
     response = _require(record, "response", str, path, lineno)
@@ -181,6 +189,8 @@ def load_traces(path: str) -> list[TraceRecord]:
 
 
 def sha256_file(path: str) -> str:
+    import hashlib  # here, as the loaders never digest a file
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -653,6 +653,12 @@ def test_report_out_cites_its_input(tmp_path, dataset, oracle_script, capsys):
         pytest.param("--in", '{"stages": [{"name": "s", "counts": {"a": 1}, "params": [1]}]}', id="report-params-not-object"),
         pytest.param("--in", '{"stages": [{"name": "s", "counts": [["a", 1]]}]}', id="report-counts-not-object"),
         pytest.param("--in", '{"header": [["a", 1]], "stages": []}', id="report-header-not-object"),
+        # past sys.get_int_max_str_digits() the decoder raises a bare ValueError
+        pytest.param("--pool", '{"id": "q1", "question": "x", "options": {"A": "x"}, "answer": "A", "n": %s}' % ("1" * 5001), id="pool-int-too-long"),
+        pytest.param("--sweep", '{"dataset": "d", "points": [{"x": %s}]}' % ("1" * 5001), id="sweep-int-too-long"),
+        # past the recursion limit it raises RecursionError
+        pytest.param("--pool", '{"id": "q1", "n": %s}' % ("[" * 100_000 + "]" * 100_000), id="pool-nested-too-deeply"),
+        pytest.param("--sweep", '{"dataset": "d", "points": %s}' % ("[" * 100_000 + "]" * 100_000), id="sweep-nested-too-deeply"),
     ],
 )
 def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset, oracle_script, option, content):
@@ -1054,11 +1060,93 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 
 def test_import_loads_no_numpy_scipy_or_requests():
     # numpy and scipy are test oracles, nothing needs requests, and a
-    # WireBackend loads urllib.request only when it sends
+    # WireBackend loads urllib.request only when it sends; the star import
+    # loads every module that defines a public name
     loaded = "{'numpy', 'scipy', 'requests', 'urllib.request'} & set(sys.modules)"
-    out = run_python("-c", f"import sys, thinkctl; print(sorted({loaded}))")
+    out = run_python("-c", f"import sys; from thinkctl import *; print(sorted({loaded}))")
     assert out.returncode == 0
     assert out.stdout.strip() == "[]"
+
+
+PROBE_IMPORTS = "import thinkctl; from thinkctl.client import ScriptedModel; from thinkctl.jsonl import load_questions"
+
+
+@pytest.mark.parametrize(
+    "code, expected",
+    [
+        ("pass", []),
+        ("import thinkctl", ["thinkctl"]),
+        # the imports of the benchmark's setup probe
+        (PROBE_IMPORTS, ["thinkctl", "thinkctl.client", "thinkctl.jsonl", "thinkctl.qa"]),
+        ("from thinkctl.config import load_config", ["thinkctl", "thinkctl.budget", "thinkctl.client", "thinkctl.config", "thinkctl.jsonl", "thinkctl.qa"]),
+    ],
+    ids=["interpreter", "package", "loaders", "config"],
+)
+def test_imports_load_only_the_modules_they_use(code, expected):
+    # hashlib and concurrent.futures are loaded only by the code that digests
+    # a file or starts a worker pool
+    shown = "sorted(m for m in sys.modules if m.startswith('thinkctl') or m in ('hashlib', 'concurrent.futures'))"
+    out = run_python("-c", f"import sys; {code}; print({shown})")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(expected)
+
+
+# the public names, by defining module, as the package exported them when it
+# imported every module up front
+PUBLIC_NAMES = {
+    "budget": "ANSWER_MARKER THINK_MARKER BudgetPolicy BudgetRunError ReasoningTranscript Segment run_with_budget",
+    "client": (
+        "CAUSE_BACKEND_STOP CAUSE_CAP CAUSE_MARKER TRACE_TOKEN_LIMIT BackendError BackendStatusError ConnectionFailure "
+        "GenerationRequest ScriptEntry ScriptedModel TokenEvent TokenStream TruncatedStreamError WireBackend "
+        "probe_answer stream_generate with_retries"
+    ),
+    "config": "Config ConfigError load_config",
+    "curation": (
+        "CurationError CurationReport SamplingPlan StageCount TraceRecord annotate_domains decontaminate deduplicate "
+        "difficulty_filter diversity_sample format_sft_example parse_sft_example validate_traces"
+    ),
+    "evaluation": (
+        "DEFAULT_BUDGET_GRID EvalOutcome EvalResult SweepPoint SweepResult budget_sweep evaluate forcing_sweep macro_average"
+    ),
+    "plotting": "emit_plot",
+    "qa": (
+        "COT_INSTRUCTION DEFAULT_INSTRUCTION ExtractionOutcome McqQuestion extract_answer format_options format_prompt "
+        "format_trace_prompt grade"
+    ),
+    "regression": "FitRefusedError RegressionFit fit_linear_with_ci",
+}
+
+
+def test_public_names_are_the_objects_of_their_modules():
+    script = f"""
+import importlib, sys
+import thinkctl
+# a submodule is an attribute of the package, loaded when first read
+assert thinkctl.jsonl is sys.modules["thinkctl.jsonl"]
+names = {{name: module for module, listed in {PUBLIC_NAMES!r}.items() for name in listed.split()}}
+assert len(names) == 62
+for name, module in names.items():
+    assert getattr(thinkctl, name) is getattr(importlib.import_module("thinkctl." + module), name), name
+assert sorted(thinkctl.__all__) == sorted(names)
+assert set(names) <= set(dir(thinkctl))
+star = {{}}
+exec("from thinkctl import *", star)
+assert star.keys() - {{"__builtins__"}} == names.keys()
+assert all(star[name] is getattr(thinkctl, name) for name in names)
+assert "thinkctl.cli" not in sys.modules
+from thinkctl import cli
+assert cli is sys.modules["thinkctl.cli"] and callable(cli.main)
+try:
+    thinkctl.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+print(thinkctl.__version__)
+"""
+    out = run_python("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0.1.0"
 
 
 def test_module_entry_point_runs_the_cli(tmp_path, dataset, oracle_script):

@@ -855,6 +855,8 @@ NON_OBJECT_CHUNKS = {
     "delta-not-object": b'{"choices": [{"delta": "x"}]}',
     "choices-object": b'{"choices": {"0": {}}}',
     "content-not-text": b'{"choices": [{"delta": {"content": 5}}]}',
+    # past the recursion limit the decoder raises RecursionError
+    "nested-too-deeply": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
