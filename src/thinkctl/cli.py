@@ -38,8 +38,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 
 
-def _add_config(parser: argparse.ArgumentParser, mock: str, sections=SECTION_KEYS) -> None:
-    """``--config``, ``--mock`` and a flag per key of the config ``sections``."""
+def _add_config(parser: argparse.ArgumentParser, sections, mock: str) -> None:
+    """``--config``, a flag per key of the config ``sections``, and ``--mock``."""
     parser.add_argument("--config", help="INI config file")
     for section in sections:
         for key in (CONFIG_FIELDS[name] for name in SECTION_KEYS[section]):
@@ -107,17 +107,23 @@ def _run_config(args: argparse.Namespace, cfg: Config) -> dict:
     return {name: value for name, value in cfg.to_dict().items() if name in args and name not in unread}
 
 
-def _provenance(inputs: list[str], config: dict | None = None) -> dict:
-    """The digest of every input and, for a stage that has one, its config."""
+# the arguments that name input files: every artifact digests each one given
+INPUTS = ("pool", "traces", "eval_sets", "lexicon", "datasets", "dataset", "report_in", "mock")
+
+
+def _provenance(args: argparse.Namespace, config: dict | None = None) -> dict:
+    """The digest of every input of ``args`` and, for a stage that has one, its config."""
     provenance = {} if config is None else {"config": config}
-    provenance["inputs"] = {path: sha256_file(path) for path in sorted(set(inputs))}
+    paths = set()
+    for name in INPUTS:
+        value = getattr(args, name, None)
+        paths.update([value] if isinstance(value, str) else value or ())
+    provenance["inputs"] = {path: sha256_file(path) for path in sorted(paths)}
     return provenance
 
 
 def _write_report(path: str, stages: list[curation.StageCount], provenance: dict, header: dict | None = None) -> None:
-    report = CurationReport(header=dict(header or {}))
-    for stage in stages:
-        report.add_stage(stage.name, stage.counts, stage.params)
+    report = CurationReport(stages=list(stages), header=dict(header or {}))
     report.validate()
     payload = report.to_dict()
     payload["_provenance"] = provenance
@@ -143,108 +149,78 @@ def _load_dataset(path: str) -> list:
     return questions
 
 
-def _add_sweep_parser(sub, name: str, help: str, handler, grid_flag: str, /, **grid_kwargs) -> None:
-    """``sweep`` and ``force-sweep``: the options ``_run_sweep`` reads,
-    around the grid option ``grid_flag``."""
-    p = sub.add_parser(name, help=help)
-    _add_config(p, "scripted-model JSON in place of the wire backend")
-    p.add_argument("--dataset", required=True)
-    p.add_argument(grid_flag, **grid_kwargs)
-    p.add_argument("--out-csv", dest="out_csv", required=True)
-    p.add_argument("--out-svg", dest="out_svg")
-    p.add_argument("--out-json", dest="out_json", help="sweep result JSON for later plotting")
-    p.add_argument("--summary")
-    p.add_argument("--no-fit", action="store_true", help="skip the regression fit")
-    p.set_defaults(handler=handler)
+# (flag, add_argument kwargs) pairs that several commands take
+POOL = ("--pool", {"required": True})
+TRACES = ("--traces", {"required": True})
+DATASET = ("--dataset", {"required": True})
+OUT = ("--out", {"required": True})
+REPORT = ("--report", {})
+SWEEP_OUTPUTS = (
+    ("--out-csv", {"required": True}),
+    ("--out-svg", {}),
+    ("--out-json", {"help": "sweep result JSON for later plotting"}),
+    ("--summary", {}),
+    ("--no-fit", {"action": "store_true", "help": "skip the regression fit"}),
+)
+# the config of a command that runs a policy: every section, one scripted model
+POLICY_CONFIG = (SECTION_KEYS, "scripted-model JSON in place of the wire backend")
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="thinkctl", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    curate = sub.add_parser("curate", help="data curation pipeline stages")
-    curate_sub = curate.add_subparsers(dest="stage", required=True)
-
+# Every command in help order: its words -> (its help, (the config sections
+# it takes flags for, its --mock help) or None, its other arguments). run
+# adds arguments only to the command it runs, and calls cmd_<words>.
+COMMANDS = {
     # the filter sends no reasoning policy, so it takes no [policy] flag
-    p = curate_sub.add_parser("filter", help="keep questions every grader misses")
-    _add_config(p, "scripted grader JSON in place of the wire graders; repeatable", [BACKEND_SECTION, RUN_SECTION])
-    p.add_argument("--pool", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.add_argument("--grader-model", action="append", default=None, help="wire grader model; repeatable")
-    p.set_defaults(handler=cmd_curate_filter)
-
+    ("curate", "filter"): (
+        "keep questions every grader misses",
+        ((BACKEND_SECTION, RUN_SECTION), "scripted grader JSON in place of the wire graders; repeatable"),
+        (POOL, OUT, REPORT, ("--grader-model", {"action": "append", "help": "wire grader model; repeatable"})),
+    ),
     # the other curate stages send no request, so they read no config
-    p = curate_sub.add_parser("validate", help="keep traces whose answer is correct")
-    p.add_argument("--traces", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.set_defaults(handler=cmd_curate_validate)
-
-    p = curate_sub.add_parser("decontaminate", help="drop eval-overlapping items, then dedup")
-    p.add_argument("--pool", required=True)
-    p.add_argument("--eval", action="append", required=True, dest="eval_sets")
-    p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.add_argument("--ngram", type=int, default=curation.DEFAULT_NGRAM_SIZE)
-    p.set_defaults(handler=cmd_curate_decontaminate)
-
-    p = curate_sub.add_parser("dedup", help="drop exact duplicates by normalized stem")
-    p.add_argument("--pool", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.set_defaults(handler=cmd_curate_dedup)
-
-    p = curate_sub.add_parser("sample", help="hierarchical diversity sampling")
-    p.add_argument("--pool", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42, help="sampler seed")
-    p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.set_defaults(handler=cmd_curate_sample)
-
-    p = curate_sub.add_parser("annotate", help="label domains from a term lexicon")
-    p.add_argument("--pool", required=True)
-    p.add_argument("--lexicon", required=True, help="JSON object mapping term -> qualifier")
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_curate_annotate)
-
-    p = curate_sub.add_parser("format-sft", help="render verified traces as training text")
-    p.add_argument("--traces", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_curate_format_sft)
-
-    p = sub.add_parser("eval", help="accuracy per dataset under a policy, plus the macro average")
-    _add_config(p, "scripted-model JSON in place of the wire backend")
-    p.add_argument("--dataset", action="append", required=True, dest="datasets", help="repeatable")
-    p.add_argument("--out", help="per-question outcomes JSONL")
-    p.add_argument("--summary", help="summary JSON")
-    p.add_argument("--transcripts", help="full reasoning transcripts JSONL")
-    p.set_defaults(handler=cmd_eval)
-
-    _add_sweep_parser(
-        sub, "sweep", "accuracy vs thinking budget", cmd_sweep, "--budgets",
-        default=",".join(str(b) for b in evaluation.DEFAULT_BUDGET_GRID), help="comma-separated budgets",
-    )  # fmt: skip
-    _add_sweep_parser(
-        sub, "force-sweep", "accuracy vs forcing count", cmd_force_sweep, "--max-forcings",
-        dest="max_forcings", type=int, required=True,
-    )  # fmt: skip
-
+    ("curate", "validate"): ("keep traces whose answer is correct", None, (TRACES, OUT, REPORT)),
+    ("curate", "decontaminate"): ("drop eval-overlapping items, then dedup", None, (
+        POOL,
+        ("--eval", {"action": "append", "required": True, "dest": "eval_sets"}),
+        OUT,
+        REPORT,
+        ("--ngram", {"type": int, "default": curation.DEFAULT_NGRAM_SIZE}),
+    )),
+    ("curate", "dedup"): ("drop exact duplicates by normalized stem", None, (POOL, OUT, REPORT)),
+    ("curate", "sample"): ("hierarchical diversity sampling", None, (
+        POOL,
+        ("--n", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": 42, "help": "sampler seed"}),
+        OUT,
+        REPORT,
+    )),
+    ("curate", "annotate"): ("label domains from a term lexicon", None, (
+        POOL, ("--lexicon", {"required": True, "help": "JSON object mapping term -> qualifier"}), OUT
+    )),
+    ("curate", "format-sft"): ("render verified traces as training text", None, (TRACES, OUT)),
+    ("eval",): ("accuracy per dataset under a policy, plus the macro average", POLICY_CONFIG, (
+        ("--dataset", {"action": "append", "required": True, "dest": "datasets", "help": "repeatable"}),
+        ("--out", {"help": "per-question outcomes JSONL"}),
+        ("--summary", {"help": "summary JSON"}),
+        ("--transcripts", {"help": "full reasoning transcripts JSONL"}),
+    )),
+    ("sweep",): ("accuracy vs thinking budget", POLICY_CONFIG, (
+        DATASET,
+        ("--budgets", {"default": ",".join(map(str, evaluation.DEFAULT_BUDGET_GRID)), "help": "comma-separated budgets"}),
+        *SWEEP_OUTPUTS,
+    )),
+    ("force-sweep",): ("accuracy vs forcing count", POLICY_CONFIG, (
+        DATASET, ("--max-forcings", {"type": int, "required": True}), *SWEEP_OUTPUTS
+    )),
     # plot and report read no config either
-    p = sub.add_parser("plot", help="re-emit CSV/SVG from a saved sweep JSON")
-    p.add_argument("--sweep", required=True)
-    p.add_argument("--format", choices=[plotting.FORMAT_CSV, plotting.FORMAT_SVG], required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--no-fit", action="store_true")
-    p.set_defaults(handler=cmd_plot)
-
-    p = sub.add_parser("report", help="validate and print a curation ledger")
-    p.add_argument("--in", dest="report_in", required=True)
-    p.add_argument("--out", help="write the normalized report JSON")
-    p.set_defaults(handler=cmd_report)
-
-    return parser
+    ("plot",): ("re-emit CSV/SVG from a saved sweep JSON", None, (
+        ("--sweep", {"required": True}),
+        ("--format", {"choices": [plotting.FORMAT_CSV, plotting.FORMAT_SVG], "required": True}),
+        OUT,
+        ("--no-fit", {"action": "store_true"}),
+    )),
+    ("report",): ("validate and print a curation ledger", None, (
+        ("--in", {"dest": "report_in", "required": True}), ("--out", {"help": "write the normalized report JSON"})
+    )),
+}  # fmt: skip
 
 
 def cmd_curate_filter(args, cfg: Config) -> int:
@@ -255,14 +231,14 @@ def cmd_curate_filter(args, cfg: Config) -> int:
     if "model" in config:
         # the graders' models, which --grader-model sets in place of --model
         config["model"] = [g.model for g in graders]
-    _write_pool_stage(args, pool, kept, row, _provenance([args.pool] + (args.mock or []), config))
+    _write_pool_stage(args, pool, kept, row, _provenance(args, config))
     return EXIT_OK
 
 
 def cmd_curate_validate(args) -> int:
     records = load_traces(args.traces)
     kept, row = curation.validate_traces(records)
-    provenance = _provenance([args.traces])
+    provenance = _provenance(args)
     write_jsonl(args.out, (trace_to_record(t) for t in kept), meta=provenance)
     if args.report:
         input_row = curation.StageCount(
@@ -277,14 +253,14 @@ def cmd_curate_decontaminate(args) -> int:
     pool = load_questions(args.pool)
     eval_sets = [load_questions(path) for path in args.eval_sets]
     clean, row = curation.decontaminate(pool, eval_sets, ngram_size=args.ngram)
-    _write_pool_stage(args, pool, clean, row, _provenance([args.pool] + args.eval_sets))
+    _write_pool_stage(args, pool, clean, row, _provenance(args))
     return EXIT_OK
 
 
 def cmd_curate_dedup(args) -> int:
     pool = load_questions(args.pool)
     kept, row = curation.deduplicate(pool)
-    _write_pool_stage(args, pool, kept, row, _provenance([args.pool]))
+    _write_pool_stage(args, pool, kept, row, _provenance(args))
     return EXIT_OK
 
 
@@ -295,7 +271,7 @@ def cmd_curate_sample(args) -> int:
     by_id = {q.id: q for q in pool}
     chosen = [by_id[item_id] for item_id, _ in selected]
     header = {"rng": curation.SAMPLER_RNG, "seed": args.seed}
-    _write_pool_stage(args, pool, chosen, row, _provenance([args.pool], {"seed": args.seed}), header=header, verb="sampled")
+    _write_pool_stage(args, pool, chosen, row, _provenance(args, {"seed": args.seed}), header=header, verb="sampled")
     return EXIT_OK
 
 
@@ -309,7 +285,7 @@ def cmd_curate_annotate(args) -> int:
     pool = load_questions(args.pool)
     lexicon = _read_json(args.lexicon, _lexicon)
     annotated = curation.annotate_domains(pool, lexicon)
-    write_jsonl(args.out, (question_to_record(q) for q in annotated), meta=_provenance([args.pool, args.lexicon]))
+    write_jsonl(args.out, (question_to_record(q) for q in annotated), meta=_provenance(args))
     print(f"annotated {len(annotated)} questions")
     return EXIT_OK
 
@@ -317,7 +293,7 @@ def cmd_curate_annotate(args) -> int:
 def cmd_curate_format_sft(args) -> int:
     records = load_traces(args.traces)
     texts = [{"text": curation.format_sft_example(r)} for r in records if r.verified]
-    write_jsonl(args.out, texts, meta=_provenance([args.traces]))
+    write_jsonl(args.out, texts, meta=_provenance(args))
     print(f"formatted {len(texts)} examples")
     return EXIT_OK
 
@@ -329,7 +305,7 @@ def cmd_eval(args, cfg: Config) -> int:
     results = {}
     for path, questions in datasets.items():
         results[path] = evaluation.evaluate(questions, backend, cfg.policy(), workers=cfg.workers)
-    provenance = _provenance(args.datasets + (args.mock or []), _run_config(args, cfg))
+    provenance = _provenance(args, _run_config(args, cfg))
     macro = evaluation.macro_average([100.0 * r.accuracy for r in results.values()])
     if args.out:
         records = (
@@ -395,7 +371,7 @@ def _run_sweep(args, cfg: Config, sweep_fn, grid, label: str) -> int:
     # the summary and the sweep JSON for later plotting are the same document
     payload = sweep.to_dict()
     payload["fit"] = fit.to_dict() if fit else None
-    payload["_provenance"] = _provenance([args.dataset] + (args.mock or []), _run_config(args, cfg))
+    payload["_provenance"] = _provenance(args, _run_config(args, cfg))
     for path in (args.out_json, args.summary):
         if path:
             write_json(path, payload)
@@ -421,7 +397,10 @@ def cmd_plot(args) -> int:
         fit = None
         if not args.no_fit and payload.get("fit"):
             fit = RegressionFit.from_dict(payload["fit"])
-        return SweepResult.from_dict(payload), fit
+        sweep = SweepResult.from_dict(payload)
+        if not sweep.points:
+            raise ValueError("sweep has no points")
+        return sweep, fit
 
     sweep, fit = _read_json(args.sweep, build)
     atomic_write_bytes(args.out, plotting.emit_plot(sweep, fit, args.format))
@@ -444,21 +423,35 @@ def cmd_report(args) -> int:
         print("\t".join(cells))
     if args.out:
         payload = report.to_dict()
-        payload["_provenance"] = _provenance([args.report_in])
+        payload["_provenance"] = _provenance(args)
         write_json(args.out, payload)
     return EXIT_OK
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = argparse.ArgumentParser(prog="thinkctl", description=__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    stages = commands.add_parser("curate", help="data curation pipeline stages").add_subparsers(dest="stage", required=True)
+    # argparse reads the first argument that is no option as the command
+    # and, under curate, the next one as the stage
+    named = [arg for arg in argv if not arg.startswith("-")]
+    words = next((w for w in COMMANDS if list(w) == named[: len(w)]), None)
+    for key, (text, config, arguments) in COMMANDS.items():
+        p = (stages if key[0] == "curate" else commands).add_parser(key[-1], help=text)
+        if key == words:
+            if config:
+                _add_config(p, *config)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler = globals()["cmd_" + "_".join(words).replace("-", "_")]
     try:
         if "config" not in args:
-            return args.handler(args)
-        return args.handler(args, _effective_config(args))
+            return handler(args)
+        return handler(args, _effective_config(args))
     except (OSError, ValueError, BackendError) as exc:
         # SchemaError, ConfigError, CurationError and FitRefusedError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 from typing import Sequence
 
 CONFIDENCE_LEVEL = 0.95
@@ -93,19 +94,21 @@ class RegressionFit:
         return center - half, center + half
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual_se": self.residual_se,
-            "n": self.n,
-            "x_mean": self.x_mean,
-            "sxx": self.sxx,
-            "t_crit": self.t_crit,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegressionFit":
-        return cls(**data)
+        """A saved fit, held to what ``fit_linear_with_ci`` builds: finite
+        numbers, an integer ``n`` of at least 3, ``sxx`` and ``t_crit``
+        above 0 and ``residual_se`` not below it."""
+        fit = cls(**data)
+        for name, value in vars(fit).items():
+            kinds = (int,) if name == "n" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds) or not -float_info.max <= value <= float_info.max:
+                raise ValueError(f"fit field {name!r} must be a finite {kinds[-1].__name__}, got {value!r}")
+        if fit.n < 3 or fit.sxx <= 0 or fit.residual_se < 0 or fit.t_crit <= 0:
+            raise ValueError(f"fit needs n >= 3, sxx > 0, residual_se >= 0 and t_crit > 0, got {data}")
+        return fit
 
 
 def fit_linear_with_ci(points: Sequence[tuple[float, float]]) -> RegressionFit:

@@ -29,6 +29,7 @@ import sys
 import tempfile
 
 from thinkctl.budget import ANSWER_CUE, ANSWER_MARKER, DEFAULT_FORCING_TEXT, THINK_MARKER
+from thinkctl import cli
 from thinkctl.cli import run
 from thinkctl.qa import McqQuestion, format_prompt
 
@@ -178,6 +179,12 @@ def test_two_directories_give_the_same_bytes(tmp_path):
     written = [f for _, _, shas in results_one.values() for f in shas]
     assert all(shas for _, _, shas in results_one.values())
     assert len(written) == len(set(written)) == len(files_one)
+
+
+def test_the_matrix_runs_every_command():
+    # a new command needs a row here, so that its artifacts are pinned too
+    for words in cli.COMMANDS:
+        assert any(argv[: len(words)] == list(words) for _, argv in COMMANDS), words
 
 
 def test_artifacts_match_the_pinned_table(tmp_path):

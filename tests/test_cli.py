@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pathlib
@@ -604,6 +605,15 @@ def test_report_out_cites_its_input(tmp_path, dataset, oracle_script, capsys):
     assert capsys.readouterr().out == printed
 
 
+GOOD_FIT = {"slope": 1.0, "intercept": 0.0, "residual_se": 0.5, "n": 3, "x_mean": 2.0, "sxx": 2.0, "t_crit": 12.7}
+
+
+def _sweep_with_fit(**fit) -> str:
+    """A drawable sweep JSON whose fit has ``fit`` in place of a good one."""
+    point = {"x": 1, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}
+    return json.dumps({"dataset": "d", "points": [point], "fit": {**GOOD_FIT, **fit}})
+
+
 @pytest.mark.parametrize(
     "option, content",
     [
@@ -659,6 +669,18 @@ def test_report_out_cites_its_input(tmp_path, dataset, oracle_script, capsys):
         # past the recursion limit it raises RecursionError
         pytest.param("--pool", '{"id": "q1", "n": %s}' % ("[" * 100_000 + "]" * 100_000), id="pool-nested-too-deeply"),
         pytest.param("--sweep", '{"dataset": "d", "points": %s}' % ("[" * 100_000 + "]" * 100_000), id="sweep-nested-too-deeply"),
+        # fits the band cannot be drawn from: n = 0 divides by zero, a negative
+        # sxx takes a negative root, and a string or NaN slope is no number
+        pytest.param("--sweep", _sweep_with_fit(n=0), id="fit-n-zero"),
+        pytest.param("--sweep-svg", _sweep_with_fit(n=0), id="fit-n-zero-svg"),
+        pytest.param("--sweep", _sweep_with_fit(slope="1"), id="fit-slope-string"),
+        pytest.param("--sweep-svg", _sweep_with_fit(slope="1"), id="fit-slope-string-svg"),
+        pytest.param("--sweep", _sweep_with_fit(sxx=-2.0), id="fit-sxx-negative"),
+        pytest.param("--sweep-svg", _sweep_with_fit(sxx=-2.0), id="fit-sxx-negative-svg"),
+        pytest.param("--sweep", _sweep_with_fit(slope=float("nan")), id="fit-slope-nan"),
+        pytest.param("--sweep-svg", _sweep_with_fit(slope=float("nan")), id="fit-slope-nan-svg"),
+        pytest.param("--sweep", '{"dataset": "d", "points": []}', id="sweep-points-empty"),
+        pytest.param("--sweep-svg", '{"dataset": "d", "points": []}', id="sweep-points-empty-svg"),
     ],
 )
 def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset, oracle_script, option, content):
@@ -674,6 +696,7 @@ def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset,
     out = str(tmp_path / "out")
     argv = {
         "--sweep": ["plot", "--sweep", str(path), "--format", "csv", "--out", out],
+        "--sweep-svg": ["plot", "--sweep", str(path), "--format", "svg", "--out", out],
         "--in": ["report", "--in", str(path)],
         "--mock": ["eval", "--dataset", str(data_path), "--mock", str(path)],
         "--lexicon": ["curate", "annotate", "--pool", str(data_path), "--lexicon", str(path), "--out", out],
@@ -684,6 +707,8 @@ def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset,
     err = capsys.readouterr().err
     assert str(path) in err
     assert "Traceback" not in err
+    if option.startswith("--sweep"):
+        assert f"{path}:1:" in err
 
 
 def test_config_file_and_flag_precedence(tmp_path, dataset, oracle_script):
@@ -780,10 +805,24 @@ def _help_options(argv: list[str], capsys) -> set[str]:
 
 
 def test_only_commands_that_build_a_backend_take_mock(capsys):
-    stages = ["filter", "validate", "decontaminate", "dedup", "sample", "annotate", "format-sft"]
-    commands = [["curate", stage] for stage in stages] + [["eval"], ["sweep"], ["force-sweep"], ["plot"], ["report"]]
-    takes_mock = [argv for argv in commands if "--mock" in _help_options(argv, capsys)]
+    takes_mock = [list(words) for words in cli.COMMANDS if "--mock" in _help_options(list(words), capsys)]
     assert takes_mock == [["curate", "filter"], ["eval"], ["sweep"], ["force-sweep"]]
+
+
+def test_run_builds_arguments_only_for_the_command_it_runs(tmp_path, dataset, monkeypatch):
+    data_path, _ = dataset
+    flags = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *names, **kwargs):
+        flags.append(names[0])
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert run(["curate", "dedup", "--pool", str(data_path), "--out", str(tmp_path / "o.jsonl")]) == 0
+    # a -h for the top level, for curate and for each command, then dedup's own
+    assert flags.count("-h") == 2 + len(cli.COMMANDS)
+    assert [f for f in flags if f != "-h"] == ["--pool", "--out", "--report"]
 
 
 def test_plot_and_report_take_no_config(capsys):
