@@ -15,7 +15,9 @@ import json
 import logging
 import math
 import os
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
@@ -444,21 +446,32 @@ RETRIES = 2
 BACKOFF_S = 0.5
 
 
+def _retry_delay(exc: BackendError, attempt: int) -> float | None:
+    """The backoff before retrying a call whose attempt ``attempt`` (0 for
+    the first) raised ``exc``, with the warning logged; ``None`` when the
+    error is final: not retryable, or ``RETRIES`` retries already made.
+    Reads ``RETRIES`` and ``BACKOFF_S`` when called."""
+    if not exc.retryable or attempt >= RETRIES:
+        return None
+    delay = BACKOFF_S * (2 ** attempt)
+    log.warning("retryable backend error (%s); retry %d in %.2fs", exc, attempt + 1, delay)
+    return delay
+
+
 def with_retries(fn: Callable[[], T]) -> T:
     """Run ``fn`` with at most ``RETRIES`` retries (exponential backoff from
-    ``BACKOFF_S``, both read at call time) on retryable backend errors.
-    Non-retryable errors propagate immediately."""
+    ``BACKOFF_S``, both read at call time) on retryable backend errors,
+    sleeping through each backoff. Non-retryable errors propagate
+    immediately."""
     attempt = 0
     while True:
         try:
             return fn()
         except BackendError as exc:
-            if not exc.retryable or attempt >= RETRIES:
+            delay = _retry_delay(exc, attempt)
+            if delay is None:
                 raise
-            delay = BACKOFF_S * (2 ** attempt)
-            log.warning("retryable backend error (%s); retry %d in %.2fs", exc, attempt + 1, delay)
-            if delay > 0:
-                time.sleep(delay)
+            time.sleep(delay)
             attempt += 1
 
 
@@ -466,23 +479,106 @@ def with_retries(fn: Callable[[], T]) -> T:
 DEFAULT_WORKERS = 8
 
 
-def in_order(calls: Iterable[Callable[[], T]], workers: int) -> Iterator[T]:
-    """Yield each call's result in the order given, inline in the calling
-    thread at ``workers`` <= 1. Otherwise ``map`` queues every call on one
-    pool of ``workers`` threads before the first is awaited, and drops each
-    future once gathered; an error or closing the iterator cancels the rest."""
-    if workers <= 1:
-        for call in calls:
-            yield call()
-        return
-    # imported here so that a run on one worker never loads concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
+def in_order(
+    calls: Iterable[Callable[[], T]],
+    workers: int,
+    *,
+    failed: Callable[[int, BackendError], T] | None = None,
+) -> Iterator[T]:
+    """Yield each call's result in the order given.
 
-    pool = ThreadPoolExecutor(max_workers=workers)
+    A call that raises a retryable ``BackendError`` with retries left is
+    put back, to run again once its backoff has passed (the policy of
+    ``with_retries``). A backoff holds no worker: a worker takes a retry
+    that is due before the next first attempt, and waits only while
+    nothing can run. ``min(workers, len(calls))`` threads run the calls,
+    so ``workers`` bounds the calls in flight; at ``workers`` <= 1 the
+    calling thread runs the same loop until the next result is ready.
+
+    A call's final ``BackendError`` (not retryable, or out of retries)
+    becomes ``failed(index, error)``, the call's result, when ``failed`` is
+    given. Any other error is raised when the call's turn comes. Once the
+    iterator stops, by an error or by being closed, the calls not yet
+    started and the queued retries are dropped, and the calls in flight
+    are waited for.
+    """
+    import heapq  # imported here so that loading a question file does not load it
+
+    calls = list(calls)
+    firsts = deque(range(len(calls)))  # the calls not yet started
+    retries: list[tuple[float, int, int]] = []  # heap of (not before, index, attempt)
+    done: dict[int, tuple[bool, object]] = {}  # index -> (ok, result or error)
+    lock = threading.Lock()  # entered directly: faster than through a Condition
+    ready = threading.Condition(lock)  # the consumer waits on it for its next result
+    queued = threading.Condition(lock)  # workers wait on it for a retry to come due
+    stopped = False
+    pooled = workers > 1
+    # a worker hands an exit or interrupt to the consumer; the calling thread raises it at once
+    caught = BaseException if pooled else Exception
+
+    def take() -> tuple[int, int] | None:
+        """The (index, attempt) to run next, or None once nothing is queued."""
+        with lock:
+            while not stopped:
+                wait = retries[0][0] - time.monotonic() if retries else None
+                if wait is not None and wait <= 0:
+                    _, i, attempt = heapq.heappop(retries)
+                    return i, attempt
+                if firsts:
+                    return firsts.popleft(), 0
+                if wait is None:
+                    return None
+                queued.wait(wait)
+            return None
+
+    def run(i: int, attempt: int) -> None:
+        try:
+            try:
+                outcome = True, calls[i]()
+            except BackendError as exc:
+                delay = _retry_delay(exc, attempt)
+                if delay is not None:
+                    with lock:
+                        heapq.heappush(retries, (time.monotonic() + delay, i, attempt + 1))
+                        queued.notify_all()
+                    return
+                if failed is None:
+                    raise
+                outcome = True, failed(i, exc)
+        except caught as exc:
+            outcome = False, exc
+        with lock:
+            done[i] = outcome
+            if pooled:
+                ready.notify()
+
+    def work() -> None:
+        while (job := take()) is not None:
+            run(*job)
+
+    threads: list[threading.Thread] = []
     try:
-        yield from pool.map(lambda call: call(), calls)
+        if pooled:
+            for _ in range(min(workers, len(calls))):
+                threads.append(threading.Thread(target=work, name="in_order"))
+                threads[-1].start()
+        for i in range(len(calls)):
+            if pooled:
+                with lock:
+                    ready.wait_for(lambda: i in done)
+            else:
+                while i not in done:
+                    run(*take())
+            ok, result = done.pop(i)
+            if not ok:
+                raise result
+            yield result
     finally:
-        pool.shutdown(cancel_futures=True)
+        with lock:
+            stopped = True  # drops the calls not started and the queued retries
+            queued.notify_all()
+        for thread in threads:
+            thread.join()
 
 
 def probe_answer(backend, question_prompt: str) -> str:

@@ -13,10 +13,12 @@ from functools import partial
 from itertools import islice
 from statistics import fmean
 from sys import float_info
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import BudgetPolicy, ReasoningTranscript, run_with_budget
-from .client import DEFAULT_WORKERS, BackendError, in_order, with_retries
+from .client import DEFAULT_WORKERS, BackendError, in_order
+# not called here since the runner retries; perfbench's tracer wraps evaluation.with_retries by name
+from .client import with_retries  # noqa: F401
 from .qa import McqQuestion, extract_answer, format_prompt, grade
 
 DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
@@ -105,12 +107,9 @@ class SweepResult:
 
 
 def _run_question(question: McqQuestion, backend, policy: BudgetPolicy) -> EvalOutcome:
-    """Run one question through the budget controller and grade it."""
-    prompt = format_prompt(question)
-    try:
-        transcript = with_retries(lambda: run_with_budget(prompt, policy, backend))
-    except BackendError as exc:
-        return EvalOutcome(question.id, None, None, False, 0, error=str(exc))
+    """Run one question through the budget controller and grade it. A
+    backend error propagates, for the runner of ``_runs`` to retry."""
+    transcript = run_with_budget(format_prompt(question), policy, backend)
     outcome = extract_answer(transcript.answer_text, question.options)
     return EvalOutcome(
         question_id=question.id,
@@ -119,6 +118,20 @@ def _run_question(question: McqQuestion, backend, policy: BudgetPolicy) -> EvalO
         correct=grade(outcome, question.gold),
         thinking_tokens=transcript.thinking_tokens,
     )
+
+
+def _runs(
+    questions: Sequence[McqQuestion], backend, policies: Sequence[BudgetPolicy], workers: int
+) -> Iterator[EvalOutcome]:
+    """Each policy's ``_run_question`` outcomes in question order, policy
+    after policy, from one ``in_order`` runner that retries a failed run.
+    A run whose backend error is final counts incorrect and records it."""
+    tasks = [partial(_run_question, q, backend, p) for p in policies for q in questions]
+
+    def failed(i: int, exc: BackendError) -> EvalOutcome:
+        return EvalOutcome(questions[i % len(questions)].id, None, None, False, 0, error=str(exc))
+
+    return in_order(tasks, workers, failed=failed)
 
 
 def evaluate(
@@ -140,7 +153,7 @@ def evaluate(
         raise ValueError("dataset is empty")
 
     if runs is None:
-        runs = in_order([partial(_run_question, q, backend, policy) for q in questions], workers)
+        runs = _runs(questions, backend, [policy], workers)
     outcomes = sorted(runs, key=lambda o: o.question_id)
 
     n = len(outcomes)
@@ -173,7 +186,6 @@ def _sweep(
     slowest run overlaps the next point's; each point is one ``evaluate``.
     """
     policies = [replace(policy, **{knob: x}) for x in xs]
-    tasks = [partial(_run_question, q, backend, p) for p in policies for q in questions]
 
     def point(x, at: BudgetPolicy, runs: Iterable[EvalOutcome]) -> SweepPoint:
         # a function, so that a point's outcomes are freed before the next point is gathered
@@ -181,7 +193,7 @@ def _sweep(
         realized = [o.thinking_tokens for o in result.outcomes]
         return SweepPoint(x, result.accuracy, result.n, result.n_correct, fmean(realized))
 
-    with closing(in_order(tasks, workers)) as runs:
+    with closing(_runs(questions, backend, policies, workers)) as runs:
         return SweepResult(dataset_name, kind, [point(x, at, runs) for x, at in zip(xs, policies)])
 
 

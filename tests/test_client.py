@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -237,6 +239,150 @@ def test_in_order_runs_inline_at_one_worker():
     caller = threading.get_ident()
     assert list(in_order([threading.get_ident] * 3, workers=1)) == [caller] * 3
     assert caller not in in_order([threading.get_ident] * 3, workers=2)
+
+
+class _Starts:
+    """Records the index of every call the runner starts, in order."""
+
+    def __init__(self):
+        self.started: list[int] = []
+        self.lock = threading.Lock()
+
+    def call(self, i: int, body=None):
+        def run():
+            with self.lock:
+                self.started.append(i)
+            return body() if body else i
+
+        return run
+
+
+def test_in_order_runs_a_due_retry_before_the_next_first_attempt(monkeypatch):
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    starts = _Starts()
+    fails = iter([ConnectionFailure("once")])
+
+    def flaky():
+        for exc in fails:
+            raise exc
+        return 0
+
+    assert list(in_order([starts.call(0, flaky)] + [starts.call(i) for i in range(1, 4)], workers=1)) == [0, 1, 2, 3]
+    assert starts.started == [0, 0, 1, 2, 3]
+
+
+def test_in_order_runs_a_due_retry_first_on_a_pool(monkeypatch):
+    """Call 0 fails once while call 1 holds the other worker until call 0's
+    retry has started, so the worker that call 0 frees must take that retry,
+    not call 2."""
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    starts = _Starts()
+    fails = iter([ConnectionFailure("once")])
+    holding, retried = threading.Event(), threading.Event()
+
+    def flaky():
+        for exc in fails:
+            assert holding.wait(timeout=5)
+            raise exc
+        retried.set()
+        return 0
+
+    def hold():
+        holding.set()
+        assert retried.wait(timeout=5)
+        return 1
+
+    calls = [starts.call(0, flaky), starts.call(1, hold)] + [starts.call(i) for i in range(2, 6)]
+    assert list(in_order(calls, workers=2)) == list(range(6))
+    assert sorted(starts.started[:2]) == [0, 1]
+    assert starts.started[2:] == [0, 2, 3, 4, 5]
+
+
+def test_in_order_drops_the_calls_not_started_after_a_nonretryable_error():
+    starts = _Starts()
+    second = threading.Event()
+
+    def fatal():
+        assert second.wait(timeout=5)
+        raise BackendStatusError(404, "missing")
+
+    def slow(i):
+        second.set()
+        time.sleep(0.2)  # the worker is still busy when the error ends the iteration
+        return i
+
+    calls = [starts.call(0, fatal)] + [starts.call(i, lambda i=i: slow(i)) for i in range(1, 10)]
+    with pytest.raises(BackendStatusError):
+        list(in_order(calls, workers=2))
+    assert set(starts.started) <= {0, 1, 2}
+
+
+def test_in_order_close_drops_queued_retries_and_joins_its_workers(monkeypatch):
+    monkeypatch.setattr(client, "BACKOFF_S", 30.0)
+    before = set(threading.enumerate())
+    starts = _Starts()
+    refused = threading.Event()
+
+    def refuse():
+        refused.set()
+        raise ConnectionFailure("later")
+
+    def slow(i):
+        time.sleep(0.01)
+        return i
+
+    calls = [starts.call(0), starts.call(1, refuse)] + [starts.call(i, lambda i=i: slow(i)) for i in range(2, 60)]
+    runs = in_order(calls, workers=2)
+    assert next(runs) == 0
+    assert refused.wait(timeout=5)
+    began = time.monotonic()
+    runs.close()
+    assert time.monotonic() - began < 5  # the 30 s retry is dropped, not awaited
+    assert set(threading.enumerate()) == before
+    sent = len(starts.started)
+    time.sleep(0.05)
+    assert len(starts.started) == sent < 60
+    assert starts.started.count(1) == 1
+
+
+def test_in_order_retries_under_thread_switches(monkeypatch):
+    """8 workers on 200 calls, each failing 0 to 2 times: every call runs
+    once per failure plus once, and the results come out in order."""
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    failures = [i % 3 for i in range(200)]
+    attempts = [0] * len(failures)
+    lock = threading.Lock()
+
+    def call(i):
+        with lock:
+            attempts[i] += 1
+            fail = attempts[i] <= failures[i]
+        if fail:
+            raise TruncatedStreamError(f"cut {i}")
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches, so a lost update would show
+    try:
+        results = list(in_order([lambda i=i: call(i) for i in range(len(failures))], workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(len(failures)))
+    assert attempts == [f + 1 for f in failures]
+
+
+@pytest.mark.parametrize("n_calls, workers, threads", [(0, 8, 0), (3, 8, 3), (5, 2, 2), (3, 1, 0)])
+def test_in_order_starts_no_more_threads_than_calls(monkeypatch, n_calls, workers, threads):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(client.threading, "Thread", Counted)
+    assert list(in_order([lambda i=i: i for i in range(n_calls)], workers)) == list(range(n_calls))
+    assert len(started) == threads
 
 
 def test_error_classification_is_distinct_and_retry_classifiable():

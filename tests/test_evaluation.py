@@ -8,9 +8,9 @@ from collections import Counter
 
 import pytest
 
-from thinkctl.budget import ANSWER_CUE, ANSWER_MARKER, BudgetPolicy
+from thinkctl.budget import ANSWER_CUE, ANSWER_MARKER, THINK_MARKER, BudgetPolicy
 from thinkctl import client
-from thinkctl.client import ConnectionFailure, ScriptEntry, ScriptedModel
+from thinkctl.client import ConnectionFailure, GenerationRequest, ScriptEntry, ScriptedModel
 from thinkctl.evaluation import (
     DEFAULT_BUDGET_GRID,
     SweepPoint,
@@ -486,3 +486,64 @@ def test_a_fatal_run_error_cancels_the_queued_points(make_questions):
     with pytest.raises(RuntimeError, match="bad backend"):
         budget_sweep(questions, backend, [8, 16, 24, 32, 40, 48], BudgetPolicy(), workers=2)
     assert backend.budgets[48] == 0
+
+
+class FirstThoughtOutage(RecordingBackend):
+    """Records every request with the thread that sent it, taking ``delay``
+    seconds per request, and fails the first request equal to ``fail_on``
+    once with a retryable error."""
+
+    def __init__(self, model: ScriptedModel, fail_on: GenerationRequest | None, delay: float):
+        super().__init__(model)
+        self.fail_on = fail_on
+        self.delay = delay
+        self.log: list = []  # (request, thread), in the order sent
+
+    def raw_stream(self, req):
+        with self.lock:
+            self.requests.append(req)
+            self.log.append((req, threading.get_ident()))
+            fail = req == self.fail_on
+            if fail:
+                self.fail_on = None
+        time.sleep(self.delay)  # lets the other worker send while this one waits
+        if fail:
+            raise ConnectionFailure("first thought refused")
+        yield from self.model.raw_stream(req)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_backoff_holds_no_worker(make_questions, monkeypatch, workers):
+    """q00's first thought at the first budget fails once. Its retry waits
+    out the backoff without holding a worker: every other run's first
+    request is sent before it, on both workers, and the points, outcomes
+    and requests are a reference run's plus the one failed request."""
+    monkeypatch.setattr(client, "BACKOFF_S", 0.2)
+    questions = make_questions(8, golds="B")
+    model = always_right_model(20)
+    budgets = [8, 16, 32]
+    failing = GenerationRequest(prompt=format_prompt(questions[0]) + THINK_MARKER, max_new_tokens=8, stop_on=ANSWER_MARKER)
+
+    def run(fail_on):
+        sweep_backend = FirstThoughtOutage(model, fail_on, 0.002)
+        points = budget_sweep(questions, sweep_backend, budgets, BudgetPolicy(), workers=workers).points
+        eval_backend = FirstThoughtOutage(model, fail_on, 0.0)
+        outcomes = evaluate(questions, eval_backend, BudgetPolicy(thinking_budget=8), workers=workers).outcomes
+        return points, outcomes, sweep_backend, eval_backend
+
+    ref_points, ref_outcomes, ref_sweep, ref_eval = run(None)
+    points, outcomes, sweep, ev = run(failing)
+    assert points == ref_points
+    assert outcomes == ref_outcomes
+    assert all(o.error is None for o in outcomes)
+    for backend, ref in ((sweep, ref_sweep), (ev, ref_eval)):
+        assert Counter(backend.requests) == Counter(ref.requests) + Counter([failing])
+
+    sent = [req for req, _ in sweep.log]
+    failed_at = sent.index(failing)
+    retried_at = sent.index(failing, failed_at + 1)
+    firsts = {req for req in ref_sweep.requests if req.prompt.endswith(THINK_MARKER)} - {failing}
+    assert len(firsts) == len(questions) * len(budgets) - 1
+    assert firsts <= set(sent[:retried_at])
+    senders = {thread for _, thread in sweep.log[failed_at + 1 : retried_at]}
+    assert len(senders) == workers
