@@ -1,12 +1,11 @@
 """Prompt layouts and the answer-extraction cascade.
 
-Evaluation prompts are question, options, instruction; trace-generation
-prompts put the instruction first. Extraction prefers boxed expressions
-and falls back to a versioned regex cascade; no text ever raises.
+A prompt is question, options, instruction, whatever the instruction.
+Extraction prefers boxed expressions and falls back to a versioned regex
+cascade; no text ever raises.
 """
 
-from thinkctl import McqQuestion, extract_answer, format_prompt, format_trace_prompt, grade
-from thinkctl.qa import COT_INSTRUCTION
+from thinkctl import McqQuestion, extract_answer, format_prompt, grade
 
 question = McqQuestion(
     id="demo-1",
@@ -19,9 +18,7 @@ question = McqQuestion(
 print("--- evaluation prompt ---")
 print(format_prompt(question))
 print("--- chain-of-thought variant ---")
-print(format_prompt(question, COT_INSTRUCTION))
-print("--- trace-generation prompt (instruction first) ---")
-print(format_trace_prompt(question))
+print(format_prompt(question, "Let's think step by step. Return your final response within \\boxed{}."))
 
 print("--- extraction ---")
 replies = [

@@ -25,8 +25,7 @@ _EXPORTS = {
     "config": ("Config", "ConfigError", "load_config"),
     "curation": (
         "CurationError", "CurationReport", "SamplingPlan", "StageCount", "TraceRecord", "annotate_domains",
-        "decontaminate", "deduplicate", "difficulty_filter", "diversity_sample", "format_sft_example",
-        "parse_sft_example", "validate_traces",
+        "decontaminate", "deduplicate", "difficulty_filter", "diversity_sample", "format_sft_example", "validate_traces",
     ),
     "evaluation": (
         "DEFAULT_BUDGET_GRID", "EvalOutcome", "EvalResult", "SweepPoint", "SweepResult", "budget_sweep", "evaluate",
@@ -34,8 +33,8 @@ _EXPORTS = {
     ),
     "plotting": ("emit_plot",),
     "qa": (
-        "COT_INSTRUCTION", "DEFAULT_INSTRUCTION", "ExtractionOutcome", "McqQuestion", "extract_answer",
-        "format_options", "format_prompt", "format_trace_prompt", "grade",
+        "DEFAULT_INSTRUCTION", "ExtractionOutcome", "McqQuestion", "extract_answer", "format_options", "format_prompt",
+        "grade",
     ),
     "regression": ("FitRefusedError", "RegressionFit", "fit_linear_with_ci"),
 }  # fmt: skip

@@ -125,20 +125,21 @@ def _provenance(args: argparse.Namespace, config: dict | None = None) -> dict:
 def _write_report(path: str, stages: list[curation.StageCount], provenance: dict, header: dict | None = None) -> None:
     report = CurationReport(stages=list(stages), header=dict(header or {}))
     report.validate()
-    payload = report.to_dict()
-    payload["_provenance"] = provenance
-    write_json(path, payload)
+    write_json(path, {**report.to_dict(), "_provenance": provenance})
 
 
-def _write_pool_stage(
-    args, pool: list, kept: list, row: curation.StageCount, provenance: dict, *, header: dict | None = None, verb: str = "kept"
-) -> None:
-    """Write the questions a stage kept and, if ``--report`` was given, its
-    ledger, both citing ``provenance``; then print the one-line summary."""
-    write_jsonl(args.out, (question_to_record(q) for q in kept), meta=provenance)
+def _write_curated(args, read: list, kept: list, row: curation.StageCount, verb="kept", config=None, header=None) -> None:
+    """Write the records a curate stage kept, citing its provenance, and, if
+    ``--report`` was given, its ledger: the per-source counts of what it
+    ``read``, then its ``row``. Then print the one-line summary."""
+    traces = "traces" in args  # validate reads traces, the other stages a pool
+    provenance = _provenance(args, config)
+    write_jsonl(args.out, map(trace_to_record if traces else question_to_record, kept), meta=provenance)
     if args.report:
-        _write_report(args.report, [curation.initial_collection_row(pool), row], provenance, header)
-    print(f"{verb} {len(kept)} of {len(pool)} questions")
+        questions = [t.question for t in read] if traces else read
+        first = curation.StageCount("input_traces" if traces else "initial_collection", curation.source_counts(questions))
+        _write_report(args.report, [first, row], provenance, header)
+    print(f"{verb} {len(kept)} of {len(read)} {'traces' if traces else 'questions'}")
 
 
 def _load_dataset(path: str) -> list:
@@ -231,36 +232,26 @@ def cmd_curate_filter(args, cfg: Config) -> int:
     if "model" in config:
         # the graders' models, which --grader-model sets in place of --model
         config["model"] = [g.model for g in graders]
-    _write_pool_stage(args, pool, kept, row, _provenance(args, config))
+    _write_curated(args, pool, kept, row, config=config)
     return EXIT_OK
 
 
 def cmd_curate_validate(args) -> int:
     records = load_traces(args.traces)
-    kept, row = curation.validate_traces(records)
-    provenance = _provenance(args)
-    write_jsonl(args.out, (trace_to_record(t) for t in kept), meta=provenance)
-    if args.report:
-        input_row = curation.StageCount(
-            "input_traces", curation.source_counts(t.question for t in records)
-        )
-        _write_report(args.report, [input_row, row], provenance)
-    print(f"verified {len(kept)} of {len(records)} traces")
+    _write_curated(args, records, *curation.validate_traces(records), verb="verified")
     return EXIT_OK
 
 
 def cmd_curate_decontaminate(args) -> int:
     pool = load_questions(args.pool)
     eval_sets = [load_questions(path) for path in args.eval_sets]
-    clean, row = curation.decontaminate(pool, eval_sets, ngram_size=args.ngram)
-    _write_pool_stage(args, pool, clean, row, _provenance(args))
+    _write_curated(args, pool, *curation.decontaminate(pool, eval_sets, ngram_size=args.ngram))
     return EXIT_OK
 
 
 def cmd_curate_dedup(args) -> int:
     pool = load_questions(args.pool)
-    kept, row = curation.deduplicate(pool)
-    _write_pool_stage(args, pool, kept, row, _provenance(args))
+    _write_curated(args, pool, *curation.deduplicate(pool))
     return EXIT_OK
 
 
@@ -271,7 +262,7 @@ def cmd_curate_sample(args) -> int:
     by_id = {q.id: q for q in pool}
     chosen = [by_id[item_id] for item_id, _ in selected]
     header = {"rng": curation.SAMPLER_RNG, "seed": args.seed}
-    _write_pool_stage(args, pool, chosen, row, _provenance(args, {"seed": args.seed}), header=header, verb="sampled")
+    _write_curated(args, pool, chosen, row, verb="sampled", config={"seed": args.seed}, header=header)
     return EXIT_OK
 
 
@@ -422,9 +413,7 @@ def cmd_report(args) -> int:
         cells = [stage.name] + [str(stage.counts.get(s, 0)) for s in sources] + [str(stage.total)]
         print("\t".join(cells))
     if args.out:
-        payload = report.to_dict()
-        payload["_provenance"] = _provenance(args)
-        write_json(args.out, payload)
+        _write_report(args.out, report.stages, _provenance(args), report.header)
     return EXIT_OK
 
 

@@ -168,10 +168,6 @@ def source_counts(questions: Iterable[McqQuestion]) -> dict[str, int]:
     return counts
 
 
-def initial_collection_row(pool: Sequence[McqQuestion]) -> StageCount:
-    return StageCount("initial_collection", source_counts(pool))
-
-
 def difficulty_filter(
     pool: Sequence[McqQuestion],
     graders: Sequence,
@@ -442,12 +438,3 @@ def format_sft_example(record: TraceRecord) -> str:
                     f"record {record.question.id!r}: {label} contains the literal marker {marker!r}"
                 )
     return "\n".join([prompt, THINK_MARKER, record.thinking, ANSWER_MARKER, record.response])
-
-
-def parse_sft_example(text: str) -> tuple[str, str, str]:
-    """Split a formatted example back into (prompt, thinking, response)."""
-    head, _, rest = text.partition("\n" + THINK_MARKER + "\n")
-    thinking, sep, response = rest.partition("\n" + ANSWER_MARKER + "\n")
-    if not sep:
-        raise CurationError("text is not a well-formed fine-tuning example")
-    return head, thinking, response

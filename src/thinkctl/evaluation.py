@@ -70,6 +70,11 @@ class SweepPoint:
                 raise ValueError(f"sweep point field {name!r} must be finite, got {value!r}")
         if not 0 <= self.n_correct <= self.n:
             raise ValueError(f"point x={self.x}: n_correct {self.n_correct} is not within 0..n={self.n}")
+        # evaluate rejects an empty dataset, so every point a sweep builds has run a question
+        if self.n < 1:
+            raise ValueError(f"point x={self.x}: n must be >= 1, got {self.n}")
+        if self.mean_thinking_tokens < 0:
+            raise ValueError(f"point x={self.x}: mean_thinking_tokens must be >= 0, got {self.mean_thinking_tokens}")
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -94,7 +99,7 @@ class SweepResult:
         if len(set(xs)) != len(xs):
             raise ValueError("sweep x values must be distinct")
         for p in self.points:
-            if p.n and p.accuracy != p.n_correct / p.n:
+            if p.accuracy != p.n_correct / p.n:
                 raise ValueError(f"point x={p.x}: accuracy is not exactly n_correct/n")
 
     def to_dict(self) -> dict:

@@ -1,9 +1,9 @@
 """Prompt construction and answer extraction for multiple-choice QA.
 
-Prompt layouts are bit-exact contracts: evaluation prompts are
-``{question}\\n{options}\\n{instruction}`` and trace-generation prompts put
-the instruction first. Extraction scans ``\\boxed{...}`` expressions first
-and falls back to a versioned regex cascade; absence of a match is an
+The prompt layout is a bit-exact contract:
+``{question}\\n{options}\\n{instruction}``, for evaluation and for
+fine-tuning examples alike. Extraction scans ``\\boxed{...}`` expressions
+first and falls back to a versioned regex cascade; absence of a match is an
 outcome, not an error.
 """
 
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 log = logging.getLogger(__name__)
 
 DEFAULT_INSTRUCTION = "Return your final response within \\boxed{}."
-COT_INSTRUCTION = "Let's think step by step. Return your final response within \\boxed{}."
 
 METHOD_BOXED = "boxed"
 METHOD_FALLBACK = "regex_fallback"
@@ -85,11 +84,6 @@ def format_prompt(question: McqQuestion, instruction: str = DEFAULT_INSTRUCTION)
     if not question.stem:
         log.warning("question %s has an empty stem; prompt will start with a newline", question.id)
     return f"{question.stem}\n{format_options(question.options)}\n{instruction}"
-
-
-def format_trace_prompt(question: McqQuestion) -> str:
-    """Trace-generation prompt: instruction first, then question, then options."""
-    return f"{DEFAULT_INSTRUCTION}\n{question.stem}\n{format_options(question.options)}"
 
 
 # Fallback patterns applied, in order, when no boxed expression resolves.

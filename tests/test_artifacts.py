@@ -187,6 +187,18 @@ def test_the_matrix_runs_every_command():
         assert any(argv[: len(words)] == list(words) for _, argv in COMMANDS), words
 
 
+# the flags that name a file a command writes
+OUTPUT_FLAGS = {"--out", "--report", "--summary", "--transcripts", "--out-csv", "--out-svg", "--out-json"}
+
+
+def test_the_matrix_writes_every_output_flag():
+    # an output flag that no row gives writes an artifact that is never pinned
+    for words, (_, _, arguments) in cli.COMMANDS.items():
+        given = {arg for _, argv in COMMANDS if argv[: len(words)] == list(words) for arg in argv}
+        for flag, _ in arguments:
+            assert flag not in OUTPUT_FLAGS or flag in given, (words, flag)
+
+
 def test_artifacts_match_the_pinned_table(tmp_path):
     results, _ = run_matrix(tmp_path)
     assert list(results) == list(PINNED)

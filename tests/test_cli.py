@@ -606,12 +606,17 @@ def test_report_out_cites_its_input(tmp_path, dataset, oracle_script, capsys):
 
 
 GOOD_FIT = {"slope": 1.0, "intercept": 0.0, "residual_se": 0.5, "n": 3, "x_mean": 2.0, "sxx": 2.0, "t_crit": 12.7}
+GOOD_POINT = {"x": 1, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}
 
 
 def _sweep_with_fit(**fit) -> str:
     """A drawable sweep JSON whose fit has ``fit`` in place of a good one."""
-    point = {"x": 1, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}
-    return json.dumps({"dataset": "d", "points": [point], "fit": {**GOOD_FIT, **fit}})
+    return json.dumps({"dataset": "d", "points": [GOOD_POINT], "fit": {**GOOD_FIT, **fit}})
+
+
+def _sweep_with_point(**point) -> str:
+    """A sweep JSON of one point, with ``point`` in place of a good one's fields."""
+    return json.dumps({"dataset": "d", "points": [{**GOOD_POINT, **point}]})
 
 
 @pytest.mark.parametrize(
@@ -659,6 +664,11 @@ def _sweep_with_fit(**fit) -> str:
             '{"dataset": "d", "points": [{"x": 1, "accuracy": 0.5, "n": -2, "n_correct": -1, "mean_thinking_tokens": 1}]}',
             id="sweep-count-negative",
         ),
+        # a point of no questions, which no sweep makes, would draw any accuracy
+        pytest.param("--sweep", _sweep_with_point(accuracy=0.7, n=0, n_correct=0), id="sweep-n-zero"),
+        pytest.param("--sweep-svg", _sweep_with_point(accuracy=0.7, n=0, n_correct=0), id="sweep-n-zero-svg"),
+        pytest.param("--sweep", _sweep_with_point(mean_thinking_tokens=-5), id="sweep-mean-tokens-negative"),
+        pytest.param("--sweep-svg", _sweep_with_point(mean_thinking_tokens=-5), id="sweep-mean-tokens-negative-svg"),
         pytest.param("--in", '{"stages": [{"name": ["x"], "counts": {"a": 1}}]}', id="report-name-not-string"),
         pytest.param("--in", '{"stages": [{"name": "s", "counts": {"a": 1}, "params": [1]}]}', id="report-params-not-object"),
         pytest.param("--in", '{"stages": [{"name": "s", "counts": [["a", 1]]}]}', id="report-counts-not-object"),
@@ -1122,8 +1132,8 @@ PROBE_IMPORTS = "import thinkctl; from thinkctl.client import ScriptedModel; fro
     ids=["interpreter", "package", "loaders", "config"],
 )
 def test_imports_load_only_the_modules_they_use(code, expected):
-    # hashlib and concurrent.futures are loaded only by the code that digests
-    # a file or starts a worker pool
+    # hashlib is loaded only by the code that digests a file; nothing imports
+    # concurrent.futures, and it stays in the filter so that a new import shows
     shown = "sorted(m for m in sys.modules if m.startswith('thinkctl') or m in ('hashlib', 'concurrent.futures'))"
     out = run_python("-c", f"import sys; {code}; print({shown})")
     assert out.returncode == 0, out.stderr
@@ -1142,15 +1152,14 @@ PUBLIC_NAMES = {
     "config": "Config ConfigError load_config",
     "curation": (
         "CurationError CurationReport SamplingPlan StageCount TraceRecord annotate_domains decontaminate deduplicate "
-        "difficulty_filter diversity_sample format_sft_example parse_sft_example validate_traces"
+        "difficulty_filter diversity_sample format_sft_example validate_traces"
     ),
     "evaluation": (
         "DEFAULT_BUDGET_GRID EvalOutcome EvalResult SweepPoint SweepResult budget_sweep evaluate forcing_sweep macro_average"
     ),
     "plotting": "emit_plot",
     "qa": (
-        "COT_INSTRUCTION DEFAULT_INSTRUCTION ExtractionOutcome McqQuestion extract_answer format_options format_prompt "
-        "format_trace_prompt grade"
+        "DEFAULT_INSTRUCTION ExtractionOutcome McqQuestion extract_answer format_options format_prompt grade"
     ),
     "regression": "FitRefusedError RegressionFit fit_linear_with_ci",
 }
@@ -1163,7 +1172,7 @@ import thinkctl
 # a submodule is an attribute of the package, loaded when first read
 assert thinkctl.jsonl is sys.modules["thinkctl.jsonl"]
 names = {{name: module for module, listed in {PUBLIC_NAMES!r}.items() for name in listed.split()}}
-assert len(names) == 62
+assert len(names) == 59
 for name, module in names.items():
     assert getattr(thinkctl, name) is getattr(importlib.import_module("thinkctl." + module), name), name
 assert sorted(thinkctl.__all__) == sorted(names)

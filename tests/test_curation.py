@@ -30,7 +30,6 @@ from thinkctl.curation import (
     diversity_sample,
     format_sft_example,
     normalize_text,
-    parse_sft_example,
     source_counts,
     validate_traces,
 )
@@ -531,6 +530,15 @@ def test_sft_example_contains_markers_once_in_order():
     assert text.count(THINK_MARKER) == 1
     assert text.count(ANSWER_MARKER) == 1
     assert text.index(THINK_MARKER) < text.index(ANSWER_MARKER)
+
+
+def parse_sft_example(text: str) -> tuple[str, str, str]:
+    """The inverse of ``format_sft_example``: split an example back into
+    (prompt, thinking, response)."""
+    head, _, rest = text.partition("\n" + THINK_MARKER + "\n")
+    thinking, sep, response = rest.partition("\n" + ANSWER_MARKER + "\n")
+    assert sep, "text is not a well-formed fine-tuning example"
+    return head, thinking, response
 
 
 def test_sft_round_trip():

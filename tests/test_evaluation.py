@@ -363,6 +363,11 @@ def test_sweep_result_validation():
     for n, n_correct in [(-2, -1), (2, 3), (0, -1)]:
         with pytest.raises(ValueError, match="n_correct"):
             SweepPoint(x=1, accuracy=0.5, n=n, n_correct=n_correct, mean_thinking_tokens=3.0)
+    # a point holds at least one run, and a run thinks no negative number of tokens
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        SweepPoint(x=1, accuracy=0.7, n=0, n_correct=0, mean_thinking_tokens=3.0)
+    with pytest.raises(ValueError, match="mean_thinking_tokens"):
+        SweepPoint(**{**good.to_dict(), "mean_thinking_tokens": -5})
 
 
 def test_sweep_result_round_trip(make_questions):

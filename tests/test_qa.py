@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from conftest import fixture_path, load_fixture
 from thinkctl.qa import (
-    COT_INSTRUCTION,
     DEFAULT_INSTRUCTION,
     FALLBACK_CASCADE,
     FALLBACK_CASCADE_VERSION,
@@ -26,7 +25,6 @@ from thinkctl.qa import (
     extract_answer,
     format_options,
     format_prompt,
-    format_trace_prompt,
     grade,
 )
 
@@ -86,8 +84,9 @@ def test_format_prompt_layout_and_default_instruction():
 
 
 def test_format_prompt_cot_instruction():
-    prompt = format_prompt(make_question(), COT_INSTRUCTION)
-    assert "Let's think step by step." in prompt
+    instruction = "Let's think step by step. Return your final response within \\boxed{}."
+    prompt = format_prompt(make_question(), instruction)
+    assert prompt == f"Is this a question?\nA. yes\nB. no\nC. maybe\n{instruction}"
 
 
 def test_format_prompt_rejects_empty_instruction():
@@ -102,20 +101,6 @@ def test_format_prompt_empty_stem_permitted_but_warned(caplog):
     assert any("empty stem" in rec.message for rec in caplog.records)
 
 
-def test_trace_prompt_puts_instruction_first():
-    q = make_question()
-    trace = format_trace_prompt(q)
-    assert trace.startswith("Return your final response within \\boxed{")
-    assert trace == f"{DEFAULT_INSTRUCTION}\nIs this a question?\nA. yes\nB. no\nC. maybe"
-
-
-def test_trace_and_eval_prompts_differ_only_in_ordering():
-    q = make_question()
-    eval_parts = format_prompt(q).split("\n")
-    trace_parts = format_trace_prompt(q).split("\n")
-    assert sorted(eval_parts) == sorted(trace_parts)
-
-
 def parse_options_block(block: str) -> list[str]:
     """Parse-back oracle: recover the letters of an options block."""
     letters = []
@@ -128,7 +113,7 @@ def parse_options_block(block: str) -> list[str]:
 
 def test_options_round_trip_recovers_letters():
     q = make_question(options={"A": "alpha", "B": "beta", "C": "gamma", "D": "delta"}, gold="A")
-    block = format_trace_prompt(q).split("\n", 2)[2]
+    block = format_options(q.options)
     assert parse_options_block(block) == ["A", "B", "C", "D"]
 
 
