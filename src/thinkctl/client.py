@@ -459,20 +459,13 @@ def _retry_delay(exc: BackendError, attempt: int) -> float | None:
 
 
 def with_retries(fn: Callable[[], T]) -> T:
-    """Run ``fn`` with at most ``RETRIES`` retries (exponential backoff from
-    ``BACKOFF_S``, both read at call time) on retryable backend errors,
-    sleeping through each backoff. Non-retryable errors propagate
-    immediately."""
-    attempt = 0
-    while True:
-        try:
-            return fn()
-        except BackendError as exc:
-            delay = _retry_delay(exc, attempt)
-            if delay is None:
-                raise
-            time.sleep(delay)
-            attempt += 1
+    """Run ``fn`` on the calling thread as ``in_order`` runs a queued call,
+    retries and backoffs included; its final error propagates."""
+    results = in_order([fn], 1)
+    try:
+        return next(results)
+    finally:
+        results.close()
 
 
 # the default pool size of evaluation and of the config's run.workers key
@@ -488,12 +481,12 @@ def in_order(
     """Yield each call's result in the order given.
 
     A call that raises a retryable ``BackendError`` with retries left is
-    put back, to run again once its backoff has passed (the policy of
-    ``with_retries``). A backoff holds no worker: a worker takes a retry
-    that is due before the next first attempt, and waits only while
-    nothing can run. ``min(workers, len(calls))`` threads run the calls,
-    so ``workers`` bounds the calls in flight; at ``workers`` <= 1 the
-    calling thread runs the same loop until the next result is ready.
+    put back, to run again once its backoff (``_retry_delay``) has passed:
+    no other code re-sends a failed call. A backoff holds no worker: a
+    worker takes a due retry before the next first attempt, and waits only
+    while nothing can run. ``min(workers, len(calls))`` threads run the
+    calls, so ``workers`` bounds the calls in flight; at ``workers`` <= 1
+    the calling thread runs the same loop until the next result is ready.
 
     A call's final ``BackendError`` (not retryable, or out of retries)
     becomes ``failed(index, error)``, the call's result, when ``failed`` is
@@ -585,12 +578,8 @@ def probe_answer(backend, question_prompt: str) -> str:
     """Full non-streamed completion text for grading.
 
     Collects the whole stream before returning, so a failed call surfaces
-    as an error with no partial text. Retried per ``with_retries``.
+    as an error with no partial text. One attempt: its caller retries it.
     """
-
-    def attempt() -> str:
-        req = GenerationRequest(prompt=question_prompt, max_new_tokens=TRACE_TOKEN_LIMIT)
-        texts, _ = collect(stream_generate(backend, req))
-        return "".join(texts)
-
-    return with_retries(attempt)
+    req = GenerationRequest(prompt=question_prompt, max_new_tokens=TRACE_TOKEN_LIMIT)
+    texts, _ = collect(stream_generate(backend, req))
+    return "".join(texts)

@@ -176,29 +176,30 @@ def difficulty_filter(
 ) -> tuple[list[McqQuestion], StageCount]:
     """Keep only questions that every grader answers incorrectly.
 
-    A grader hard failure counts as an incorrect answer for that question
-    (logged), so flaky backends can only keep questions, never drop them.
-    Results merge in item-id order regardless of worker completion order.
-    Any other error ends the stage and cancels the questions still queued.
+    The graders take turns, each probing through one ``in_order`` call only
+    the questions every earlier grader missed; a round ends before the next
+    starts, which costs one probe's latency per grader. A probe that fails
+    through its retries is logged and counted incorrect (the row's
+    ``grader_failures``), so flaky backends only keep questions, never drop
+    them. Any other error ends the stage and cancels the probes still queued.
     """
     if not graders:
         raise CurationError("difficulty_filter needs at least one grader")
 
-    def grader_correct(grader, question: McqQuestion, prompt: str) -> bool:
-        try:
-            text = probe_answer(grader, prompt)
-        except BackendError as exc:
-            log.warning("grader failed on %s (%s); counted incorrect", question.id, exc)
-            return False
+    def correct(grader, question: McqQuestion) -> bool:
+        text = probe_answer(grader, format_prompt(question))
         return grade(extract_answer(text, question.options), question.gold)
 
-    def verdict(question: McqQuestion) -> bool:
-        prompt = format_prompt(question)
-        return not any(grader_correct(g, question, prompt) for g in graders)
+    def failed(i: int, exc: BackendError) -> None:  # missed is the round's list until the round ends
+        log.warning("grader failed on %s (%s); counted incorrect", missed[i].id, exc)
 
-    verdicts = in_order([partial(verdict, q) for q in pool], workers)
-    kept = sorted((q for keep, q in zip(verdicts, pool) if keep), key=lambda q: q.id)
-    return kept, StageCount("difficulty_filter", source_counts(kept))
+    missed, failures = pool, 0
+    for grader in graders:
+        verdicts = list(in_order([partial(correct, grader, q) for q in missed], workers, failed=failed))
+        failures += verdicts.count(None)
+        missed = [q for q, verdict in zip(missed, verdicts) if not verdict]
+    kept = sorted(missed, key=lambda q: q.id)
+    return kept, StageCount("difficulty_filter", source_counts(kept), {"grader_failures": failures} if failures else None)
 
 
 def validate_traces(records: Sequence[TraceRecord]) -> tuple[list[TraceRecord], StageCount]:

@@ -98,7 +98,10 @@ class SweepResult:
             raise ValueError("sweep points must be sorted by x")
         if len(set(xs)) != len(xs):
             raise ValueError("sweep x values must be distinct")
+        least = 1 if self.kind == KIND_BUDGET else 0  # BudgetPolicy's least budget and forcing count
         for p in self.points:
+            if p.x % 1 or p.x < least:
+                raise ValueError(f"point x={p.x}: a {self.kind} sweep's x must be an integer >= {least}")
             if p.accuracy != p.n_correct / p.n:
                 raise ValueError(f"point x={p.x}: accuracy is not exactly n_correct/n")
 

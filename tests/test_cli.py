@@ -669,6 +669,11 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--sweep-svg", _sweep_with_point(accuracy=0.7, n=0, n_correct=0), id="sweep-n-zero-svg"),
         pytest.param("--sweep", _sweep_with_point(mean_thinking_tokens=-5), id="sweep-mean-tokens-negative"),
         pytest.param("--sweep-svg", _sweep_with_point(mean_thinking_tokens=-5), id="sweep-mean-tokens-negative-svg"),
+        # an x no sweep of its kind makes: a budget is an integer >= 1, a forcing count one >= 0
+        pytest.param("--sweep", json.dumps({"dataset": "d", "kind": "forcing", "points": [{**GOOD_POINT, "x": -5}]}), id="sweep-forcing-x-negative"),
+        pytest.param("--sweep-svg", json.dumps({"dataset": "d", "kind": "forcing", "points": [{**GOOD_POINT, "x": 2.5}]}), id="sweep-forcing-x-fractional-svg"),
+        pytest.param("--sweep", _sweep_with_point(x=0), id="sweep-budget-x-zero"),
+        pytest.param("--sweep-svg", _sweep_with_point(x=0), id="sweep-budget-x-zero-svg"),
         pytest.param("--in", '{"stages": [{"name": ["x"], "counts": {"a": 1}}]}', id="report-name-not-string"),
         pytest.param("--in", '{"stages": [{"name": "s", "counts": {"a": 1}, "params": [1]}]}', id="report-params-not-object"),
         pytest.param("--in", '{"stages": [{"name": "s", "counts": [["a", 1]]}]}', id="report-counts-not-object"),
@@ -1042,6 +1047,26 @@ def test_eval_records_a_persistent_non_object_chunk(tmp_path, dataset, sse_serve
     assert [o["correct"] for o in outcomes] == [False] * len(records)
     assert all("malformed stream chunk: [1]" in o["error"] for o in outcomes)
     assert len(_SSEHandler.requests_seen) == len(records) * (1 + client.RETRIES)
+
+
+def test_filter_ledger_counts_the_probes_that_fail(tmp_path, dataset, sse_server, monkeypatch, capsys, caplog):
+    # every probe fails through its retries: each question counts missed and
+    # is kept, and the ledger's filter row, normalized too, counts the failures
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    data_path, records = dataset
+    _SSEHandler.mode = "raw"
+    _SSEHandler.raw = b"data: [1]\n\ndata: [DONE]\n\n"
+    hard, ledger, normalized = tmp_path / "hard.jsonl", tmp_path / "r.json", tmp_path / "n.json"
+    argv = ["curate", "filter", "--pool", str(data_path), "--base-url", sse_server, "--out", str(hard), "--report", str(ledger)]
+    assert run(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert caplog.text.count("counted incorrect") == len(records)
+    assert len(load_questions(str(hard))) == len(records)
+    assert len(_SSEHandler.requests_seen) == len(records) * (1 + client.RETRIES)
+    assert run(["report", "--in", str(ledger), "--out", str(normalized)]) == 0
+    for path in (ledger, normalized):
+        row = json.loads(path.read_text())["stages"][1]
+        assert (row["name"], row["params"]) == ("difficulty_filter", {"grader_failures": len(records)})
 
 
 def test_unparsable_budgets_exit_1(tmp_path, dataset, oracle_script, capsys):

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import urllib.request
+from functools import partial
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -194,10 +195,18 @@ def test_probe_answer_deterministic_across_invocations():
     assert first == second
 
 
+def test_probe_answer_makes_one_attempt():
+    # the runner that queues a probe retries it; probe_answer does not
+    backend = _FailingBackend(1, ConnectionFailure("boom"))
+    with pytest.raises(ConnectionFailure):
+        probe_answer(backend, "p")
+    assert backend.calls == 1
+
+
 def test_probe_answer_retries_then_succeeds(monkeypatch):
     monkeypatch.setattr(client, "BACKOFF_S", 0.0)
     backend = _FailingBackend(2, ConnectionFailure("boom"))
-    text = probe_answer(backend, "p")
+    text = with_retries(partial(probe_answer, backend, "p"))
     assert text == "recovered text"
     assert backend.calls == 3
 
@@ -206,7 +215,7 @@ def test_probe_answer_exhausts_retries(monkeypatch):
     monkeypatch.setattr(client, "BACKOFF_S", 0.0)
     backend = _FailingBackend(5, ConnectionFailure("down"))
     with pytest.raises(ConnectionFailure):
-        probe_answer(backend, "p")
+        with_retries(partial(probe_answer, backend, "p"))
     assert backend.calls == 3  # initial + 2 retries
 
 
@@ -214,7 +223,7 @@ def test_with_retries_skips_nonretryable(monkeypatch):
     monkeypatch.setattr(client, "BACKOFF_S", 0.0)
     backend = _FailingBackend(5, BackendStatusError(404, "missing"))
     with pytest.raises(BackendStatusError):
-        probe_answer(backend, "p")
+        with_retries(partial(probe_answer, backend, "p"))
     assert backend.calls == 1
 
 
@@ -1015,9 +1024,9 @@ def test_wire_non_object_chunk_is_a_retried_truncated_stream(sse_server, monkeyp
     with pytest.raises(TruncatedStreamError, match="malformed stream chunk") as excinfo:
         collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16)))
     assert excinfo.value.retryable
-    # probe_answer goes through with_retries: every attempt is sent, then the error surfaces
+    # under with_retries every attempt is sent, then the error surfaces
     with pytest.raises(TruncatedStreamError):
-        probe_answer(backend, "p")
+        with_retries(partial(probe_answer, backend, "p"))
     assert len(_SSEHandler.requests_seen) == 1 + 1 + client.RETRIES
 
 

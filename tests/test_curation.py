@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import load_fixture
 from thinkctl.budget import ANSWER_MARKER, THINK_MARKER
 from thinkctl import client
-from thinkctl.client import ScriptEntry, ScriptedModel
+from thinkctl.client import ConnectionFailure, ScriptEntry, ScriptedModel
 from thinkctl.curation import (
     CurationError,
     CurationReport,
@@ -87,8 +87,58 @@ def test_grader_hard_failure_counts_as_incorrect(monkeypatch):
             yield  # pragma: no cover
 
     pool = [question("q1", "stem one")]
-    kept, _ = difficulty_filter(pool, [Broken()])
+    kept, row = difficulty_filter(pool, [Broken()])
     assert [q.id for q in kept] == ["q1"]
+    assert row.params == {"grader_failures": 1}
+
+
+class OutageGrader:
+    """Serves ``model``, appends ``(name, prompt)`` to the shared ``log``
+    for every request, and fails the first request for ``fail_on`` once
+    with a retryable error."""
+
+    def __init__(self, name: str, model: ScriptedModel, log: list, fail_on: str | None = None):
+        self.name, self.model, self.log, self.fail_on = name, model, log, fail_on
+
+    def raw_stream(self, req):
+        self.log.append((self.name, req.prompt))
+        if req.prompt == self.fail_on:
+            self.fail_on = None
+            raise ConnectionFailure("grader refused")
+        yield from self.model.raw_stream(req)
+
+
+def test_a_grader_backoff_holds_no_worker(monkeypatch):
+    """q00's first probe fails once. Its retry waits out the backoff while
+    the one worker sends every other first probe, and the verdicts are a
+    reference run's."""
+    monkeypatch.setattr(client, "BACKOFF_S", 0.2)
+    pool = [question(f"q{i:02d}", f"stem {i}?") for i in range(6)]
+    model = grader_for({q.id: i % 2 == 0 for i, q in enumerate(pool)}, pool)
+    sent = []
+    ref_kept, ref_row = difficulty_filter(pool, [OutageGrader("g1", model, [])], workers=1)
+    kept, row = difficulty_filter(pool, [OutageGrader("g1", model, sent, format_prompt(pool[0]))], workers=1)
+    assert (kept, row) == (ref_kept, ref_row)
+    assert row.params is None  # the retry answered, so no probe failed
+    assert [prompt for _, prompt in sent] == [format_prompt(q) for q in [*pool, pool[0]]]
+
+
+def test_a_retried_probe_keeps_later_graders_from_probing_what_it_answered(monkeypatch):
+    """Grader 1 fails q00 once and then answers it correctly, so grader 2
+    never probes q00. Grader 1's round, retry included, ends before
+    grader 2 sends a probe."""
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    pool = [question(f"q{i:02d}", f"stem {i}?") for i in range(4)]
+    sent = []
+    g1 = OutageGrader("g1", grader_for({"q00": True, "q01": False, "q02": True, "q03": False}, pool), sent, format_prompt(pool[0]))
+    g2 = OutageGrader("g2", grader_for({q.id: False for q in pool}, pool), sent)
+    kept, row = difficulty_filter(pool, [g1, g2], workers=1)
+    assert [q.id for q in kept] == ["q01", "q03"]
+    assert row.params is None
+    assert sent == [
+        *(("g1", format_prompt(q)) for q in [pool[0], *pool]),  # a retry due at once goes first
+        *(("g2", format_prompt(q)) for q in (pool[1], pool[3])),
+    ]
 
 
 def test_difficulty_filter_requires_a_grader():

@@ -368,6 +368,11 @@ def test_sweep_result_validation():
         SweepPoint(x=1, accuracy=0.7, n=0, n_correct=0, mean_thinking_tokens=3.0)
     with pytest.raises(ValueError, match="mean_thinking_tokens"):
         SweepPoint(**{**good.to_dict(), "mean_thinking_tokens": -5})
+    # x is a budget (an integer >= 1) or a forcing count (an integer >= 0)
+    for kind, x in [("budget", 0), ("budget", 1.5), ("forcing", -5), ("forcing", 2.5)]:
+        with pytest.raises(ValueError, match=f"a {kind} sweep's x must be an integer"):
+            SweepResult("d", kind, [SweepPoint(**{**good.to_dict(), "x": x})])
+    assert SweepResult("d", "forcing", [SweepPoint(**{**good.to_dict(), "x": 0})]).points[0].x == 0
 
 
 def test_sweep_result_round_trip(make_questions):
