@@ -282,10 +282,10 @@ def cmd_curate_annotate(args) -> int:
 
 
 def cmd_curate_format_sft(args) -> int:
-    records = load_traces(args.traces)
-    texts = [{"text": curation.format_sft_example(r)} for r in records if r.verified]
-    write_jsonl(args.out, texts, meta=_provenance(args))
-    print(f"formatted {len(texts)} examples")
+    verified = [r for r in load_traces(args.traces) if r.verified]
+    # each example is rendered as it is written, so no list of texts is built
+    write_jsonl(args.out, ({"text": curation.format_sft_example(r)} for r in verified), meta=_provenance(args))
+    print(f"formatted {len(verified)} examples")
     return EXIT_OK
 
 

@@ -10,9 +10,11 @@ line whose only key is ``_meta``.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 from .qa import McqQuestion
 
@@ -198,18 +200,20 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file plus rename; an interrupted run never leaves a
-    truncated file at the destination. The temp file is created with mode
-    0o666, so the file gets the mode the umask gives any new file, where
-    ``tempfile.mkstemp`` would give 0o600."""
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator[BinaryIO]:
+    """Yield a temp file beside ``path``, renamed over it when the block
+    ends and removed on any error, so ``path`` is never left truncated. Its
+    mode 0o666 gives the file the mode the umask gives any new file (where
+    ``tempfile.mkstemp`` gives 0o600), and its name takes no part of the
+    destination's, so it fits NAME_MAX whatever the destination's length."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}{os.path.basename(path)}")
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -217,19 +221,31 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def write_jsonl(path: str, records: Iterable[dict], meta: dict | None = None) -> None:
+    """Write ``records`` as JSON Lines after a ``{"_meta": meta}`` line if
+    ``meta`` is given, encoding and writing one record at a time, so memory
+    does not grow with the output. A record UTF-8 cannot encode (a lone
+    surrogate) raises ValueError citing its ``path:line``; ``path`` is then
+    left as it was."""
     # one encoder for the file: json.dumps builds one per call when given options
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-    lines = [] if meta is None else [encode({META_KEY: meta})]
-    lines += map(encode, records)
-    if lines:
-        lines.append("")  # the join then ends the last line, with no copy of the text to add it
-    atomic_write_text(path, "\n".join(lines))
+    lines = records if meta is None else itertools.chain([{META_KEY: meta}], records)
+    with _atomic_file(path) as fh:
+        write = fh.write
+        for lineno, record in enumerate(lines, 1):
+            text = encode(record) + "\n"
+            try:
+                data = text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                escape = f"\\u{ord(text[exc.start]):04x}"
+                raise ValueError(f"{path}:{lineno}: lone surrogate {escape} (not encodable as UTF-8)") from exc
+            write(data)
 
 
 def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+    atomic_write_bytes(path, (json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8"))

@@ -178,6 +178,20 @@ def test_missing_dataset_exits_1(tmp_path, oracle_script, capsys):
     assert code == 1
 
 
+def test_an_unencodable_transcript_exits_1_citing_its_output_line(tmp_path, dataset, capsys):
+    # a scripted emission holding a lone surrogate, which json.loads accepts
+    data_path, _ = dataset
+    script = tmp_path / "script.json"
+    script.write_text('{"entries": [{"trigger": "", "emission": "x \\ud800 \\\\boxed{B}"}]}')
+    transcripts = tmp_path / "transcripts.jsonl"
+    transcripts.write_bytes(b"old\n")
+    code = run(["eval", "--dataset", str(data_path), "--mock", str(script), "--transcripts", str(transcripts)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {transcripts}:2: lone surrogate \\ud800 (not encodable as UTF-8)\n"
+    assert transcripts.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.jsonl", "script.json", "transcripts.jsonl"]
+
+
 def test_sweep_writes_csv_svg_summary(tmp_path, dataset, oracle_script):
     data_path, _ = dataset
     csv_path = tmp_path / "sweep.csv"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -483,10 +484,63 @@ def test_writer_matches_the_reference(tmp_path_factory, records, meta):
 
 
 def test_writer_reports_an_unencodable_record_as_the_reference_does(tmp_path):
+    # both refuse the record; the writer cites the line it would have taken
     records = [question_record("q1"), question_record("q2", question="lone \ud800 surrogate")]
-    with pytest.raises(UnicodeEncodeError) as excinfo:
-        write_jsonl(str(tmp_path / "out.jsonl"), records, meta={"config": {}})
-    with pytest.raises(UnicodeEncodeError) as expected:
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(ValueError) as excinfo:
+        write_jsonl(str(path), records, meta={"config": {}})
+    with pytest.raises(UnicodeEncodeError):
         reference_jsonl_text(records, {"config": {}}).encode("utf-8")
-    assert str(excinfo.value) == str(expected.value)
+    assert str(excinfo.value) == f"{path}:3: lone surrogate \\ud800 (not encodable as UTF-8)"
     assert list(tmp_path.iterdir()) == []
+
+
+def _interrupted():
+    yield question_record("q1")
+    raise RuntimeError("interrupted mid-stream")
+
+
+@pytest.mark.parametrize(
+    "records, error",
+    [(_interrupted, RuntimeError), (lambda: [question_record("q1"), question_record("q2", question="\udfff")], ValueError)],
+    ids=["interrupted", "unencodable"],
+)
+def test_failed_write_leaves_the_old_file_as_it_was(tmp_path, records, error):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(str(path), [question_record("q0")], meta={"config": {}})
+    old = path.read_bytes()
+    with pytest.raises(error):
+        write_jsonl(str(path), records(), meta={"config": {}})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_a_destination_name_of_250_bytes_is_written(tmp_path):
+    path = tmp_path / ("a" * 244 + ".jsonl")
+    write_jsonl(str(path), [question_record("q1")])
+    atomic_write_bytes(str(path), path.read_bytes())
+    assert [q.id for q in load_questions(str(path))] == ["q1"]
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_write_memory_does_not_grow_with_the_output(tmp_path):
+    # about 10 kB a line, with a character outside Latin-1, where a str
+    # takes 2 bytes a character and its UTF-8 3
+    text = "\u2265" * 3000 + "x" * 1000
+    line_bytes = len(json.dumps({"id": 0, "text": text}, ensure_ascii=False).encode("utf-8")) + 1
+
+    def write_peak(n):
+        records = ({"id": i, "text": text} for i in range(n))
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        write_jsonl(str(tmp_path / "out.jsonl"), records, meta={"config": {}})
+        return tracemalloc.get_traced_memory()[1] - before
+
+    n = 250
+    tracemalloc.start()
+    try:
+        small, large = write_peak(n), write_peak(8 * n)
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(tmp_path / "out.jsonl") > 8 * n * line_bytes > 19_000_000
+    assert abs(large - small) < line_bytes + 16_384
