@@ -412,6 +412,9 @@ def cmd_report(args) -> int:
     for stage in report.stages:
         cells = [stage.name] + [str(stage.counts.get(s, 0)) for s in sources] + [str(stage.total)]
         print("\t".join(cells))
+    for stage in report.stages:
+        if stage.params:
+            print(f"{stage.name} params: {json.dumps(stage.params, sort_keys=True)}")
     if args.out:
         _write_report(args.out, report.stages, _provenance(args), report.header)
     return EXIT_OK

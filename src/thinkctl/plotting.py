@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 from .evaluation import KIND_BUDGET, SweepResult
 from .regression import RegressionFit
@@ -21,6 +22,10 @@ CSV_COLUMNS = ("x", "accuracy", "n", "ci_low", "ci_high")
 
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN = 60
+
+# what XML 1.0 allows in no document: C0 controls other than tab, newline
+# and carriage return, surrogates, U+FFFE and U+FFFF
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _num(value: float) -> str:
@@ -90,6 +95,7 @@ def _emit_svg(sweep: SweepResult, fit: RegressionFit | None) -> bytes:
         return f"{px(x):.2f},{py(y):.2f}"
 
     x_label = "thinking budget (tokens)" if sweep.kind == KIND_BUDGET else "forcing count"
+    title = escape(_NOT_XML_CHAR.sub("\ufffd", sweep.dataset), quote=False)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -100,7 +106,7 @@ def _emit_svg(sweep: SweepResult, fit: RegressionFit | None) -> bytes:
         f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 15}" text-anchor="middle" font-size="14">{x_label}</text>',
         f'<text x="18" y="{_HEIGHT // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {_HEIGHT // 2})">accuracy (%)</text>',
-        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" font-size="15">{escape(sweep.dataset, quote=False)}</text>',
+        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
     ]
     if fit is not None:
         upper = [pt(x, fit.band(x)[1]) for x in xs]

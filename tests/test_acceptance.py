@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import load_fixture
+from conftest import load_fixture, random_scripted_model
 from thinkctl.budget import (
     ANSWER_MARKER,
     BudgetPolicy,
@@ -86,33 +86,6 @@ def test_ledger_fixture_reproduces_bookkeeping(criterion):
 
 
 # --- 3. budget state machine suite -------------------------------------------------
-
-
-def random_scripted_model(rng: random.Random) -> tuple[ScriptedModel, int]:
-    """A model with up to 3 forcing reactions; returns (model, rounds)."""
-    rounds = rng.randint(0, 3)
-    entries: list[ScriptEntry] = []
-
-    def emission(round_index: int) -> str:
-        if rng.random() < 0.04:
-            length = rng.randint(2049, 2200)  # exceeds the per-forcing cap
-        else:
-            length = rng.randint(0, 90)
-        words = [f"r{round_index}w{i}" for i in range(length)]
-        if words and rng.random() < 0.15:
-            words.insert(rng.randrange(len(words)), ANSWER_MARKER)  # embedded marker
-        words.append(f"r{round_index}end")
-        return " ".join(words)
-
-    for i in range(rounds, 0, -1):
-        marker = ANSWER_MARKER if rng.random() < 0.9 else None
-        entries.append(ScriptEntry(f"r{i - 1}endWait.", emission(i), marker))
-    if rng.random() < 0.9:
-        entries.append(ScriptEntry("Final Answer:", "\\boxed{B}", None))
-    entries.append(
-        ScriptEntry("think", emission(0), ANSWER_MARKER if rng.random() < 0.95 else None)
-    )
-    return ScriptedModel(tuple(entries)), rounds
 
 
 def test_budget_state_machine_suite(criterion):

@@ -271,7 +271,10 @@ PINNED = {'eval': (0,
                    'stage\tds0\tds1\tds2\ttotal\ninitial_collection\t10\t10\t10\t30\ndifficulty_filter\t5\t5\t10\t20\n',
                    {'filter_report_norm.json': '1aa3413962b884177ae6c58f2c3abe09ed19ce4a0986a443b7ac750bd36bcb31'}),
  'report-sample': (0,
-                   'stage\tds0\tds1\tds2\ttotal\ninitial_collection\t5\t5\t5\t15\ndiversity_sampling\t1\t5\t2\t8\n',
+                   'stage\tds0\tds1\tds2\ttotal\n'
+                   'initial_collection\t5\t5\t5\t15\n'
+                   'diversity_sampling\t1\t5\t2\t8\n'
+                   'diversity_sampling params: {"rng": "blake2b-counter", "seed": 7, "target_n": 8}\n',
                    {'sample_report_norm.json': '874b623b0729bf6a813591c89f738d89ba025eb5b6561a03744fcdcb7886238c'})}
 
 

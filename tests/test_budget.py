@@ -6,6 +6,7 @@ from typing import Sequence
 
 import pytest
 
+from conftest import random_scripted_model
 from thinkctl.budget import (
     ANSWER_CUE,
     ANSWER_MARKER,
@@ -21,7 +22,6 @@ from thinkctl.budget import (
     run_with_budget,
 )
 from thinkctl.client import ConnectionFailure, ScriptEntry, ScriptedModel
-from test_acceptance import random_scripted_model
 
 
 def words(prefix: str, n: int) -> str:

@@ -5,22 +5,24 @@ import json
 import os
 import pathlib
 import re
+import socket
 import subprocess
 import sys
 import tempfile
 from collections import Counter
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _SSEHandler
 from thinkctl.budget import ANSWER_MARKER
 from thinkctl import cli, client, evaluation
 from thinkctl.cli import run
 from thinkctl.client import WireBackend
 from thinkctl.jsonl import load_questions
 from thinkctl.qa import DEFAULT_INSTRUCTION, McqQuestion, format_prompt
-from test_client import _SSEHandler, sse_server  # noqa: F401  (the loopback SSE server fixture)
 
 
 def write_jsonl_file(path, records):
@@ -82,6 +84,8 @@ def oracle_script(tmp_path, dataset):
 def test_usage_error_exits_2(capsys):
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
+    # run builds only the named command's arguments: an unknown stage is still a usage error
+    assert run(["curate", "bogus"]) == 2
 
 
 def test_eval_happy_path(tmp_path, dataset, oracle_script, capsys):
@@ -193,7 +197,9 @@ def test_an_unencodable_transcript_exits_1_citing_its_output_line(tmp_path, data
 
 
 def test_sweep_writes_csv_svg_summary(tmp_path, dataset, oracle_script):
-    data_path, _ = dataset
+    # the SVG's title is the dataset's name, which holds XML metacharacters here
+    data_path = tmp_path / "a&b<c.jsonl"
+    data_path.write_bytes(dataset[0].read_bytes())
     csv_path = tmp_path / "sweep.csv"
     svg_path = tmp_path / "sweep.svg"
     summary = tmp_path / "sweep.json"
@@ -212,6 +218,7 @@ def test_sweep_writes_csv_svg_summary(tmp_path, dataset, oracle_script):
     header = csv_path.read_text().splitlines()[0]
     assert header == "x,accuracy,n,ci_low,ci_high"
     assert svg_path.read_text().startswith("<svg")
+    minidom.parse(str(svg_path))
     payload = json.loads(summary.read_text())
     assert [p["x"] for p in payload["points"]] == [16, 32, 64]
 
@@ -656,6 +663,9 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--sweep", b"\xff\xfe{}", id="sweep-not-utf8"),
         pytest.param("--pool", b"\xff\xfe\n", id="pool-not-utf8"),
         pytest.param("--pool", '{"id": "q1", "question": "\\ud800", "options": {"A": "x"}, "answer": "A"}', id="pool-lone-surrogate"),
+        pytest.param("--pool", b"\xef\xbb\xbf" + json.dumps(question_record("q1")).encode(), id="pool-bom"),
+        pytest.param("--pool", json.dumps(question_record("q1")) + " " + json.dumps(question_record("q1")), id="pool-two-objects"),
+        pytest.param("--pool", json.dumps({"_meta": "stray", **question_record("q1")}), id="pool-meta-beside-fields"),
         pytest.param("--sweep", '{"dataset": "d", "kind": "bogus", "points": []}', id="sweep-unknown-kind"),
         pytest.param("--in", '{"stages": [{"name": "s", "counts": {"x": 1.5, "y": true}}]}', id="report-count-not-integer"),
         pytest.param(
@@ -663,6 +673,7 @@ def _sweep_with_point(**point) -> str:
             '{"dataset": 5, "points": [{"x": 1, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
             id="sweep-dataset-not-string",
         ),
+        pytest.param("--sweep-svg", json.dumps({"dataset": 5, "points": [GOOD_POINT]}), id="sweep-dataset-not-string-svg"),
         pytest.param(
             "--sweep",
             '{"dataset": "d", "points": [{"x": Infinity, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
@@ -685,6 +696,7 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--sweep-svg", _sweep_with_point(mean_thinking_tokens=-5), id="sweep-mean-tokens-negative-svg"),
         # an x no sweep of its kind makes: a budget is an integer >= 1, a forcing count one >= 0
         pytest.param("--sweep", json.dumps({"dataset": "d", "kind": "forcing", "points": [{**GOOD_POINT, "x": -5}]}), id="sweep-forcing-x-negative"),
+        pytest.param("--sweep-svg", json.dumps({"dataset": "d", "kind": "forcing", "points": [{**GOOD_POINT, "x": -5}]}), id="sweep-forcing-x-negative-svg"),
         pytest.param("--sweep-svg", json.dumps({"dataset": "d", "kind": "forcing", "points": [{**GOOD_POINT, "x": 2.5}]}), id="sweep-forcing-x-fractional-svg"),
         pytest.param("--sweep", _sweep_with_point(x=0), id="sweep-budget-x-zero"),
         pytest.param("--sweep-svg", _sweep_with_point(x=0), id="sweep-budget-x-zero-svg"),
@@ -713,7 +725,8 @@ def _sweep_with_point(**point) -> str:
     ],
 )
 def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset, oracle_script, option, content):
-    """``None`` content makes the input a directory; bytes are written as they are."""
+    """``None`` content makes the input a directory; bytes are written as they are.
+    Every other input is one line, so its error cites line 1."""
     data_path, _ = dataset
     path = tmp_path / "input"
     if content is None:
@@ -736,7 +749,7 @@ def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset,
     err = capsys.readouterr().err
     assert str(path) in err
     assert "Traceback" not in err
-    if option.startswith("--sweep"):
+    if content is not None:
         assert f"{path}:1:" in err
 
 
@@ -803,14 +816,25 @@ def test_malformed_config_exits_1_citing_file_and_line(tmp_path, dataset, oracle
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_flag_below_1_exits_1(dataset, oracle_script, capsys, workers):
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        pytest.param("--workers", "0", "workers must be >= 1", id="0"),
+        pytest.param("--workers", "-3", "workers must be >= 1", id="-3"),
+        # json.dumps would put Infinity, which is not JSON, into the request body
+        pytest.param("--temperature", "inf", "temperature must be a finite number", id="temperature-inf"),
+    ],
+)
+def test_workers_flag_below_1_exits_1(dataset, monkeypatch, capsys, flag, value, message):
+    # a value out of range exits 1 before any request is sent
     data_path, _ = dataset
-    code = run(["eval", "--workers", workers, "--dataset", str(data_path), "--mock", str(oracle_script)])
-    assert code == 1
+    called = []
+    monkeypatch.setattr(WireBackend, "raw_stream", lambda self, req: called.append(req) or iter(["\\boxed{A}"]))
+    assert run(["eval", flag, value, "--dataset", str(data_path)]) == 1
     err = capsys.readouterr().err
-    assert "workers must be >= 1" in err
+    assert message in err
     assert "Traceback" not in err
+    assert called == []
 
 
 @pytest.mark.parametrize("url", ["localhost:8000", "http://", "http://localhost:abc", "http://localhost:0"])
@@ -1063,21 +1087,32 @@ def test_eval_records_a_persistent_non_object_chunk(tmp_path, dataset, sse_serve
     assert len(_SSEHandler.requests_seen) == len(records) * (1 + client.RETRIES)
 
 
-def test_filter_ledger_counts_the_probes_that_fail(tmp_path, dataset, sse_server, monkeypatch, capsys, caplog):
+@pytest.mark.parametrize("failure", ["bad-chunk", "refused"])
+def test_filter_ledger_counts_the_probes_that_fail(tmp_path, dataset, sse_server, monkeypatch, capsys, caplog, failure):
     # every probe fails through its retries: each question counts missed and
-    # is kept, and the ledger's filter row, normalized too, counts the failures
+    # is kept, and the ledger's filter row, normalized too, counts the
+    # failures, which report prints
     monkeypatch.setattr(client, "BACKOFF_S", 0.0)
     data_path, records = dataset
-    _SSEHandler.mode = "raw"
-    _SSEHandler.raw = b"data: [1]\n\ndata: [DONE]\n\n"
+    if failure == "bad-chunk":
+        # each attempt is cut by a malformed chunk (a TruncatedStreamError)
+        _SSEHandler.mode = "raw"
+        _SSEHandler.raw = b"data: [1]\n\ndata: [DONE]\n\n"
+        base_url, requests = sse_server, len(records) * (1 + client.RETRIES)
+    else:
+        # a port bound and released, which refuses each connection (a ConnectionFailure)
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            base_url, requests = f"http://127.0.0.1:{sock.getsockname()[1]}", 0
     hard, ledger, normalized = tmp_path / "hard.jsonl", tmp_path / "r.json", tmp_path / "n.json"
-    argv = ["curate", "filter", "--pool", str(data_path), "--base-url", sse_server, "--out", str(hard), "--report", str(ledger)]
+    argv = ["curate", "filter", "--pool", str(data_path), "--base-url", base_url, "--out", str(hard), "--report", str(ledger)]
     assert run(argv) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert caplog.text.count("counted incorrect") == len(records)
     assert len(load_questions(str(hard))) == len(records)
-    assert len(_SSEHandler.requests_seen) == len(records) * (1 + client.RETRIES)
+    assert len(_SSEHandler.requests_seen) == requests
     assert run(["report", "--in", str(ledger), "--out", str(normalized)]) == 0
+    assert f'difficulty_filter params: {{"grader_failures": {len(records)}}}\n' in capsys.readouterr().out
     for path in (ledger, normalized):
         row = json.loads(path.read_text())["stages"][1]
         assert (row["name"], row["params"]) == ("difficulty_filter", {"grader_failures": len(records)})

@@ -6,12 +6,12 @@ import threading
 import time
 import urllib.request
 from functools import partial
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import STATUS_BODY, UTF8_CHUNKS, _SSEHandler
 from thinkctl import client
 from thinkctl.client import (
     CAUSE_BACKEND_STOP,
@@ -793,109 +793,8 @@ def test_scanner_marker_starting_inside_trailing_space():
 # --- wire backend against a local SSE server ------------------------------
 
 
-UTF8_CHUNKS = ["5 µg", " at 37 °C", " then 39°C"]
-
-
 # characters that str.splitlines, but not SSE, takes for a line end
 LINE_SEPARATORS = {"u2028": "\u2028", "u2029": "\u2029", "u0085": "\u0085"}
-STATUS_BODY = "server exploded"
-OK_DELTAS = ["Hello", " world", "!"]
-
-
-class _SSEHandler(BaseHTTPRequestHandler):
-    requests_seen: list[dict] = []
-    headers_seen: list[dict] = []
-    mode = "ok"
-    status = 200  # mode "status": the status sent with ``STATUS_BODY``
-    deltas = OK_DELTAS  # modes "ok" and "truncate": the deltas sent
-    raw = b""  # mode "raw": the whole response body
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append(body)
-        type(self).headers_seen.append(dict(self.headers))
-        if self.path != "/v1/chat/completions":
-            self.send_response(404)
-            self.end_headers()
-            return
-        if type(self).mode == "status":
-            self.send_response(type(self).status)
-            self.end_headers()
-            self.wfile.write(STATUS_BODY.encode())
-            return
-        if type(self).mode == "utf8":
-            self._send_utf8_chunked()
-            return
-        if type(self).mode == "cut-chunk":
-            self._send_cut_chunk()
-            return
-        if type(self).mode == "raw":
-            self.send_response(200)
-            self.send_header("Content-Type", "text/event-stream")
-            self.end_headers()
-            self.wfile.write(type(self).raw)
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.end_headers()
-        for chunk in type(self).deltas:
-            payload = {"choices": [{"delta": {"content": chunk}, "finish_reason": None}]}
-            # raw, as ``json.dumps(..., ensure_ascii=False)`` servers send them
-            self.wfile.write(f"data: {json.dumps(payload, ensure_ascii=False)}\n\n".encode())
-        if type(self).mode == "ok":
-            done = {"choices": [{"delta": {}, "finish_reason": "stop"}]}
-            self.wfile.write(f"data: {json.dumps(done)}\n\n".encode())
-            self.wfile.write(b"data: [DONE]\n\n")
-        # mode == "truncate": close without the sentinel
-
-    def _send_utf8_chunked(self):
-        # raw UTF-8 with no charset in the header, in two HTTP chunks that
-        # split the last "°" between them
-        lines = [json.dumps({"choices": [{"delta": {"content": c}}]}, ensure_ascii=False) for c in UTF8_CHUNKS]
-        data = "".join(f"data: {line}\n\n" for line in lines).encode() + b"data: [DONE]\n\n"
-        cut = data.rindex("°".encode()) + 1
-        self.protocol_version = "HTTP/1.1"
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        for part in (data[:cut], data[cut:], b""):
-            self.wfile.write(b"%x\r\n%s\r\n" % (len(part), part))
-        self.close_connection = True
-
-    def _send_cut_chunk(self):
-        # one whole event, then a chunk that announces more bytes than it
-        # holds before the connection closes
-        event = b'data: {"choices": [{"delta": {"content": "Hello"}}]}\n\n'
-        self.protocol_version = "HTTP/1.1"
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(b"%x\r\n%s\r\n" % (len(event), event))
-        self.wfile.write(b"%x\r\n%s" % (len(event), event[:10]))
-        self.close_connection = True
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def sse_server():
-    _SSEHandler.requests_seen = []
-    _SSEHandler.headers_seen = []
-    _SSEHandler.mode = "ok"
-    _SSEHandler.deltas = OK_DELTAS
-    server = HTTPServer(("127.0.0.1", 0), _SSEHandler)
-    # a short poll interval, so shutdown() in teardown returns at once
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
 
 
 def test_wire_protocol_fields_and_auth(sse_server, monkeypatch):

@@ -72,12 +72,20 @@ def test_svg_without_fit_has_points_only():
     assert svg.count("<circle") == 3
 
 
-@pytest.mark.parametrize("name", ["a&b<c.jsonl", "x>y.jsonl", "&amp;.jsonl", "demo.jsonl"])
-def test_svg_is_well_formed_for_any_dataset_name(name):
+@pytest.mark.parametrize(
+    "name, title",
+    [
+        *(pytest.param(name, name, id=name) for name in ["a&b<c.jsonl", "x>y.jsonl", "&amp;.jsonl", "demo.jsonl"]),
+        # XML 1.0 forbids these in any document, so each is drawn as U+FFFD;
+        # a tab is allowed, and stays
+        pytest.param("a\x00\x01\x08\x0b\x0c\x0e\x1f\ufffe\uffff\tb.jsonl", "a" + "\ufffd" * 9 + "\tb.jsonl", id="not-xml-chars"),
+    ],
+)
+def test_svg_is_well_formed_for_any_dataset_name(name, title):
     sweep = SweepResult(name, "budget", sample_sweep(3).points)
     doc = minidom.parseString(emit_plot(sweep, percent_fit(sweep), "svg"))
     titles = [t for t in doc.getElementsByTagName("text") if t.getAttribute("y") == "24"]
-    assert [t.firstChild.data for t in titles] == [name]
+    assert [t.firstChild.data for t in titles] == [title]
 
 
 def test_unknown_format_rejected():
