@@ -21,7 +21,7 @@ model = ScriptedModel(
 
 
 def show(label, transcript):
-    shape = [(s.provenance, len(s.tokens)) for s in transcript.segments]
+    shape = [(s.provenance, s.n_tokens) for s in transcript.segments]
     print(f"{label}: segments={shape} injections={transcript.injections} "
           f"thinking={transcript.thinking_tokens} termination={transcript.termination} "
           f"answer={transcript.answer_text!r}")

@@ -1,14 +1,16 @@
 """The curation pipeline on a miniature pool, ledger included.
 
-Stages: difficulty filtering with scripted graders, trace validation,
-decontamination + dedup against an evaluation set, domain annotation, and
-hierarchical diversity sampling. Every stage contributes a per-source row
-to the report, whose totals must reconcile.
+Stages: difficulty filtering with scripted graders, decontamination +
+dedup against an evaluation set, domain annotation, hierarchical diversity
+sampling, then trace generation by a scripted stronger model, trace
+validation and fine-tuning formatting. Every stage that drops records
+contributes a per-source row to the report, whose totals must reconcile.
 """
 
 import json
 
 from thinkctl import (
+    BudgetPolicy,
     CurationReport,
     McqQuestion,
     SamplingPlan,
@@ -19,9 +21,11 @@ from thinkctl import (
     decontaminate,
     difficulty_filter,
     diversity_sample,
+    evaluate,
     format_sft_example,
     validate_traces,
 )
+from thinkctl.budget import ANSWER_CUE, ANSWER_MARKER, THINK_MARKER
 from thinkctl.curation import source_counts
 from thinkctl.qa import format_prompt
 
@@ -77,12 +81,31 @@ selected, row = diversity_sample(plan)
 report.stages.append(row)
 print("sampled:", selected)
 
+# a stronger scripted model thinks through each sampled question and
+# answers the first correctly and the second wrongly
+by_id = {q.id: q for q in annotated}
+chosen = [by_id[item] for item, _ in selected]
+teacher = ScriptedModel(
+    tuple(ScriptEntry(format_prompt(q) + THINK_MARKER, f"weighing the findings of {q.id}", ANSWER_MARKER) for q in chosen)
+    + tuple(
+        ScriptEntry(f"{q.id}{ANSWER_MARKER}{ANSWER_CUE}", "\\boxed{A}" if i == 0 else "\\boxed{C}")
+        for i, q in enumerate(chosen)
+    )
+)
+result = evaluate(chosen, teacher, BudgetPolicy(thinking_budget=64), workers=1)
+traces = [
+    TraceRecord.from_response(by_id[o.question_id], o.transcript.thinking, o.transcript.answer_text)
+    for o in result.outcomes
+]
+verified, row = validate_traces(traces)
+report.stages.append(row)
+print("traces verified:", [(t.question.id, t.extracted, t.verified) for t in traces])
+
 report.validate()
 print("--- ledger ---")
 print(json.dumps(report.to_dict(), indent=2))
 
 # verified traces render as fine-tuning examples with the phase markers
-trace = TraceRecord.from_response(pool[0], thinking="weighing the findings", response="\\boxed{A}")
-verified, _ = validate_traces([trace])
 print("--- fine-tuning example ---")
-print(format_sft_example(verified[0]))
+for trace in verified:
+    print(format_sft_example(trace))

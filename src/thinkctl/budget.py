@@ -83,10 +83,12 @@ class BudgetPolicy:
 
 @dataclass(frozen=True)
 class Segment:
-    """One thinking segment with its provenance (initial or forced(i))."""
+    """One thinking segment: its provenance (initial or forced(i)), its
+    text, and the number of tokens the model emitted for it."""
 
     provenance: str
-    tokens: tuple[str, ...]
+    text: str
+    n_tokens: int
 
 
 @dataclass(frozen=True)
@@ -96,11 +98,14 @@ class ReasoningTranscript:
     The first segment is the initial thought and each later one a forced
     continuation, so ``injections`` is one less than the segment count.
     ``thinking_tokens`` counts model-emitted thinking tokens only; the
-    injected forcing text is not part of any segment. A segment's text is
-    its tokens concatenated.
+    injected forcing text is not part of any segment. ``thinking`` is what
+    the answer request holds between the think marker and the end-of-think
+    marker: every segment's text, with the forcing text before each forced
+    one.
     """
 
     segments: tuple[Segment, ...]
+    thinking: str
     answer_text: str
     termination: str
 
@@ -118,24 +123,7 @@ class ReasoningTranscript:
 
     @property
     def thinking_tokens(self) -> int:
-        return sum(len(s.tokens) for s in self.segments)
-
-    def to_record(self, transcript_id: str) -> dict:
-        return {
-            "id": transcript_id,
-            "segments": [
-                {
-                    "provenance": s.provenance,
-                    "text": "".join(s.tokens),
-                    "tokens": list(s.tokens),
-                }
-                for s in self.segments
-            ],
-            "injections": self.injections,
-            "thinking_tokens": self.thinking_tokens,
-            "answer": self.answer_text,
-            "termination": self.termination,
-        }
+        return sum(s.n_tokens for s in self.segments)
 
 
 class BudgetRunError(BackendError):
@@ -155,17 +143,6 @@ def _generate(backend, req: GenerationRequest, phase: str) -> tuple[list[str], s
         raise BudgetRunError(f"backend failed during {phase} phase: {exc}") from exc
 
 
-def _answer_phase(context: str, policy: BudgetPolicy, backend) -> str:
-    """Inject the end-of-think marker and the answer cue after the thinking
-    ``context`` and stream the answer."""
-    req = GenerationRequest(
-        prompt=context + policy.end_of_think_marker + ANSWER_CUE,
-        max_new_tokens=ANSWER_CAP,
-    )
-    answer_tokens, _ = _generate(backend, req, "answer")
-    return "".join(answer_tokens)
-
-
 def run_with_budget(prompt: str, policy: BudgetPolicy, backend) -> ReasoningTranscript:
     """Run one budgeted, optionally forced, think-then-answer generation.
 
@@ -174,7 +151,7 @@ def run_with_budget(prompt: str, policy: BudgetPolicy, backend) -> ReasoningTran
     remaining is suppressed and replaced by the forcing text. A budget cut
     transitions to the answer phase via marker + answer cue injection.
     """
-    # prompt and think marker, then each segment's tokens, with the forcing
+    # prompt and think marker, then each segment's text, with the forcing
     # text before every forced segment
     context = prompt + policy.think_marker
     segments: list[Segment] = []
@@ -186,8 +163,9 @@ def run_with_budget(prompt: str, policy: BudgetPolicy, backend) -> ReasoningTran
             cap, provenance = policy.thinking_budget, PROVENANCE_INITIAL
         req = GenerationRequest(prompt=context, max_new_tokens=cap, stop_on=policy.end_of_think_marker)
         tokens, cause = _generate(backend, req, "thinking")
-        segments.append(Segment(provenance, tuple(tokens)))
-        context += "".join(tokens)
+        text = "".join(tokens)
+        segments.append(Segment(provenance, text, len(tokens)))
+        context += text
         # a marker means the model ended its thought: force while forcings remain
         if cause != CAUSE_MARKER or len(segments) > policy.forcing_count:
             break
@@ -198,5 +176,8 @@ def run_with_budget(prompt: str, policy: BudgetPolicy, backend) -> ReasoningTran
         termination = TERMINATION_FORCING
     else:
         termination = TERMINATION_NATURAL
-    answer_text = _answer_phase(context, policy, backend)
-    return ReasoningTranscript(segments=tuple(segments), answer_text=answer_text, termination=termination)
+    # the end-of-think marker and the answer cue after the thought elicit the answer
+    req = GenerationRequest(context + policy.end_of_think_marker + ANSWER_CUE, ANSWER_CAP)
+    answer_tokens, _ = _generate(backend, req, "answer")
+    thinking = context[len(prompt) + len(policy.think_marker) :]
+    return ReasoningTranscript(tuple(segments), thinking, "".join(answer_tokens), termination)

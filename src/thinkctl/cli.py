@@ -29,6 +29,7 @@ from .jsonl import (
     read_lines,
     sha256_file,
     trace_to_record,
+    transcript_to_record,
     write_json,
     write_jsonl,
 )
@@ -313,10 +314,11 @@ def cmd_eval(args, cfg: Config) -> int:
         )
         write_jsonl(args.out, records, meta=provenance)
     if args.transcripts:
+        # evaluate returns a dataset's outcomes in question-id order
         records = (
-            o.transcript.to_record(o.question_id)
-            for result in results.values()
-            for o in result.outcomes
+            transcript_to_record(question, o.transcript)
+            for path, result in results.items()
+            for question, o in zip(sorted(datasets[path], key=lambda q: q.id), result.outcomes)
             if o.transcript is not None
         )
         write_jsonl(args.transcripts, records, meta=provenance)

@@ -411,22 +411,27 @@ class WireBackend:
                 for line in resp:
                     if not line.startswith(b"data:"):
                         continue
-                    payload = line[len(b"data:"):].strip().decode("utf-8", "replace")
-                    if payload == "[DONE]":
+                    payload = line[len(b"data:"):].strip()
+                    if payload == b"[DONE]":
                         completed = True
                         break
-                    # a chunk that is not JSON, or not shaped as the objects
-                    # read here, is as retryable as a cut stream
+                    # a chunk that is not UTF-8 or not JSON, or not shaped as
+                    # the objects read here, is as retryable as a cut stream
                     try:
-                        choices = json.loads(payload).get("choices") or []
+                        chunk = payload.decode("utf-8")
+                        choices = json.loads(chunk).get("choices") or []
                         if not choices:
                             continue
                         text = (choices[0].get("delta") or {}).get("content") or ""
                         finished = choices[0].get("finish_reason")
                         if not isinstance(text, str):
                             raise TypeError(f"content is a {type(text).__name__}")
+                        # only a lone "\ud800"-style escape leaves a surrogate, which UTF-8 cannot encode
+                        if "\\u" in chunk:
+                            text.encode("utf-8")
                     except (ValueError, LookupError, AttributeError, TypeError, RecursionError) as exc:
-                        raise TruncatedStreamError(f"malformed stream chunk: {payload[:80]}") from exc
+                        shown = payload[:80].decode("utf-8", "replace")
+                        raise TruncatedStreamError(f"malformed stream chunk: {shown}") from exc
                     if text:
                         yield text
                     if finished:

@@ -3,7 +3,9 @@ writes, and content digests for reproducibility headers.
 
 The question schema is the canonical interchange format:
 ``{"id", "question", "options": {"A": ...}, "answer", "source", "domains"}``.
-Trace files add ``{"thinking", "response", "extracted", "verified"}``.
+Trace files add ``{"thinking", "response", "extracted", "verified"}``;
+a transcript is a trace record plus the run's ``segments`` and
+``termination``.
 Writers put a ``{"_meta": ...}`` provenance line first; readers skip every
 line whose only key is ``_meta``.
 """
@@ -19,12 +21,15 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 from .qa import McqQuestion
 
 if TYPE_CHECKING:
+    from .budget import ReasoningTranscript
     from .curation import TraceRecord
 
 META_KEY = "_meta"
 # what json.loads reports for a line that starts with a byte order mark
 _BOM_REASON = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 _QUESTION_FIELDS = (("id", str), ("question", str), ("options", dict), ("answer", str))
+# an output file's write buffer, so many short records take few write calls (the default is 8 KiB)
+_WRITE_BUFFER = 1 << 16
 
 
 class SchemaError(ValueError):
@@ -162,28 +167,30 @@ def record_to_trace(record: dict, path: str = "<memory>", lineno: int = 0) -> Tr
         raise SchemaError(path, lineno, "field 'extracted' must be a string or null")
     verified = _require(record, "verified", bool, path, lineno)
     try:
-        return TraceRecord(
-            question=question,
-            thinking=thinking,
-            response=response,
-            extracted=extracted,
-            verified=verified,
-        )
+        return TraceRecord(question, thinking, response, extracted, verified)
     except ValueError as exc:
         raise SchemaError(path, lineno, str(exc)) from exc
 
 
 def trace_to_record(trace: TraceRecord) -> dict:
-    record = question_to_record(trace.question)
-    record.update(
-        {
-            "thinking": trace.thinking,
-            "response": trace.response,
-            "extracted": trace.extracted,
-            "verified": trace.verified,
-        }
-    )
-    return record
+    return {
+        **question_to_record(trace.question),
+        "thinking": trace.thinking,
+        "response": trace.response,
+        "extracted": trace.extracted,
+        "verified": trace.verified,
+    }
+
+
+def transcript_to_record(question: McqQuestion, transcript: ReasoningTranscript) -> dict:
+    """A controlled run of ``question`` as the trace record that
+    ``record_to_trace`` reads, plus the run's ``segments`` and
+    ``termination``, which it ignores."""
+    from .curation import TraceRecord
+
+    trace = TraceRecord.from_response(question, transcript.thinking, transcript.answer_text)
+    segments = [dict(vars(s)) for s in transcript.segments]
+    return {**trace_to_record(trace), "segments": segments, "termination": transcript.termination}
 
 
 def load_traces(path: str) -> list[TraceRecord]:
@@ -212,7 +219,7 @@ def _atomic_file(path: str) -> Iterator[BinaryIO]:
     tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with os.fdopen(fd, "wb", _WRITE_BUFFER) as fh:
             yield fh
         os.replace(tmp_path, path)
     except BaseException:

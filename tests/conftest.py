@@ -82,6 +82,7 @@ class _SSEHandler(BaseHTTPRequestHandler):
     status = 200  # mode "status": the status sent with ``STATUS_BODY``
     deltas = OK_DELTAS  # modes "ok" and "truncate": the deltas sent
     raw = b""  # mode "raw": the whole response body
+    scripts: dict[str, ScriptedModel] = {}  # mode "script": the model served per request ``model``
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -103,6 +104,9 @@ class _SSEHandler(BaseHTTPRequestHandler):
         if type(self).mode == "cut-chunk":
             self._send_cut_chunk()
             return
+        if type(self).mode == "script":
+            self._send_script(body)
+            return
         if type(self).mode == "raw":
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream")
@@ -121,6 +125,24 @@ class _SSEHandler(BaseHTTPRequestHandler):
             self.wfile.write(f"data: {json.dumps(done)}\n\n".encode())
             self.wfile.write(b"data: [DONE]\n\n")
         # mode == "truncate": close without the sentinel
+
+    def _send_script(self, body: dict):
+        # the scripted model named by the request, matched on the last
+        # message: one event per token up to max_tokens, then the finish
+        # reason and the sentinel
+        entry = type(self).scripts[body["model"]].match(body["messages"][-1]["content"])
+        tokens = entry.tokens if entry is not None else ()
+        cap = body["max_tokens"]
+        events = [{"choices": [{"delta": {"content": token}, "finish_reason": None}]} for token in tokens[:cap]]
+        events.append({"choices": [{"delta": {}, "finish_reason": "length" if len(tokens) > cap else "stop"}]})
+        self.send_response(200)
+        self.send_header("Content-Type", "text/event-stream")
+        self.end_headers()
+        data = "".join(f"data: {json.dumps(event, ensure_ascii=False)}\n\n" for event in events)
+        try:
+            self.wfile.write(data.encode() + b"data: [DONE]\n\n")
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # a client that stopped at a marker or its cap closes early
 
     def _send_utf8_chunked(self):
         # raw UTF-8 with no charset in the header, in two HTTP chunks that
@@ -162,6 +184,7 @@ def sse_server():
     _SSEHandler.headers_seen = []
     _SSEHandler.mode = "ok"
     _SSEHandler.deltas = OK_DELTAS
+    _SSEHandler.scripts = {}
     server = HTTPServer(("127.0.0.1", 0), _SSEHandler)
     # a short poll interval, so shutdown() in teardown returns at once
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)

@@ -28,9 +28,11 @@ import pprint
 import sys
 import tempfile
 
+from conftest import _SSEHandler
 from thinkctl.budget import ANSWER_CUE, ANSWER_MARKER, DEFAULT_FORCING_TEXT, THINK_MARKER
 from thinkctl import cli
 from thinkctl.cli import run
+from thinkctl.client import ScriptedModel
 from thinkctl.qa import McqQuestion, format_prompt
 
 OPTIONS = {"A": "one", "B": "two", "C": "three", "D": "four"}
@@ -118,6 +120,10 @@ COMMANDS = [
     ("eval", ["eval", "--dataset", "data.jsonl", "--dataset", "unscripted.jsonl", "--mock", "model.json",
               "--budget", "4", "--forcing-count", "1", "--per-forcing-cap", "2",
               "--out", "eval.jsonl", "--summary", "eval_summary.json", "--transcripts", "transcripts.jsonl"]),
+    # eval's transcripts are trace records: validate and format them as generated
+    ("eval-validate", ["curate", "validate", "--traces", "transcripts.jsonl", "--out", "eval_verified.jsonl",
+                       "--report", "eval_validate_report.json"]),
+    ("eval-format-sft", ["curate", "format-sft", "--traces", "eval_verified.jsonl", "--out", "eval_sft.jsonl"]),
     ("sweep", ["sweep", "--dataset", "data.jsonl", "--mock", "model.json", "--budgets", "1,2,3,4,6"]
               + [a.format("sweep") for a in SWEEP_OUTPUTS]),
     ("force-sweep", ["force-sweep", "--dataset", "data.jsonl", "--mock", "model.json", "--max-forcings", "2", "--budget", "8"]
@@ -145,7 +151,7 @@ def _sha256(path: pathlib.Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_matrix(directory: pathlib.Path) -> tuple[dict, dict[str, bytes]]:
+def run_matrix(directory: pathlib.Path, commands=COMMANDS) -> tuple[dict, dict[str, bytes]]:
     """Write the inputs into ``directory``, run every command there, and
     return each command's ``(exit code, stdout, {artifact: sha256})`` plus
     the bytes of every file the commands wrote."""
@@ -155,7 +161,7 @@ def run_matrix(directory: pathlib.Path) -> tuple[dict, dict[str, bytes]]:
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        for name, argv in COMMANDS:
+        for name, argv in commands:
             before = {p.name for p in directory.iterdir()}
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 code = run(argv)
@@ -199,6 +205,34 @@ def test_the_matrix_writes_every_output_flag():
             assert flag not in OUTPUT_FLAGS or flag in given, (words, flag)
 
 
+def _without_provenance(name: str, data: bytes):
+    """An artifact's content with its ``_meta`` lines or ``_provenance`` removed."""
+    if name.endswith(".jsonl"):
+        return [record for record in map(json.loads, data.splitlines()) if "_meta" not in record]
+    payload = json.loads(data)
+    del payload["_provenance"]
+    return payload
+
+
+def test_the_eval_row_over_the_wire_twin_gives_the_mock_artifacts(tmp_path, sse_server):
+    # the wire twin serves model.json's script one event per token, so a
+    # wire run must write what the mock run writes, but for provenance
+    _SSEHandler.mode = "script"
+    _SSEHandler.scripts = {"model.json": ScriptedModel.from_dict(_script())}
+    argv = dict(COMMANDS)["eval"]
+    at = argv.index("--mock")
+    wire = argv[:at] + ["--base-url", sse_server, "--model", argv[at + 1]] + argv[at + 2 :]
+    runs = []
+    for name, args in (("mock", argv), ("wire", wire)):
+        (tmp_path / name).mkdir()
+        results, files = run_matrix(tmp_path / name, [("eval", args)])
+        code, stdout, _ = results["eval"]
+        runs.append((code, stdout, {f: _without_provenance(f, data) for f, data in files.items()}))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][2]) == ["eval.jsonl", "eval_summary.json", "transcripts.jsonl"]
+    assert len(_SSEHandler.requests_seen) > len(DATASET) + len(UNSCRIPTED)
+
+
 def test_artifacts_match_the_pinned_table(tmp_path):
     results, _ = run_matrix(tmp_path)
     assert list(results) == list(PINNED)
@@ -210,7 +244,14 @@ PINNED = {'eval': (0,
           'data.jsonl: accuracy 0.3333 (2/6)\nunscripted.jsonl: accuracy 0.3333 (1/3)\nmacro average: 33.33%\n',
           {'eval.jsonl': 'c300be2a84592c444fc2ebe6aa982d3f0a23cde1e6a792f8c98a0c844ce5bee8',
            'eval_summary.json': 'dd74b489b5a1c8082c6b73ba8a03083e571ce41c6d4cd06dd8aa4e19812d3662',
-           'transcripts.jsonl': '987244783281887e39990345a3d24c4e3598dfa91205f0455e4164ce5118e694'}),
+           'transcripts.jsonl': 'a0ad848bd4cd348024dbbc1fb6cbf898da5094e99bb7bec9d066074ef410a19f'}),
+ 'eval-validate': (0,
+                   'verified 3 of 9 traces\n',
+                   {'eval_validate_report.json': '384b9373d0fd3c2484e2f0c9eb5023eea4c37c263eee2524f6b32d4f64f529fb',
+                    'eval_verified.jsonl': '7da376071833c2702b12577dd42526be3c525f5b386e1d36ca2c8cc93baa95bb'}),
+ 'eval-format-sft': (0,
+                     'formatted 3 examples\n',
+                     {'eval_sft.jsonl': 'eba5b4ca565c949c0d3907b93b11808543d87579d162ed034138e6044c2fa944'}),
  'sweep': (0,
            'budget 1: accuracy 0.1667 (1/6)\n'
            'budget 2: accuracy 0.3333 (2/6)\n'

@@ -7,6 +7,10 @@ from typing import Sequence
 import pytest
 
 from conftest import random_scripted_model
+from thinkctl.curation import format_sft_example, validate_traces
+from thinkctl.evaluation import evaluate
+from thinkctl.jsonl import load_traces, transcript_to_record, write_jsonl
+from thinkctl.qa import McqQuestion
 from thinkctl.budget import (
     ANSWER_CUE,
     ANSWER_MARKER,
@@ -63,7 +67,7 @@ def test_policy_validation():
 def test_natural_end_without_forcing():
     model = forcing_model(5, 3)
     transcript = run_with_budget("Q?", BudgetPolicy(thinking_budget=4096, forcing_count=0), model)
-    assert [(s.provenance, len(s.tokens)) for s in transcript.segments] == [("initial", 5)]
+    assert [(s.provenance, s.n_tokens) for s in transcript.segments] == [("initial", 5)]
     assert transcript.injections == 0
     assert transcript.termination == TERMINATION_NATURAL
     assert transcript.answer_text == "\\boxed{B}"
@@ -74,7 +78,7 @@ def test_forcing_trace_matches_hand_replay():
     model = forcing_model(10, 7)
     policy = BudgetPolicy(thinking_budget=4096, forcing_count=2)
     transcript = run_with_budget("Q?", policy, model)
-    assert [(s.provenance, len(s.tokens)) for s in transcript.segments] == [
+    assert [(s.provenance, s.n_tokens) for s in transcript.segments] == [
         ("initial", 10),
         ("forced(1)", 7),
         ("forced(2)", 7),
@@ -87,7 +91,7 @@ def test_forcing_trace_matches_hand_replay():
 def test_budget_cut_transitions_to_answer():
     model = forcing_model(50, 7)
     transcript = run_with_budget("Q?", BudgetPolicy(thinking_budget=8, forcing_count=3), model)
-    assert transcript.segments[0].tokens == tuple(f"t{i} " for i in range(8))  # cut by the cap after "t7 "
+    assert transcript.segments[0] == Segment("initial", "".join(f"t{i} " for i in range(8)), 8)  # cut by the cap after "t7 "
     assert transcript.termination == TERMINATION_BUDGET
     assert transcript.injections == 0
     assert transcript.answer_text == "\\boxed{B}"
@@ -97,7 +101,7 @@ def test_forced_segment_capped_by_per_forcing_cap():
     model = forcing_model(5, 100)
     policy = BudgetPolicy(thinking_budget=4096, forcing_count=2, per_forcing_cap=10)
     transcript = run_with_budget("Q?", policy, model)
-    assert [(s.provenance, len(s.tokens)) for s in transcript.segments] == [
+    assert [(s.provenance, s.n_tokens) for s in transcript.segments] == [
         ("initial", 5),
         ("forced(1)", 10),
     ]
@@ -112,10 +116,8 @@ def test_marker_never_stored_in_segments():
         )
     )
     transcript = run_with_budget("Q?", BudgetPolicy(thinking_budget=100), model)
-    for segment in transcript.segments:
-        assert all(ANSWER_MARKER not in token for token in segment.tokens)
-        assert ANSWER_MARKER not in "".join(segment.tokens)
-    assert transcript.segments[0].tokens == ("one ", "two ")
+    assert transcript.segments == (Segment("initial", "one two ", 2),)
+    assert ANSWER_MARKER not in transcript.thinking
 
 
 def test_backend_stop_during_thinking_is_natural():
@@ -175,24 +177,11 @@ def test_prefix_stability_when_forcing_count_grows():
 
 
 def test_transcript_invariants_enforced():
-    seg = Segment("initial", ("a", "b"))
+    seg = Segment("initial", "ab", 2)
     with pytest.raises(ValueError):
-        ReasoningTranscript((), "", TERMINATION_NATURAL)
+        ReasoningTranscript((), "", "", TERMINATION_NATURAL)
     with pytest.raises(ValueError):
-        ReasoningTranscript((seg, Segment("forced(2)", ("c",))), "", TERMINATION_NATURAL)
-
-
-def test_serialization_round_trip():
-    model = forcing_model(4, 3)
-    transcript = run_with_budget("Q?", BudgetPolicy(thinking_budget=4096, forcing_count=1), model)
-    record = transcript.to_record("q1")
-    assert record["id"] == "q1"
-    assert record["segments"][0]["text"] == "t0 t1 t2 t3"
-    assert record["segments"][0]["tokens"] == ["t0 ", "t1 ", "t2 ", "t3"]
-    assert record["injections"] == 1
-    assert record["thinking_tokens"] == 7
-    assert record["answer"] == transcript.answer_text
-    assert record["termination"] == transcript.termination
+        ReasoningTranscript((seg, Segment("forced(2)", "c", 1)), "abWait.c", "", TERMINATION_NATURAL)
 
 
 class RecordingBackend:
@@ -244,7 +233,7 @@ def test_request_bytes_are_pinned():
 def render_context(prompt: str, segments: Sequence[Segment], policy: BudgetPolicy) -> str:
     """The generation context the model continues after ``segments``.
 
-    Prompt, think marker, then each segment's tokens, with the forcing text
+    Prompt, think marker, then each segment's text, with the forcing text
     before every forced segment, all concatenated. A forced segment with
     no tokens yet ends the context at its forcing text, which is how the
     request for the next forced continuation is built.
@@ -253,7 +242,7 @@ def render_context(prompt: str, segments: Sequence[Segment], policy: BudgetPolic
     for seg in segments:
         if seg.provenance != PROVENANCE_INITIAL:
             parts.append(policy.forcing_text)
-        parts.extend(seg.tokens)
+        parts.append(seg.text)
     return "".join(parts)
 
 
@@ -277,11 +266,53 @@ def test_every_request_context_matches_the_reference():
         *thinking, answer = backend.requests
         assert len(thinking) == len(segments)
         for i, (req, segment) in enumerate(zip(thinking, segments)):
-            assert req.prompt == render_context(prompt, [*segments[:i], Segment(segment.provenance, ())], policy)
+            assert req.prompt == render_context(prompt, [*segments[:i], Segment(segment.provenance, "", 0)], policy)
             assert req.max_new_tokens == (policy.thinking_budget if i == 0 else policy.per_forcing_cap)
             assert req.stop_on == ANSWER_MARKER
         assert answer.prompt == render_context(prompt, segments, policy) + ANSWER_MARKER + ANSWER_CUE
         assert answer.stop_on is None
         forced += len(segments) - 1
-        nonempty += sum(1 for segment in segments[1:] if segment.tokens)
+        nonempty += sum(1 for segment in segments[1:] if segment.n_tokens)
     assert (forced, nonempty) == (247, 101)  # forced segments, with and without tokens, are in the sample
+
+
+def test_transcript_records_are_the_traces_validate_keeps(tmp_path):
+    """Oracle for ``eval --transcripts``: each run's record holds as
+    ``thinking`` the bytes the answer request sent between the markers, its
+    segments sum to the run's thinking tokens, and read back as traces,
+    validation keeps exactly the runs graded correct."""
+    records, correct_ids, forced = [], [], 0
+    for trial in range(200):
+        rng = random.Random(30_000 + trial)
+        model, _ = random_scripted_model(rng)
+        policy = BudgetPolicy(
+            thinking_budget=rng.randint(1, 200),
+            forcing_count=rng.randint(0, 3),
+            per_forcing_cap=rng.choice([rng.randint(1, 60), 2048]),
+        )
+        question = McqQuestion(f"q{trial:03d}", f"Case {trial}?", {"A": "a", "B": "b", "C": "c"}, rng.choice("ABC"), "s")
+        backend = RecordingBackend(model)
+        (outcome,) = evaluate([question], backend, policy, workers=1).outcomes
+        record = transcript_to_record(question, outcome.transcript)
+        answer = backend.requests[-1].prompt
+        assert answer.endswith(ANSWER_MARKER + ANSWER_CUE)
+        start = answer.index(THINK_MARKER) + len(THINK_MARKER)
+        assert record["thinking"] == answer[start : answer.rindex(ANSWER_MARKER)]
+        assert sum(s["n_tokens"] for s in record["segments"]) == outcome.thinking_tokens
+        segments = [Segment(**s) for s in record["segments"]]
+        assert render_context("", segments, policy) == THINK_MARKER + record["thinking"]
+        assert (record["answer"], record["response"]) == (question.gold, outcome.transcript.answer_text)
+        assert record["termination"] == outcome.transcript.termination
+        records.append(record)
+        forced += len(record["segments"]) - 1
+        if outcome.correct:
+            correct_ids.append(question.id)
+    path = str(tmp_path / "transcripts.jsonl")
+    write_jsonl(path, records, meta={})
+    kept, row = validate_traces(load_traces(path))
+    assert [t.question.id for t in kept] == correct_ids
+    assert row.total == len(correct_ids)
+    for trace in kept:
+        assert f"{THINK_MARKER}\n{trace.thinking}\n{ANSWER_MARKER}" in format_sft_example(trace)
+    # both outcomes, and forced runs, are in the sample
+    assert 0 < len(correct_ids) < len(records) and forced > 0

@@ -119,7 +119,11 @@ def test_eval_happy_path(tmp_path, dataset, oracle_script, capsys):
     assert all(row["correct"] for row in lines[1:])
     trows = [json.loads(l) for l in transcripts.read_text().splitlines()][1:]
     assert len(trows) == 8
-    assert {"id", "segments", "injections", "thinking_tokens", "answer", "termination"} <= set(trows[0])
+    # a trace record, whose answer is the gold letter, plus the run's segments and termination
+    trace_keys = {"id", "question", "options", "answer", "source", "domains", "thinking", "response", "extracted", "verified"}
+    assert set(trows[0]) == trace_keys | {"segments", "termination"}
+    assert all(row["verified"] and row["extracted"] == row["answer"] for row in trows)
+    assert set(trows[0]["segments"][0]) == {"provenance", "text", "n_tokens"}
     assert trows[0]["segments"][0]["provenance"] == "initial"
 
 

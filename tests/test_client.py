@@ -911,6 +911,9 @@ NON_OBJECT_CHUNKS = {
     "content-not-text": b'{"choices": [{"delta": {"content": 5}}]}',
     # past the recursion limit the decoder raises RecursionError
     "nested-too-deeply": b"[" * 100_000 + b"]" * 100_000,
+    # text that is not UTF-8, and an escape that decodes to a lone surrogate
+    "not-utf8": b'{"choices": [{"delta": {"content": "a\xffb"}}]}',
+    "lone-surrogate": b'{"choices": [{"delta": {"content": "a\\ud800b"}}]}',
 }
 
 
@@ -935,10 +938,12 @@ def test_wire_chunk_without_choices_is_skipped(sse_server):
         b'data: {"choices": []}\n\n'
         b'data: {"choices": [{"delta": {"content": "Hi"}}]}\n\n'
         b'data: {"usage": {"total_tokens": 3}}\n\n'
+        # an escaped surrogate pair reads as the one character it encodes
+        b'data: {"choices": [{"delta": {"content": " \\ud83d\\ude00"}}]}\n\n'
         b"data: [DONE]\n\n"
     )
     backend = WireBackend(base_url=sse_server, model="m")
-    assert collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16))) == (["Hi"], CAUSE_BACKEND_STOP)
+    assert collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16))) == (["Hi", " \U0001f600"], CAUSE_BACKEND_STOP)
 
 
 def test_wire_connection_failure():
