@@ -1,6 +1,6 @@
-"""Prompt layouts and the answer-extraction cascade.
+"""The prompt layout and the answer-extraction cascade.
 
-A prompt is question, options, instruction, whatever the instruction.
+A prompt is question, options, then the one boxed-answer instruction.
 Extraction prefers boxed expressions and falls back to a versioned regex
 cascade; no text ever raises.
 """
@@ -17,8 +17,6 @@ question = McqQuestion(
 
 print("--- evaluation prompt ---")
 print(format_prompt(question))
-print("--- chain-of-thought variant ---")
-print(format_prompt(question, "Let's think step by step. Return your final response within \\boxed{}."))
 
 print("--- extraction ---")
 replies = [

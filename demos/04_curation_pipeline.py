@@ -93,10 +93,8 @@ teacher = ScriptedModel(
     )
 )
 result = evaluate(chosen, teacher, BudgetPolicy(thinking_budget=64), workers=1)
-traces = [
-    TraceRecord.from_response(by_id[o.question_id], o.transcript.thinking, o.transcript.answer_text)
-    for o in result.outcomes
-]
+# a trace grades its own response: extracted and verified are never given
+traces = [TraceRecord(by_id[o.question_id], o.transcript.thinking, o.transcript.answer_text) for o in result.outcomes]
 verified, row = validate_traces(traces)
 report.stages.append(row)
 print("traces verified:", [(t.question.id, t.extracted, t.verified) for t in traces])

@@ -293,6 +293,11 @@ def cmd_curate_format_sft(args) -> int:
 def cmd_eval(args, cfg: Config) -> int:
     # every dataset is loaded and checked before the first backend call
     datasets = {path: _load_dataset(path) for path in args.datasets}
+    if args.transcripts:  # a transcript names no dataset, so an id in two datasets would give two traces of it
+        first: dict[str, str] = {}
+        for path, q in [(path, q) for path, questions in datasets.items() for q in questions]:
+            if first.setdefault(q.id, path) != path:
+                raise ValueError(f"{path}: duplicate id {q.id!r}, also in {first[q.id]}: --transcripts needs ids unique across datasets")
     backend = _backend(args, cfg)
     results = {}
     for path, questions in datasets.items():

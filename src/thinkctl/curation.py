@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budget import ANSWER_MARKER, THINK_MARKER
 from .client import BackendError, in_order, probe_answer
-from .qa import DEFAULT_INSTRUCTION, McqQuestion, extract_answer, format_prompt, grade
+from .qa import McqQuestion, extract_answer, format_prompt, grade
 
 log = logging.getLogger(__name__)
 
@@ -62,31 +62,20 @@ class _CounterDraws:
 
 @dataclass
 class TraceRecord:
-    """One question paired with a generated reasoning trace and answer."""
+    """One question paired with a generated reasoning trace and answer. The
+    verdict is graded from ``response`` as ``evaluate`` grades a run: the
+    letter ``extract_answer`` finds, and whether it is the gold one."""
 
     question: McqQuestion
     thinking: str
     response: str
-    extracted: str | None
-    verified: bool
+    extracted: str | None = field(init=False)
+    verified: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.verified != (self.extracted == self.question.gold):
-            raise CurationError(
-                f"trace for {self.question.id!r}: verified flag inconsistent with "
-                f"extracted={self.extracted!r} vs gold={self.question.gold!r}"
-            )
-
-    @classmethod
-    def from_response(cls, question: McqQuestion, thinking: str, response: str) -> "TraceRecord":
-        outcome = extract_answer(response, question.options)
-        return cls(
-            question=question,
-            thinking=thinking,
-            response=response,
-            extracted=outcome.letter,
-            verified=grade(outcome, question.gold),
-        )
+        outcome = extract_answer(self.response, self.question.options)
+        self.extracted = outcome.letter
+        self.verified = grade(outcome, self.question.gold)
 
 
 @dataclass
@@ -431,7 +420,7 @@ def format_sft_example(record: TraceRecord) -> str:
     """
     if not record.verified:
         raise CurationError(f"record {record.question.id!r} is not verified")
-    prompt = format_prompt(record.question, DEFAULT_INSTRUCTION)
+    prompt = format_prompt(record.question)
     for marker in (THINK_MARKER, ANSWER_MARKER):
         for label, text in (("prompt", prompt), ("thinking", record.thinking), ("response", record.response)):
             if marker in text:

@@ -3,7 +3,7 @@ writes, and content digests for reproducibility headers.
 
 The question schema is the canonical interchange format:
 ``{"id", "question", "options": {"A": ...}, "answer", "source", "domains"}``.
-Trace files add ``{"thinking", "response", "extracted", "verified"}``;
+Trace files add ``{"thinking", "response"}``, graded as ``{"extracted", "verified"}``;
 a transcript is a trace record plus the run's ``segments`` and
 ``termination``.
 Writers put a ``{"_meta": ...}`` provenance line first; readers skip every
@@ -142,34 +142,39 @@ def question_to_record(question: McqQuestion) -> dict:
     }
 
 
-def load_questions(path: str) -> list[McqQuestion]:
-    """Load a question file, enforcing id uniqueness within the dataset."""
-    questions = []
+def _load(path: str, build) -> list:
+    """``build(record, path, lineno)`` of each record of ``path``; ids are unique within the file."""
+    items = []
     seen: dict[str, int] = {}
     for lineno, record in read_jsonl(path):
-        question = record_to_question(record, path, lineno)
-        if question.id in seen:
-            raise SchemaError(path, lineno, f"duplicate id {question.id!r} (first seen on line {seen[question.id]})")
-        seen[question.id] = lineno
-        questions.append(question)
-    return questions
+        item = build(record, path, lineno)
+        qid = record["id"]  # build checked that it is a string
+        if qid in seen:
+            raise SchemaError(path, lineno, f"duplicate id {qid!r} (first seen on line {seen[qid]})")
+        seen[qid] = lineno
+        items.append(item)
+    return items
+
+
+def load_questions(path: str) -> list[McqQuestion]:
+    """Load a question file, enforcing id uniqueness within the dataset."""
+    return _load(path, record_to_question)
 
 
 def record_to_trace(record: dict, path: str = "<memory>", lineno: int = 0) -> TraceRecord:
+    """The trace of ``record``, graded from its response; a stored grade that differs raises SchemaError."""
     # imported here so that loading questions never loads the curation module
     from .curation import TraceRecord
 
     question = record_to_question(record, path, lineno)
     thinking = _require(record, "thinking", str, path, lineno)
     response = _require(record, "response", str, path, lineno)
-    extracted = record.get("extracted")
-    if extracted is not None and not isinstance(extracted, str):
-        raise SchemaError(path, lineno, "field 'extracted' must be a string or null")
-    verified = _require(record, "verified", bool, path, lineno)
-    try:
-        return TraceRecord(question, thinking, response, extracted, verified)
-    except ValueError as exc:
-        raise SchemaError(path, lineno, str(exc)) from exc
+    trace = TraceRecord(question, thinking, response)
+    for key, graded in (("extracted", trace.extracted), ("verified", trace.verified)):
+        stored = record.get(key, graded)
+        if stored != graded or type(stored) is not type(graded):  # 1 == True, yet 1 is no verdict
+            raise SchemaError(path, lineno, f"field {key!r} is {stored!r}, but the response grades to {graded!r}")
+    return trace
 
 
 def trace_to_record(trace: TraceRecord) -> dict:
@@ -188,13 +193,14 @@ def transcript_to_record(question: McqQuestion, transcript: ReasoningTranscript)
     ``termination``, which it ignores."""
     from .curation import TraceRecord
 
-    trace = TraceRecord.from_response(question, transcript.thinking, transcript.answer_text)
+    trace = TraceRecord(question, transcript.thinking, transcript.answer_text)
     segments = [dict(vars(s)) for s in transcript.segments]
     return {**trace_to_record(trace), "segments": segments, "termination": transcript.termination}
 
 
 def load_traces(path: str) -> list[TraceRecord]:
-    return [record_to_trace(record, path, lineno) for lineno, record in read_jsonl(path)]
+    """Load a trace file, grading each response; ids are unique within it."""
+    return _load(path, record_to_trace)
 
 
 def sha256_file(path: str) -> str:

@@ -77,13 +77,11 @@ def format_options(options: Mapping[str, str]) -> str:
     return "\n".join(f"{letter}. {text}" for letter, text in options.items())
 
 
-def format_prompt(question: McqQuestion, instruction: str = DEFAULT_INSTRUCTION) -> str:
-    """Evaluation prompt: question, then options, then instruction."""
-    if not instruction:
-        raise ValueError("instruction must be nonempty")
+def format_prompt(question: McqQuestion) -> str:
+    """Evaluation prompt: question, then options, then ``DEFAULT_INSTRUCTION``."""
     if not question.stem:
         log.warning("question %s has an empty stem; prompt will start with a newline", question.id)
-    return f"{question.stem}\n{format_options(question.options)}\n{instruction}"
+    return f"{question.stem}\n{format_options(question.options)}\n{DEFAULT_INSTRUCTION}"
 
 
 # Fallback patterns applied, in order, when no boxed expression resolves.

@@ -83,6 +83,7 @@ class _SSEHandler(BaseHTTPRequestHandler):
     deltas = OK_DELTAS  # modes "ok" and "truncate": the deltas sent
     raw = b""  # mode "raw": the whole response body
     scripts: dict[str, ScriptedModel] = {}  # mode "script": the model served per request ``model``
+    faults: list[str] = []  # mode "script": "503" or "cut", each served once, in order, in place of a reply
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -130,17 +131,27 @@ class _SSEHandler(BaseHTTPRequestHandler):
         # the scripted model named by the request, matched on the last
         # message: one event per token up to max_tokens, then the finish
         # reason and the sentinel
+        # reason and the sentinel. A "cut" fault sends half the tokens the
+        # client would read and closes the stream
         entry = type(self).scripts[body["model"]].match(body["messages"][-1]["content"])
         tokens = entry.tokens if entry is not None else ()
         cap = body["max_tokens"]
+        fault = type(self).faults.pop(0) if type(self).faults else None
+        if fault == "503":
+            self.send_response(503)
+            self.end_headers()
+            self.wfile.write(STATUS_BODY.encode())
+            return
         events = [{"choices": [{"delta": {"content": token}, "finish_reason": None}]} for token in tokens[:cap]]
         events.append({"choices": [{"delta": {}, "finish_reason": "length" if len(tokens) > cap else "stop"}]})
+        if fault == "cut":
+            del events[min(len(tokens), cap) // 2 :]
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.end_headers()
         data = "".join(f"data: {json.dumps(event, ensure_ascii=False)}\n\n" for event in events)
         try:
-            self.wfile.write(data.encode() + b"data: [DONE]\n\n")
+            self.wfile.write(data.encode() + (b"" if fault else b"data: [DONE]\n\n"))
         except (BrokenPipeError, ConnectionResetError):
             pass  # a client that stopped at a marker or its cap closes early
 
@@ -178,6 +189,12 @@ class _SSEHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _SSEServer(HTTPServer):
+    # more than the client's 8 default workers: a connect past a full
+    # backlog is dropped, and TCP retries it only a second later
+    request_queue_size = 64
+
+
 @pytest.fixture
 def sse_server():
     _SSEHandler.requests_seen = []
@@ -185,7 +202,8 @@ def sse_server():
     _SSEHandler.mode = "ok"
     _SSEHandler.deltas = OK_DELTAS
     _SSEHandler.scripts = {}
-    server = HTTPServer(("127.0.0.1", 0), _SSEHandler)
+    _SSEHandler.faults = []
+    server = _SSEServer(("127.0.0.1", 0), _SSEHandler)
     # a short poll interval, so shutdown() in teardown returns at once
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()

@@ -28,9 +28,11 @@ import pprint
 import sys
 import tempfile
 
+import pytest
+
 from conftest import _SSEHandler
 from thinkctl.budget import ANSWER_CUE, ANSWER_MARKER, DEFAULT_FORCING_TEXT, THINK_MARKER
-from thinkctl import cli
+from thinkctl import cli, client
 from thinkctl.cli import run
 from thinkctl.client import ScriptedModel
 from thinkctl.qa import McqQuestion, format_prompt
@@ -209,28 +211,55 @@ def _without_provenance(name: str, data: bytes):
     """An artifact's content with its ``_meta`` lines or ``_provenance`` removed."""
     if name.endswith(".jsonl"):
         return [record for record in map(json.loads, data.splitlines()) if "_meta" not in record]
+    if not name.endswith(".json"):
+        return data  # a CSV or SVG plot records no provenance
     payload = json.loads(data)
     del payload["_provenance"]
     return payload
 
 
-def test_the_eval_row_over_the_wire_twin_gives_the_mock_artifacts(tmp_path, sse_server):
-    # the wire twin serves model.json's script one event per token, so a
-    # wire run must write what the mock run writes, but for provenance
+def _mocks(argv: list[str]) -> list[str]:
+    return [argv[i + 1] for i, arg in enumerate(argv) if arg == "--mock"]
+
+
+def _over_the_wire(argv: list[str], base_url: str) -> list[str]:
+    """``argv`` with each ``--mock FILE`` served by the twin at ``base_url``
+    as model ``FILE``: ``--model`` for one model, a ``--grader-model`` per
+    grader for several."""
+    models = _mocks(argv)
+    flag = "--model" if len(models) == 1 else "--grader-model"
+    rest = [arg for i, arg in enumerate(argv) if arg != "--mock" and argv[i - 1 : i] != ["--mock"]]
+    return rest + ["--base-url", base_url] + [a for m in models for a in (flag, m)]
+
+
+MOCK_ROWS = [name for name, argv in COMMANDS if "--mock" in argv]
+
+
+@pytest.mark.parametrize(
+    "row, faults",
+    [pytest.param(name, (), id=name) for name in MOCK_ROWS]
+    # the runner retries a 503 and a cut stream, which then change no artifact
+    + [pytest.param(name, ("503", "cut"), id=f"{name}-503-cut") for name in MOCK_ROWS],
+)
+def test_the_mock_rows_over_the_wire_twin_give_the_mock_artifacts(tmp_path, sse_server, monkeypatch, caplog, row, faults):
+    # the wire twin serves each --mock file's script one event per token, so
+    # a wire run must write what the mock run writes, but for provenance
+    monkeypatch.setattr(client, "BACKOFF_S", 0)
+    argv = dict(COMMANDS)[row]
     _SSEHandler.mode = "script"
-    _SSEHandler.scripts = {"model.json": ScriptedModel.from_dict(_script())}
-    argv = dict(COMMANDS)["eval"]
-    at = argv.index("--mock")
-    wire = argv[:at] + ["--base-url", sse_server, "--model", argv[at + 1]] + argv[at + 2 :]
+    _SSEHandler.scripts = {model: ScriptedModel.from_dict(json.loads(INPUTS[model])) for model in _mocks(argv)}
     runs = []
-    for name, args in (("mock", argv), ("wire", wire)):
+    for name, args in (("mock", argv), ("wire", _over_the_wire(argv, sse_server))):
+        _SSEHandler.faults = list(faults)
         (tmp_path / name).mkdir()
-        results, files = run_matrix(tmp_path / name, [("eval", args)])
-        code, stdout, _ = results["eval"]
-        runs.append((code, stdout, {f: _without_provenance(f, data) for f, data in files.items()}))
+        results, files = run_matrix(tmp_path / name, [(row, args)])
+        runs.append((results[row][:2], {f: _without_provenance(f, data) for f, data in files.items()}))
     assert runs[0] == runs[1]
-    assert sorted(runs[0][2]) == ["eval.jsonl", "eval_summary.json", "transcripts.jsonl"]
-    assert len(_SSEHandler.requests_seen) > len(DATASET) + len(UNSCRIPTED)
+    assert runs[0][0][0] == 0 and runs[0][1]
+    assert _SSEHandler.faults == []
+    assert len(_SSEHandler.requests_seen) >= len(DATASET) + len(faults)
+    # each fault cost the wire run one retry
+    assert sum("retryable backend error" in r.getMessage() for r in caplog.records) == len(faults)
 
 
 def test_artifacts_match_the_pinned_table(tmp_path):

@@ -22,7 +22,7 @@ from thinkctl import cli, client, evaluation
 from thinkctl.cli import run
 from thinkctl.client import WireBackend
 from thinkctl.jsonl import load_questions
-from thinkctl.qa import DEFAULT_INSTRUCTION, McqQuestion, format_prompt
+from thinkctl.qa import McqQuestion, format_prompt
 
 
 def write_jsonl_file(path, records):
@@ -51,7 +51,7 @@ def scripted_answers(questions, letter_for) -> dict:
             gold=record["answer"],
             source=record["source"],
         )
-        prompt = format_prompt(q, DEFAULT_INSTRUCTION)
+        prompt = format_prompt(q)
         entries.append(
             {"trigger": prompt + "<|im_start|>think", "emission": f"mull-{q.id}", "terminal_marker": ANSWER_MARKER}
         )
@@ -299,7 +299,7 @@ def test_force_sweep_flip(tmp_path, dataset):
             source=record["source"],
         )
         wrong = "A" if q.gold != "A" else "B"
-        prompt = format_prompt(q, DEFAULT_INSTRUCTION)
+        prompt = format_prompt(q)
         entries += [
             {"trigger": prompt + "<|im_start|>think", "emission": f"sure-{q.id}", "terminal_marker": ANSWER_MARKER},
             {"trigger": f"sure-{q.id}Wait.", "emission": f"doubt-{q.id}", "terminal_marker": ANSWER_MARKER},
@@ -435,14 +435,16 @@ def test_curate_filter_sends_configured_temperature_and_seed(tmp_path, dataset, 
     assert (meta["temperature"], meta["seed"]) == (0.7, 5)
 
 
-def test_curate_validate_and_format_sft(tmp_path):
+def test_curate_validate_and_format_sft(tmp_path, capsys):
     base = question_record("t1", gold="A")
     good = dict(base, thinking="step one", response="\\boxed{A}", extracted="A", verified=True)
     bad = dict(
         question_record("t2", gold="A"), thinking="hmm", response="\\boxed{B}", extracted="B", verified=False
     )
+    # a trace from another generator stores no verdict: validate grades its response
+    ungraded = dict(question_record("t3", gold="C"), thinking="so C", response="\\boxed{C}")
     traces = tmp_path / "traces.jsonl"
-    write_jsonl_file(traces, [good, bad])
+    write_jsonl_file(traces, [good, bad, ungraded])
     out = tmp_path / "verified.jsonl"
     report = tmp_path / "report.json"
     assert (
@@ -450,14 +452,26 @@ def test_curate_validate_and_format_sft(tmp_path):
         == 0
     )
     kept = [json.loads(l) for l in out.read_text().splitlines() if "_meta" not in l]
-    assert [r["id"] for r in kept] == ["t1"]
+    assert [r["id"] for r in kept] == ["t1", "t3"]
+    assert (kept[1]["extracted"], kept[1]["verified"]) == ("C", True)
 
     sft = tmp_path / "sft.jsonl"
     assert run(["curate", "format-sft", "--traces", str(out), "--out", str(sft)]) == 0
     rows = [json.loads(l) for l in sft.read_text().splitlines() if "_meta" not in l]
-    assert len(rows) == 1
-    assert rows[0]["text"].count("<|im_start|>think") == 1
-    assert rows[0]["text"].count("<|im_start|>answer") == 1
+    assert len(rows) == 2
+    assert all(row["text"].count("<|im_start|>think") == 1 for row in rows)
+    assert all(row["text"].count("<|im_start|>answer") == 1 for row in rows)
+
+    # a stored verdict that its response contradicts is refused, not trusted
+    capsys.readouterr()
+    lying = tmp_path / "lying.jsonl"
+    write_jsonl_file(lying, [dict(base, thinking="x", response="\\boxed{B}", extracted="A", verified=True)])
+    for argv in (["curate", "validate", "--out", str(tmp_path / "v2.jsonl")], ["curate", "format-sft", "--out", str(tmp_path / "sft2.jsonl")]):
+        assert run([*argv, "--traces", str(lying)]) == 1
+        err = capsys.readouterr().err
+        assert f"{lying}:1: field 'extracted' is 'A', but the response grades to 'B'" in err
+        assert "Traceback" not in err
+    assert not list(tmp_path.glob("*2.jsonl"))
 
 
 def test_curate_decontaminate_and_dedup(tmp_path):
@@ -953,6 +967,24 @@ def test_empty_dataset_exits_1_naming_the_file(tmp_path, oracle_script, capsys, 
     assert f"{empty}: dataset is empty" in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("out*"))
+
+
+def test_eval_transcripts_of_an_id_in_two_datasets_exits_1(tmp_path, dataset, monkeypatch, capsys):
+    # a transcript record names no dataset, so two datasets' q00 would be two traces of one id
+    data_path, records = dataset
+    other = tmp_path / "other.jsonl"
+    write_jsonl_file(other, records[:1])
+    called = []
+    monkeypatch.setattr(WireBackend, "raw_stream", lambda self, req: called.append(req) or iter(["\\boxed{A}"]))
+    transcripts = tmp_path / "transcripts.jsonl"
+    argv = ["eval", "--dataset", str(data_path), "--dataset", str(other), "--transcripts", str(transcripts)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{other}: duplicate id 'q00', also in {data_path}" in err
+    assert "Traceback" not in err
+    assert called == [] and not transcripts.exists()
+    # without --transcripts each record names its dataset, so the shared id is no fault
+    assert run(argv[:-2]) == 0
 
 
 def test_grader_model_with_mock_exits_1(tmp_path, dataset, oracle_script, capsys):

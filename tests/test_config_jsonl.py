@@ -169,9 +169,12 @@ def test_non_string_values_load_as_their_str(tmp_path):
 
 def test_duplicate_ids_rejected(tmp_path):
     path = tmp_path / "qs.jsonl"
-    write_lines(path, [json.dumps(question_record("q1")), json.dumps(question_record("q1"))])
-    with pytest.raises(SchemaError, match="duplicate id"):
-        load_questions(str(path))
+    trace = {"thinking": "x", "response": "\\boxed{B}"}
+    for load, record in ((load_questions, question_record("q1")), (load_traces, dict(question_record("q1"), **trace))):
+        write_lines(path, [json.dumps(record), json.dumps(record)])
+        with pytest.raises(SchemaError) as excinfo:
+            load(str(path))
+        assert str(excinfo.value) == f"{path}:2: duplicate id 'q1' (first seen on line 1)"
 
 
 def test_meta_line_skipped(tmp_path):
@@ -188,15 +191,28 @@ def test_trace_round_trip(tmp_path):
     traces = load_traces(str(path))
     assert traces[0].verified
     assert trace_to_record(traces[0]) == record
+    # a line that stores no verdict, or only part of it, is graded and written in full
+    for stored in ({}, {"extracted": "A"}, {"verified": True}):
+        bare = {k: v for k, v in record.items() if k not in ("extracted", "verified")}
+        write_lines(path, [json.dumps({**bare, **stored})])
+        assert [trace_to_record(t) for t in load_traces(str(path))] == [record]
 
 
 def test_trace_verified_consistency_checked(tmp_path):
-    record = question_record("t1")
-    record.update({"thinking": "x", "response": "y", "extracted": "B", "verified": True})
     path = tmp_path / "traces.jsonl"
-    write_lines(path, [json.dumps(record)])
-    with pytest.raises(SchemaError):
-        load_traces(str(path))
+    cases = [
+        ({"response": "y", "extracted": "B", "verified": True}, "field 'extracted' is 'B', but the response grades to None"),
+        # the answer is B on a gold-A question, stored as a correct A
+        ({"response": "\\boxed{B}", "extracted": "A", "verified": True}, "field 'extracted' is 'A', but the response grades to 'B'"),
+        ({"response": "\\boxed{B}", "verified": True}, "field 'verified' is True, but the response grades to False"),
+        ({"response": "\\boxed{A}", "verified": 1}, "field 'verified' is 1, but the response grades to True"),
+        ({"response": "\\boxed{A}", "extracted": None}, "field 'extracted' is None, but the response grades to 'A'"),
+    ]
+    for fields, message in cases:
+        write_lines(path, [json.dumps({**question_record("t1"), "thinking": "x", **fields})])
+        with pytest.raises(SchemaError) as excinfo:
+            load_traces(str(path))
+        assert str(excinfo.value) == f"{path}:1: {message}"
 
 
 def test_write_jsonl_emits_meta_header(tmp_path):

@@ -198,33 +198,36 @@ def test_a_fatal_grader_error_cancels_the_queued_questions():
 
 def trace(qid: str, extracted, gold="A", source="src") -> TraceRecord:
     q = question(qid, f"stem {qid}", gold=gold, source=source)
-    return TraceRecord(
-        question=q,
-        thinking="because reasons",
-        response=f"\\boxed{{{extracted}}}" if extracted else "no answer",
-        extracted=extracted,
-        verified=extracted == gold,
-    )
+    return TraceRecord(q, "because reasons", f"\\boxed{{{extracted}}}" if extracted else "no answer")
 
 
 def test_validate_traces_keeps_correct_only():
     records = [trace("t1", "A"), trace("t2", "B"), trace("t3", None)]
+    assert [(r.extracted, r.verified) for r in records] == [("A", True), ("B", False), (None, False)]
     kept, row = validate_traces(records)
     assert [r.question.id for r in kept] == ["t1"]
     assert row.total == 1
 
 
 def test_trace_consistency_enforced():
+    # the constructor takes no verdict, so none can disagree with the response
     q = question("t1", "stem")
-    with pytest.raises(CurationError):
-        TraceRecord(question=q, thinking="", response="", extracted="A", verified=False)
+    with pytest.raises(TypeError):
+        TraceRecord(q, "", "", extracted="A", verified=True)
+    record = TraceRecord(q, "", "")
+    assert (record.extracted, record.verified) == (None, False)
 
 
 def test_trace_from_response_extracts_and_verifies():
-    q = question("t1", "stem", gold="C")
-    record = TraceRecord.from_response(q, "thinking", "surely \\boxed{C}")
-    assert record.extracted == "C"
-    assert record.verified
+    # oracle: a trace's verdict is extract_answer's letter of its response,
+    # graded against each gold letter in turn
+    for case in load_fixture("extraction_cases.jsonl"):
+        options = case.get("options") or dict.fromkeys(case["letters"], "")
+        for gold in options:
+            q = McqQuestion(id=case["name"], stem="stem", options=options, gold=gold)
+            record = TraceRecord(q, "", case["text"])
+            assert record.extracted == case["letter"], case["name"]
+            assert record.verified == (case["letter"] == gold), (case["name"], gold)
 
 
 # --- decontamination and dedup ---------------------------------------------------
@@ -607,13 +610,7 @@ def test_sft_refuses_unverified():
 
 def test_sft_refuses_marker_contamination():
     q = question("t1", "stem")
-    record = TraceRecord(
-        question=q,
-        thinking=f"sneaky {THINK_MARKER} inside",
-        response="\\boxed{A}",
-        extracted="A",
-        verified=True,
-    )
+    record = TraceRecord(q, f"sneaky {THINK_MARKER} inside", "\\boxed{A}")
     with pytest.raises(CurationError):
         format_sft_example(record)
 

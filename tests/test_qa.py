@@ -83,17 +83,6 @@ def test_format_prompt_layout_and_default_instruction():
     assert prompt.endswith("Return your final response within \\boxed{}.")
 
 
-def test_format_prompt_cot_instruction():
-    instruction = "Let's think step by step. Return your final response within \\boxed{}."
-    prompt = format_prompt(make_question(), instruction)
-    assert prompt == f"Is this a question?\nA. yes\nB. no\nC. maybe\n{instruction}"
-
-
-def test_format_prompt_rejects_empty_instruction():
-    with pytest.raises(ValueError):
-        format_prompt(make_question(), "")
-
-
 def test_format_prompt_empty_stem_permitted_but_warned(caplog):
     with caplog.at_level("WARNING", logger="thinkctl.qa"):
         prompt = format_prompt(make_question(stem=""))
