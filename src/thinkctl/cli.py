@@ -21,12 +21,11 @@ from .config import BACKEND_SECTION, CONFIG_FIELDS, RUN_SECTION, SECTION_KEYS, C
 from .curation import CurationReport, SamplingPlan
 from .evaluation import SweepResult
 from .jsonl import (
-    SchemaError,
     atomic_write_bytes,
     load_questions,
     load_traces,
     question_to_record,
-    read_lines,
+    read_json,
     sha256_file,
     trace_to_record,
     transcript_to_record,
@@ -59,34 +58,11 @@ def _effective_config(args: argparse.Namespace) -> Config:
     return cfg
 
 
-def _read_json(path: str, build):
-    """Return ``build`` of the JSON object in ``path``. A file that is not
-    JSON, not an object, or not what ``build`` reads raises SchemaError
-    citing the file, so the command exits 1 without a traceback."""
-    text = "".join(line for _, line in read_lines(path))
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(path, exc.lineno, f"invalid JSON ({exc.msg})") from exc
-    # an integer or a nesting past the interpreter's limits: the decoder
-    # gives no position for either, so the error cites line 1
-    except (ValueError, RecursionError) as exc:
-        raise SchemaError(path, 1, f"invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError(path, 1, "top level is not a JSON object")
-    try:
-        return build(payload)
-    except KeyError as exc:
-        raise SchemaError(path, 1, f"missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SchemaError(path, 1, str(exc)) from exc
-
-
 def _backend(args: argparse.Namespace, cfg: Config):
     if args.mock:
         if len(args.mock) > 1:
             raise ConfigError(f"--mock is given {len(args.mock)} times; this command runs one model")
-        return _read_json(args.mock[0], ScriptedModel.from_dict)
+        return ScriptedModel.from_file(args.mock[0])
     return cfg.backend()
 
 
@@ -94,7 +70,7 @@ def _graders(args: argparse.Namespace, cfg: Config) -> list:
     if args.mock:
         if args.grader_model:
             raise ConfigError("--grader-model names a wire grader; it cannot be combined with --mock")
-        return [_read_json(path, ScriptedModel.from_dict) for path in args.mock]
+        return [ScriptedModel.from_file(path) for path in args.mock]
     if args.grader_model and args.model is not None:
         raise ConfigError("--grader-model sets each grader's model; it cannot be combined with --model")
     backend = cfg.backend()
@@ -275,7 +251,7 @@ def _lexicon(payload: dict) -> dict:
 
 def cmd_curate_annotate(args) -> int:
     pool = load_questions(args.pool)
-    lexicon = _read_json(args.lexicon, _lexicon)
+    lexicon = read_json(args.lexicon, _lexicon)
     annotated = curation.annotate_domains(pool, lexicon)
     write_jsonl(args.out, (question_to_record(q) for q in annotated), meta=_provenance(args))
     print(f"annotated {len(annotated)} questions")
@@ -395,24 +371,19 @@ def cmd_plot(args) -> int:
         fit = None
         if not args.no_fit and payload.get("fit"):
             fit = RegressionFit.from_dict(payload["fit"])
-        sweep = SweepResult.from_dict(payload)
-        if not sweep.points:
-            raise ValueError("sweep has no points")
-        return sweep, fit
+        return SweepResult.from_dict(payload), fit
 
-    sweep, fit = _read_json(args.sweep, build)
+    sweep, fit = read_json(args.sweep, build)
     atomic_write_bytes(args.out, plotting.emit_plot(sweep, fit, args.format))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    def build(payload: dict) -> CurationReport:
-        report = CurationReport.from_dict(payload)
-        report.validate()
-        return report
-
-    report = _read_json(args.report_in, build)
+    report = read_json(args.report_in, CurationReport.from_dict)
+    # written before the table is printed, so a failed write prints nothing, as in every command
+    if args.out:
+        _write_report(args.out, report.stages, _provenance(args), report.header)
     sources = sorted({src for stage in report.stages for src in stage.counts})
     header = ["stage"] + sources + ["total"]
     print("\t".join(header))
@@ -422,8 +393,6 @@ def cmd_report(args) -> int:
     for stage in report.stages:
         if stage.params:
             print(f"{stage.name} params: {json.dumps(stage.params, sort_keys=True)}")
-    if args.out:
-        _write_report(args.out, report.stages, _provenance(args), report.header)
     return EXIT_OK
 
 

@@ -333,8 +333,9 @@ class ScriptedModel:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        from .jsonl import read_json  # here, so that importing the client imports no file reader
+
+        return read_json(path, cls.from_dict)
 
 
 @dataclass

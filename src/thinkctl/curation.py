@@ -146,6 +146,7 @@ class CurationReport:
                     f"stage {row['name']!r}: recorded total {row['total']} does not "
                     f"equal per-source sum {stage.total}"
                 )
+        report.validate()
         return report
 
 

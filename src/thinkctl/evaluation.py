@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
 from statistics import fmean
-from sys import float_info
 from typing import Iterable, Iterator, Sequence
 
 from .budget import BudgetPolicy, ReasoningTranscript, run_with_budget
@@ -20,6 +19,7 @@ from .client import DEFAULT_WORKERS, BackendError, in_order
 # not called here since the runner retries; perfbench's tracer wraps evaluation.with_retries by name
 from .client import with_retries  # noqa: F401
 from .qa import McqQuestion, extract_answer, format_prompt, grade
+from .regression import require_finite
 
 DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
 
@@ -62,12 +62,7 @@ class SweepPoint:
     mean_thinking_tokens: float
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            kinds = (int,) if name in ("n", "n_correct") else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise TypeError(f"sweep point field {name!r} must be {kinds[-1].__name__}, got {value!r}")
-            if not -float_info.max <= value <= float_info.max:  # NaN, an infinity, or an int no float holds
-                raise ValueError(f"sweep point field {name!r} must be finite, got {value!r}")
+        require_finite("sweep point", vars(self), ints=("n", "n_correct"))
         if not 0 <= self.n_correct <= self.n:
             raise ValueError(f"point x={self.x}: n_correct {self.n_correct} is not within 0..n={self.n}")
         # evaluate rejects an empty dataset, so every point a sweep builds has run a question
@@ -82,7 +77,7 @@ class SweepPoint:
 
 @dataclass
 class SweepResult:
-    """(x, accuracy) points for one dataset, sorted by x, distinct x values."""
+    """(x, accuracy) points for one dataset: at least one, sorted by x, distinct x values."""
 
     dataset: str
     kind: str
@@ -93,6 +88,8 @@ class SweepResult:
             raise TypeError(f"sweep dataset must be a string, not {self.dataset!r}")
         if self.kind not in (KIND_BUDGET, KIND_FORCING):
             raise ValueError(f"sweep kind must be {KIND_BUDGET!r} or {KIND_FORCING!r}, not {self.kind!r}")
+        if not self.points:
+            raise ValueError("sweep has no points")
         xs = [p.x for p in self.points]
         if sorted(xs) != xs:
             raise ValueError("sweep points must be sorted by x")

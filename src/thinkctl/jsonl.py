@@ -25,15 +25,18 @@ if TYPE_CHECKING:
     from .curation import TraceRecord
 
 META_KEY = "_meta"
-# what json.loads reports for a line that starts with a byte order mark
+# what json.loads reports for a text that starts with a byte order mark
 _BOM_REASON = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+_DECODE = json.JSONDecoder().raw_decode
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+_WHITESPACE = json.decoder.WHITESPACE.match
 _QUESTION_FIELDS = (("id", str), ("question", str), ("options", dict), ("answer", str))
 # an output file's write buffer, so many short records take few write calls (the default is 8 KiB)
 _WRITE_BUFFER = 1 << 16
 
 
 class SchemaError(ValueError):
-    """Input file violation, reported with its line number."""
+    """A fault in a file read or written, reported with its line number."""
 
     def __init__(self, path: str, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
@@ -53,41 +56,58 @@ def read_lines(path: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def decode_json(text: str, path: str, line: int = 1):
+    """The JSON value in ``text``, a whole file or a JSONL line, which starts
+    on line ``line`` of ``path``. A fault raises SchemaError citing the line
+    ``json`` reports or, where it gives none (an integer of too many digits,
+    nesting past the recursion limit, a lone surrogate escape), ``line``."""
+    # raw_decode plus the whitespace and "Extra data" checks is what
+    # json.loads does, without its per-call wrappers; a BOM fails raw_decode
+    start = _WHITESPACE(text).end()
+    try:
+        value, end = _DECODE(text, start)
+    except json.JSONDecodeError as exc:
+        reason = _BOM_REASON if text.startswith("\ufeff", start) else exc.msg
+        raise SchemaError(path, line + exc.lineno - 1, f"invalid JSON ({reason})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(path, line, f"invalid JSON ({exc})") from exc
+    if end != len(text):
+        end = _WHITESPACE(text, end).end()
+        if end != len(text):
+            raise SchemaError(path, line + text.count("\n", 0, end), "invalid JSON (Extra data)")
+    # UTF-8 text holds no surrogate and the decoder joins an escaped pair,
+    # so only a lone "\\ud800"-style escape leaves one in a value; the
+    # one-character search is far cheaper than "\\u" on a long line
+    if "\\" in text and "\\u" in text:
+        _utf8(_ENCODE(value), path, line, "lone surrogate escape")
+    return value
+
+
+def read_json(path: str, build):
+    """``build`` of the JSON object in ``path``; a fault in the file, or in
+    what ``build`` reads of it, raises SchemaError citing the file."""
+    payload = decode_json("".join(line for _, line in read_lines(path)), path)
+    if not isinstance(payload, dict):
+        raise SchemaError(path, 1, "top level is not a JSON object")
+    try:
+        return build(payload)
+    except KeyError as exc:
+        raise SchemaError(path, 1, f"missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(path, 1, str(exc)) from exc
+
+
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) pairs. A line is split on ``\\n`` alone and
     stripped; blank lines and ``{"_meta": ...}`` provenance lines are
     skipped, wherever they appear, so concatenated outputs still load."""
-    # raw_decode of the stripped line plus the "Extra data" check is what
-    # json.loads does, without its per-call wrappers; a BOM fails raw_decode
-    decode = json.JSONDecoder().raw_decode
-    encode = json.JSONEncoder(ensure_ascii=False).encode
     for lineno, line in read_lines(path):
         line = line.strip()
         if not line:
             continue
-        try:
-            record, end = decode(line)
-        except json.JSONDecodeError as exc:
-            reason = _BOM_REASON if line[0] == "\ufeff" else exc.msg
-            raise SchemaError(path, lineno, f"invalid JSON ({reason})") from exc
-        # an integer of more than sys.get_int_max_str_digits() digits
-        # (ValueError) or nesting past the recursion limit (RecursionError)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(path, lineno, f"invalid JSON ({exc})") from exc
-        if end != len(line):
-            raise SchemaError(path, lineno, "invalid JSON (Extra data)")
+        record = decode_json(line, path, lineno)
         if not isinstance(record, dict):
             raise SchemaError(path, lineno, "record is not a JSON object")
-        # a UTF-8 line holds no surrogate and the decoder joins an escaped
-        # pair, so only a lone "\\ud800"-style escape leaves one in a record;
-        # the one-character search is far cheaper than "\\u" on a long line
-        if "\\" in line and "\\u" in line:
-            text = encode(record)
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                escape = f"\\u{ord(text[exc.start]):04x}"
-                raise SchemaError(path, lineno, f"lone surrogate escape {escape} (not encodable as UTF-8)") from exc
         if META_KEY in record:
             if len(record) == 1:
                 continue
@@ -239,11 +259,21 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         fh.write(data)
 
 
+def _utf8(text: str, path: str, line: int, fault: str = "lone surrogate") -> bytes:
+    """``text``, which starts on line ``line`` of ``path``, as UTF-8. A lone
+    surrogate, which UTF-8 cannot encode, raises SchemaError citing its line."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        escape = f"\\u{ord(text[exc.start]):04x}"
+        raise SchemaError(path, line + text.count("\n", 0, exc.start), f"{fault} {escape} (not encodable as UTF-8)") from exc
+
+
 def write_jsonl(path: str, records: Iterable[dict], meta: dict | None = None) -> None:
     """Write ``records`` as JSON Lines after a ``{"_meta": meta}`` line if
     ``meta`` is given, encoding and writing one record at a time, so memory
     does not grow with the output. A record UTF-8 cannot encode (a lone
-    surrogate) raises ValueError citing its ``path:line``; ``path`` is then
+    surrogate) raises SchemaError citing its ``path:line``; ``path`` is then
     left as it was."""
     # one encoder for the file: json.dumps builds one per call when given options
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
@@ -251,14 +281,11 @@ def write_jsonl(path: str, records: Iterable[dict], meta: dict | None = None) ->
     with _atomic_file(path) as fh:
         write = fh.write
         for lineno, record in enumerate(lines, 1):
-            text = encode(record) + "\n"
-            try:
-                data = text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                escape = f"\\u{ord(text[exc.start]):04x}"
-                raise ValueError(f"{path}:{lineno}: lone surrogate {escape} (not encodable as UTF-8)") from exc
-            write(data)
+            write(_utf8(encode(record) + "\n", path, lineno))
 
 
 def write_json(path: str, payload: dict) -> None:
-    atomic_write_bytes(path, (json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8"))
+    """Write ``payload`` as indented JSON; a value UTF-8 cannot encode raises
+    SchemaError citing its ``path:line``, and ``path`` is left as it was."""
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    atomic_write_bytes(path, _utf8(text, path, 1))

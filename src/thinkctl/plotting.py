@@ -37,8 +37,6 @@ def _num(value: float) -> str:
 
 def emit_plot(sweep: SweepResult, fit: RegressionFit | None = None, format: str = FORMAT_CSV) -> bytes:
     """Render a sweep (and optional fit band) to file bytes."""
-    if not sweep.points:
-        raise ValueError("sweep has no points")
     if format == FORMAT_CSV:
         return _emit_csv(sweep, fit)
     if format == FORMAT_SVG:

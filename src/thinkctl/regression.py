@@ -64,6 +64,16 @@ def _t_quantile(p: float, df: int) -> float:
             hi = mid
 
 
+def require_finite(what: str, fields: dict, ints: tuple[str, ...] = ()) -> None:
+    """Raise ValueError unless each value of ``fields`` is a finite number
+    that is not a bool, and an int where its name is in ``ints``. An int no
+    float holds is not finite, since plotting converts it to one."""
+    for name, value in fields.items():
+        kind = int if name in ints else float
+        if isinstance(value, bool) or not isinstance(value, (kind, int)) or not -float_info.max <= value <= float_info.max:
+            raise ValueError(f"{what} field {name!r} must be a finite {kind.__name__}, got {value!r}")
+
+
 class FitRefusedError(ValueError):
     """Raised when a fit is impossible: fewer than 3 points or constant x."""
 
@@ -102,10 +112,7 @@ class RegressionFit:
         numbers, an integer ``n`` of at least 3, ``sxx`` and ``t_crit``
         above 0 and ``residual_se`` not below it."""
         fit = cls(**data)
-        for name, value in vars(fit).items():
-            kinds = (int,) if name == "n" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds) or not -float_info.max <= value <= float_info.max:
-                raise ValueError(f"fit field {name!r} must be a finite {kinds[-1].__name__}, got {value!r}")
+        require_finite("fit", vars(fit), ints=("n",))
         if fit.n < 3 or fit.sxx <= 0 or fit.residual_se < 0 or fit.t_crit <= 0:
             raise ValueError(f"fit needs n >= 3, sxx > 0, residual_se >= 0 and t_crit > 0, got {data}")
         return fit

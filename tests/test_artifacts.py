@@ -11,6 +11,9 @@ output flag on paths relative to its directory. Two checks:
 * each command's exit code, stdout and the sha256 of every artifact it
   writes equal its entry in ``PINNED``.
 
+Each file a row reads is also mutated, and every row that reads it must
+exit 0 or 1, on 1 with one error line citing that file.
+
 A change that alters an artifact on purpose updates that entry and lists
 it in CHANGES.md. ``PYTHONPATH=src python tests/test_artifacts.py`` prints
 the table for the tree it runs on.
@@ -25,6 +28,8 @@ import json
 import os
 import pathlib
 import pprint
+import random
+import re
 import sys
 import tempfile
 
@@ -205,6 +210,114 @@ def test_the_matrix_writes_every_output_flag():
         given = {arg for _, argv in COMMANDS if argv[: len(words)] == list(words) for arg in argv}
         for flag, _ in arguments:
             assert flag not in OUTPUT_FLAGS or flag in given, (words, flag)
+
+
+def _reads() -> dict[str, list[str]]:
+    """Each file a row reads, a fixed input or an earlier row's artifact ->
+    the rows that read it, in run order."""
+    files, readers = set(INPUTS), {}
+    for name, argv in COMMANDS:
+        pairs = list(zip(argv, argv[1:]))
+        for flag, value in pairs:
+            if flag.startswith("--") and flag not in OUTPUT_FLAGS and value in files:
+                readers.setdefault(value, []).append(name)
+        files.update(value for flag, value in pairs if flag in OUTPUT_FLAGS)
+    return readers
+
+
+def _slots(value, found: list) -> list:
+    """``found`` plus a ``(container, key)`` pair for every value nested in ``value``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        found.append((value, key))
+        _slots(child, found)
+    return found
+
+
+def _nest(value):
+    for _ in range(50):
+        value = [value]
+    return value
+
+
+# operators on one value nested in a record: each returns the value's replacement
+_VALUE_OPERATORS = {
+    "type-swap": lambda old: 1 if isinstance(old, str) else "x",
+    "nested-50-deep": _nest,
+    "int-10**30": lambda old: 10**30,
+    "nan": lambda old: float("nan"),
+}
+# a JSON string literal, escapes included
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _mutants(name: str, data: bytes) -> list[tuple[str, bytes]]:
+    """One mutant of the file ``name`` per operator: six on its bytes, five
+    on one value of one record (a JSONL line, or the whole of a JSON file),
+    and a lone surrogate escape put into one JSON string. The choices are
+    drawn from a generator seeded by ``name``."""
+    rng = random.Random(name)
+    lines = data.splitlines(keepends=True)
+    at = rng.randrange(len(data))
+    i = rng.randrange(len(lines))
+    mutants = [
+        ("flip", data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1 :]),
+        ("truncate", data[:at]),
+        ("repeat-line", b"".join(lines[: i + 1] + lines[i:])),
+        ("bom", b"\xef\xbb\xbf" + data),
+        ("nul", data[:at] + b"\0" + data[at:]),
+        ("blank-lines", data + b"\n\n\n"),
+    ]
+    jsonl = name.endswith(".jsonl")
+    i = rng.choice([k for k, line in enumerate(lines) if line.strip()]) if jsonl else 0
+    for op in ["deleted-key", *_VALUE_OPERATORS]:
+        record = json.loads(lines[i] if jsonl else data)
+        slots = _slots(record, [])
+        container, key = rng.choice([s for s in slots if isinstance(s[0], dict)] if op == "deleted-key" else slots)
+        if op == "deleted-key":
+            del container[key]
+        else:
+            container[key] = _VALUE_OPERATORS[op](container[key])
+        text = json.dumps(record) + "\n" if jsonl else json.dumps(record, indent=2)
+        mutants.append((op, b"".join(lines[:i] + [text.encode()] + lines[i + 1 :]) if jsonl else text.encode()))
+    text = data.decode()
+    at = rng.choice(list(_JSON_STRING.finditer(text))).start() + 1
+    mutants.append(("lone-surrogate", (text[:at] + "\\ud800" + text[at:]).encode()))
+    return mutants
+
+
+# the two messages about a whole dataset, which cite no line
+_WHOLE_FILE = ("dataset is empty", "--transcripts needs ids unique across datasets")
+
+
+def test_every_mutated_input_exits_0_or_1_citing_its_file(tmp_path, monkeypatch):
+    # Miller, Fredriksen and So's fuzzing of UNIX utilities (CACM 33(12),
+    # 1990) on each file a matrix row reads, by every row that reads it
+    run_matrix(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    files = sorted(os.listdir(tmp_path))
+    rows = dict(COMMANDS)
+    for name, readers in _reads().items():
+        original = (tmp_path / name).read_bytes()
+        for op, mutant in _mutants(name, original):
+            (tmp_path / name).write_bytes(mutant)
+            for row in readers:
+                argv = rows[row]
+                outputs = {value: (tmp_path / value).read_bytes() for flag, value in zip(argv, argv[1:]) if flag in OUTPUT_FLAGS}
+                with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = run(argv)
+                case, message = (name, op, row), err.getvalue()
+                assert code in (0, 1), case
+                assert sorted(os.listdir(tmp_path)) == files, case  # a failed write leaves no temp file
+                if code == 1:
+                    # one error line, and no partial output before it
+                    assert message.startswith("error: ") and message.count("\n") == 1 and out.getvalue() == "", (case, message)
+                    assert "Traceback" not in message, case
+                    cited = re.search(rf"(?<![\w.-]){re.escape(name)}:\d+: ", message)
+                    assert cited or name in message and any(m in message for m in _WHOLE_FILE), (case, message)
+                for output, data in outputs.items():
+                    (tmp_path / output).write_bytes(data)
+        (tmp_path / name).write_bytes(original)
 
 
 def _without_provenance(name: str, data: bytes):

@@ -187,17 +187,28 @@ def test_missing_dataset_exits_1(tmp_path, oracle_script, capsys):
 
 
 def test_an_unencodable_transcript_exits_1_citing_its_output_line(tmp_path, dataset, capsys):
-    # a scripted emission holding a lone surrogate, which json.loads accepts
+    # a scripted emission holding a lone surrogate escape is refused as the script loads
     data_path, _ = dataset
     script = tmp_path / "script.json"
     script.write_text('{"entries": [{"trigger": "", "emission": "x \\ud800 \\\\boxed{B}"}]}')
     transcripts = tmp_path / "transcripts.jsonl"
-    transcripts.write_bytes(b"old\n")
     code = run(["eval", "--dataset", str(data_path), "--mock", str(script), "--transcripts", str(transcripts)])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {transcripts}:2: lone surrogate \\ud800 (not encodable as UTF-8)\n"
-    assert transcripts.read_bytes() == b"old\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.jsonl", "script.json", "transcripts.jsonl"]
+    assert capsys.readouterr().err == f"error: {script}:1: lone surrogate escape \\ud800 (not encodable as UTF-8)\n"
+    assert not transcripts.exists()
+    # a dataset named by byte 0xff, which the provenance line records as the
+    # lone surrogate U+DCFF: the output cites that line and keeps its old bytes
+    odd = tmp_path / os.fsdecode(b"\xff.jsonl")
+    odd.write_bytes(data_path.read_bytes())
+    mock = tmp_path / "mock.json"
+    mock.write_text('{"entries": [{"trigger": "", "emission": "\\\\boxed{B}"}]}')
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"old\n")
+    code = run(["eval", "--dataset", str(odd), "--mock", str(mock), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {out}:1: lone surrogate \\udcff (not encodable as UTF-8)\n"
+    assert out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["dataset.jsonl", "script.json", "out.jsonl", "mock.json", odd.name])
 
 
 def test_sweep_writes_csv_svg_summary(tmp_path, dataset, oracle_script):
@@ -624,6 +635,15 @@ def test_report_validates_and_prints(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"stages": [{"name": "s", "counts": {"a": 1}, "total": 9}]}))
     assert run(["report", "--in", str(bad)]) == 1
+    # an input named by byte 0xff reaches the output's provenance as U+DCFF:
+    # the write fails, citing its line, before any of the table is printed
+    odd = tmp_path / os.fsdecode(b"\xff.json")
+    odd.write_bytes(report_path.read_bytes())
+    norm = tmp_path / "norm.json"
+    capsys.readouterr()
+    assert run(["report", "--in", str(odd), "--out", str(norm)]) == 1
+    assert capsys.readouterr() == ("", f"error: {norm}:4: lone surrogate \\udcff (not encodable as UTF-8)\n")
+    assert not norm.exists()
 
 
 def test_report_out_cites_its_input(tmp_path, dataset, oracle_script, capsys):
@@ -681,6 +701,10 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--sweep", b"\xff\xfe{}", id="sweep-not-utf8"),
         pytest.param("--pool", b"\xff\xfe\n", id="pool-not-utf8"),
         pytest.param("--pool", '{"id": "q1", "question": "\\ud800", "options": {"A": "x"}, "answer": "A"}', id="pool-lone-surrogate"),
+        pytest.param("--mock", '{"entries": [{"trigger": "", "emission": "x\\ud800"}]}', id="mock-lone-surrogate"),
+        pytest.param("--lexicon", '{"tachycardia": "Diag\\ud800"}', id="lexicon-lone-surrogate"),
+        pytest.param("--sweep", json.dumps({"dataset": "d\ud800", "points": [GOOD_POINT]}), id="sweep-lone-surrogate"),
+        pytest.param("--in", '{"header": {}, "stages": [{"name": "a\\ud800", "counts": {"x": 1}}]}', id="report-lone-surrogate"),
         pytest.param("--pool", b"\xef\xbb\xbf" + json.dumps(question_record("q1")).encode(), id="pool-bom"),
         pytest.param("--pool", json.dumps(question_record("q1")) + " " + json.dumps(question_record("q1")), id="pool-two-objects"),
         pytest.param("--pool", json.dumps({"_meta": "stray", **question_record("q1")}), id="pool-meta-beside-fields"),

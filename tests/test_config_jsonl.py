@@ -14,6 +14,7 @@ from thinkctl.jsonl import (
     META_KEY,
     SchemaError,
     atomic_write_bytes,
+    decode_json,
     load_questions,
     load_traces,
     question_to_record,
@@ -22,6 +23,7 @@ from thinkctl.jsonl import (
     record_to_question,
     sha256_file,
     trace_to_record,
+    write_json,
     write_jsonl,
 )
 from thinkctl.qa import McqQuestion
@@ -287,6 +289,23 @@ def test_lone_surrogate_escape_is_a_schema_error(tmp_path, text, escape):
     assert str(excinfo.value) == f"{path}:2: lone surrogate escape {escape} (not encodable as UTF-8)"
 
 
+@pytest.mark.parametrize("text", ['\n\n{"a": 1} x', "{}\n\n[1]", '{\n"a": nul\n}', '\n  {"a": [1,\n 2,, 3]}', "\ufeff{}", ""])
+def test_decode_json_cites_the_line_json_reports(text):
+    # json.loads is the oracle for the line and the message; starting on
+    # line 5 of a file adds 4 to the line
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    for start in (1, 5):
+        with pytest.raises(SchemaError) as excinfo:
+            decode_json(text, "f.json", start)
+        line = start + expected.value.lineno - 1
+        assert str(excinfo.value) == f"f.json:{line}: invalid JSON ({expected.value.msg})"
+    # the decoder gives no position for a lone surrogate, so it cites the first line
+    with pytest.raises(SchemaError, match="^f.json:1: lone surrogate escape"):
+        decode_json('{\n  "a": [\n    "\\udc00"]}', "f.json")
+    assert decode_json(' \n{"a": ["\\ud83d\\ude00", true]}\n\n', "f.json") == {"a": ["\U0001f600", True]}
+
+
 def test_escaped_surrogate_pair_and_escaped_backslash_load(tmp_path):
     path = tmp_path / "qs.jsonl"
     line = json.dumps(question_record("q1")).replace('"stem q1"', '"smile \\ud83d\\ude00 and \\\\ud800"')
@@ -508,6 +527,15 @@ def test_writer_reports_an_unencodable_record_as_the_reference_does(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         reference_jsonl_text(records, {"config": {}}).encode("utf-8")
     assert str(excinfo.value) == f"{path}:3: lone surrogate \\ud800 (not encodable as UTF-8)"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_json_cites_the_line_of_an_unencodable_value(tmp_path):
+    # a file name of byte 0xff reaches a payload as the lone surrogate U+DCFF
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError) as excinfo:
+        write_json(str(path), {"inputs": {"\udcff.jsonl": "digest"}, "n": 1})
+    assert str(excinfo.value) == f"{path}:3: lone surrogate \\udcff (not encodable as UTF-8)"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -355,8 +355,9 @@ def test_sweep_result_validation():
         SweepResult("d", "bogus", [good])
     with pytest.raises(TypeError, match="dataset"):
         SweepResult(5, "budget", [good])
-    # plotting converts x to a float, so an int no float holds is as bad as an infinity
-    not_finite = [("x", float("inf")), ("x", 10**400), ("accuracy", float("nan")), ("mean_thinking_tokens", -float("inf"))]
+    # plotting converts x to a float, so an int no float holds is as bad as an
+    # infinity; a bool is no number, though it is an int
+    not_finite = [("x", float("inf")), ("x", 10**400), ("accuracy", float("nan")), ("mean_thinking_tokens", -float("inf")), ("n", True)]
     for field, value in not_finite:
         with pytest.raises(ValueError, match="finite"):
             SweepPoint(**{**good.to_dict(), field: value})
