@@ -1,16 +1,20 @@
 """Command-line surface wiring datasets, backends, and pipeline stages.
 
-Every artifact is written atomically (temp file + rename) and JSON/JSONL
-outputs embed their input digests and, for a command that reads a config,
-the effective configuration, so identical invocations produce
-byte-identical files. ``--mock script.json`` swaps the wire backend for
-the scripted model in every command that builds one, making the full CLI
-testable offline.
+Each ``cmd_*`` handler computes and returns its outputs: its artifacts by
+path (plot bytes, a JSON document, or JSONL records rendered as they are
+written), its stdout lines and the config its provenance records. ``run``
+alone digests the inputs, stamps that provenance on every JSON and JSONL
+artifact, writes each atomically (temp file + rename), plots last, and
+prints only after every write has succeeded, so identical invocations
+produce byte-identical files. ``--mock script.json`` swaps the wire backend
+for the scripted model in every command that builds one, making the full
+CLI testable offline.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import replace
@@ -84,7 +88,7 @@ def _run_config(args: argparse.Namespace, cfg: Config) -> dict:
     return {name: value for name, value in cfg.to_dict().items() if name in args and name not in unread}
 
 
-# the arguments that name input files: every artifact digests each one given
+# the arguments that name input files: every JSON and JSONL artifact digests each one given
 INPUTS = ("pool", "traces", "eval_sets", "lexicon", "datasets", "dataset", "report_in", "mock")
 
 
@@ -99,24 +103,19 @@ def _provenance(args: argparse.Namespace, config: dict | None = None) -> dict:
     return provenance
 
 
-def _write_report(path: str, stages: list[curation.StageCount], provenance: dict, header: dict | None = None) -> None:
-    report = CurationReport(stages=list(stages), header=dict(header or {}))
-    report.validate()
-    write_json(path, {**report.to_dict(), "_provenance": provenance})
-
-
-def _write_curated(args, read: list, kept: list, row: curation.StageCount, verb="kept", config=None, header=None) -> None:
-    """Write the records a curate stage kept, citing its provenance, and, if
-    ``--report`` was given, its ledger: the per-source counts of what it
-    ``read``, then its ``row``. Then print the one-line summary."""
+def _curated(args, read: list, kept: list, row: curation.StageCount, verb="kept", config=None, header=None):
+    """The outputs of a curate stage: the records it kept; given
+    ``--report``, its ledger, whose first row counts per source what it
+    ``read`` and whose second is its ``row``; and its one-line summary."""
     traces = "traces" in args  # validate reads traces, the other stages a pool
-    provenance = _provenance(args, config)
-    write_jsonl(args.out, map(trace_to_record if traces else question_to_record, kept), meta=provenance)
+    artifacts = {args.out: map(trace_to_record if traces else question_to_record, kept)}
     if args.report:
         questions = [t.question for t in read] if traces else read
         first = curation.StageCount("input_traces" if traces else "initial_collection", curation.source_counts(questions))
-        _write_report(args.report, [first, row], provenance, header)
-    print(f"{verb} {len(kept)} of {len(read)} {'traces' if traces else 'questions'}")
+        report = CurationReport([first, row], header or {})
+        report.validate()
+        artifacts[args.report] = report.to_dict()
+    return artifacts, [f"{verb} {len(kept)} of {len(read)} {'traces' if traces else 'questions'}"], config
 
 
 def _load_dataset(path: str) -> list:
@@ -201,7 +200,7 @@ COMMANDS = {
 }  # fmt: skip
 
 
-def cmd_curate_filter(args, cfg: Config) -> int:
+def cmd_curate_filter(args, cfg: Config):
     pool = load_questions(args.pool)
     graders = _graders(args, cfg)
     kept, row = curation.difficulty_filter(pool, graders, workers=cfg.workers)
@@ -209,38 +208,33 @@ def cmd_curate_filter(args, cfg: Config) -> int:
     if "model" in config:
         # the graders' models, which --grader-model sets in place of --model
         config["model"] = [g.model for g in graders]
-    _write_curated(args, pool, kept, row, config=config)
-    return EXIT_OK
+    return _curated(args, pool, kept, row, config=config)
 
 
-def cmd_curate_validate(args) -> int:
+def cmd_curate_validate(args):
     records = load_traces(args.traces)
-    _write_curated(args, records, *curation.validate_traces(records), verb="verified")
-    return EXIT_OK
+    return _curated(args, records, *curation.validate_traces(records), verb="verified")
 
 
-def cmd_curate_decontaminate(args) -> int:
+def cmd_curate_decontaminate(args):
     pool = load_questions(args.pool)
     eval_sets = [load_questions(path) for path in args.eval_sets]
-    _write_curated(args, pool, *curation.decontaminate(pool, eval_sets, ngram_size=args.ngram))
-    return EXIT_OK
+    return _curated(args, pool, *curation.decontaminate(pool, eval_sets, ngram_size=args.ngram))
 
 
-def cmd_curate_dedup(args) -> int:
+def cmd_curate_dedup(args):
     pool = load_questions(args.pool)
-    _write_curated(args, pool, *curation.deduplicate(pool))
-    return EXIT_OK
+    return _curated(args, pool, *curation.deduplicate(pool))
 
 
-def cmd_curate_sample(args) -> int:
+def cmd_curate_sample(args):
     pool = load_questions(args.pool)
     plan = SamplingPlan.from_questions(pool, target_n=args.n, seed=args.seed)
     selected, row = curation.diversity_sample(plan)
     by_id = {q.id: q for q in pool}
     chosen = [by_id[item_id] for item_id, _ in selected]
     header = {"rng": curation.SAMPLER_RNG, "seed": args.seed}
-    _write_curated(args, pool, chosen, row, verb="sampled", config={"seed": args.seed}, header=header)
-    return EXIT_OK
+    return _curated(args, pool, chosen, row, verb="sampled", config={"seed": args.seed}, header=header)
 
 
 def _lexicon(payload: dict) -> dict:
@@ -249,24 +243,19 @@ def _lexicon(payload: dict) -> dict:
     return payload
 
 
-def cmd_curate_annotate(args) -> int:
-    pool = load_questions(args.pool)
-    lexicon = read_json(args.lexicon, _lexicon)
-    annotated = curation.annotate_domains(pool, lexicon)
-    write_jsonl(args.out, (question_to_record(q) for q in annotated), meta=_provenance(args))
-    print(f"annotated {len(annotated)} questions")
-    return EXIT_OK
+def cmd_curate_annotate(args):
+    annotated = curation.annotate_domains(load_questions(args.pool), read_json(args.lexicon, _lexicon))
+    return {args.out: map(question_to_record, annotated)}, [f"annotated {len(annotated)} questions"], None
 
 
-def cmd_curate_format_sft(args) -> int:
+def cmd_curate_format_sft(args):
     verified = [r for r in load_traces(args.traces) if r.verified]
     # each example is rendered as it is written, so no list of texts is built
-    write_jsonl(args.out, ({"text": curation.format_sft_example(r)} for r in verified), meta=_provenance(args))
-    print(f"formatted {len(verified)} examples")
-    return EXIT_OK
+    sft = ({"text": curation.format_sft_example(r)} for r in verified)
+    return {args.out: sft}, [f"formatted {len(verified)} examples"], None
 
 
-def cmd_eval(args, cfg: Config) -> int:
+def cmd_eval(args, cfg: Config):
     # every dataset is loaded and checked before the first backend call
     datasets = {path: _load_dataset(path) for path in args.datasets}
     if args.transcripts:  # a transcript names no dataset, so an id in two datasets would give two traces of it
@@ -275,86 +264,54 @@ def cmd_eval(args, cfg: Config) -> int:
             if first.setdefault(q.id, path) != path:
                 raise ValueError(f"{path}: duplicate id {q.id!r}, also in {first[q.id]}: --transcripts needs ids unique across datasets")
     backend = _backend(args, cfg)
-    results = {}
-    for path, questions in datasets.items():
-        results[path] = evaluation.evaluate(questions, backend, cfg.policy(), workers=cfg.workers)
-    provenance = _provenance(args, _run_config(args, cfg))
+    results = {path: evaluation.evaluate(qs, backend, cfg.policy(), workers=cfg.workers) for path, qs in datasets.items()}
     macro = evaluation.macro_average([100.0 * r.accuracy for r in results.values()])
-    if args.out:
-        records = (
-            {
-                "dataset": path,
-                "id": o.question_id,
-                "letter": o.letter,
-                "correct": o.correct,
-                "thinking_tokens": o.thinking_tokens,
-                "error": o.error,
-            }
-            for path, result in results.items()
-            for o in result.outcomes
-        )
-        write_jsonl(args.out, records, meta=provenance)
-    if args.transcripts:
-        # evaluate returns a dataset's outcomes in question-id order
-        records = (
-            transcript_to_record(question, o.transcript)
-            for path, result in results.items()
-            for question, o in zip(sorted(datasets[path], key=lambda q: q.id), result.outcomes)
-            if o.transcript is not None
-        )
-        write_jsonl(args.transcripts, records, meta=provenance)
-    if args.summary:
-        write_json(
-            args.summary,
-            {
-                "datasets": {
-                    path: {
-                        "accuracy": result.accuracy,
-                        "accuracy_percent": 100.0 * result.accuracy,
-                        "n": result.n,
-                        "n_correct": result.n_correct,
-                    }
-                    for path, result in results.items()
-                },
-                "macro_average_percent": macro,
-                "_provenance": provenance,
-            },
-        )
-    for path, result in results.items():
-        print(f"{path}: accuracy {result.accuracy:.4f} ({result.n_correct}/{result.n})")
-    print(f"macro average: {macro:.2f}%")
-    return EXIT_OK
+    outcomes = (
+        {"dataset": path, "id": o.question_id, "letter": o.letter, "correct": o.correct,
+         "thinking_tokens": o.thinking_tokens, "error": o.error}
+        for path, result in results.items()
+        for o in result.outcomes
+    )
+    # evaluate returns a dataset's outcomes in question-id order
+    transcripts = (
+        transcript_to_record(question, o.transcript)
+        for path, result in results.items()
+        for question, o in zip(sorted(datasets[path], key=lambda q: q.id), result.outcomes)
+        if o.transcript is not None
+    )
+    summary = {
+        "datasets": {
+            path: {"accuracy": r.accuracy, "accuracy_percent": 100.0 * r.accuracy, "n": r.n, "n_correct": r.n_correct}
+            for path, r in results.items()
+        },
+        "macro_average_percent": macro,
+    }
+    lines = [f"{path}: accuracy {r.accuracy:.4f} ({r.n_correct}/{r.n})" for path, r in results.items()]
+    lines.append(f"macro average: {macro:.2f}%")
+    return {args.out: outcomes, args.transcripts: transcripts, args.summary: summary}, lines, _run_config(args, cfg)
 
 
-def _run_sweep(args, cfg: Config, sweep_fn, grid, label: str) -> int:
-    """Run ``sweep_fn`` over ``grid`` on ``--dataset`` and write the CSV,
-    the optional SVG, the sweep JSON and the summary."""
+def _run_sweep(args, cfg: Config, sweep_fn, grid, label: str):
+    """Run ``sweep_fn`` over ``grid`` on ``--dataset``; its outputs are the
+    CSV, the optional SVG, the sweep JSON and the summary."""
     questions = _load_dataset(args.dataset)
     backend = _backend(args, cfg)
     sweep = sweep_fn(questions, backend, grid, cfg.policy(), dataset_name=args.dataset, workers=cfg.workers)
     fit = None
     if not args.no_fit:
-        try:
+        with contextlib.suppress(FitRefusedError):
             # regression runs on percent values, matching the plotted axis
             fit = fit_linear_with_ci([(p.x, 100.0 * p.accuracy) for p in sweep.points])
-        except FitRefusedError:
-            fit = None
-    atomic_write_bytes(args.out_csv, plotting.emit_plot(sweep, fit, plotting.FORMAT_CSV))
-    if args.out_svg:
-        atomic_write_bytes(args.out_svg, plotting.emit_plot(sweep, fit, plotting.FORMAT_SVG))
     # the summary and the sweep JSON for later plotting are the same document
-    payload = sweep.to_dict()
-    payload["fit"] = fit.to_dict() if fit else None
-    payload["_provenance"] = _provenance(args, _run_config(args, cfg))
-    for path in (args.out_json, args.summary):
-        if path:
-            write_json(path, payload)
-    for point in sweep.points:
-        print(f"{label} {int(point.x)}: accuracy {point.accuracy:.4f} ({point.n_correct}/{point.n})")
-    return EXIT_OK
+    payload = {**sweep.to_dict(), "fit": fit.to_dict() if fit else None}
+    artifacts = {args.out_json: payload, args.summary: payload, args.out_csv: plotting.emit_plot(sweep, fit, plotting.FORMAT_CSV)}
+    if args.out_svg:
+        artifacts[args.out_svg] = plotting.emit_plot(sweep, fit, plotting.FORMAT_SVG)
+    lines = [f"{label} {int(p.x)}: accuracy {p.accuracy:.4f} ({p.n_correct}/{p.n})" for p in sweep.points]
+    return artifacts, lines, _run_config(args, cfg)
 
 
-def cmd_sweep(args, cfg: Config) -> int:
+def cmd_sweep(args, cfg: Config):
     try:
         budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
     except ValueError:
@@ -362,38 +319,26 @@ def cmd_sweep(args, cfg: Config) -> int:
     return _run_sweep(args, cfg, evaluation.budget_sweep, budgets, "budget")
 
 
-def cmd_force_sweep(args, cfg: Config) -> int:
+def cmd_force_sweep(args, cfg: Config):
     return _run_sweep(args, cfg, evaluation.forcing_sweep, args.max_forcings, "forcings")
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args):
     def build(payload: dict):
-        fit = None
-        if not args.no_fit and payload.get("fit"):
-            fit = RegressionFit.from_dict(payload["fit"])
+        fit = RegressionFit.from_dict(payload["fit"]) if not args.no_fit and payload.get("fit") else None
         return SweepResult.from_dict(payload), fit
 
     sweep, fit = read_json(args.sweep, build)
-    atomic_write_bytes(args.out, plotting.emit_plot(sweep, fit, args.format))
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return {args.out: plotting.emit_plot(sweep, fit, args.format)}, [f"wrote {args.out}"], None
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     report = read_json(args.report_in, CurationReport.from_dict)
-    # written before the table is printed, so a failed write prints nothing, as in every command
-    if args.out:
-        _write_report(args.out, report.stages, _provenance(args), report.header)
     sources = sorted({src for stage in report.stages for src in stage.counts})
-    header = ["stage"] + sources + ["total"]
-    print("\t".join(header))
-    for stage in report.stages:
-        cells = [stage.name] + [str(stage.counts.get(s, 0)) for s in sources] + [str(stage.total)]
-        print("\t".join(cells))
-    for stage in report.stages:
-        if stage.params:
-            print(f"{stage.name} params: {json.dumps(stage.params, sort_keys=True)}")
-    return EXIT_OK
+    lines = ["\t".join(["stage", *sources, "total"])]
+    lines += ["\t".join([s.name, *(str(s.counts.get(src, 0)) for src in sources), str(s.total)]) for s in report.stages]
+    lines += [f"{s.name} params: {json.dumps(s.params, sort_keys=True)}" for s in report.stages if s.params]
+    return {args.out: report.to_dict()}, lines, None
 
 
 def run(argv: list[str]) -> int:
@@ -417,9 +362,21 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     handler = globals()["cmd_" + "_".join(words).replace("-", "_")]
     try:
-        if "config" not in args:
-            return handler(args)
-        return handler(args, _effective_config(args))
+        artifacts, lines, config = handler(args) if "config" not in args else handler(args, _effective_config(args))
+        # each artifact whose flag was given; the JSON and JSONL ones carry the
+        # provenance, which may fail to encode, so they are written before any plot
+        files = sorted(((path, data) for path, data in artifacts.items() if path), key=lambda f: isinstance(f[1], bytes))
+        provenance = _provenance(args, config) if any(not isinstance(data, bytes) for _, data in files) else None
+        for path, data in files:
+            if isinstance(data, bytes):
+                atomic_write_bytes(path, data)
+            elif isinstance(data, dict):
+                write_json(path, {**data, "_provenance": provenance})
+            else:
+                write_jsonl(path, data, meta=provenance)
+        for line in lines:
+            print(line)
+        return EXIT_OK
     except (OSError, ValueError, BackendError) as exc:
         # SchemaError, ConfigError, CurationError and FitRefusedError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

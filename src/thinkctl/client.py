@@ -321,13 +321,15 @@ class ScriptedModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScriptedModel":
+        from .jsonl import json_shape
+
         entries = tuple(
             ScriptEntry(
                 trigger=item.get("trigger", ""),
                 emission=item.get("emission", ""),
                 terminal_marker=item.get("terminal_marker"),
             )
-            for item in data["entries"]
+            for item in json_shape("entries", data["entries"], list)
         )
         return cls(entries)
 

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budget import ANSWER_MARKER, THINK_MARKER
 from .client import BackendError, in_order, probe_answer
+from .jsonl import json_shape
 from .qa import McqQuestion, extract_answer, format_prompt, grade
 
 log = logging.getLogger(__name__)
@@ -128,25 +129,21 @@ class CurationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CurationReport":
-        header = data.get("header", {})
-        if not isinstance(header, dict):
-            raise CurationError(f"ledger header must be a JSON object, not {header!r}")
-        report = cls(header=dict(header))
-        for row in data["stages"]:
-            name, counts, params = row["name"], row["counts"], row.get("params")
-            if not isinstance(name, str):
-                raise CurationError(f"stage name must be a string, not {name!r}")
-            if not isinstance(counts, dict):
-                raise CurationError(f"stage {name!r}: counts must be a JSON object, not {counts!r}")
-            if not isinstance(params, (dict, type(None))):
-                raise CurationError(f"stage {name!r}: params must be a JSON object or null, not {params!r}")
-            stage = report.add_stage(name, counts, params)
+        report = cls(header=dict(json_shape("ledger header", data.get("header", {}), dict)))
+        rows = json_shape("stages", data["stages"], list)
+        for row in rows:
+            name = json_shape("stage name", row["name"], str)
+            params = row.get("params")
+            if params is not None:
+                json_shape(f"stage {name!r} params", params, dict)
+            report.add_stage(name, json_shape(f"stage {name!r} counts", row["counts"], dict), params)
+        # a count that is no integer would fail the sum of a stage's total
+        report.validate()
+        for row, stage in zip(rows, report.stages):
             if "total" in row and row["total"] != stage.total:
                 raise CurationError(
-                    f"stage {row['name']!r}: recorded total {row['total']} does not "
-                    f"equal per-source sum {stage.total}"
+                    f"stage {stage.name!r}: recorded total {row['total']} does not equal per-source sum {stage.total}"
                 )
-        report.validate()
         return report
 
 

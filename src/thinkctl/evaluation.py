@@ -8,7 +8,7 @@ count of correct outcomes. Per-question hard failures count as incorrect
 from __future__ import annotations
 
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import islice
 from statistics import fmean
@@ -18,6 +18,7 @@ from .budget import BudgetPolicy, ReasoningTranscript, run_with_budget
 from .client import DEFAULT_WORKERS, BackendError, in_order
 # not called here since the runner retries; perfbench's tracer wraps evaluation.with_retries by name
 from .client import with_retries  # noqa: F401
+from .jsonl import json_shape
 from .qa import McqQuestion, extract_answer, format_prompt, grade
 from .regression import require_finite
 
@@ -107,7 +108,7 @@ class SweepResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepResult":
-        points = [SweepPoint(**p) for p in data["points"]]
+        points = [SweepPoint(**p) for p in json_shape("points", data["points"], list, [f.name for f in fields(SweepPoint)])]
         return cls(dataset=data["dataset"], kind=data.get("kind", KIND_BUDGET), points=points)
 
 

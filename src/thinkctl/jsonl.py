@@ -16,7 +16,7 @@ import contextlib
 import itertools
 import json
 import os
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Collection, Iterable, Iterator
 
 from .qa import McqQuestion
 
@@ -31,6 +31,10 @@ _DECODE = json.JSONDecoder().raw_decode
 _ENCODE = json.JSONEncoder(ensure_ascii=False).encode
 _WHITESPACE = json.decoder.WHITESPACE.match
 _QUESTION_FIELDS = (("id", str), ("question", str), ("options", dict), ("answer", str))
+# how a message names the JSON type of a decoded value
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", int: "a number", float: "a number", bool: "a boolean", type(None): "null"
+}
 # an output file's write buffer, so many short records take few write calls (the default is 8 KiB)
 _WRITE_BUFFER = 1 << 16
 
@@ -95,6 +99,23 @@ def read_json(path: str, build):
         raise SchemaError(path, 1, f"missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(path, 1, str(exc)) from exc
+
+
+def json_shape(what: str, value, kind: type, fields: Collection[str] = ()):
+    """``value`` if it is a JSON value of ``kind``: str, dict (an object,
+    which must hold exactly ``fields`` if they are given) or list (an array
+    of such objects). Any other shape raises ValueError naming ``what``."""
+    if not isinstance(value, kind):
+        found = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not {found}")
+    if kind is list:
+        for i, item in enumerate(value):
+            json_shape(f"{what}[{i}]", item, dict, fields)
+    elif fields and value.keys() != set(fields):
+        missing = [name for name in fields if name not in value]
+        extra = sorted(value.keys() - set(fields))
+        raise ValueError(f"{what} lacks field {missing[0]!r}" if missing else f"{what} has unknown fields {extra}")
+    return value
 
 
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:

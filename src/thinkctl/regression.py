@@ -8,9 +8,11 @@ freedom ``n - 2``, found by bisecting the finite series for the t CDF
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from sys import float_info
 from typing import Sequence
+
+from .jsonl import json_shape
 
 CONFIDENCE_LEVEL = 0.95
 
@@ -64,11 +66,11 @@ def _t_quantile(p: float, df: int) -> float:
             hi = mid
 
 
-def require_finite(what: str, fields: dict, ints: tuple[str, ...] = ()) -> None:
-    """Raise ValueError unless each value of ``fields`` is a finite number
+def require_finite(what: str, record: dict, ints: tuple[str, ...] = ()) -> None:
+    """Raise ValueError unless each value of ``record`` is a finite number
     that is not a bool, and an int where its name is in ``ints``. An int no
     float holds is not finite, since plotting converts it to one."""
-    for name, value in fields.items():
+    for name, value in record.items():
         kind = int if name in ints else float
         if isinstance(value, bool) or not isinstance(value, (kind, int)) or not -float_info.max <= value <= float_info.max:
             raise ValueError(f"{what} field {name!r} must be a finite {kind.__name__}, got {value!r}")
@@ -111,7 +113,7 @@ class RegressionFit:
         """A saved fit, held to what ``fit_linear_with_ci`` builds: finite
         numbers, an integer ``n`` of at least 3, ``sxx`` and ``t_crit``
         above 0 and ``residual_se`` not below it."""
-        fit = cls(**data)
+        fit = cls(**json_shape("fit", data, dict, [f.name for f in fields(cls)]))
         require_finite("fit", vars(fit), ints=("n",))
         if fit.n < 3 or fit.sxx <= 0 or fit.residual_se < 0 or fit.t_crit <= 0:
             raise ValueError(f"fit needs n >= 3, sxx > 0, residual_se >= 0 and t_crit > 0, got {data}")

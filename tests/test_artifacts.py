@@ -12,7 +12,9 @@ output flag on paths relative to its directory. Two checks:
   writes equal its entry in ``PINNED``.
 
 Each file a row reads is also mutated, and every row that reads it must
-exit 0 or 1, on 1 with one error line citing that file.
+exit 0 or 1, on 1 with one error line citing that file. Each row's writes
+are counted and then failed one at a time: a failed write prints nothing
+to stdout and leaves no temp file.
 
 A change that alters an artifact on purpose updates that entry and lists
 it in CHANGES.md. ``PYTHONPATH=src python tests/test_artifacts.py`` prints
@@ -22,6 +24,7 @@ the table for the tree it runs on.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -37,7 +40,7 @@ import pytest
 
 from conftest import _SSEHandler
 from thinkctl.budget import ANSWER_CUE, ANSWER_MARKER, DEFAULT_FORCING_TEXT, THINK_MARKER
-from thinkctl import cli, client
+from thinkctl import cli, client, jsonl
 from thinkctl.cli import run
 from thinkctl.client import ScriptedModel
 from thinkctl.qa import McqQuestion, format_prompt
@@ -288,6 +291,8 @@ def _mutants(name: str, data: bytes) -> list[tuple[str, bytes]]:
 
 # the two messages about a whole dataset, which cite no line
 _WHOLE_FILE = ("dataset is empty", "--transcripts needs ids unique across datasets")
+# Python's own words for a value of the wrong shape, which name no field of the file
+_PYTHON_MESSAGES = ("object has no attribute", "argument after **", "__init__()", "is not iterable", "not subscriptable")
 
 
 def test_every_mutated_input_exits_0_or_1_citing_its_file(tmp_path, monkeypatch):
@@ -315,9 +320,65 @@ def test_every_mutated_input_exits_0_or_1_citing_its_file(tmp_path, monkeypatch)
                     assert "Traceback" not in message, case
                     cited = re.search(rf"(?<![\w.-]){re.escape(name)}:\d+: ", message)
                     assert cited or name in message and any(m in message for m in _WHOLE_FILE), (case, message)
+                    assert not any(m in message for m in _PYTHON_MESSAGES), (case, message)
                 for output, data in outputs.items():
                     (tmp_path / output).write_bytes(data)
         (tmp_path / name).write_bytes(original)
+
+
+class _FullDisk:
+    """A file whose every write fails, as on a full disk."""
+
+    def write(self, data: bytes):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_each_artifact_is_one_write_and_a_failed_write_prints_nothing(tmp_path, monkeypatch):
+    # each row writes each artifact through one call to one of cli's writers,
+    # the JSON and JSONL ones before any plot; with its k-th write failing, a
+    # row exits 1, prints only the error, writes nothing more and leaves no temp file
+    results, _ = run_matrix(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    calls: list[tuple[str, str]] = []
+    failing = 0  # the number of the write that fails, 0 for none
+    atomic_file = jsonl._atomic_file
+
+    @contextlib.contextmanager
+    def full_disk(path):
+        with atomic_file(path):  # the temp file exists, as in a real write
+            yield _FullDisk()
+
+    def counted(name, writer):
+        def write(path, *args, **kwargs):
+            calls.append((name, path))
+            with pytest.MonkeyPatch.context() as patch:
+                if len(calls) == failing:
+                    patch.setattr(jsonl, "_atomic_file", full_disk)
+                return writer(path, *args, **kwargs)
+
+        return write
+
+    for name in ("write_jsonl", "write_json", "atomic_write_bytes"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    for row, argv in COMMANDS:
+        calls.clear()
+        failing = 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0, row
+        written = [path for _, path in calls]
+        assert sorted(written) == sorted(set(written)) == sorted(results[row][2]), row
+        plots = [writer == "atomic_write_bytes" for writer, _ in calls]
+        assert plots == sorted(plots), (row, calls)
+        for k in range(1, len(written) + 1):
+            calls.clear()
+            failing = k
+            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+                code = run(argv)
+            case = (row, k, written[k - 1])
+            assert (code, out.getvalue(), len(calls)) == (1, "", k), case
+            assert err.getvalue() == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n", case
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files, case
 
 
 def _without_provenance(name: str, data: bytes):

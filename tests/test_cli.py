@@ -211,6 +211,21 @@ def test_an_unencodable_transcript_exits_1_citing_its_output_line(tmp_path, data
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["dataset.jsonl", "script.json", "out.jsonl", "mock.json", odd.name])
 
 
+def test_a_sweep_json_that_fails_to_encode_leaves_no_plot(tmp_path, dataset, capsys):
+    # a dataset named by byte 0xff reaches the sweep JSON's provenance as
+    # U+DCFF: that write fails citing its line, and no plot is written before it
+    data_path, _ = dataset
+    odd = tmp_path / os.fsdecode(b"\xff.jsonl")
+    odd.write_bytes(data_path.read_bytes())
+    mock = tmp_path / "ok.json"
+    mock.write_text('{"entries": [{"trigger": "", "emission": "\\\\boxed{B}"}]}')
+    csv_path, json_path = tmp_path / "sc.csv", tmp_path / "sj.json"
+    argv = ["sweep", "--dataset", str(odd), "--mock", str(mock), "--budgets", "1,2,3"]
+    assert run([*argv, "--out-csv", str(csv_path), "--out-json", str(json_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {json_path}:12: lone surrogate \\udcff (not encodable as UTF-8)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([data_path.name, odd.name, mock.name])
+
+
 def test_sweep_writes_csv_svg_summary(tmp_path, dataset, oracle_script):
     # the SVG's title is the dataset's name, which holds XML metacharacters here
     data_path = tmp_path / "a&b<c.jsonl"
@@ -793,6 +808,34 @@ def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset,
     assert "Traceback" not in err
     if content is not None:
         assert f"{path}:1:" in err
+
+
+@pytest.mark.parametrize(
+    "option, content, message",
+    [
+        pytest.param("--in", '{"stages": 5}', "stages must be an array, not a number", id="report-stages-not-array"),
+        pytest.param("--in", '{"stages": [[]]}', "stages[0] must be an object, not an array", id="report-stage-not-object"),
+        pytest.param("--in", '{"stages": [{"name": "s", "counts": {"a": "1"}, "total": 1}]}', "stage 's': a count is not a non-negative integer", id="report-count-string"),
+        pytest.param("--mock", '{"entries": [{"trigger": ""}, "x"]}', "entries[1] must be an object, not a string", id="mock-entry-not-object"),
+        pytest.param("--mock", '{"entries": {"trigger": ""}}', "entries must be an array, not an object", id="mock-entries-not-array"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [None]}), "points[0] must be an object, not null", id="sweep-point-null"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [{"x": 1}]}), "points[0] lacks field 'accuracy'", id="sweep-point-lacks-field"),
+        pytest.param("--sweep", _sweep_with_point(bogus=1), "points[0] has unknown fields ['bogus']", id="sweep-point-unknown-field"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [GOOD_POINT], "fit": "x"}), "fit must be an object, not a string", id="fit-not-object"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [GOOD_POINT], "fit": {"slope": 1}}), "fit lacks field 'intercept'", id="fit-lacks-field"),
+    ],
+)
+def test_a_json_field_of_the_wrong_shape_is_named(tmp_path, capsys, dataset, option, content, message):
+    data_path, _ = dataset
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    argv = {
+        "--in": ["report", "--in", str(path)],
+        "--mock": ["eval", "--dataset", str(data_path), "--mock", str(path)],
+        "--sweep": ["plot", "--sweep", str(path), "--format", "csv", "--out", str(tmp_path / "out.csv")],
+    }[option]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {path}:1: {message}\n")
 
 
 def test_config_file_and_flag_precedence(tmp_path, dataset, oracle_script):
