@@ -16,7 +16,6 @@ from thinkctl import (
     SamplingPlan,
     ScriptEntry,
     ScriptedModel,
-    TraceRecord,
     annotate_domains,
     decontaminate,
     difficulty_filter,
@@ -93,8 +92,8 @@ teacher = ScriptedModel(
     )
 )
 result = evaluate(chosen, teacher, BudgetPolicy(thinking_budget=64), workers=1)
-# a trace grades its own response: extracted and verified are never given
-traces = [TraceRecord(by_id[o.question_id], o.transcript.thinking, o.transcript.answer_text) for o in result.outcomes]
+# each outcome is the TraceRecord of its run, graded once from its response
+traces = result.outcomes
 verified, row = validate_traces(traces)
 report.stages.append(row)
 print("traces verified:", [(t.question.id, t.extracted, t.verified) for t in traces])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -101,6 +102,20 @@ def _provenance(args: argparse.Namespace, config: dict | None = None) -> dict:
         paths.update([value] if isinstance(value, str) else value or ())
     provenance["inputs"] = {path: sha256_file(path) for path in sorted(paths)}
     return provenance
+
+
+# the flags that name a file a command writes
+OUTPUTS = ("--out", "--report", "--summary", "--transcripts", "--out-csv", "--out-svg", "--out-json")
+
+
+def _distinct(named: list[tuple[str, str]], reason: str) -> None:
+    """Exit 1 if two of the ``(flag, path)`` pairs ``named`` name one file."""
+    seen: dict[str, str] = {}
+    for flag, path in named:
+        key = os.path.realpath(path)
+        if key in seen:
+            raise ConfigError(f"{path} is named by {seen[key]} and by {flag}: {reason}")
+        seen[key] = flag
 
 
 def _curated(args, read: list, kept: list, row: curation.StageCount, verb="kept", config=None, header=None):
@@ -257,6 +272,7 @@ def cmd_curate_format_sft(args):
 
 def cmd_eval(args, cfg: Config):
     # every dataset is loaded and checked before the first backend call
+    _distinct([("--dataset", path) for path in args.datasets], "each dataset is evaluated once")
     datasets = {path: _load_dataset(path) for path in args.datasets}
     if args.transcripts:  # a transcript names no dataset, so an id in two datasets would give two traces of it
         first: dict[str, str] = {}
@@ -267,18 +283,12 @@ def cmd_eval(args, cfg: Config):
     results = {path: evaluation.evaluate(qs, backend, cfg.policy(), workers=cfg.workers) for path, qs in datasets.items()}
     macro = evaluation.macro_average([100.0 * r.accuracy for r in results.values()])
     outcomes = (
-        {"dataset": path, "id": o.question_id, "letter": o.letter, "correct": o.correct,
+        {"dataset": path, "id": o.question.id, "letter": o.extracted, "correct": o.verified,
          "thinking_tokens": o.thinking_tokens, "error": o.error}
         for path, result in results.items()
         for o in result.outcomes
     )
-    # evaluate returns a dataset's outcomes in question-id order
-    transcripts = (
-        transcript_to_record(question, o.transcript)
-        for path, result in results.items()
-        for question, o in zip(sorted(datasets[path], key=lambda q: q.id), result.outcomes)
-        if o.transcript is not None
-    )
+    transcripts = (transcript_to_record(o) for r in results.values() for o in r.outcomes if o.transcript is not None)
     summary = {
         "datasets": {
             path: {"accuracy": r.accuracy, "accuracy_percent": 100.0 * r.accuracy, "n": r.n, "n_correct": r.n_correct}
@@ -362,6 +372,9 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     handler = globals()["cmd_" + "_".join(words).replace("-", "_")]
     try:
+        # checked before the handler runs, so a clash sends no request and writes nothing
+        outputs = [(flag, path) for flag in OUTPUTS if (path := getattr(args, flag[2:].replace("-", "_"), None))]
+        _distinct(outputs, "each output needs its own file")
         artifacts, lines, config = handler(args) if "config" not in args else handler(args, _effective_config(args))
         # each artifact whose flag was given; the JSON and JSONL ones carry the
         # provenance, which may fail to encode, so they are written before any plot

@@ -18,8 +18,11 @@ from .budget import BudgetPolicy, ReasoningTranscript, run_with_budget
 from .client import DEFAULT_WORKERS, BackendError, in_order
 # not called here since the runner retries; perfbench's tracer wraps evaluation.with_retries by name
 from .client import with_retries  # noqa: F401
+from .curation import TraceRecord
 from .jsonl import json_shape
-from .qa import McqQuestion, extract_answer, format_prompt, grade
+# not called here since a TraceRecord grades itself; perfbench's tracer wraps evaluation.extract_answer by name
+from .qa import extract_answer  # noqa: F401
+from .qa import McqQuestion, format_prompt
 from .regression import require_finite
 
 DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
@@ -29,15 +32,16 @@ KIND_FORCING = "forcing"
 
 
 @dataclass
-class EvalOutcome:
-    """One graded question: extraction, correctness, and token accounting."""
+class EvalOutcome(TraceRecord):
+    """One evaluated question: the trace of its run, graded once, with the
+    run's transcript, or the backend error that ended it (an empty trace)."""
 
-    question_id: str
-    transcript: ReasoningTranscript | None
-    letter: str | None
-    correct: bool
-    thinking_tokens: int
+    transcript: ReasoningTranscript | None = None
     error: str | None = None
+
+    @property
+    def thinking_tokens(self) -> int:
+        return self.transcript.thinking_tokens if self.transcript else 0
 
 
 @dataclass
@@ -113,17 +117,10 @@ class SweepResult:
 
 
 def _run_question(question: McqQuestion, backend, policy: BudgetPolicy) -> EvalOutcome:
-    """Run one question through the budget controller and grade it. A
-    backend error propagates, for the runner of ``_runs`` to retry."""
+    """Run one question through the budget controller; its outcome grades
+    itself. A backend error propagates, for the runner of ``_runs`` to retry."""
     transcript = run_with_budget(format_prompt(question), policy, backend)
-    outcome = extract_answer(transcript.answer_text, question.options)
-    return EvalOutcome(
-        question_id=question.id,
-        transcript=transcript,
-        letter=outcome.letter,
-        correct=grade(outcome, question.gold),
-        thinking_tokens=transcript.thinking_tokens,
-    )
+    return EvalOutcome(question, transcript.thinking, transcript.answer_text, transcript)
 
 
 def _runs(
@@ -135,7 +132,7 @@ def _runs(
     tasks = [partial(_run_question, q, backend, p) for p in policies for q in questions]
 
     def failed(i: int, exc: BackendError) -> EvalOutcome:
-        return EvalOutcome(questions[i % len(questions)].id, None, None, False, 0, error=str(exc))
+        return EvalOutcome(questions[i % len(questions)], "", "", error=str(exc))
 
     return in_order(tasks, workers, failed=failed)
 
@@ -160,10 +157,10 @@ def evaluate(
 
     if runs is None:
         runs = _runs(questions, backend, [policy], workers)
-    outcomes = sorted(runs, key=lambda o: o.question_id)
+    outcomes = sorted(runs, key=lambda o: o.question.id)
 
     n = len(outcomes)
-    n_correct = sum(1 for o in outcomes if o.correct)
+    n_correct = sum(1 for o in outcomes if o.verified)
     return EvalResult(accuracy=n_correct / n, n_correct=n_correct, n=n, outcomes=outcomes)
 
 

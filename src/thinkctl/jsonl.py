@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, BinaryIO, Collection, Iterable, Iterator
 from .qa import McqQuestion
 
 if TYPE_CHECKING:
-    from .budget import ReasoningTranscript
     from .curation import TraceRecord
+    from .evaluation import EvalOutcome
 
 META_KEY = "_meta"
 # what json.loads reports for a text that starts with a byte order mark
@@ -228,15 +228,11 @@ def trace_to_record(trace: TraceRecord) -> dict:
     }
 
 
-def transcript_to_record(question: McqQuestion, transcript: ReasoningTranscript) -> dict:
-    """A controlled run of ``question`` as the trace record that
-    ``record_to_trace`` reads, plus the run's ``segments`` and
-    ``termination``, which it ignores."""
-    from .curation import TraceRecord
-
-    trace = TraceRecord(question, transcript.thinking, transcript.answer_text)
-    segments = [dict(vars(s)) for s in transcript.segments]
-    return {**trace_to_record(trace), "segments": segments, "termination": transcript.termination}
+def transcript_to_record(outcome: EvalOutcome) -> dict:
+    """A completed run as the trace record that ``record_to_trace`` reads,
+    plus its transcript's ``segments`` and ``termination``, which it ignores."""
+    segments = [dict(vars(s)) for s in outcome.transcript.segments]
+    return {**trace_to_record(outcome), "segments": segments, "termination": outcome.transcript.termination}
 
 
 def load_traces(path: str) -> list[TraceRecord]:
@@ -260,19 +256,24 @@ def _atomic_file(path: str) -> Iterator[BinaryIO]:
     ends and removed on any error, so ``path`` is never left truncated. Its
     mode 0o666 gives the file the mode the umask gives any new file (where
     ``tempfile.mkstemp`` gives 0o600), and its name takes no part of the
-    destination's, so it fits NAME_MAX whatever the destination's length."""
+    destination's, so it fits NAME_MAX whatever the destination's length.
+    An OSError is raised again naming ``path``, with its errno kept: the
+    temp file it may name is gone, and a full disk names no file."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "wb", _WRITE_BUFFER) as fh:
-            yield fh
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            with os.fdopen(fd, "wb", _WRITE_BUFFER) as fh:
+                yield fh
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

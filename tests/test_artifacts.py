@@ -208,7 +208,9 @@ OUTPUT_FLAGS = {"--out", "--report", "--summary", "--transcripts", "--out-csv", 
 
 
 def test_the_matrix_writes_every_output_flag():
-    # an output flag that no row gives writes an artifact that is never pinned
+    # an output flag that no row gives writes an artifact that is never pinned,
+    # and one that run does not check may name the file another flag names
+    assert set(cli.OUTPUTS) == OUTPUT_FLAGS
     for words, (_, _, arguments) in cli.COMMANDS.items():
         given = {arg for _, argv in COMMANDS if argv[: len(words)] == list(words) for arg in argv}
         for flag, _ in arguments:
@@ -336,7 +338,8 @@ class _FullDisk:
 def test_each_artifact_is_one_write_and_a_failed_write_prints_nothing(tmp_path, monkeypatch):
     # each row writes each artifact through one call to one of cli's writers,
     # the JSON and JSONL ones before any plot; with its k-th write failing, a
-    # row exits 1, prints only the error, writes nothing more and leaves no temp file
+    # row exits 1, prints only the error naming that output, writes nothing
+    # more and leaves no temp file
     results, _ = run_matrix(tmp_path)
     monkeypatch.chdir(tmp_path)
     files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -377,7 +380,7 @@ def test_each_artifact_is_one_write_and_a_failed_write_prints_nothing(tmp_path, 
                 code = run(argv)
             case = (row, k, written[k - 1])
             assert (code, out.getvalue(), len(calls)) == (1, "", k), case
-            assert err.getvalue() == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n", case
+            assert err.getvalue() == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {written[k - 1]!r}\n", case
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files, case
 
 

@@ -293,7 +293,7 @@ def test_transcript_records_are_the_traces_validate_keeps(tmp_path):
         question = McqQuestion(f"q{trial:03d}", f"Case {trial}?", {"A": "a", "B": "b", "C": "c"}, rng.choice("ABC"), "s")
         backend = RecordingBackend(model)
         (outcome,) = evaluate([question], backend, policy, workers=1).outcomes
-        record = transcript_to_record(question, outcome.transcript)
+        record = transcript_to_record(outcome)
         answer = backend.requests[-1].prompt
         assert answer.endswith(ANSWER_MARKER + ANSWER_CUE)
         start = answer.index(THINK_MARKER) + len(THINK_MARKER)
@@ -305,7 +305,7 @@ def test_transcript_records_are_the_traces_validate_keeps(tmp_path):
         assert record["termination"] == outcome.transcript.termination
         records.append(record)
         forced += len(record["segments"]) - 1
-        if outcome.correct:
+        if outcome.verified:
             correct_ids.append(question.id)
     path = str(tmp_path / "transcripts.jsonl")
     write_jsonl(path, records, meta={})

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import pathlib
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import _SSEHandler
 from thinkctl.budget import ANSWER_MARKER
-from thinkctl import cli, client, evaluation
+from thinkctl import cli, client, curation, evaluation
 from thinkctl.cli import run
 from thinkctl.client import WireBackend
 from thinkctl.jsonl import load_questions
@@ -1052,6 +1053,87 @@ def test_eval_transcripts_of_an_id_in_two_datasets_exits_1(tmp_path, dataset, mo
     assert called == [] and not transcripts.exists()
     # without --transcripts each record names its dataset, so the shared id is no fault
     assert run(argv[:-2]) == 0
+
+
+def _refusing_url() -> str:
+    """The URL of a port bound and released, which refuses each connection."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}"
+
+
+@pytest.mark.parametrize(
+    "argv, path, flags",
+    [
+        (["eval", "--dataset", "d.jsonl", "--out", "o.jsonl", "--summary", "o.jsonl"], "o.jsonl", ("--out", "--summary")),
+        (["eval", "--dataset", "d.jsonl", "--transcripts", "t.jsonl", "--out", "./t.jsonl"], "t.jsonl", ("--out", "--transcripts")),
+        (["sweep", "--dataset", "d.jsonl", "--out-csv", "p", "--out-svg", "p"], "p", ("--out-csv", "--out-svg")),
+        # the sweep JSON and the summary are one document, yet still two files
+        (["sweep", "--dataset", "d.jsonl", "--out-csv", "c", "--out-json", "s", "--summary", "s"], "s", ("--summary", "--out-json")),
+        (["curate", "dedup", "--pool", "d.jsonl", "--out", "x", "--report", "x"], "x", ("--out", "--report")),
+    ],
+    ids=["eval", "eval-dot-path", "sweep", "sweep-json-summary", "dedup"],
+)
+def test_two_output_flags_naming_one_file_exit_1_before_any_request(tmp_path, dataset, monkeypatch, capsys, argv, path, flags):
+    # each artifact needs its own file: two flags naming one would silently lose one artifact
+    data_path, _ = dataset
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.jsonl").write_bytes(data_path.read_bytes())
+    before = sorted(p.name for p in tmp_path.iterdir())
+    sent = []
+    monkeypatch.setattr(WireBackend, "raw_stream", lambda self, req: sent.append(req) or iter(()))
+    backend = [] if argv[0] == "curate" else ["--base-url", _refusing_url()]
+    assert run([*argv, *backend]) == 1
+    assert capsys.readouterr() == ("", f"error: {path} is named by {flags[0]} and by {flags[1]}: each output needs its own file\n")
+    assert sent == [] and sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_eval_of_one_dataset_named_twice_exits_1(tmp_path, dataset, monkeypatch, capsys):
+    # the macro average would count the dataset twice without saying so
+    data_path, _ = dataset
+    sent = []
+    monkeypatch.setattr(WireBackend, "raw_stream", lambda self, req: sent.append(req) or iter(()))
+    summary = tmp_path / "summary.json"
+    argv = ["eval", "--dataset", str(data_path), "--dataset", str(data_path), "--summary", str(summary), "--base-url", _refusing_url()]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {data_path} is named by --dataset and by --dataset: each dataset is evaluated once\n"
+    assert sent == [] and not summary.exists()
+
+
+def test_a_write_to_a_directory_exits_1_naming_it(tmp_path, dataset, capsys):
+    # the error names the output, not the temp file that is gone, and leaves no temp file
+    data_path, _ = dataset
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(["curate", "dedup", "--pool", str(data_path), "--out", str(outdir)]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(outdir)!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before and list(outdir.iterdir()) == []
+
+
+def test_eval_transcripts_grades_each_run_once(tmp_path, dataset, oracle_script, monkeypatch):
+    # an outcome is the trace that --transcripts writes, so one extraction
+    # per run serves the outcome record, the transcript and the accuracy
+    data_path, records = dataset
+    four = tmp_path / "four.jsonl"
+    write_jsonl_file(four, records[:4])
+    calls = []
+
+    def counted(module):
+        extract = module.extract_answer
+
+        def call(*args):
+            calls.append(module.__name__)
+            return extract(*args)
+
+        return call
+
+    # both modules' names, as the benchmark's tracer wraps them
+    for module in (evaluation, curation):
+        monkeypatch.setattr(module, "extract_answer", counted(module))
+    argv = ["eval", "--dataset", str(four), "--mock", str(oracle_script), "--out", str(tmp_path / "o.jsonl"), "--transcripts", str(tmp_path / "t.jsonl")]
+    assert run(argv) == 0
+    assert calls == ["thinkctl.curation"] * 4
 
 
 def test_grader_model_with_mock_exits_1(tmp_path, dataset, oracle_script, capsys):

@@ -61,14 +61,14 @@ def test_oracle_mock_scores_full_accuracy(make_questions):
     result = evaluate(questions, oracle_model(questions), BudgetPolicy())
     assert result.accuracy == 1.0
     assert result.n_correct == result.n == 6
-    assert all(o.correct for o in result.outcomes)
+    assert all(o.verified for o in result.outcomes)
 
 
 def test_unparseable_answers_score_zero(make_questions):
     questions = make_questions(5)
     result = evaluate(questions, silent_model(), BudgetPolicy())
     assert result.accuracy == 0.0
-    assert all(o.letter is None for o in result.outcomes)
+    assert all(o.extracted is None for o in result.outcomes)
 
 
 def test_mixed_fixture_scores_hand_count(make_questions):
@@ -94,7 +94,7 @@ def test_empty_dataset_rejected():
 def test_outcomes_ordered_by_question_id(make_questions):
     questions = list(reversed(make_questions(7)))
     result = evaluate(questions, oracle_model(questions), BudgetPolicy())
-    ids = [o.question_id for o in result.outcomes]
+    ids = [o.question.id for o in result.outcomes]
     assert ids == sorted(ids)
 
 
@@ -103,8 +103,8 @@ def test_worker_count_does_not_change_results(make_questions):
     model = oracle_model(questions)
     seq = evaluate(questions, model, BudgetPolicy(), workers=1)
     par = evaluate(questions, model, BudgetPolicy(), workers=5)
-    assert [(o.question_id, o.correct, o.letter) for o in seq.outcomes] == [
-        (o.question_id, o.correct, o.letter) for o in par.outcomes
+    assert [(o.question.id, o.verified, o.extracted) for o in seq.outcomes] == [
+        (o.question.id, o.verified, o.extracted) for o in par.outcomes
     ]
 
 
@@ -121,6 +121,21 @@ def test_hard_failure_counts_incorrect_and_flags(make_questions, monkeypatch):
     assert result.accuracy == 0.0
     assert result.n == 4
     assert all(o.error for o in result.outcomes)
+
+
+def test_a_failed_run_is_an_empty_trace_graded_incorrect(make_questions, monkeypatch):
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+
+    class Dead:
+        def raw_stream(self, req):
+            raise ConnectionFailure("unreachable")
+            yield  # pragma: no cover
+
+    questions = make_questions(2)
+    for question, o in zip(questions, evaluate(questions, Dead(), BudgetPolicy()).outcomes):
+        assert (o.question, o.thinking, o.response, o.transcript) == (question, "", "", None)
+        assert (o.extracted, o.verified, o.thinking_tokens) == (None, False, 0)
+        assert "unreachable" in o.error
 
 
 def test_accuracy_exactness(make_questions):
