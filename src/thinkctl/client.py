@@ -12,7 +12,6 @@ from its parts exactly as it is sent to a wire backend.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import threading
@@ -22,8 +21,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 from urllib.parse import urlsplit
-
-log = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 0.0
 DEFAULT_SEED = 42
@@ -94,85 +91,35 @@ class TokenEvent(NamedTuple):
     cause: str | None = None
 
 
-class _StopScanner:
-    """Incremental stop-marker detection over a token stream.
-
-    Backends may split the marker across tokens, so it is searched in the
-    concatenated text of ``held``: the tokens that may still overlap an
-    occurrence. Everything before the first held text has already been
-    searched, so no occurrence can start there. A push that completes the
-    marker releases the texts before it, truncating a straddling one, so
-    the marker never reaches the consumer; any other push releases every
-    held text that ends at or before the earliest offset whose suffix is a
-    start of the marker.
-
-    While nothing is held, a token without ``watch`` (``marker[0]``) can
-    start no occurrence: ``push`` would release it and leave nothing held.
-    So a caller may release that token without calling ``push``. ``held``
-    is only changed in place, so a caller may test an alias of it.
-    """
-
-    def __init__(self, marker: str):
-        if not marker:
-            raise ValueError("stop marker must be nonempty")
-        self.marker = marker
-        self.found = False
-        self.watch = marker[0]
-        self.held: list[str] = []
-        self._text = ""  # "".join(held)
-
-    def push(self, token: str) -> list[str]:
-        if self.found:
-            return []
-        marker, held = self.marker, self.held
-        held.append(token)
-        text = self._text + token
-        cut = text.find(marker)
-        self.found = cut != -1
-        if not self.found:
-            # a later occurrence ends beyond the text, so the part of it
-            # already here is a start of the marker
-            cut = text.find(self.watch, max(0, len(text) - len(marker) + 1))
-            while cut != -1 and not marker.startswith(text[cut:]):
-                cut = text.find(self.watch, cut + 1)
-            if cut == -1:
-                cut = len(text)
-        n, rest = 0, cut  # the texts that end at or before cut, and what is left of it
-        for tok in held:
-            if len(tok) > rest:
-                break
-            rest -= len(tok)
-            n += 1
-        out = held[:n]
-        if self.found:  # no later push reads _text
-            if rest:
-                out.append(held[n][:rest])
-            held.clear()
-        else:
-            del held[:n]
-            self._text = text[cut - rest :]
-        return out
-
-    def finish(self) -> list[str]:
-        """Flush anything withheld once the backend stops on its own."""
-        out = self.held[:]
-        self.held.clear()
-        self._text = ""
-        return out
-
-
 class TokenStream:
     """Single-consumer iterator of ``TokenEvent``.
 
     ``cause`` is ``None`` until the stream has been read and one of
-    ``CAUSE_*`` after; the final yielded event carries it too. Streams no
-    more than ``req.max_new_tokens`` events.
+    ``CAUSE_*`` after; the final yielded event carries it too. The backend
+    is read once, by ``_read``: ``collect`` calls it on an unread stream
+    and builds no event, and the first ``next()`` calls it and then yields
+    an event per text. Either way the whole stream is read and the
+    backend's stream closed at once, so a consumer that stops after one
+    event leaves no response open.
 
-    The backend is read once, by ``_read``: ``collect`` calls it on an
-    unread stream and builds no event, and the first ``next()`` calls it
-    and then yields an event per text. Either way the whole stream is read
-    and the backend's stream closed at once, so a consumer that stops
-    after one event leaves no response open.
+    The read releases at most ``req.max_new_tokens`` texts, none of them
+    holding ``req.stop_on``. Backends may split the marker across tokens,
+    so it is searched in the joined text of the held tokens: those that
+    may still overlap an occurrence. Everything before the first held
+    token has been searched, so no occurrence starts there. A token that
+    completes the marker releases the held texts before it, cutting a
+    straddling one at the marker, and ends the read; any other token
+    releases every held text that ends at or before the earliest offset
+    whose suffix is a start of the marker. While nothing is held, a token
+    without the marker's first character can start no occurrence and is
+    released as it comes. The backend running dry releases what is held.
+
+    Each pass reads at most as many tokens as there are texts left to
+    release. A token releases at most one text of its own, so only a token
+    that is held, which may also release earlier ones, re-checks the cap.
+    A pass that reads nothing means the backend ran dry. So no token is
+    read past the one that releases the cap-th text or completes the
+    marker.
     """
 
     def __init__(self, backend, req: GenerationRequest):
@@ -192,43 +139,58 @@ class TokenStream:
         return next(self._events)
 
     def _read(self) -> list[str]:
-        """Read the backend until ``req.max_new_tokens`` texts have been
-        released or the stream ends, close the backend's stream, set
-        ``cause`` and return the texts.
-
-        Each pass reads at most ``cap - len(texts)`` tokens. A token
-        releases at most one text of its own, so only ``push``, which may
-        also release withheld texts, re-checks the cap. A short pass
-        without a marker, or an empty one with it, means the backend ran
-        dry. So no token is read past the one that releases the cap-th
-        text or completes the marker."""
+        """Read the backend by the rule above, close its stream, set
+        ``cause`` and return the released texts."""
         self._events = iter(())  # a stream is read once
         req = self._req
-        cap = req.max_new_tokens
+        cap, marker = req.max_new_tokens, req.stop_on
         texts: list[str] = []
         end = None
         raw = self._backend.raw_stream(req)
         try:
-            if not req.stop_on:
+            if not marker:
                 texts.extend(islice(raw, cap))
                 end = CAUSE_BACKEND_STOP
             else:
-                scanner = _StopScanner(req.stop_on)
-                held, watch, append = scanner.held, scanner.watch, texts.append
+                watch, append = marker[0], texts.append
+                held: list[str] = []
+                text = ""  # "".join(held)
                 while end is None and len(texts) < cap:
                     token = None
                     for token in islice(raw, cap - len(texts)):
-                        if held or watch in token:
-                            texts.extend(scanner.push(token))
-                            if scanner.found:
-                                end = CAUSE_MARKER
-                                break
-                            if len(texts) >= cap:
-                                break
-                        else:
+                        if not held and watch not in token:
                             append(token)
+                            continue
+                        held.append(token)
+                        text += token
+                        cut = text.find(marker)
+                        if cut == -1:
+                            # a later occurrence ends beyond the text, so the
+                            # part of it already here is a start of the marker
+                            cut = text.find(watch, max(0, len(text) - len(marker) + 1))
+                            while cut != -1 and not marker.startswith(text[cut:]):
+                                cut = text.find(watch, cut + 1)
+                            if cut == -1:
+                                cut = len(text)
+                        else:
+                            end = CAUSE_MARKER
+                        n, rest = 0, cut  # the texts that end at or before cut, and what is left of it
+                        for tok in held:
+                            if len(tok) > rest:
+                                break
+                            rest -= len(tok)
+                            n += 1
+                        texts.extend(held[:n])
+                        if end is not None:
+                            if rest:
+                                append(held[n][:rest])
+                            break
+                        del held[:n]
+                        text = text[cut - rest :]
+                        if len(texts) >= cap:
+                            break
                     if token is None:
-                        texts.extend(scanner.finish())
+                        texts.extend(held)
                         end = CAUSE_BACKEND_STOP
         finally:
             close = getattr(raw, "close", None)  # a generator's; a plain iterator has none
@@ -405,8 +367,8 @@ class WireBackend:
         except (OSError, http.client.HTTPException) as exc:
             raise ConnectionFailure(str(exc)) from exc
         with resp:
-            if resp.status != 200:
-                raise BackendStatusError(resp.status, resp.read().decode("utf-8", "replace")[:200])
+            if resp.status != 200:  # 800 bytes hold any 200 characters of UTF-8
+                raise BackendStatusError(resp.status, resp.read(800).decode("utf-8", "replace")[:200])
             completed = False
             try:
                 # SSE lines end at b"\n" only; str.splitlines would also cut
@@ -462,7 +424,9 @@ def _retry_delay(exc: BackendError, attempt: int) -> float | None:
     if not exc.retryable or attempt >= RETRIES:
         return None
     delay = BACKOFF_S * (2 ** attempt)
-    log.warning("retryable backend error (%s); retry %d in %.2fs", exc, attempt + 1, delay)
+    import logging  # here, so that only a run that logs loads it
+
+    logging.getLogger(__name__).warning("retryable backend error (%s); retry %d in %.2fs", exc, attempt + 1, delay)
     return delay
 
 

@@ -11,7 +11,6 @@ counts so the ledger reconciles end to end.
 from __future__ import annotations
 
 import hashlib
-import logging
 import re
 import string
 from dataclasses import dataclass, field
@@ -22,8 +21,6 @@ from .budget import ANSWER_MARKER, THINK_MARKER
 from .client import BackendError, in_order, probe_answer
 from .jsonl import json_shape
 from .qa import McqQuestion, extract_answer, format_prompt, grade
-
-log = logging.getLogger(__name__)
 
 UNLABELED_DOMAIN = "Unlabeled"
 DEFAULT_NGRAM_SIZE = 8
@@ -178,7 +175,9 @@ def difficulty_filter(
         return grade(extract_answer(text, question.options), question.gold)
 
     def failed(i: int, exc: BackendError) -> None:  # missed is the round's list until the round ends
-        log.warning("grader failed on %s (%s); counted incorrect", missed[i].id, exc)
+        import logging  # here, so that only a run that logs loads it
+
+        logging.getLogger(__name__).warning("grader failed on %s (%s); counted incorrect", missed[i].id, exc)
 
     missed, failures = pool, 0
     for grader in graders:

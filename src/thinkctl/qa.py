@@ -10,12 +10,9 @@ outcome, not an error.
 from __future__ import annotations
 
 import functools
-import logging
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-
-log = logging.getLogger(__name__)
 
 DEFAULT_INSTRUCTION = "Return your final response within \\boxed{}."
 
@@ -80,7 +77,9 @@ def format_options(options: Mapping[str, str]) -> str:
 def format_prompt(question: McqQuestion) -> str:
     """Evaluation prompt: question, then options, then ``DEFAULT_INSTRUCTION``."""
     if not question.stem:
-        log.warning("question %s has an empty stem; prompt will start with a newline", question.id)
+        import logging  # here, so that only a run that logs loads it
+
+        logging.getLogger(__name__).warning("question %s has an empty stem; prompt will start with a newline", question.id)
     return f"{question.stem}\n{format_options(question.options)}\n{DEFAULT_INSTRUCTION}"
 
 

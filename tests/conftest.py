@@ -79,7 +79,7 @@ class _SSEHandler(BaseHTTPRequestHandler):
     requests_seen: list[dict] = []
     headers_seen: list[dict] = []
     mode = "ok"
-    status = 200  # mode "status": the status sent with ``STATUS_BODY``
+    status = 200  # modes "status" and "raw": the status sent with the body
     deltas = OK_DELTAS  # modes "ok" and "truncate": the deltas sent
     raw = b""  # mode "raw": the whole response body
     scripts: dict[str, ScriptedModel] = {}  # mode "script": the model served per request ``model``
@@ -109,7 +109,7 @@ class _SSEHandler(BaseHTTPRequestHandler):
             self._send_script(body)
             return
         if type(self).mode == "raw":
-            self.send_response(200)
+            self.send_response(type(self).status)
             self.send_header("Content-Type", "text/event-stream")
             self.end_headers()
             self.wfile.write(type(self).raw)
@@ -200,6 +200,7 @@ def sse_server():
     _SSEHandler.requests_seen = []
     _SSEHandler.headers_seen = []
     _SSEHandler.mode = "ok"
+    _SSEHandler.status = 200
     _SSEHandler.deltas = OK_DELTAS
     _SSEHandler.scripts = {}
     _SSEHandler.faults = []

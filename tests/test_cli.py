@@ -1391,9 +1391,10 @@ PROBE_IMPORTS = "import thinkctl; from thinkctl.client import ScriptedModel; fro
     ids=["interpreter", "package", "loaders", "config"],
 )
 def test_imports_load_only_the_modules_they_use(code, expected):
-    # hashlib is loaded only by the code that digests a file; nothing imports
-    # concurrent.futures, and it stays in the filter so that a new import shows
-    shown = "sorted(m for m in sys.modules if m.startswith('thinkctl') or m in ('hashlib', 'concurrent.futures'))"
+    # hashlib is loaded only by the code that digests a file, and logging only
+    # by the code that logs a warning; nothing imports concurrent.futures, and
+    # it stays in the filter so that a new import shows
+    shown = "sorted(m for m in sys.modules if m.startswith('thinkctl') or m in ('hashlib', 'logging', 'concurrent.futures'))"
     out = run_python("-c", f"import sys; {code}; print({shown})")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == str(expected)

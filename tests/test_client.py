@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import json
 import sys
 import threading
@@ -28,7 +29,6 @@ from thinkctl.client import (
     TokenStream,
     TruncatedStreamError,
     WireBackend,
-    _StopScanner,
     collect,
     in_order,
     probe_answer,
@@ -404,7 +404,7 @@ def test_error_classification_is_distinct_and_retry_classifiable():
     assert all(issubclass(k, BackendError) for k in kinds)
 
 
-# --- stop scanner ---------------------------------------------------------
+# --- stop marker ----------------------------------------------------------
 
 
 def eager_stop_split(tokens: list[str], marker: str) -> list[str]:
@@ -429,15 +429,30 @@ def eager_stop_split(tokens: list[str], marker: str) -> list[str]:
     return out
 
 
+class _ListBackend:
+    """Streams a fixed token list, counts the tokens handed out and records
+    when its generator has been closed or run dry."""
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.read = 0
+        self.closed = False
+
+    def raw_stream(self, req):
+        try:
+            for tok in self.tokens:
+                self.read += 1
+                yield tok
+        finally:
+            self.closed = True
+
+
 def run_scanner(tokens: list[str], marker: str) -> tuple[list[str], bool]:
-    scanner = _StopScanner(marker)
-    out: list[str] = []
-    for tok in tokens:
-        out.extend(scanner.push(tok))
-        if scanner.found:
-            return out, True
-    out.extend(scanner.finish())
-    return out, False
+    """Drain a stream of ``tokens`` watching ``marker``, under a cap it
+    cannot reach; returns (texts, whether the marker stopped it)."""
+    req = GenerationRequest("p", max_new_tokens=len(tokens) + 1, stop_on=marker)
+    texts, cause = collect(stream_generate(_ListBackend(tokens), req))
+    return texts, cause == CAUSE_MARKER
 
 
 @given(
@@ -473,7 +488,7 @@ def safe_prefix(tokens: list[str], marker: str) -> list[str]:
 
 # " x" starts with the space a mock token ends with, "aab" repeats its
 # first character and one-character markers leave nothing to withhold, so
-# both the fast path and the withholding path of the scanner run
+# both the fast path and the withholding path of the read loop run
 SCANNER_MARKERS = st.one_of(
     st.sampled_from([" x", "aab", "a", "x", " ", "xa x"]),
     st.text(alphabet="ab x", min_size=1, max_size=4),
@@ -482,69 +497,36 @@ SCANNER_MARKERS = st.one_of(
 SCANNER_TOKENS = st.lists(st.text(alphabet="ab x", max_size=4), max_size=12)
 
 
-@given(tokens=SCANNER_TOKENS, marker=SCANNER_MARKERS)
-@settings(max_examples=400, deadline=None)
-def test_scanner_releases_maximal_safe_prefix_after_every_push(tokens, marker):
-    scanner = _StopScanner(marker)
-    released: list[str] = []
-    for i, tok in enumerate(tokens):
-        released.extend(scanner.push(tok))
-        assert released == safe_prefix(tokens[: i + 1], marker)
-        if scanner.found:
-            break
-
-
-class _ListBackend:
-    """Streams a fixed token list, counts the tokens handed out and records
-    when its generator has been closed or run dry."""
-
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.read = 0
-        self.closed = False
-
-    def raw_stream(self, req):
-        try:
-            for tok in self.tokens:
-                self.read += 1
-                yield tok
-        finally:
-            self.closed = True
-
-
-@given(
-    tokens=SCANNER_TOKENS,
-    marker=st.none() | SCANNER_MARKERS,
-    cap=st.integers(min_value=1, max_value=8),
-)
+@given(tokens=SCANNER_TOKENS, marker=st.none() | SCANNER_MARKERS)
 @settings(max_examples=300, deadline=None)
-def test_stream_cap_and_marker_match_oracle(tokens, marker, cap):
-    backend = _ListBackend(tokens)
-    stream = stream_generate(backend, GenerationRequest("p", max_new_tokens=cap, stop_on=marker))
-    got = [(e.text, e.ordinal, e.cause) for e in stream]
-
+def test_stream_cap_and_marker_match_oracle(tokens, marker):
     # oracle: the eager split, then the cap; the stream stops reading the
-    # backend as soon as the scanner has released the cap-th token, or when
-    # the backend runs dry and the withheld tokens are flushed
+    # backend as soon as it has released the cap-th text, or when the
+    # backend runs dry and the withheld texts are flushed. Over every cap,
+    # the read counts check when each text is released.
     def released(prefix: list[str]) -> list[str]:
         return prefix if marker is None else safe_prefix(prefix, marker)
 
     found = marker is not None and marker in "".join(tokens)
     kept = eager_stop_split(tokens, marker) if marker is not None else tokens
-    if len(kept) >= cap:
-        cause = CAUSE_CAP
-        read = next((k for k in range(len(tokens) + 1) if len(released(tokens[:k])) >= cap), len(tokens))
-    elif found:
-        cause = CAUSE_MARKER
-        read = next(k for k in range(len(tokens) + 1) if marker in "".join(tokens[:k]))
-    else:
-        cause = CAUSE_BACKEND_STOP
-        read = len(tokens)
-    texts = kept[:cap]
-    expected = [(t, i, cause if i == len(texts) - 1 else None) for i, t in enumerate(texts)]
-    assert got == expected
-    assert stream.cause == cause
-    assert backend.read == read
+    for cap in range(1, len(tokens) + 2):
+        backend = _ListBackend(tokens)
+        stream = stream_generate(backend, GenerationRequest("p", max_new_tokens=cap, stop_on=marker))
+        got = [(e.text, e.ordinal, e.cause) for e in stream]
+        if len(kept) >= cap:
+            cause = CAUSE_CAP
+            read = next((k for k in range(len(tokens) + 1) if len(released(tokens[:k])) >= cap), len(tokens))
+        elif found:
+            cause = CAUSE_MARKER
+            read = next(k for k in range(len(tokens) + 1) if marker in "".join(tokens[:k]))
+        else:
+            cause = CAUSE_BACKEND_STOP
+            read = len(tokens)
+        texts = kept[:cap]
+        expected = [(t, i, cause if i == len(texts) - 1 else None) for i, t in enumerate(texts)]
+        assert got == expected, cap
+        assert stream.cause == cause
+        assert backend.read == read, cap
 
 
 def reads_to_release(tokens: list[str], marker: str | None, m: int) -> int:
@@ -769,18 +751,21 @@ def test_scanner_truncates_straddling_token():
 
 
 def test_scanner_withholds_possible_marker_prefix():
-    scanner = _StopScanner("ZZZ")
-    assert scanner.push("plain") == ["plain"]
-    assert scanner.push("Z") == []  # could still grow into the marker
-    assert scanner.push("done") == ["Z", "done"]
+    # "Z" could still grow into the marker, so the cap-th text is released
+    # only once "done" has been read
+    backend = _ListBackend(["plain", "Z", "done"])
+    stream = stream_generate(backend, GenerationRequest("p", max_new_tokens=2, stop_on="ZZZ"))
+    assert collect(stream) == (["plain", "Z"], CAUSE_CAP)
+    assert backend.read == 3
 
 
 def test_scanner_trailing_space_interrupts_prefix():
     # a mock token's trailing space keeps "Z " from starting "ZZZ" across
-    # tokens, so it is released immediately
-    scanner = _StopScanner("ZZZ")
-    assert scanner.push("plain ") == ["plain "]
-    assert scanner.push("Z ") == ["Z "]
+    # tokens, so it is released as soon as it is read
+    backend = _ListBackend(["plain ", "Z ", "x"])
+    stream = stream_generate(backend, GenerationRequest("p", max_new_tokens=2, stop_on="ZZZ"))
+    assert collect(stream) == (["plain ", "Z "], CAUSE_CAP)
+    assert backend.read == 2
 
 
 def test_scanner_marker_starting_inside_trailing_space():
@@ -885,6 +870,26 @@ def test_wire_status_error_is_classified_by_status(sse_server, status, retryable
     assert excinfo.value.status == status
     assert excinfo.value.retryable is retryable
     assert STATUS_BODY in str(excinfo.value)
+
+
+@pytest.mark.parametrize("status", [500, 202])
+def test_wire_status_error_reads_no_more_of_the_body_than_it_shows(sse_server, monkeypatch, status):
+    # a large error page of 3-byte characters: the message shows 200 of
+    # them, and 800 bytes hold any 200 characters of UTF-8
+    _SSEHandler.mode, _SSEHandler.status, _SSEHandler.raw = "raw", status, "\u20ac".encode() * 5000
+    sizes = []
+    read = http.client.HTTPResponse.read
+
+    def spy(self, amt=None):
+        sizes.append(amt)
+        return read(self, amt)
+
+    monkeypatch.setattr(http.client.HTTPResponse, "read", spy)
+    backend = WireBackend(base_url=sse_server, model="m")
+    with pytest.raises(BackendStatusError) as excinfo:
+        collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=4)))
+    assert sizes == [800]
+    assert str(excinfo.value) == f"backend returned status {status}: " + "\u20ac" * 200
 
 
 def test_wire_truncated_stream_surfaces_distinct_error(sse_server):
