@@ -5,7 +5,7 @@ Extraction prefers boxed expressions and falls back to a versioned regex
 cascade; no text ever raises.
 """
 
-from thinkctl import McqQuestion, extract_answer, format_prompt, grade
+from thinkctl import McqQuestion, extract_answer, format_prompt
 
 question = McqQuestion(
     id="demo-1",
@@ -29,5 +29,5 @@ replies = [
 ]
 for reply in replies:
     outcome = extract_answer(reply, question.options)
-    verdict = "correct" if grade(outcome, question.gold) else "incorrect"
+    verdict = "correct" if outcome.letter == question.gold else "incorrect"
     print(f"  {reply!r:55} -> letter={outcome.letter} via {outcome.method} ({verdict})")

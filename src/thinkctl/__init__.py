@@ -34,7 +34,6 @@ _EXPORTS = {
     "plotting": ("emit_plot",),
     "qa": (
         "DEFAULT_INSTRUCTION", "ExtractionOutcome", "McqQuestion", "extract_answer", "format_options", "format_prompt",
-        "grade",
     ),
     "regression": ("FitRefusedError", "RegressionFit", "fit_linear_with_ci"),
 }  # fmt: skip

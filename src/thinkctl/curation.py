@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .budget import ANSWER_MARKER, THINK_MARKER
 from .client import BackendError, in_order, probe_answer
 from .jsonl import json_shape
-from .qa import McqQuestion, extract_answer, format_prompt, grade
+from .qa import McqQuestion, extract_answer, format_prompt
 
 UNLABELED_DOMAIN = "Unlabeled"
 DEFAULT_NGRAM_SIZE = 8
@@ -61,8 +61,9 @@ class _CounterDraws:
 @dataclass
 class TraceRecord:
     """One question paired with a generated reasoning trace and answer. The
-    verdict is graded from ``response`` as ``evaluate`` grades a run: the
-    letter ``extract_answer`` finds, and whether it is the gold one."""
+    verdict is graded from ``response``: the letter ``extract_answer`` finds,
+    and whether it is the gold one. This is the one grading rule, for an
+    evaluated run, a loaded trace and a grader probe alike."""
 
     question: McqQuestion
     thinking: str
@@ -71,9 +72,8 @@ class TraceRecord:
     verified: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        outcome = extract_answer(self.response, self.question.options)
-        self.extracted = outcome.letter
-        self.verified = grade(outcome, self.question.gold)
+        self.extracted = extract_answer(self.response, self.question.options).letter
+        self.verified = self.extracted == self.question.gold
 
 
 @dataclass
@@ -171,8 +171,7 @@ def difficulty_filter(
         raise CurationError("difficulty_filter needs at least one grader")
 
     def correct(grader, question: McqQuestion) -> bool:
-        text = probe_answer(grader, format_prompt(question))
-        return grade(extract_answer(text, question.options), question.gold)
+        return TraceRecord(question, "", probe_answer(grader, format_prompt(question))).verified
 
     def failed(i: int, exc: BackendError) -> None:  # missed is the round's list until the round ends
         import logging  # here, so that only a run that logs loads it

@@ -152,7 +152,6 @@ def record_to_question(record: dict, path: str = "<memory>", lineno: int = 0) ->
         # name the first field, in schema order, that is missing or of the wrong type
         for key, kind in _QUESTION_FIELDS:
             _require(record, key, kind, path, lineno)
-    source = get("source", "")
     domains = get("domains", [])
     # the scans are skipped for the empty list of a pool not yet annotated
     if not isinstance(domains, list) or domains and not all(isinstance(d, str) for d in domains):
@@ -160,14 +159,8 @@ def record_to_question(record: dict, path: str = "<memory>", lineno: int = 0) ->
     if domains and len(set(domains)) != len(domains):
         raise SchemaError(path, lineno, f"field 'domains' repeats a label: {domains}")
     try:
-        return McqQuestion(
-            id=qid,
-            stem=stem,
-            options={str(k): v if type(v) is str else str(v) for k, v in options.items()},
-            gold=answer,
-            source=source if type(source) is str else str(source),
-            domains=list(domains),
-        )
+        # the question checks its option texts and its source
+        return McqQuestion(qid, stem, dict(options), answer, get("source", ""), list(domains))
     except ValueError as exc:
         raise SchemaError(path, lineno, str(exc)) from exc
 

@@ -28,8 +28,9 @@ class McqQuestion:
     """One multiple-choice item with lettered options.
 
     Option letters are consecutive from 'A'; the gold answer must be one of
-    them. ``domains`` holds MeSH-qualifier style labels used as sampling
-    strata. Slotted: a loaded pool keeps no ``__dict__`` per question.
+    them. Option texts and ``source`` are strings. ``domains`` holds
+    MeSH-qualifier style labels used as sampling strata. Slotted: a loaded
+    pool keeps no ``__dict__`` per question.
     """
 
     id: str
@@ -50,6 +51,11 @@ class McqQuestion:
             )
         if self.gold not in self.options:
             raise ValueError(f"question {self.id!r}: gold {self.gold!r} not among options")
+        for letter, text in self.options.items():
+            if not isinstance(text, str):
+                raise ValueError(f"question {self.id!r}: option {letter!r} must be a string, got {text!r}")
+        if not isinstance(self.source, str):
+            raise ValueError(f"question {self.id!r}: source must be a string, got {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -107,21 +113,6 @@ _BOXED = re.compile(r"\\boxed\s*\{")
 _LETTER_LEAD = re.compile(r"^([A-Za-z])[.):]?\s+(.*)$", re.DOTALL)
 
 
-def _normalize_options(options) -> dict[str, str]:
-    """Options keyed by upper-case ``str`` letter with ``str`` texts. A dict
-    already in that form, as a loaded question's options are, is returned
-    as it is, not rebuilt."""
-    if type(options) is dict:
-        for k, v in options.items():
-            if type(k) is not str or type(v) is not str or k != k.upper():
-                break
-        else:
-            return options
-    if isinstance(options, Mapping):
-        return {str(k).upper(): str(v) for k, v in options.items()}
-    return {str(letter).upper(): "" for letter in options}
-
-
 def _iter_boxed(text: str):
     """Yield (content, span) for each ``\\boxed{...}`` with balanced braces."""
     for match in _BOXED.finditer(text):
@@ -137,7 +128,7 @@ def _iter_boxed(text: str):
             yield text[match.end() : pos - 1], (match.start(), pos)
 
 
-def _resolve_boxed(content: str, options: dict[str, str]) -> str | None:
+def _resolve_boxed(content: str, options: Mapping[str, str]) -> str | None:
     content = content.strip()
     if not content:
         return None
@@ -160,26 +151,24 @@ def _resolve_boxed(content: str, options: dict[str, str]) -> str | None:
     return None
 
 
-def extract_answer(text: str, options) -> ExtractionOutcome:
+def extract_answer(text: str, options: Mapping[str, str]) -> ExtractionOutcome:
     """Extract an answer letter from a completion.
 
-    ``options`` is the letter->text mapping (or a bare iterable of letters
-    when option-text matching is not wanted). Boxed expressions are scanned
-    first; the earliest one that resolves to an allowed letter wins.
-    Otherwise the fallback cascade applies, stage by stage, earliest span
-    winning within a stage. Pure and total: any text yields exactly one
-    outcome.
+    ``options`` is a question's letter->text mapping, as
+    ``McqQuestion.options`` holds it. Boxed expressions are scanned first;
+    the earliest one that resolves to an allowed letter wins. Otherwise the
+    fallback cascade applies, stage by stage, earliest span winning within a
+    stage. Pure and total: any text yields exactly one outcome.
     """
-    option_map = _normalize_options(options)
-    if not option_map:
+    if not options:
         raise ValueError("options must be nonempty")
 
     for content, span in _iter_boxed(text):
-        letter = _resolve_boxed(content, option_map)
+        letter = _resolve_boxed(content, options)
         if letter is not None:
             return ExtractionOutcome(letter, METHOD_BOXED, span)
 
-    for name, pattern in _fallback_patterns(tuple(option_map)):
+    for name, pattern in _fallback_patterns(tuple(options)):
         if name == "standalone":
             offset = max(0, len(text) - STANDALONE_TAIL)
             region = text[offset:]
@@ -194,7 +183,3 @@ def extract_answer(text: str, options) -> ExtractionOutcome:
 
     return ExtractionOutcome(None, METHOD_NONE, None)
 
-
-def grade(outcome: ExtractionOutcome, gold: str) -> bool:
-    """True iff the extracted letter equals the gold letter; no letter grades false."""
-    return outcome.letter is not None and outcome.letter == gold.upper()

@@ -205,7 +205,8 @@ def test_extraction_fixture_corpus(criterion):
         cases = load_fixture("extraction_cases.jsonl")
         assert len(cases) >= 40
         for case in cases:
-            options = case.get("options") or case["letters"]
+            # a letters-only case matches no option text
+            options = case.get("options") or dict.fromkeys(case["letters"], "")
             outcome = extract_answer(case["text"], options)
             assert outcome.letter == case["letter"], case["name"]
             assert outcome.method == case["method"], case["name"]

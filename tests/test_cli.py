@@ -569,6 +569,24 @@ def test_curate_sample_rejects_repeated_domain_label(tmp_path, capsys):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("source", None, "source must be a string, got None"),
+        ("source", 5, "source must be a string, got 5"),
+        ("options", {"A": 1, "B": "two"}, "option 'A' must be a string, got 1"),
+    ],
+    ids=["source-null", "source-number", "option-number"],
+)
+def test_a_non_string_option_text_or_source_exits_1_citing_its_line(tmp_path, capsys, field, value, message):
+    pool = tmp_path / "pool.jsonl"
+    write_jsonl_file(pool, [question_record("q0"), dict(question_record("q1"), **{field: value})])
+    out = tmp_path / "out.jsonl"
+    assert run(["curate", "dedup", "--pool", str(pool), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {pool}:2: question 'q1': {message}\n")
+    assert not out.exists()
+
+
 def test_curate_sample_rejects_a_negative_seed(tmp_path, capsys):
     pool = tmp_path / "pool.jsonl"
     write_jsonl_file(pool, [question_record("q0"), question_record("q1")])
@@ -1401,7 +1419,7 @@ def test_imports_load_only_the_modules_they_use(code, expected):
 
 
 # the public names, by defining module, as the package exported them when it
-# imported every module up front
+# imported every module up front, less qa.grade, which TraceRecord replaced
 PUBLIC_NAMES = {
     "budget": "ANSWER_MARKER THINK_MARKER BudgetPolicy BudgetRunError ReasoningTranscript Segment run_with_budget",
     "client": (
@@ -1419,7 +1437,7 @@ PUBLIC_NAMES = {
     ),
     "plotting": "emit_plot",
     "qa": (
-        "DEFAULT_INSTRUCTION ExtractionOutcome McqQuestion extract_answer format_options format_prompt grade"
+        "DEFAULT_INSTRUCTION ExtractionOutcome McqQuestion extract_answer format_options format_prompt"
     ),
     "regression": "FitRefusedError RegressionFit fit_linear_with_ci",
 }
@@ -1432,7 +1450,7 @@ import thinkctl
 # a submodule is an attribute of the package, loaded when first read
 assert thinkctl.jsonl is sys.modules["thinkctl.jsonl"]
 names = {{name: module for module, listed in {PUBLIC_NAMES!r}.items() for name in listed.split()}}
-assert len(names) == 59
+assert len(names) == 58
 for name, module in names.items():
     assert getattr(thinkctl, name) is getattr(importlib.import_module("thinkctl." + module), name), name
 assert sorted(thinkctl.__all__) == sorted(names)

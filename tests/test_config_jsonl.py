@@ -156,17 +156,24 @@ def test_bad_domains_report_path_and_line(tmp_path, domains, message):
     assert str(excinfo.value).startswith(f"{path}:2: {message}")
 
 
-def test_non_string_values_load_as_their_str(tmp_path):
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"source": None}, "source must be a string, got None"),
+        ({"source": 5}, "source must be a string, got 5"),
+        ({"options": {"A": 1, "B": "no"}}, "option 'A' must be a string, got 1"),
+    ],
+    ids=["source-null", "source-number", "option-number"],
+)
+def test_a_non_string_option_text_or_source_cites_its_line(tmp_path, overrides, message):
+    # no value is read as its str(): McqQuestion refuses it, in a pool and in a trace file alike
     path = tmp_path / "qs.jsonl"
-    records = [
-        question_record("q1", options={"A": 1, "B": 2.5}, source=5, domains=["a", "b"]),
-        question_record("q2", answer="B", source=None),
-    ]
-    write_lines(path, [json.dumps(r) for r in records])
-    q1, q2 = load_questions(str(path))
-    assert q1.options == {"A": "1", "B": "2.5"}
-    assert (q1.source, q2.source) == ("5", "None")
-    assert q1.domains == ["a", "b"]
+    trace = {"thinking": "x", "response": "\\boxed{A}"}
+    for load, extra in ((load_questions, {}), (load_traces, trace)):
+        write_lines(path, [json.dumps(question_record("q1", **extra)), json.dumps(question_record("q2", **extra, **overrides))])
+        with pytest.raises(SchemaError) as excinfo:
+            load(str(path))
+        assert str(excinfo.value) == f"{path}:2: question 'q2': {message}"
 
 
 def test_duplicate_ids_rejected(tmp_path):
@@ -376,9 +383,9 @@ def reference_record_to_question(record, path="<memory>", lineno=0):
         return McqQuestion(
             id=qid,
             stem=stem,
-            options={str(k): v if type(v) is str else str(v) for k, v in options.items()},
+            options=dict(options),
             gold=answer,
-            source=source if type(source) is str else str(source),
+            source=source,
             domains=list(domains),
         )
     except ValueError as exc:
@@ -437,10 +444,10 @@ _VALID = st.fixed_dictionaries(
     {
         "id": st.sampled_from(["q1", "q2", "q3", "q4"]),
         "question": _CODEC_TEXT,
-        "options": st.fixed_dictionaries({"A": _SCALARS, "B": _SCALARS}),
+        "options": st.fixed_dictionaries({"A": _CODEC_TEXT, "B": _CODEC_TEXT}),
         "answer": st.sampled_from("AB"),
     },
-    optional={"source": _SCALARS, "domains": st.lists(st.sampled_from(["x", "y"]), max_size=2, unique=True)},
+    optional={"source": _CODEC_TEXT, "domains": st.lists(st.sampled_from(["x", "y"]), max_size=2, unique=True)},
 )
 
 
