@@ -29,11 +29,11 @@ from .jsonl import (
     atomic_write_bytes,
     load_questions,
     load_traces,
+    outcome_to_record,
     question_to_record,
     read_json,
     sha256_file,
     trace_to_record,
-    transcript_to_record,
     write_json,
     write_jsonl,
 )
@@ -105,7 +105,7 @@ def _provenance(args: argparse.Namespace, config: dict | None = None) -> dict:
 
 
 # the flags that name a file a command writes
-OUTPUTS = ("--out", "--report", "--summary", "--transcripts", "--out-csv", "--out-svg", "--out-json")
+OUTPUTS = ("--out", "--report", "--summary", "--out-csv", "--out-svg", "--out-json")
 
 
 def _distinct(named: list[tuple[str, str]], reason: str) -> None:
@@ -190,9 +190,8 @@ COMMANDS = {
     ("curate", "format-sft"): ("render verified traces as training text", None, (TRACES, OUT)),
     ("eval",): ("accuracy per dataset under a policy, plus the macro average", POLICY_CONFIG, (
         ("--dataset", {"action": "append", "required": True, "dest": "datasets", "help": "repeatable"}),
-        ("--out", {"help": "per-question outcomes JSONL"}),
+        ("--out", {"help": "one trace record per run, JSONL"}),
         ("--summary", {"help": "summary JSON"}),
-        ("--transcripts", {"help": "full reasoning transcripts JSONL"}),
     )),
     ("sweep",): ("accuracy vs thinking budget", POLICY_CONFIG, (
         DATASET,
@@ -274,21 +273,10 @@ def cmd_eval(args, cfg: Config):
     # every dataset is loaded and checked before the first backend call
     _distinct([("--dataset", path) for path in args.datasets], "each dataset is evaluated once")
     datasets = {path: _load_dataset(path) for path in args.datasets}
-    if args.transcripts:  # a transcript names no dataset, so an id in two datasets would give two traces of it
-        first: dict[str, str] = {}
-        for path, q in [(path, q) for path, questions in datasets.items() for q in questions]:
-            if first.setdefault(q.id, path) != path:
-                raise ValueError(f"{path}: duplicate id {q.id!r}, also in {first[q.id]}: --transcripts needs ids unique across datasets")
     backend = _backend(args, cfg)
     results = {path: evaluation.evaluate(qs, backend, cfg.policy(), workers=cfg.workers) for path, qs in datasets.items()}
     macro = evaluation.macro_average([100.0 * r.accuracy for r in results.values()])
-    outcomes = (
-        {"dataset": path, "id": o.question.id, "letter": o.extracted, "correct": o.verified,
-         "thinking_tokens": o.thinking_tokens, "error": o.error}
-        for path, result in results.items()
-        for o in result.outcomes
-    )
-    transcripts = (transcript_to_record(o) for r in results.values() for o in r.outcomes if o.transcript is not None)
+    records = (outcome_to_record(o, path) for path, r in results.items() for o in r.outcomes)
     summary = {
         "datasets": {
             path: {"accuracy": r.accuracy, "accuracy_percent": 100.0 * r.accuracy, "n": r.n, "n_correct": r.n_correct}
@@ -298,7 +286,7 @@ def cmd_eval(args, cfg: Config):
     }
     lines = [f"{path}: accuracy {r.accuracy:.4f} ({r.n_correct}/{r.n})" for path, r in results.items()]
     lines.append(f"macro average: {macro:.2f}%")
-    return {args.out: outcomes, args.transcripts: transcripts, args.summary: summary}, lines, _run_config(args, cfg)
+    return {args.out: records, args.summary: summary}, lines, _run_config(args, cfg)
 
 
 def _run_sweep(args, cfg: Config, sweep_fn, grid, label: str):

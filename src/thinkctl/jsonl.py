@@ -3,9 +3,10 @@ writes, and content digests for reproducibility headers.
 
 The question schema is the canonical interchange format:
 ``{"id", "question", "options": {"A": ...}, "answer", "source", "domains"}``.
-Trace files add ``{"thinking", "response"}``, graded as ``{"extracted", "verified"}``;
-a transcript is a trace record plus the run's ``segments`` and
-``termination``.
+Trace files add ``{"thinking", "response"}``, graded as ``{"extracted", "verified"}``.
+An evaluated run is a trace record plus its ``dataset``, ``thinking_tokens``,
+``termination``, ``error`` and ``segments`` (``{"provenance", "n_tokens"}``
+each), so an ``eval --out`` file loads as traces.
 Writers put a ``{"_meta": ...}`` provenance line first; readers skip every
 line whose only key is ``_meta``.
 """
@@ -221,11 +222,14 @@ def trace_to_record(trace: TraceRecord) -> dict:
     }
 
 
-def transcript_to_record(outcome: EvalOutcome) -> dict:
-    """A completed run as the trace record that ``record_to_trace`` reads,
-    plus its transcript's ``segments`` and ``termination``, which it ignores."""
-    segments = [dict(vars(s)) for s in outcome.transcript.segments]
-    return {**trace_to_record(outcome), "segments": segments, "termination": outcome.transcript.termination}
+def outcome_to_record(outcome: EvalOutcome, dataset: str) -> dict:
+    """An evaluated run as a trace record plus what ``record_to_trace`` ignores: its
+    ``dataset``, ``thinking_tokens``, ``termination``, ``error`` and each segment's
+    ``provenance`` and ``n_tokens``. A failed run has no termination and no segment."""
+    t = outcome.transcript
+    segments = [{"provenance": s.provenance, "n_tokens": s.n_tokens} for s in t.segments] if t else []
+    run = {"dataset": dataset, "thinking_tokens": outcome.thinking_tokens, "termination": t.termination if t else None}
+    return {**trace_to_record(outcome), **run, "error": outcome.error, "segments": segments}
 
 
 def load_traces(path: str) -> list[TraceRecord]:

@@ -129,9 +129,9 @@ SWEEP_OUTPUTS = ["--out-csv", "{}.csv", "--out-svg", "{}.svg", "--out-json", "{}
 COMMANDS = [
     ("eval", ["eval", "--dataset", "data.jsonl", "--dataset", "unscripted.jsonl", "--mock", "model.json",
               "--budget", "4", "--forcing-count", "1", "--per-forcing-cap", "2",
-              "--out", "eval.jsonl", "--summary", "eval_summary.json", "--transcripts", "transcripts.jsonl"]),
-    # eval's transcripts are trace records: validate and format them as generated
-    ("eval-validate", ["curate", "validate", "--traces", "transcripts.jsonl", "--out", "eval_verified.jsonl",
+              "--out", "eval.jsonl", "--summary", "eval_summary.json"]),
+    # eval's records are traces: validate and format them as generated
+    ("eval-validate", ["curate", "validate", "--traces", "eval.jsonl", "--out", "eval_verified.jsonl",
                        "--report", "eval_validate_report.json"]),
     ("eval-format-sft", ["curate", "format-sft", "--traces", "eval_verified.jsonl", "--out", "eval_sft.jsonl"]),
     ("sweep", ["sweep", "--dataset", "data.jsonl", "--mock", "model.json", "--budgets", "1,2,3,4,6"]
@@ -204,7 +204,7 @@ def test_the_matrix_runs_every_command():
 
 
 # the flags that name a file a command writes
-OUTPUT_FLAGS = {"--out", "--report", "--summary", "--transcripts", "--out-csv", "--out-svg", "--out-json"}
+OUTPUT_FLAGS = {"--out", "--report", "--summary", "--out-csv", "--out-svg", "--out-json"}
 
 
 def test_the_matrix_writes_every_output_flag():
@@ -291,8 +291,8 @@ def _mutants(name: str, data: bytes) -> list[tuple[str, bytes]]:
     return mutants
 
 
-# the two messages about a whole dataset, which cite no line
-_WHOLE_FILE = ("dataset is empty", "--transcripts needs ids unique across datasets")
+# the one message about a whole dataset, which cites no line
+_WHOLE_FILE = ("dataset is empty",)
 # Python's own words for a value of the wrong shape, which name no field of the file
 _PYTHON_MESSAGES = ("object has no attribute", "argument after **", "__init__()", "is not iterable", "not subscriptable")
 
@@ -448,16 +448,15 @@ def test_artifacts_match_the_pinned_table(tmp_path):
 
 PINNED = {'eval': (0,
           'data.jsonl: accuracy 0.3333 (2/6)\nunscripted.jsonl: accuracy 0.3333 (1/3)\nmacro average: 33.33%\n',
-          {'eval.jsonl': 'c300be2a84592c444fc2ebe6aa982d3f0a23cde1e6a792f8c98a0c844ce5bee8',
-           'eval_summary.json': 'dd74b489b5a1c8082c6b73ba8a03083e571ce41c6d4cd06dd8aa4e19812d3662',
-           'transcripts.jsonl': 'a0ad848bd4cd348024dbbc1fb6cbf898da5094e99bb7bec9d066074ef410a19f'}),
+          {'eval.jsonl': '8b1bd5f2347025bd715a49983136e6e442d00fd2c02c3767948eaef95bca24a7',
+           'eval_summary.json': 'dd74b489b5a1c8082c6b73ba8a03083e571ce41c6d4cd06dd8aa4e19812d3662'}),
  'eval-validate': (0,
                    'verified 3 of 9 traces\n',
-                   {'eval_validate_report.json': '384b9373d0fd3c2484e2f0c9eb5023eea4c37c263eee2524f6b32d4f64f529fb',
-                    'eval_verified.jsonl': '7da376071833c2702b12577dd42526be3c525f5b386e1d36ca2c8cc93baa95bb'}),
+                   {'eval_validate_report.json': '9e3a0407077d2e36a5994c231018b1af7c0b281dbf5760f73d42e64c5157ad46',
+                    'eval_verified.jsonl': '7b29a3a3ea7e3d9a5726d7157dfa72c921cbac7d2b6e8c3d9156220d50350b52'}),
  'eval-format-sft': (0,
                      'formatted 3 examples\n',
-                     {'eval_sft.jsonl': 'eba5b4ca565c949c0d3907b93b11808543d87579d162ed034138e6044c2fa944'}),
+                     {'eval_sft.jsonl': 'a62324db0d251b3e010fbee0d76ccf761f33f1545fc915c118b33c4619b62c0f'}),
  'sweep': (0,
            'budget 1: accuracy 0.1667 (1/6)\n'
            'budget 2: accuracy 0.3333 (2/6)\n'

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_scripted_model
 from thinkctl.curation import format_sft_example, validate_traces
 from thinkctl.evaluation import evaluate
-from thinkctl.jsonl import load_traces, transcript_to_record, write_jsonl
+from thinkctl.jsonl import load_traces, outcome_to_record, write_jsonl
 from thinkctl.qa import McqQuestion
 from thinkctl.budget import (
     ANSWER_CUE,
@@ -277,10 +277,11 @@ def test_every_request_context_matches_the_reference():
 
 
 def test_transcript_records_are_the_traces_validate_keeps(tmp_path):
-    """Oracle for ``eval --transcripts``: each run's record holds as
-    ``thinking`` the bytes the answer request sent between the markers, its
-    segments sum to the run's thinking tokens, and read back as traces,
-    validation keeps exactly the runs graded correct."""
+    """Oracle for ``eval --out``: each run's record holds as ``thinking``
+    the bytes the answer request sent between the markers, its segments are
+    the run's provenance and token counts, summing to its thinking tokens,
+    and read back as traces, validation keeps exactly the runs graded
+    correct."""
     records, correct_ids, forced = [], [], 0
     for trial in range(200):
         rng = random.Random(30_000 + trial)
@@ -293,13 +294,14 @@ def test_transcript_records_are_the_traces_validate_keeps(tmp_path):
         question = McqQuestion(f"q{trial:03d}", f"Case {trial}?", {"A": "a", "B": "b", "C": "c"}, rng.choice("ABC"), "s")
         backend = RecordingBackend(model)
         (outcome,) = evaluate([question], backend, policy, workers=1).outcomes
-        record = transcript_to_record(outcome)
+        record = outcome_to_record(outcome, "d.jsonl")
         answer = backend.requests[-1].prompt
         assert answer.endswith(ANSWER_MARKER + ANSWER_CUE)
         start = answer.index(THINK_MARKER) + len(THINK_MARKER)
         assert record["thinking"] == answer[start : answer.rindex(ANSWER_MARKER)]
-        assert sum(s["n_tokens"] for s in record["segments"]) == outcome.thinking_tokens
-        segments = [Segment(**s) for s in record["segments"]]
+        segments = outcome.transcript.segments
+        assert [(s["provenance"], s["n_tokens"]) for s in record["segments"]] == [(s.provenance, s.n_tokens) for s in segments]
+        assert sum(s["n_tokens"] for s in record["segments"]) == record["thinking_tokens"] == outcome.thinking_tokens
         assert render_context("", segments, policy) == THINK_MARKER + record["thinking"]
         assert (record["answer"], record["response"]) == (question.gold, outcome.transcript.answer_text)
         assert record["termination"] == outcome.transcript.termination
@@ -307,7 +309,7 @@ def test_transcript_records_are_the_traces_validate_keeps(tmp_path):
         forced += len(record["segments"]) - 1
         if outcome.verified:
             correct_ids.append(question.id)
-    path = str(tmp_path / "transcripts.jsonl")
+    path = str(tmp_path / "traces.jsonl")
     write_jsonl(path, records, meta={})
     kept, row = validate_traces(load_traces(path))
     assert [t.question.id for t in kept] == correct_ids

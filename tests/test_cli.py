@@ -93,7 +93,6 @@ def test_eval_happy_path(tmp_path, dataset, oracle_script, capsys):
     data_path, _ = dataset
     out = tmp_path / "results.jsonl"
     summary = tmp_path / "summary.json"
-    transcripts = tmp_path / "transcripts.jsonl"
     code = run(
         [
             "eval",
@@ -101,7 +100,6 @@ def test_eval_happy_path(tmp_path, dataset, oracle_script, capsys):
             "--mock", str(oracle_script),
             "--out", str(out),
             "--summary", str(summary),
-            "--transcripts", str(transcripts),
         ]
     )
     assert code == 0
@@ -117,15 +115,15 @@ def test_eval_happy_path(tmp_path, dataset, oracle_script, capsys):
     assert str(data_path) in payload["_provenance"]["inputs"]
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert "_meta" in lines[0]
-    assert all(row["correct"] for row in lines[1:])
-    trows = [json.loads(l) for l in transcripts.read_text().splitlines()][1:]
-    assert len(trows) == 8
-    # a trace record, whose answer is the gold letter, plus the run's segments and termination
+    rows = lines[1:]
+    assert len(rows) == 8
+    # a trace record, whose answer is the gold letter, plus the run's dataset,
+    # thinking tokens, termination, error and segments, which keep no text
     trace_keys = {"id", "question", "options", "answer", "source", "domains", "thinking", "response", "extracted", "verified"}
-    assert set(trows[0]) == trace_keys | {"segments", "termination"}
-    assert all(row["verified"] and row["extracted"] == row["answer"] for row in trows)
-    assert set(trows[0]["segments"][0]) == {"provenance", "text", "n_tokens"}
-    assert trows[0]["segments"][0]["provenance"] == "initial"
+    assert set(rows[0]) == trace_keys | {"dataset", "thinking_tokens", "termination", "error", "segments"}
+    assert all(row["verified"] and row["extracted"] == row["answer"] for row in rows)
+    assert all(row["dataset"] == str(data_path) and row["error"] is None for row in rows)
+    assert rows[0]["segments"] == [{"provenance": "initial", "n_tokens": rows[0]["thinking_tokens"]}]
 
 
 def test_eval_multiple_datasets_macro_average(tmp_path, oracle_script, dataset):
@@ -192,11 +190,11 @@ def test_an_unencodable_transcript_exits_1_citing_its_output_line(tmp_path, data
     data_path, _ = dataset
     script = tmp_path / "script.json"
     script.write_text('{"entries": [{"trigger": "", "emission": "x \\ud800 \\\\boxed{B}"}]}')
-    transcripts = tmp_path / "transcripts.jsonl"
-    code = run(["eval", "--dataset", str(data_path), "--mock", str(script), "--transcripts", str(transcripts)])
+    traces = tmp_path / "traces.jsonl"
+    code = run(["eval", "--dataset", str(data_path), "--mock", str(script), "--out", str(traces)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {script}:1: lone surrogate escape \\ud800 (not encodable as UTF-8)\n"
-    assert not transcripts.exists()
+    assert not traces.exists()
     # a dataset named by byte 0xff, which the provenance line records as the
     # lone surrogate U+DCFF: the output cites that line and keeps its old bytes
     odd = tmp_path / os.fsdecode(b"\xff.jsonl")
@@ -1055,22 +1053,21 @@ def test_empty_dataset_exits_1_naming_the_file(tmp_path, oracle_script, capsys, 
     assert not list(tmp_path.glob("out*"))
 
 
-def test_eval_transcripts_of_an_id_in_two_datasets_exits_1(tmp_path, dataset, monkeypatch, capsys):
-    # a transcript record names no dataset, so two datasets' q00 would be two traces of one id
+def test_eval_out_of_an_id_in_two_datasets_loads_back_as_a_repeated_trace(tmp_path, dataset, monkeypatch, capsys):
+    # each record names its dataset, so eval keeps both runs of q00; read
+    # back as traces, the file repeats an id, which the trace loader cites
     data_path, records = dataset
     other = tmp_path / "other.jsonl"
     write_jsonl_file(other, records[:1])
-    called = []
-    monkeypatch.setattr(WireBackend, "raw_stream", lambda self, req: called.append(req) or iter(["\\boxed{A}"]))
-    transcripts = tmp_path / "transcripts.jsonl"
-    argv = ["eval", "--dataset", str(data_path), "--dataset", str(other), "--transcripts", str(transcripts)]
-    assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert f"{other}: duplicate id 'q00', also in {data_path}" in err
-    assert "Traceback" not in err
-    assert called == [] and not transcripts.exists()
-    # without --transcripts each record names its dataset, so the shared id is no fault
-    assert run(argv[:-2]) == 0
+    monkeypatch.setattr(WireBackend, "raw_stream", lambda self, req: iter(["\\boxed{A}"]))
+    out = tmp_path / "out.jsonl"
+    assert run(["eval", "--dataset", str(data_path), "--dataset", str(other), "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert [(row["dataset"], row["id"]) for row in rows] == [(str(data_path), r["id"]) for r in records] + [(str(other), "q00")]
+    capsys.readouterr()
+    assert run(["curate", "validate", "--traces", str(out), "--out", str(tmp_path / "kept.jsonl")]) == 1
+    assert capsys.readouterr() == ("", f"error: {out}:{len(records) + 2}: duplicate id 'q00' (first seen on line 2)\n")
+    assert not (tmp_path / "kept.jsonl").exists()
 
 
 def _refusing_url() -> str:
@@ -1084,7 +1081,7 @@ def _refusing_url() -> str:
     "argv, path, flags",
     [
         (["eval", "--dataset", "d.jsonl", "--out", "o.jsonl", "--summary", "o.jsonl"], "o.jsonl", ("--out", "--summary")),
-        (["eval", "--dataset", "d.jsonl", "--transcripts", "t.jsonl", "--out", "./t.jsonl"], "t.jsonl", ("--out", "--transcripts")),
+        (["eval", "--dataset", "d.jsonl", "--summary", "t.jsonl", "--out", "./t.jsonl"], "t.jsonl", ("--out", "--summary")),
         (["sweep", "--dataset", "d.jsonl", "--out-csv", "p", "--out-svg", "p"], "p", ("--out-csv", "--out-svg")),
         # the sweep JSON and the summary are one document, yet still two files
         (["sweep", "--dataset", "d.jsonl", "--out-csv", "c", "--out-json", "s", "--summary", "s"], "s", ("--summary", "--out-json")),
@@ -1129,9 +1126,9 @@ def test_a_write_to_a_directory_exits_1_naming_it(tmp_path, dataset, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == before and list(outdir.iterdir()) == []
 
 
-def test_eval_transcripts_grades_each_run_once(tmp_path, dataset, oracle_script, monkeypatch):
-    # an outcome is the trace that --transcripts writes, so one extraction
-    # per run serves the outcome record, the transcript and the accuracy
+def test_eval_out_grades_each_run_once(tmp_path, dataset, oracle_script, monkeypatch):
+    # an outcome is the trace record --out writes, so one extraction per run
+    # serves the record and the accuracy
     data_path, records = dataset
     four = tmp_path / "four.jsonl"
     write_jsonl_file(four, records[:4])
@@ -1149,7 +1146,7 @@ def test_eval_transcripts_grades_each_run_once(tmp_path, dataset, oracle_script,
     # both modules' names, as the benchmark's tracer wraps them
     for module in (evaluation, curation):
         monkeypatch.setattr(module, "extract_answer", counted(module))
-    argv = ["eval", "--dataset", str(four), "--mock", str(oracle_script), "--out", str(tmp_path / "o.jsonl"), "--transcripts", str(tmp_path / "t.jsonl")]
+    argv = ["eval", "--dataset", str(four), "--mock", str(oracle_script), "--out", str(tmp_path / "o.jsonl")]
     assert run(argv) == 0
     assert calls == ["thinkctl.curation"] * 4
 
@@ -1285,9 +1282,16 @@ def test_eval_records_a_persistent_non_object_chunk(tmp_path, dataset, sse_serve
     assert run(argv) == 0
     assert "Traceback" not in capsys.readouterr().err
     outcomes = [json.loads(line) for line in out.read_text().splitlines()[1:]]
-    assert [o["correct"] for o in outcomes] == [False] * len(records)
+    assert [o["id"] for o in outcomes] == [r["id"] for r in records]
+    # a failed run is one record, an empty trace graded like any other
+    failed = {"thinking": "", "response": "", "extracted": None, "verified": False, "dataset": str(data_path),
+              "thinking_tokens": 0, "termination": None, "segments": []}
+    assert all({k: o[k] for k in failed} == failed for o in outcomes)
     assert all("malformed stream chunk: [1]" in o["error"] for o in outcomes)
     assert len(_SSEHandler.requests_seen) == len(records) * (1 + client.RETRIES)
+    # it loads as a trace that is never verified
+    assert run(["curate", "validate", "--traces", str(out), "--out", str(tmp_path / "kept.jsonl")]) == 0
+    assert capsys.readouterr().out == f"verified 0 of {len(records)} traces\n"
 
 
 @pytest.mark.parametrize("failure", ["bad-chunk", "refused"])
@@ -1332,6 +1336,18 @@ def test_unparsable_budgets_exit_1(tmp_path, dataset, oracle_script, capsys):
     assert not out.exists()
 
 
+def test_a_negative_max_forcings_exits_1_before_any_request(tmp_path, dataset, monkeypatch, capsys):
+    data_path, _ = dataset
+    sent = []
+    monkeypatch.setattr(WireBackend, "raw_stream", lambda self, req: sent.append(req) or iter(()))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = ["force-sweep", "--dataset", str(data_path), "--max-forcings", "-1", "--base-url", _refusing_url(),
+            "--out-csv", str(tmp_path / "f.csv"), "--summary", str(tmp_path / "s.json")]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", "error: max_forcings must be >= 0\n")
+    assert sent == [] and sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def _provenance_of(path: pathlib.Path) -> dict:
     if path.suffix == ".jsonl":
         return json.loads(path.read_text().splitlines()[0])["_meta"]
@@ -1351,11 +1367,11 @@ def test_each_input_is_digested_once_per_command(tmp_path, dataset, oracle_scrip
     lexicon = tmp_path / "lexicon.json"
     lexicon.write_text(json.dumps({"stem": "Diagnosis"}))
     d, d2, m, t, lex = map(str, (data_path, second, oracle_script, traces, lexicon))
-    out = [tmp_path / name for name in ("o1.jsonl", "o2.jsonl", "o3.json", "o4.json")]
-    o1, o2, o3, o4 = map(str, out)
+    out = [tmp_path / name for name in ("o1.jsonl", "o3.json", "o4.json")]
+    o1, o3, o4 = map(str, out)
     csv = str(tmp_path / "sweep.csv")
     argv, inputs = {
-        "eval": (["eval", "--dataset", d, "--dataset", d2, "--mock", m, "--out", o1, "--transcripts", o2, "--summary", o3], {d, d2, m}),
+        "eval": (["eval", "--dataset", d, "--dataset", d2, "--mock", m, "--out", o1, "--summary", o3], {d, d2, m}),
         "sweep": (["sweep", "--dataset", d, "--budgets", "16,32", "--mock", m, "--out-csv", csv, "--out-json", o3, "--summary", o4], {d, m}),
         "force-sweep": (["force-sweep", "--dataset", d, "--max-forcings", "1", "--mock", m, "--out-csv", csv, "--out-json", o3, "--summary", o4], {d, m}),
         "filter": (["curate", "filter", "--pool", d, "--mock", m, "--out", o1, "--report", o3], {d, m}),

@@ -360,6 +360,8 @@ def test_sweep_result_validation():
     good = SweepPoint(x=1, accuracy=0.5, n=2, n_correct=1, mean_thinking_tokens=3.0)
     with pytest.raises(ValueError):
         SweepResult("d", "budget", [good, good])
+    with pytest.raises(ValueError, match="sorted by x"):
+        SweepResult("d", "budget", [SweepPoint(**{**good.to_dict(), "x": 2}), good])
     with pytest.raises(ValueError):
         SweepResult(
             "d",
