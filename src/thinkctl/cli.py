@@ -78,8 +78,7 @@ def _graders(args: argparse.Namespace, cfg: Config) -> list:
         return [ScriptedModel.from_file(path) for path in args.mock]
     if args.grader_model and args.model is not None:
         raise ConfigError("--grader-model sets each grader's model; it cannot be combined with --model")
-    backend = cfg.backend()
-    return [replace(backend, model=m) for m in args.grader_model or [backend.model]]
+    return [replace(cfg, model=m).backend() for m in args.grader_model or [cfg.model]]
 
 
 def _run_config(args: argparse.Namespace, cfg: Config) -> dict:

@@ -17,7 +17,6 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 from urllib.parse import urlsplit
@@ -62,22 +61,34 @@ class TruncatedStreamError(BackendError):
     retryable = True
 
 
-@dataclass(frozen=True)
 class GenerationRequest:
     """One generation call.
 
     ``stop_on`` is a marker string watched for client-side; it is never
     delivered in the emitted tokens. Sampling settings belong to the
-    backend, which holds them fixed for every call.
+    backend, which holds them fixed for every call. Compared by value.
     """
 
-    prompt: str
-    max_new_tokens: int
-    stop_on: str | None = None
+    __slots__ = ("prompt", "max_new_tokens", "stop_on")
 
-    def __post_init__(self) -> None:
-        if self.max_new_tokens < 1:
+    def __init__(self, prompt: str, max_new_tokens: int, stop_on: str | None = None) -> None:
+        if max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
+        self.prompt = prompt
+        self.max_new_tokens = max_new_tokens
+        self.stop_on = stop_on
+
+    def _key(self) -> tuple:
+        return self.prompt, self.max_new_tokens, self.stop_on
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"GenerationRequest(prompt={self.prompt!r}, max_new_tokens={self.max_new_tokens!r}, stop_on={self.stop_on!r})"
 
 
 class TokenEvent(NamedTuple):
@@ -222,7 +233,6 @@ def collect(stream: Iterable[TokenEvent]) -> tuple[list[str], str]:
     return texts, stream.cause
 
 
-@dataclass(frozen=True)
 class ScriptEntry:
     """One scripted reaction.
 
@@ -235,40 +245,53 @@ class ScriptEntry:
     carries none). An optional ``terminal_marker`` is emitted bare as a
     final token after the emission (a watched ``stop_on`` marker turns it
     into a ``marker`` stop; otherwise it is ordinary text). ``tokens`` is
-    that stream, split once when the entry is built.
+    that stream, split once when the entry is built; it is left out of
+    ``==``, which compares the other three fields.
     """
 
-    trigger: str
-    emission: str
-    terminal_marker: str | None = None
-    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("trigger", "emission", "terminal_marker", "tokens")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.trigger, str) or not isinstance(self.emission, str):
+    def __init__(self, trigger: str, emission: str, terminal_marker: str | None = None) -> None:
+        if not isinstance(trigger, str) or not isinstance(emission, str):
             raise TypeError("script entry trigger and emission must be strings")
-        if self.terminal_marker is not None and not isinstance(self.terminal_marker, str):
+        if terminal_marker is not None and not isinstance(terminal_marker, str):
             raise TypeError("script entry terminal_marker must be a string or null")
-        units = self.emission.split()
+        self.trigger = trigger
+        self.emission = emission
+        self.terminal_marker = terminal_marker
+        units = emission.split()
         tokens = [unit + " " for unit in units[:-1]] + units[-1:]
-        if self.terminal_marker is not None:
-            tokens.append(self.terminal_marker)
-        object.__setattr__(self, "tokens", tuple(tokens))
+        if terminal_marker is not None:
+            tokens.append(terminal_marker)
+        self.tokens = tuple(tokens)
+
+    def _key(self) -> tuple:
+        return self.trigger, self.emission, self.terminal_marker
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"ScriptEntry(trigger={self.trigger!r}, emission={self.emission!r}, terminal_marker={self.terminal_marker!r})"
 
 
-@dataclass(frozen=True)
 class ScriptedModel:
     """Deterministic scripted backend used by tests and offline runs.
 
     The first entry whose trigger matches the context wins; replaying the
-    same context yields the identical emission. Immutable after
-    construction and safe for concurrent use.
+    same context yields the identical emission. Never changed after
+    construction, so safe for concurrent use.
     """
 
-    entries: tuple[ScriptEntry, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, entries: tuple[ScriptEntry, ...]) -> None:
+        if not entries:
             raise ValueError("script must contain at least one entry")
+        self.entries = entries
 
     def match(self, context: str) -> ScriptEntry | None:
         for entry in self.entries:
@@ -302,7 +325,6 @@ class ScriptedModel:
         return read_json(path, cls.from_dict)
 
 
-@dataclass
 class WireBackend:
     """Chat-completions backend speaking server-sent events.
 
@@ -312,7 +334,8 @@ class WireBackend:
     ``data: [DONE]``. The bearer token comes from ``api_key`` or the
     ``M1_API_KEY`` environment variable. Sampling is greedy with a fixed
     seed unless ``temperature`` and ``seed`` say otherwise; every request
-    sends the same two.
+    sends the same two. ``timeout`` bounds, in seconds, the connect and
+    each read.
 
     Built on ``urllib.request``: each call opens one connection and closes
     it when the stream ends or its consumer stops early. Proxies come from
@@ -321,23 +344,34 @@ class WireBackend:
     shareable across workers; each stream is owned by one consumer.
     """
 
-    base_url: str
-    model: str
-    temperature: float = DEFAULT_TEMPERATURE
-    seed: int = DEFAULT_SEED
-    api_key: str | None = None
-    timeout: float = 120.0
+    __slots__ = ("base_url", "model", "temperature", "seed", "api_key", "timeout")
 
-    def __post_init__(self) -> None:
-        url = urlsplit(self.base_url)
+    def __init__(
+        self,
+        base_url: str,
+        model: str,
+        temperature: float = DEFAULT_TEMPERATURE,
+        seed: int = DEFAULT_SEED,
+        api_key: str | None = None,
+        timeout: float = 120.0,
+    ) -> None:
+        url = urlsplit(base_url)
         try:
             port_ok = url.port != 0  # raises ValueError unless a number in 0-65535
         except ValueError:
             port_ok = False
         if url.scheme not in ("http", "https") or not url.hostname or not port_ok:
-            raise ValueError(f"base_url must be an http(s):// URL with a host and a valid port, not {self.base_url!r}")
-        if not 0 <= self.temperature < math.inf:  # json.dumps would send NaN or Infinity, not JSON
-            raise ValueError(f"temperature must be a finite number >= 0, not {self.temperature}")
+            raise ValueError(f"base_url must be an http(s):// URL with a host and a valid port, not {base_url!r}")
+        if not 0 <= temperature < math.inf:  # json.dumps would send NaN or Infinity, not JSON
+            raise ValueError(f"temperature must be a finite number >= 0, not {temperature}")
+        if not 0 < timeout < math.inf:  # else urllib fails at the first request, for -1 or NaN not as a BackendError
+            raise ValueError(f"timeout must be a finite number > 0, not {timeout}")
+        self.base_url = base_url
+        self.model = model
+        self.temperature = temperature
+        self.seed = seed
+        self.api_key = api_key
+        self.timeout = timeout
 
     def raw_stream(self, req: GenerationRequest) -> Iterator[str]:
         # imported here, not at module level, so that runs which send no

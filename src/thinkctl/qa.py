@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 DEFAULT_INSTRUCTION = "Return your final response within \\boxed{}."
 
@@ -23,56 +22,87 @@ METHOD_NONE = "none"
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-@dataclass(slots=True)
 class McqQuestion:
     """One multiple-choice item with lettered options.
 
     Option letters are consecutive from 'A'; the gold answer must be one of
     them. Option texts and ``source`` are strings. ``domains`` holds
-    MeSH-qualifier style labels used as sampling strata. Slotted: a loaded
-    pool keeps no ``__dict__`` per question.
+    MeSH-qualifier style labels used as sampling strata; it defaults to a
+    new empty list. Slotted: a loaded pool keeps no ``__dict__`` per
+    question. Compared by value.
     """
 
-    id: str
-    stem: str
-    options: dict[str, str]
-    gold: str
-    source: str = ""
-    domains: list[str] = field(default_factory=list)
+    __slots__ = ("id", "stem", "options", "gold", "source", "domains")
 
-    def __post_init__(self) -> None:
-        letters = list(self.options)
+    def __init__(
+        self,
+        id: str,
+        stem: str,
+        options: dict[str, str],
+        gold: str,
+        source: str = "",
+        domains: list[str] | None = None,
+    ) -> None:
+        letters = list(options)
         if len(letters) < 2:
-            raise ValueError(f"question {self.id!r}: needs at least 2 options")
-        expected = list(_LETTERS[: len(letters)])
-        if letters != expected:
-            raise ValueError(
-                f"question {self.id!r}: option letters must be consecutive from 'A', got {letters}"
-            )
-        if self.gold not in self.options:
-            raise ValueError(f"question {self.id!r}: gold {self.gold!r} not among options")
-        for letter, text in self.options.items():
+            raise ValueError(f"question {id!r}: needs at least 2 options")
+        if letters != list(_LETTERS[: len(letters)]):
+            raise ValueError(f"question {id!r}: option letters must be consecutive from 'A', got {letters}")
+        if gold not in options:
+            raise ValueError(f"question {id!r}: gold {gold!r} not among options")
+        for letter, text in options.items():
             if not isinstance(text, str):
-                raise ValueError(f"question {self.id!r}: option {letter!r} must be a string, got {text!r}")
-        if not isinstance(self.source, str):
-            raise ValueError(f"question {self.id!r}: source must be a string, got {self.source!r}")
+                raise ValueError(f"question {id!r}: option {letter!r} must be a string, got {text!r}")
+        if not isinstance(source, str):
+            raise ValueError(f"question {id!r}: source must be a string, got {source!r}")
+        self.id = id
+        self.stem = stem
+        self.options = options
+        self.gold = gold
+        self.source = source
+        self.domains = [] if domains is None else domains
+
+    def _key(self) -> tuple:
+        return self.id, self.stem, self.options, self.gold, self.source, self.domains
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"McqQuestion(id={self.id!r}, stem={self.stem!r}, options={self.options!r}, gold={self.gold!r}, "
+            f"source={self.source!r}, domains={self.domains!r})"
+        )
 
 
-@dataclass(frozen=True)
 class ExtractionOutcome:
     """Result of scanning a completion for an answer letter.
 
     ``letter`` is present iff ``method`` is not ``none``; ``span`` is the
-    character range of the matched evidence in the source text.
+    character range of the matched evidence in the source text. Compared
+    by value.
     """
 
-    letter: str | None
-    method: str
-    span: tuple[int, int] | None
+    __slots__ = ("letter", "method", "span")
 
-    def __post_init__(self) -> None:
-        if (self.letter is None) != (self.method == METHOD_NONE):
+    def __init__(self, letter: str | None, method: str, span: tuple[int, int] | None) -> None:
+        if (letter is None) != (method == METHOD_NONE):
             raise ValueError("letter must be present exactly when method != none")
+        self.letter = letter
+        self.method = method
+        self.span = span
+
+    def _key(self) -> tuple:
+        return self.letter, self.method, self.span
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"ExtractionOutcome(letter={self.letter!r}, method={self.method!r}, span={self.span!r})"
 
 
 def format_options(options: Mapping[str, str]) -> str:

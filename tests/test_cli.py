@@ -722,6 +722,8 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--mock", "{}", id="mock-no-entries"),
         pytest.param("--mock", '{"entries": 3}', id="mock-entries-not-list"),
         pytest.param("--mock", '{"entries": [{"trigger": 3, "emission": "x"}]}', id="mock-trigger-not-string"),
+        pytest.param("--mock", '{"entries": [{"trigger": "", "emission": ["x"]}]}', id="mock-emission-not-string"),
+        pytest.param("--mock", '{"entries": [{"trigger": "", "emission": "x", "terminal_marker": 3}]}', id="mock-terminal-marker-not-string"),
         pytest.param("--mock", "not json", id="mock-not-json"),
         pytest.param("--lexicon", "not json", id="lexicon-not-json"),
         pytest.param("--dataset", None, id="dataset-directory"),
@@ -1420,15 +1422,19 @@ PROBE_IMPORTS = "import thinkctl; from thinkctl.client import ScriptedModel; fro
         ("import thinkctl", ["thinkctl"]),
         # the imports of the benchmark's setup probe
         (PROBE_IMPORTS, ["thinkctl", "thinkctl.client", "thinkctl.jsonl", "thinkctl.qa"]),
-        ("from thinkctl.config import load_config", ["thinkctl", "thinkctl.budget", "thinkctl.client", "thinkctl.config", "thinkctl.jsonl", "thinkctl.qa"]),
+        (
+            "from thinkctl.config import load_config",
+            ["dataclasses", "inspect", "thinkctl", "thinkctl.budget", "thinkctl.client", "thinkctl.config", "thinkctl.jsonl", "thinkctl.qa"],
+        ),
     ],
     ids=["interpreter", "package", "loaders", "config"],
 )
 def test_imports_load_only_the_modules_they_use(code, expected):
     # hashlib is loaded only by the code that digests a file, and logging only
-    # by the code that logs a warning; nothing imports concurrent.futures, and
-    # it stays in the filter so that a new import shows
-    shown = "sorted(m for m in sys.modules if m.startswith('thinkctl') or m in ('hashlib', 'logging', 'concurrent.futures'))"
+    # by the code that logs a warning; dataclasses, and the inspect it loads,
+    # only by the modules that define a dataclass; nothing imports
+    # concurrent.futures, and it stays in the filter so that a new import shows
+    shown = "sorted(m for m in sys.modules if m.startswith('thinkctl') or m in ('hashlib', 'logging', 'concurrent.futures', 'dataclasses', 'inspect'))"
     out = run_python("-c", f"import sys; {code}; print({shown})")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == str(expected)

@@ -54,9 +54,30 @@ def test_wire_backend_rejects_a_temperature_that_is_not_finite_and_nonnegative(t
         WireBackend(base_url="http://localhost:8000", model="m", temperature=temperature)
 
 
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+def test_wire_backend_rejects_a_timeout_that_is_not_finite_and_positive(timeout):
+    # urllib would fail only at the first request; at -1 or NaN with a bare ValueError, which the runner neither retries nor records
+    with pytest.raises(ValueError, match="timeout must be a finite number > 0"):
+        WireBackend(base_url="http://localhost:8000", model="m", timeout=timeout)
+
+
 def test_request_rejects_nonpositive_cap():
     with pytest.raises(ValueError):
         GenerationRequest(prompt="p", max_new_tokens=0)
+
+
+def test_request_and_script_entry_compare_by_value():
+    req = GenerationRequest("p", 5)
+    assert (req.prompt, req.max_new_tokens, req.stop_on) == ("p", 5, None)
+    assert req == GenerationRequest(prompt="p", max_new_tokens=5, stop_on=None)
+    assert hash(req) == hash(GenerationRequest("p", 5))
+    assert req != GenerationRequest("p", 5, "END") and req != ("p", 5, None)
+    entry = ScriptEntry("t", "a  b", "END")
+    assert entry.tokens == ("a ", "b", "END") and entry.tokens is entry.tokens
+    assert entry == ScriptEntry(trigger="t", emission="a  b", terminal_marker="END")
+    # tokens are not compared: two emissions that split alike still differ
+    assert entry != ScriptEntry("t", "a b", "END") and ScriptEntry("t", "x").terminal_marker is None
+    assert repr(entry) == "ScriptEntry(trigger='t', emission='a  b', terminal_marker='END')"
 
 
 def test_script_shorter_than_cap_stops_on_marker():

@@ -61,6 +61,18 @@ def test_question_option_texts_and_source_must_be_strings():
         make_question(source=None)
 
 
+def test_question_and_outcome_compare_by_value():
+    q = McqQuestion("q1", "s", dict(YNM), "A")
+    assert (q.source, q.domains) == ("", [])
+    assert q.domains is not McqQuestion("q1", "s", dict(YNM), "A").domains  # a new list per question
+    assert q == make_question(stem="s", source="") and q != make_question(stem="s", source="", domains=["x"])
+    assert repr(q) == "McqQuestion(id='q1', stem='s', options=" + repr(YNM) + ", gold='A', source='', domains=[])"
+    outcome = ExtractionOutcome("B", METHOD_FALLBACK, (3, 5))
+    assert outcome == ExtractionOutcome(letter="B", method=METHOD_FALLBACK, span=(3, 5))
+    assert outcome != ExtractionOutcome("B", METHOD_FALLBACK, (3, 6)) and outcome != ("B", METHOD_FALLBACK, (3, 5))
+    assert hash(outcome) == hash(ExtractionOutcome("B", METHOD_FALLBACK, (3, 5)))
+
+
 # --- prompt formatting --------------------------------------------------------
 
 
