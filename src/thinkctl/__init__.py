@@ -56,3 +56,33 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_MODULE_OF})
+
+
+class _ValueType:
+    """Value semantics for a slotted class: ``==`` between instances of one
+    class, ``hash`` and a dataclass-style ``repr``, all over the fields that
+    ``_fields`` names, which defaults to the class's ``__slots__``.
+
+    The base of ``client.GenerationRequest`` and ``client.ScriptEntry``, and
+    of ``qa.McqQuestion`` and ``qa.ExtractionOutcome``. It lives here so that
+    neither of those modules imports the other: importing either runs this
+    one first.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"

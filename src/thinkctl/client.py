@@ -21,6 +21,8 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 from urllib.parse import urlsplit
 
+from . import _ValueType
+
 DEFAULT_TEMPERATURE = 0.0
 DEFAULT_SEED = 42
 
@@ -61,7 +63,7 @@ class TruncatedStreamError(BackendError):
     retryable = True
 
 
-class GenerationRequest:
+class GenerationRequest(_ValueType):
     """One generation call.
 
     ``stop_on`` is a marker string watched for client-side; it is never
@@ -77,18 +79,6 @@ class GenerationRequest:
         self.prompt = prompt
         self.max_new_tokens = max_new_tokens
         self.stop_on = stop_on
-
-    def _key(self) -> tuple:
-        return self.prompt, self.max_new_tokens, self.stop_on
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"GenerationRequest(prompt={self.prompt!r}, max_new_tokens={self.max_new_tokens!r}, stop_on={self.stop_on!r})"
 
 
 class TokenEvent(NamedTuple):
@@ -233,7 +223,7 @@ def collect(stream: Iterable[TokenEvent]) -> tuple[list[str], str]:
     return texts, stream.cause
 
 
-class ScriptEntry:
+class ScriptEntry(_ValueType):
     """One scripted reaction.
 
     ``trigger`` is a suffix pattern on the current prompt/context; the empty
@@ -250,6 +240,7 @@ class ScriptEntry:
     """
 
     __slots__ = ("trigger", "emission", "terminal_marker", "tokens")
+    _fields = ("trigger", "emission", "terminal_marker")
 
     def __init__(self, trigger: str, emission: str, terminal_marker: str | None = None) -> None:
         if not isinstance(trigger, str) or not isinstance(emission, str):
@@ -264,18 +255,6 @@ class ScriptEntry:
         if terminal_marker is not None:
             tokens.append(terminal_marker)
         self.tokens = tuple(tokens)
-
-    def _key(self) -> tuple:
-        return self.trigger, self.emission, self.terminal_marker
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"ScriptEntry(trigger={self.trigger!r}, emission={self.emission!r}, terminal_marker={self.terminal_marker!r})"
 
 
 class ScriptedModel:

@@ -28,13 +28,6 @@ _MARGIN = 60
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def _num(value: float) -> str:
-    """Canonical number rendering: integers bare, floats via repr."""
-    if float(value) == int(value):
-        return str(int(value))
-    return repr(float(value))
-
-
 def emit_plot(sweep: SweepResult, fit: RegressionFit | None = None, format: str = FORMAT_CSV) -> bytes:
     """Render a sweep (and optional fit band) to file bytes."""
     if format == FORMAT_CSV:
@@ -54,7 +47,8 @@ def _emit_csv(sweep: SweepResult, fit: RegressionFit | None) -> bytes:
             ci_low, ci_high = repr(low), repr(high)
         else:
             ci_low = ci_high = ""
-        writer.writerow([_num(point.x), repr(100.0 * point.accuracy), point.n, ci_low, ci_high])
+        # SweepResult holds only integer x values, written bare
+        writer.writerow([int(point.x), repr(100.0 * point.accuracy), point.n, ci_low, ci_high])
     return buffer.getvalue().encode("utf-8")
 
 

@@ -13,6 +13,8 @@ import functools
 import re
 from collections.abc import Mapping
 
+from . import _ValueType
+
 DEFAULT_INSTRUCTION = "Return your final response within \\boxed{}."
 
 METHOD_BOXED = "boxed"
@@ -22,7 +24,7 @@ METHOD_NONE = "none"
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-class McqQuestion:
+class McqQuestion(_ValueType):
     """One multiple-choice item with lettered options.
 
     Option letters are consecutive from 'A'; the gold answer must be one of
@@ -33,6 +35,7 @@ class McqQuestion:
     """
 
     __slots__ = ("id", "stem", "options", "gold", "source", "domains")
+    __hash__ = None  # its options and domains are mutable
 
     def __init__(
         self,
@@ -62,20 +65,8 @@ class McqQuestion:
         self.source = source
         self.domains = [] if domains is None else domains
 
-    def _key(self) -> tuple:
-        return self.id, self.stem, self.options, self.gold, self.source, self.domains
 
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"McqQuestion(id={self.id!r}, stem={self.stem!r}, options={self.options!r}, gold={self.gold!r}, "
-            f"source={self.source!r}, domains={self.domains!r})"
-        )
-
-
-class ExtractionOutcome:
+class ExtractionOutcome(_ValueType):
     """Result of scanning a completion for an answer letter.
 
     ``letter`` is present iff ``method`` is not ``none``; ``span`` is the
@@ -91,18 +82,6 @@ class ExtractionOutcome:
         self.letter = letter
         self.method = method
         self.span = span
-
-    def _key(self) -> tuple:
-        return self.letter, self.method, self.span
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"ExtractionOutcome(letter={self.letter!r}, method={self.method!r}, span={self.span!r})"
 
 
 def format_options(options: Mapping[str, str]) -> str:

@@ -42,25 +42,18 @@ def _t_abs_cdf(t: float, df: int) -> float:
     return 2.0 / math.pi * (math.atan(t / math.sqrt(df)) + series)
 
 
-def _t_quantile(p: float, df: int) -> float:
-    """The Student-t quantile at probability ``p`` for integer ``df`` >= 1:
-    bisection over doubles on the series CDF, down to two adjacent
-    doubles; returns the upper one. The series gives P(|T| <= t), which
-    rounds near 1, so far-tail quantiles (p below about 0.001 or above
-    0.999) lose the digits that cancel."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    target = abs(2.0 * p - 1.0)  # P(|T| <= |t|); exact for p in [0.25, 1)
-    if target == 0.0:
-        return 0.0
+def _t_critical(df: int) -> float:
+    """The two-sided Student-t critical value for integer ``df`` >= 1, the
+    t with P(|T| <= t) = ``CONFIDENCE_LEVEL``: bisection over doubles on
+    the series CDF, down to two adjacent doubles; returns the upper one."""
     lo, hi = 0.0, 1.0
-    while _t_abs_cdf(hi, df) < target:
+    while _t_abs_cdf(hi, df) < CONFIDENCE_LEVEL:
         lo, hi = hi, 2.0 * hi
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            return math.copysign(hi, p - 0.5)
-        if _t_abs_cdf(mid, df) < target:
+            return hi
+        if _t_abs_cdf(mid, df) < CONFIDENCE_LEVEL:
             lo = mid
         else:
             hi = mid
@@ -143,7 +136,7 @@ def fit_linear_with_ci(points: Sequence[tuple[float, float]]) -> RegressionFit:
     ssr = math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
     df = n - 2
     residual_se = math.sqrt(max(ssr, 0.0) / df)
-    t_crit = _t_quantile(0.5 + CONFIDENCE_LEVEL / 2.0, df)
+    t_crit = _t_critical(df)
     return RegressionFit(
         slope=slope,
         intercept=intercept,

@@ -585,13 +585,18 @@ def test_a_non_string_option_text_or_source_exits_1_citing_its_line(tmp_path, ca
     assert not out.exists()
 
 
-def test_curate_sample_rejects_a_negative_seed(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "n, seed, message",
+    [("1", "-1", "sampler seed must be >= 0, got -1"), ("-1", "0", "target_n must be >= 0")],
+    ids=["seed", "n"],
+)
+def test_curate_sample_rejects_a_negative_seed_or_n(tmp_path, capsys, n, seed, message):
     pool = tmp_path / "pool.jsonl"
     write_jsonl_file(pool, [question_record("q0"), question_record("q1")])
     out = tmp_path / "out.jsonl"
-    assert run(["curate", "sample", "--pool", str(pool), "--n", "1", "--seed", "-1", "--out", str(out)]) == 1
+    assert run(["curate", "sample", "--pool", str(pool), "--n", n, "--seed", seed, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "sampler seed must be >= 0, got -1" in err
+    assert message in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -901,6 +906,7 @@ def test_unknown_config_key_exits_1(tmp_path, dataset, oracle_script, capsys):
         pytest.param(b"[policy]\nthinking_budget = 8\nper_forcing_cap = 0\n", 3, id="per-forcing-cap-below-1"),
         pytest.param(b"[policy]\nforcing_count = -1\n", 2, id="forcing-count-below-0"),
         pytest.param(b"[run]\nworkers = 0\n", 2, id="workers-0"),
+        pytest.param(b"# a comment\n\n; another\n[run]\nworkers = 0\n", 5, id="after-comments-and-a-blank-line"),
         pytest.param(b"[run]\nworkers = -3\n", 2, id="workers-negative"),
         pytest.param(b"[policy]\nforcing_count = 2\nforcing_text =\n", 3, id="forcing-text-empty-after-count"),
         pytest.param(b"[policy]\nforcing_text =\nthinking_budget = 8\nforcing_count = 2\n", 4, id="forcing-count-after-empty-text"),

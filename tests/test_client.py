@@ -35,6 +35,7 @@ from thinkctl.client import (
     stream_generate,
     with_retries,
 )
+from thinkctl.qa import METHOD_FALLBACK, ExtractionOutcome, McqQuestion
 
 
 def single_entry_model(emission: str, marker: str | None = None) -> ScriptedModel:
@@ -66,18 +67,57 @@ def test_request_rejects_nonpositive_cap():
         GenerationRequest(prompt="p", max_new_tokens=0)
 
 
-def test_request_and_script_entry_compare_by_value():
-    req = GenerationRequest("p", 5)
-    assert (req.prompt, req.max_new_tokens, req.stop_on) == ("p", 5, None)
-    assert req == GenerationRequest(prompt="p", max_new_tokens=5, stop_on=None)
-    assert hash(req) == hash(GenerationRequest("p", 5))
-    assert req != GenerationRequest("p", 5, "END") and req != ("p", 5, None)
-    entry = ScriptEntry("t", "a  b", "END")
-    assert entry.tokens == ("a ", "b", "END") and entry.tokens is entry.tokens
-    assert entry == ScriptEntry(trigger="t", emission="a  b", terminal_marker="END")
-    # tokens are not compared: two emissions that split alike still differ
-    assert entry != ScriptEntry("t", "a b", "END") and ScriptEntry("t", "x").terminal_marker is None
-    assert repr(entry) == "ScriptEntry(trigger='t', emission='a  b', terminal_marker='END')"
+# each type built positionally with its defaults, the same value built by
+# keyword, a value that differs in one field, and the expected repr
+@pytest.mark.parametrize(
+    "value, same, different, text",
+    [
+        pytest.param(
+            GenerationRequest("p", 5),
+            GenerationRequest(prompt="p", max_new_tokens=5, stop_on=None),
+            GenerationRequest("p", 5, "END"),
+            "GenerationRequest(prompt='p', max_new_tokens=5, stop_on=None)",
+            id="GenerationRequest",
+        ),
+        pytest.param(
+            ScriptEntry("t", "a  b"),
+            ScriptEntry(trigger="t", emission="a  b", terminal_marker=None),
+            # splits into the same tokens: tokens are not compared
+            ScriptEntry("t", "a b"),
+            "ScriptEntry(trigger='t', emission='a  b', terminal_marker=None)",
+            id="ScriptEntry",
+        ),
+        pytest.param(
+            McqQuestion("q1", "s", {"A": "y", "B": "n"}, "A"),
+            McqQuestion(id="q1", stem="s", options={"A": "y", "B": "n"}, gold="A", source="", domains=[]),
+            McqQuestion("q1", "s", {"A": "y", "B": "n"}, "A", domains=["x"]),
+            "McqQuestion(id='q1', stem='s', options={'A': 'y', 'B': 'n'}, gold='A', source='', domains=[])",
+            id="McqQuestion",
+        ),
+        pytest.param(
+            ExtractionOutcome("B", METHOD_FALLBACK, (3, 5)),
+            ExtractionOutcome(letter="B", method=METHOD_FALLBACK, span=(3, 5)),
+            ExtractionOutcome("B", METHOD_FALLBACK, (3, 6)),
+            "ExtractionOutcome(letter='B', method='regex_fallback', span=(3, 5))",
+            id="ExtractionOutcome",
+        ),
+    ],
+)
+def test_value_types_compare_hash_and_print_by_value(value, same, different, text):
+    assert value == same and not value != same
+    assert value != different and not value == different
+    # a field left out of the comparison (ScriptEntry.tokens) does not tell values apart
+    assert all(getattr(value, name) == getattr(different, name) for name in value.__slots__ if name not in value._fields)
+    # another class never compares equal, not even a tuple of the same fields
+    fields = tuple(getattr(value, name) for name in value._fields)
+    assert value != fields and value.__eq__(fields) is NotImplemented
+    assert repr(value) == text
+    if isinstance(value, McqQuestion):  # its options and domains are mutable
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+        assert value.domains is not McqQuestion("q1", "s", {"A": "y", "B": "n"}, "A").domains  # a new list per question
+    else:
+        assert hash(value) == hash(same)
 
 
 def test_script_shorter_than_cap_stops_on_marker():

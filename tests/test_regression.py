@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thinkctl.regression import FitRefusedError, RegressionFit, _t_quantile, fit_linear_with_ci
+from thinkctl.regression import FitRefusedError, RegressionFit, _t_abs_cdf, _t_critical, fit_linear_with_ci
 
 
 def normal_equations_fit(points):
@@ -94,17 +94,17 @@ def test_band_uses_t_quantile():
 def test_t_quantile_matches_scipy(df):
     from scipy import stats
 
-    assert _t_quantile(0.975, df) == pytest.approx(float(stats.t.ppf(0.975, df)), rel=1e-12)
+    assert _t_critical(df) == pytest.approx(float(stats.t.ppf(0.975, df)), rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.floats(min_value=0.001, max_value=0.999))
-@example(0.5)
-@example(0.975)
-def test_t_quantile_closed_forms(p):
-    # df = 1 is the Cauchy distribution; df = 2 has an algebraic inverse
-    assert _t_quantile(p, 1) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-12)
-    assert _t_quantile(p, 2) == pytest.approx((2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel=1e-12)
+@given(st.floats(min_value=0.0, max_value=1e6))
+@example(0.0)
+@example(1.0)
+def test_t_abs_cdf_closed_forms(t):
+    # df = 1 is the Cauchy distribution; df = 2 has an algebraic CDF
+    assert _t_abs_cdf(t, 1) == pytest.approx(2 * math.atan(t) / math.pi, rel=1e-12)
+    assert _t_abs_cdf(t, 2) == pytest.approx(t / math.sqrt(2 + t * t), rel=1e-12)
 
 
 def test_fit_serialization_round_trip():
