@@ -19,8 +19,8 @@ _EXPORTS = {
     ),
     "client": (
         "CAUSE_BACKEND_STOP", "CAUSE_CAP", "CAUSE_MARKER", "TRACE_TOKEN_LIMIT", "BackendError", "BackendStatusError",
-        "ConnectionFailure", "GenerationRequest", "ScriptEntry", "ScriptedModel", "TokenEvent", "TokenStream",
-        "TruncatedStreamError", "WireBackend", "probe_answer", "stream_generate", "with_retries",
+        "ConnectionFailure", "GenerationRequest", "ScriptEntry", "ScriptedModel", "TokenStream", "TruncatedStreamError",
+        "WireBackend", "probe_answer", "stream_generate", "with_retries",
     ),
     "config": ("Config", "ConfigError", "load_config"),
     "curation": (

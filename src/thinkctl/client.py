@@ -1,7 +1,7 @@
 """Streaming token interface over a chat-completions wire backend and a
 deterministic scripted mock.
 
-A "token" here is one stream event as delimited by the backend; no
+A "token" here is one text as the backend delimits its stream; no
 independent tokenization is performed. Every backend's tokens concatenate
 directly to the text it generated: wire deltas do, and the scripted mock
 yields each whitespace unit of an emission with the single space that
@@ -18,7 +18,7 @@ import threading
 import time
 from collections import deque
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 from urllib.parse import urlsplit
 
 from . import _ValueType
@@ -81,27 +81,15 @@ class GenerationRequest(_ValueType):
         self.stop_on = stop_on
 
 
-class TokenEvent(NamedTuple):
-    """One emitted token. ``cause`` is set on the final event of a stream.
-
-    A ``NamedTuple``: it equals the tuple ``(text, ordinal, cause)``, and
-    ``event._replace(...)`` makes a changed copy."""
-
-    text: str
-    ordinal: int
-    cause: str | None = None
-
-
 class TokenStream:
-    """Single-consumer iterator of ``TokenEvent``.
+    """Single-consumer iterator of the texts a backend released.
 
     ``cause`` is ``None`` until the stream has been read and one of
-    ``CAUSE_*`` after; the final yielded event carries it too. The backend
-    is read once, by ``_read``: ``collect`` calls it on an unread stream
-    and builds no event, and the first ``next()`` calls it and then yields
-    an event per text. Either way the whole stream is read and the
-    backend's stream closed at once, so a consumer that stops after one
-    event leaves no response open.
+    ``CAUSE_*`` after. The backend is read once, by ``_read``: ``collect``
+    calls it on an unread stream, and the first ``next()`` calls it and
+    then yields its texts one by one. Either way the whole stream is read
+    and the backend's stream closed at once, so a consumer that stops
+    after one text leaves no response open.
 
     The read releases at most ``req.max_new_tokens`` texts, none of them
     holding ``req.stop_on``. Backends may split the marker across tokens,
@@ -126,23 +114,21 @@ class TokenStream:
     def __init__(self, backend, req: GenerationRequest):
         self._backend = backend
         self._req = req
-        self._events: Iterator[TokenEvent] | None = None  # set once the stream is read
+        self._texts: Iterator[str] | None = None  # set once the stream is read
         self.cause: str | None = None
 
     def __iter__(self) -> "TokenStream":
         return self
 
-    def __next__(self) -> TokenEvent:
-        if self._events is None:
-            texts = self._read()
-            cause, last = self.cause, len(texts) - 1
-            self._events = (TokenEvent(text, i, cause if i == last else None) for i, text in enumerate(texts))
-        return next(self._events)
+    def __next__(self) -> str:
+        if self._texts is None:
+            self._texts = iter(self._read())
+        return next(self._texts)
 
     def _read(self) -> list[str]:
         """Read the backend by the rule above, close its stream, set
         ``cause`` and return the released texts."""
-        self._events = iter(())  # a stream is read once
+        self._texts = iter(())  # a stream is read once
         req = self._req
         cap, marker = req.max_new_tokens, req.stop_on
         texts: list[str] = []
@@ -206,19 +192,19 @@ class TokenStream:
 
 def stream_generate(backend, req: GenerationRequest) -> TokenStream:
     """Stream tokens from ``backend`` until it stops, ``req.stop_on`` is
-    emitted, or ``req.max_new_tokens`` events have been yielded."""
+    emitted, or ``req.max_new_tokens`` texts have been released."""
     return TokenStream(backend, req)
 
 
-def collect(stream: Iterable[TokenEvent]) -> tuple[list[str], str]:
+def collect(stream: Iterable[str]) -> tuple[list[str], str]:
     """Drain a stream; returns (token texts, terminating cause).
 
-    An unread ``TokenStream`` is read once and builds no ``TokenEvent``.
-    Any other iterable of events with a ``cause`` once drained, such as a
-    wrapper around a stream or a stream with events taken, is iterated."""
-    if isinstance(stream, TokenStream) and stream._events is None:
+    An unread ``TokenStream`` is read once, with no iterator over its
+    texts. Any other iterable of texts with a ``cause`` once drained, such
+    as a wrapper around a stream or a stream with texts taken, is iterated."""
+    if isinstance(stream, TokenStream) and stream._texts is None:
         return stream._read(), stream.cause
-    texts = [event.text for event in stream]
+    texts = list(stream)
     assert stream.cause is not None
     return texts, stream.cause
 

@@ -69,19 +69,16 @@ class McqQuestion(_ValueType):
 class ExtractionOutcome(_ValueType):
     """Result of scanning a completion for an answer letter.
 
-    ``letter`` is present iff ``method`` is not ``none``; ``span`` is the
-    character range of the matched evidence in the source text. Compared
-    by value.
+    ``letter`` is present iff ``method`` is not ``none``. Compared by value.
     """
 
-    __slots__ = ("letter", "method", "span")
+    __slots__ = ("letter", "method")
 
-    def __init__(self, letter: str | None, method: str, span: tuple[int, int] | None) -> None:
+    def __init__(self, letter: str | None, method: str) -> None:
         if (letter is None) != (method == METHOD_NONE):
             raise ValueError("letter must be present exactly when method != none")
         self.letter = letter
         self.method = method
-        self.span = span
 
 
 def format_options(options: Mapping[str, str]) -> str:
@@ -123,7 +120,7 @@ _LETTER_LEAD = re.compile(r"^([A-Za-z])[.):]?\s+(.*)$", re.DOTALL)
 
 
 def _iter_boxed(text: str):
-    """Yield (content, span) for each ``\\boxed{...}`` with balanced braces."""
+    """Yield the content of each ``\\boxed{...}`` with balanced braces."""
     for match in _BOXED.finditer(text):
         depth = 1
         pos = match.end()
@@ -134,7 +131,7 @@ def _iter_boxed(text: str):
                 depth -= 1
             pos += 1
         if depth == 0:
-            yield text[match.end() : pos - 1], (match.start(), pos)
+            yield text[match.end() : pos - 1]
 
 
 def _resolve_boxed(content: str, options: Mapping[str, str]) -> str | None:
@@ -166,29 +163,22 @@ def extract_answer(text: str, options: Mapping[str, str]) -> ExtractionOutcome:
     ``options`` is a question's letter->text mapping, as
     ``McqQuestion.options`` holds it. Boxed expressions are scanned first;
     the earliest one that resolves to an allowed letter wins. Otherwise the
-    fallback cascade applies, stage by stage, earliest span winning within a
-    stage. Pure and total: any text yields exactly one outcome.
+    fallback cascade applies, stage by stage, earliest match winning within
+    a stage. Pure and total: any text yields exactly one outcome.
     """
     if not options:
         raise ValueError("options must be nonempty")
 
-    for content, span in _iter_boxed(text):
+    for content in _iter_boxed(text):
         letter = _resolve_boxed(content, options)
         if letter is not None:
-            return ExtractionOutcome(letter, METHOD_BOXED, span)
+            return ExtractionOutcome(letter, METHOD_BOXED)
 
     for name, pattern in _fallback_patterns(tuple(options)):
-        if name == "standalone":
-            offset = max(0, len(text) - STANDALONE_TAIL)
-            region = text[offset:]
-        else:
-            offset = 0
-            region = text
-        match = pattern.search(region)
+        match = pattern.search(text[-STANDALONE_TAIL:] if name == "standalone" else text)
         if match:
             letter = match[match.lastindex].upper()  # each pattern's one matching group
-            span = (offset + match.start(), offset + match.end())
-            return ExtractionOutcome(letter, METHOD_FALLBACK, span)
+            return ExtractionOutcome(letter, METHOD_FALLBACK)
 
-    return ExtractionOutcome(None, METHOD_NONE, None)
+    return ExtractionOutcome(None, METHOD_NONE)
 

@@ -25,7 +25,6 @@ from thinkctl.client import (
     GenerationRequest,
     ScriptEntry,
     ScriptedModel,
-    TokenEvent,
     TokenStream,
     TruncatedStreamError,
     WireBackend,
@@ -95,10 +94,10 @@ def test_request_rejects_nonpositive_cap():
             id="McqQuestion",
         ),
         pytest.param(
-            ExtractionOutcome("B", METHOD_FALLBACK, (3, 5)),
-            ExtractionOutcome(letter="B", method=METHOD_FALLBACK, span=(3, 5)),
-            ExtractionOutcome("B", METHOD_FALLBACK, (3, 6)),
-            "ExtractionOutcome(letter='B', method='regex_fallback', span=(3, 5))",
+            ExtractionOutcome("B", METHOD_FALLBACK),
+            ExtractionOutcome(letter="B", method=METHOD_FALLBACK),
+            ExtractionOutcome("C", METHOD_FALLBACK),
+            "ExtractionOutcome(letter='B', method='regex_fallback')",
             id="ExtractionOutcome",
         ),
     ],
@@ -123,18 +122,14 @@ def test_value_types_compare_hash_and_print_by_value(value, same, different, tex
 def test_script_shorter_than_cap_stops_on_marker():
     model = single_entry_model("a b c", marker="END")
     stream = stream_generate(model, GenerationRequest("p", max_new_tokens=10, stop_on="END"))
-    events = list(stream)
-    assert [e.text for e in events] == ["a ", "b ", "c"]
+    assert list(stream) == ["a ", "b ", "c"]
     assert stream.cause == CAUSE_MARKER
-    assert [e.cause for e in events] == [None, None, CAUSE_MARKER]
-    assert [e.ordinal for e in events] == [0, 1, 2]
 
 
 def test_cap_truncates_long_emission():
     model = single_entry_model(" ".join(f"t{i}" for i in range(10)))
     stream = stream_generate(model, GenerationRequest("p", max_new_tokens=5))
-    events = list(stream)
-    assert len(events) == 5
+    assert list(stream) == ["t0 ", "t1 ", "t2 ", "t3 ", "t4 "]
     assert stream.cause == CAUSE_CAP
 
 
@@ -175,8 +170,8 @@ def test_marker_inside_emission_is_suppressed():
 
 
 def test_marker_split_across_tokens_detected_via_joined_text():
-    # whitespace-tokenized marker arrives as two events; their concatenated
-    # text contains it, so detection must span events
+    # whitespace-tokenized marker arrives as two tokens; their concatenated
+    # text contains it, so detection must span tokens
     model = single_entry_model("alpha STOP NOW beta")
     texts, cause = collect(
         stream_generate(model, GenerationRequest("p", max_new_tokens=10, stop_on="STOP NOW"))
@@ -201,9 +196,9 @@ def test_first_matching_script_entry_wins():
 def test_mock_replay_is_deterministic():
     model = ScriptedModel((ScriptEntry("", "x y z", "END"),))
     req = GenerationRequest("same context", max_new_tokens=10, stop_on="END")
-    first = [(e.text, e.ordinal, e.cause) for e in stream_generate(model, req)]
-    second = [(e.text, e.ordinal, e.cause) for e in stream_generate(model, req)]
-    assert first == second
+    first, second = stream_generate(model, req), stream_generate(model, req)
+    assert list(first) == list(second) == ["x ", "y ", "z"]
+    assert first.cause == second.cause == CAUSE_MARKER
 
 
 def test_empty_script_rejected():
@@ -573,7 +568,7 @@ def test_stream_cap_and_marker_match_oracle(tokens, marker):
     for cap in range(1, len(tokens) + 2):
         backend = _ListBackend(tokens)
         stream = stream_generate(backend, GenerationRequest("p", max_new_tokens=cap, stop_on=marker))
-        got = [(e.text, e.ordinal, e.cause) for e in stream]
+        got = list(stream)
         if len(kept) >= cap:
             cause = CAUSE_CAP
             read = next((k for k in range(len(tokens) + 1) if len(released(tokens[:k])) >= cap), len(tokens))
@@ -583,9 +578,7 @@ def test_stream_cap_and_marker_match_oracle(tokens, marker):
         else:
             cause = CAUSE_BACKEND_STOP
             read = len(tokens)
-        texts = kept[:cap]
-        expected = [(t, i, cause if i == len(texts) - 1 else None) for i, t in enumerate(texts)]
-        assert got == expected, cap
+        assert got == kept[:cap], cap
         assert stream.cause == cause
         assert backend.read == read, cap
 
@@ -603,9 +596,10 @@ def reads_to_release(tokens: list[str], marker: str | None, m: int) -> int:
     return len(tokens)
 
 
-class _EventProxy:
-    """An iterable of events that is not a ``TokenStream``, passing on the
-    wrapped stream's events and cause (as a tracing wrapper does)."""
+class _StreamProxy:
+    """An iterator of texts that is not a ``TokenStream``, passing on the
+    wrapped stream's texts and cause (as a tracing wrapper does): it reads
+    only ``next(stream)`` and ``stream.cause``."""
 
     def __init__(self, stream: TokenStream):
         self._stream = stream
@@ -613,7 +607,7 @@ class _EventProxy:
     def __iter__(self):
         return self
 
-    def __next__(self) -> TokenEvent:
+    def __next__(self) -> str:
         return next(self._stream)
 
     @property
@@ -629,33 +623,35 @@ class _EventProxy:
 )
 @settings(max_examples=300, deadline=None)
 def test_collect_matches_the_event_path(tokens, marker, cap, taken):
+    # the event path: the texts taken one at a time by ``next()``
     req = GenerationRequest("p", max_new_tokens=cap, stop_on=marker)
     events_backend = _ListBackend(tokens)
     events_stream = stream_generate(events_backend, req)
-    events = list(events_stream)
-    expected = ([e.text for e in events], events_stream.cause)
+    expected = (list(events_stream), events_stream.cause)
 
-    # a fresh stream: the same texts, cause and backend reads, no events
+    # a fresh stream: the same texts, cause and backend reads
     backend = _ListBackend(tokens)
     assert collect(stream_generate(backend, req)) == expected
     assert backend.read == events_backend.read
 
-    # the fallback for other iterables of events
+    # the fallback for other iterables of texts
     backend = _ListBackend(tokens)
-    assert collect(_EventProxy(stream_generate(backend, req))) == expected
+    texts, cause = collect(_StreamProxy(stream_generate(backend, req)))
+    assert all(type(text) is str for text in texts)
+    assert (texts, cause) == expected
     assert backend.read == events_backend.read
 
-    # ``taken`` events one at a time, then the rest drained: the first event
+    # ``taken`` texts one at a time, then the rest drained: the first text
     # reads the backend as far as a drain does and sets the cause
     backend = _ListBackend(tokens)
     stream = stream_generate(backend, req)
-    head = [event for _, event in zip(range(taken), stream)]
-    assert head == events[:taken]
+    head = [text for _, text in zip(range(taken), stream)]
+    assert head == expected[0][:taken]
     assert backend.read == (events_backend.read if taken else 0)
     assert stream.cause == (expected[1] if taken else None)
     assert backend.closed == bool(taken)
     texts, cause = collect(stream)
-    assert [e.text for e in head] + texts == expected[0]
+    assert head + texts == expected[0]
     assert cause == expected[1]
     assert backend.read == events_backend.read
     assert list(stream) == [] and collect(stream) == ([], cause)
@@ -671,7 +667,7 @@ def test_stream_abandoned_after_one_event_has_closed_its_backend(marker, cause):
 
     backend.raw_stream = raw_stream
     stream = stream_generate(backend, GenerationRequest("p", max_new_tokens=3, stop_on=marker))
-    assert next(stream) == TokenEvent("a ", 0)
+    assert next(stream) == "a "
     assert backend.closed and backend.read == 3
     assert stream.cause == cause
 
@@ -681,7 +677,8 @@ def test_stream_abandoned_after_one_event_has_closed_its_backend(marker, cause):
 # a marker split over 2-3 tokens that completes just before, at or just after
 # the cap-th token, and tokens holding marker[0] without completing the
 # marker where a pass ends (the cap-th token read) or where the backend runs
-# dry. Checked against the oracles above on the drain and on the event path.
+# dry. Checked against the oracles above on the drain and on the event path,
+# where ``next()`` takes the texts one at a time.
 
 LONG_MARKER = "<|im_start|>answer"
 LONG_FILLER = 2500
@@ -763,22 +760,18 @@ def test_long_drain_matches_oracle(name, marker):
     assert backend.read == read
 
     backend = _ListBackend(tokens)
-    events = list(stream_generate(backend, req))
-    assert [e.text for e in events] == texts
-    assert [e.cause for e in events] == [None] * (len(texts) - 1) + [cause]
+    stream = stream_generate(backend, req)
+    assert list(stream) == texts
+    assert stream.cause == cause
     assert backend.read == read
 
 
-def test_stream_is_its_own_iterator_of_immutable_tuple_events():
+def test_stream_is_its_own_iterator_of_texts():
     stream = stream_generate(single_entry_model("a b"), GenerationRequest("p", max_new_tokens=5))
-    assert iter(stream) is stream
-    events = list(stream)
-    assert events == [TokenEvent("a ", 0), TokenEvent("b", 1, CAUSE_BACKEND_STOP)]
-    assert events[0] == ("a ", 0, None) and events[0] != TokenEvent("a ", 1)
-    assert TokenEvent("x", 3).cause is None
-    assert events[1]._replace(cause=None) == TokenEvent("b", 1)
-    with pytest.raises(AttributeError):
-        events[0].text = "c"
+    assert iter(stream) is stream and stream.cause is None
+    assert [(i, type(text), text) for i, text in enumerate(stream)] == [(0, str, "a "), (1, str, "b")]
+    assert stream.cause == CAUSE_BACKEND_STOP
+    assert next(stream, None) is None and list(stream) == []
 
 
 # ``space`` follows every one of ``tokens`` but the last, as the scripted
@@ -798,9 +791,11 @@ def test_stream_is_its_own_iterator_of_immutable_tuple_events():
 def test_final_event_carries_the_cause(tokens, space, stop_on, cap, texts, cause):
     sent = [token + space for token in tokens[:-1]] + tokens[-1:]
     stream = stream_generate(_ListBackend(sent), GenerationRequest("p", max_new_tokens=cap, stop_on=stop_on))
-    events = list(stream)
-    assert [e.text for e in events] == texts
-    assert [e.cause for e in events] == [None] * (len(texts) - 1) + [cause] * bool(texts)
+    got = []
+    for text in stream:
+        got.append(text)
+        assert stream.cause == cause  # set by the time each text, the final one included, is yielded
+    assert got == texts
     assert stream.cause == cause
 
 
@@ -879,7 +874,7 @@ def test_wire_stop_marker_client_side(sse_server):
     [
         (GenerationRequest("p", max_new_tokens=16, stop_on="wor"), CAUSE_MARKER, collect),
         (GenerationRequest("p", max_new_tokens=1), CAUSE_CAP, collect),
-        # one event taken, and the stream abandoned
+        # one text taken, and the stream abandoned
         (GenerationRequest("p", max_new_tokens=16, stop_on="wor"), CAUSE_MARKER, next),
         (GenerationRequest("p", max_new_tokens=1), CAUSE_CAP, next),
     ],

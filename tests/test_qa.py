@@ -144,9 +144,6 @@ def test_extraction_fixture(case):
     outcome = extract_answer(case["text"], options)
     assert outcome.letter == case["letter"], case["name"]
     assert outcome.method == case["method"], case["name"]
-    if outcome.method != METHOD_NONE:
-        start, end = outcome.span
-        assert 0 <= start < end <= len(case["text"])
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
@@ -172,13 +169,6 @@ def test_cascade_table_matches_versioned_snapshot():
     assert [list(row) for row in FALLBACK_CASCADE] == snapshot["patterns"]
 
 
-def test_extraction_span_points_at_evidence():
-    text = "preamble \\boxed{B} postamble"
-    outcome = extract_answer(text, YNM)
-    start, end = outcome.span
-    assert text[start:end] == "\\boxed{B}"
-
-
 def test_fallback_cascade_follows_each_calls_letters():
     text = "the answer is (E)"
     two, five = dict.fromkeys("AB", ""), dict.fromkeys("ABCDE", "")
@@ -201,8 +191,6 @@ def test_extraction_pure_and_total(text):
     assert first.method in (METHOD_BOXED, METHOD_FALLBACK, METHOD_NONE)
     if first.letter is not None:
         assert first.letter in YNM
-        start, end = first.span
-        assert 0 <= start <= end <= len(text)
 
 
 @given(text=st.text(max_size=200))
@@ -211,7 +199,6 @@ def test_decoy_property_on_arbitrary_text(text):
     outcome = extract_answer("\\boxed{C} " + text, YNM)
     assert outcome.letter == "C"
     assert outcome.method == METHOD_BOXED
-    assert outcome.span == (0, len("\\boxed{C}"))
 
 
 # --- grading ------------------------------------------------------------------
@@ -221,25 +208,23 @@ def test_grade_batch_fixture_accuracy():
     # a verdict is the extracted letter equal to the gold one (TraceRecord's
     # rule); no letter grades incorrect
     batch = load_fixture("grading_batch.json")["pairs"]
-    outcomes = [
-        ExtractionOutcome(p["letter"], METHOD_BOXED if p["letter"] else METHOD_NONE, (0, 1) if p["letter"] else None)
-        for p in batch
-    ]
+    outcomes = [ExtractionOutcome(p["letter"], METHOD_BOXED if p["letter"] else METHOD_NONE) for p in batch]
     correct = sum(o.letter == p["gold"] for o, p in zip(outcomes, batch))
     assert correct / len(batch) == 0.7
 
 
 def test_outcome_invariant_enforced():
     with pytest.raises(ValueError):
-        ExtractionOutcome(None, METHOD_BOXED, (0, 1))
+        ExtractionOutcome(None, METHOD_BOXED)
     with pytest.raises(ValueError):
-        ExtractionOutcome("A", METHOD_NONE, None)
+        ExtractionOutcome("A", METHOD_NONE)
 
 
 # --- extract_answer against the option handling it replaced -------------------
 # The extractor before it took a question's options as they are, and before
-# its patterns were compiled once. Kept verbatim as the reference; the
-# fallback cascade is shared. Only options that McqQuestion accepts are drawn.
+# its patterns were compiled once. Kept verbatim as the reference, less the
+# evidence span it returned; the fallback cascade is shared. Only options
+# that McqQuestion accepts are drawn.
 
 
 def reference_normalize_options(options) -> dict[str, str]:
@@ -259,7 +244,7 @@ def reference_iter_boxed(text: str):
                 depth -= 1
             pos += 1
         if depth == 0:
-            yield text[match.end() : pos - 1], (match.start(), pos)
+            yield text[match.end() : pos - 1]
 
 
 def reference_resolve_boxed(content: str, options: dict[str, str]) -> str | None:
@@ -286,23 +271,20 @@ def reference_extract_answer(text: str, options) -> ExtractionOutcome:
     option_map = reference_normalize_options(options)
     if not option_map:
         raise ValueError("options must be nonempty")
-    for content, span in reference_iter_boxed(text):
+    for content in reference_iter_boxed(text):
         letter = reference_resolve_boxed(content, option_map)
         if letter is not None:
-            return ExtractionOutcome(letter, METHOD_BOXED, span)
+            return ExtractionOutcome(letter, METHOD_BOXED)
     for name, pattern in _fallback_patterns(tuple(option_map)):
         if name == "standalone":
-            offset = max(0, len(text) - STANDALONE_TAIL)
-            region = text[offset:]
+            region = text[max(0, len(text) - STANDALONE_TAIL) :]
         else:
-            offset = 0
             region = text
         match = pattern.search(region)
         if match:
             letter = next(g for g in match.groups() if g is not None).upper()
-            span = (offset + match.start(), offset + match.end())
-            return ExtractionOutcome(letter, METHOD_FALLBACK, span)
-    return ExtractionOutcome(None, METHOD_NONE, None)
+            return ExtractionOutcome(letter, METHOD_FALLBACK)
+    return ExtractionOutcome(None, METHOD_NONE)
 
 
 def outcome_or_error(fn, *args):
