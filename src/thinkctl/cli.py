@@ -89,7 +89,7 @@ def _run_config(args: argparse.Namespace, cfg: Config) -> dict:
 
 
 # the arguments that name input files: every JSON and JSONL artifact digests each one given
-INPUTS = ("pool", "traces", "eval_sets", "lexicon", "datasets", "dataset", "report_in", "mock")
+INPUTS = ("pool", "traces", "eval_sets", "lexicon", "datasets", "dataset", "mock")
 
 
 def _provenance(args: argparse.Namespace, config: dict | None = None) -> dict:
@@ -117,7 +117,7 @@ def _distinct(named: list[tuple[str, str]], reason: str) -> None:
         seen[key] = flag
 
 
-def _curated(args, read: list, kept: list, row: curation.StageCount, verb="kept", config=None, header=None):
+def _curated(args, read: list, kept: list, row: curation.StageCount, verb="kept", config=None):
     """The outputs of a curate stage: the records it kept; given
     ``--report``, its ledger, whose first row counts per source what it
     ``read`` and whose second is its ``row``; and its one-line summary."""
@@ -126,7 +126,7 @@ def _curated(args, read: list, kept: list, row: curation.StageCount, verb="kept"
     if args.report:
         questions = [t.question for t in read] if traces else read
         first = curation.StageCount("input_traces" if traces else "initial_collection", curation.source_counts(questions))
-        report = CurationReport([first, row], header or {})
+        report = CurationReport([first, row])
         report.validate()
         artifacts[args.report] = report.to_dict()
     return artifacts, [f"{verb} {len(kept)} of {len(read)} {'traces' if traces else 'questions'}"], config
@@ -151,7 +151,6 @@ SWEEP_OUTPUTS = (
     ("--out-svg", {}),
     ("--out-json", {"help": "sweep result JSON for later plotting"}),
     ("--summary", {}),
-    ("--no-fit", {"action": "store_true", "help": "skip the regression fit"}),
 )
 # the config of a command that runs a policy: every section, one scripted model
 POLICY_CONFIG = (SECTION_KEYS, "scripted-model JSON in place of the wire backend")
@@ -202,14 +201,9 @@ COMMANDS = {
     )),
     # plot and report read no config either
     ("plot",): ("re-emit CSV/SVG from a saved sweep JSON", None, (
-        ("--sweep", {"required": True}),
-        ("--format", {"choices": [plotting.FORMAT_CSV, plotting.FORMAT_SVG], "required": True}),
-        OUT,
-        ("--no-fit", {"action": "store_true"}),
+        ("--sweep", {"required": True}), ("--out", {"required": True, "help": "a .csv or .svg file, by its suffix"})
     )),
-    ("report",): ("validate and print a curation ledger", None, (
-        ("--in", {"dest": "report_in", "required": True}), ("--out", {"help": "write the normalized report JSON"})
-    )),
+    ("report",): ("validate and print a curation ledger", None, (("--in", {"dest": "report_in", "required": True}),)),
 }  # fmt: skip
 
 
@@ -246,8 +240,7 @@ def cmd_curate_sample(args):
     selected, row = curation.diversity_sample(plan)
     by_id = {q.id: q for q in pool}
     chosen = [by_id[item_id] for item_id, _ in selected]
-    header = {"rng": curation.SAMPLER_RNG, "seed": args.seed}
-    return _curated(args, pool, chosen, row, verb="sampled", config={"seed": args.seed}, header=header)
+    return _curated(args, pool, chosen, row, verb="sampled", config={"seed": args.seed})
 
 
 def _lexicon(payload: dict) -> dict:
@@ -295,10 +288,9 @@ def _run_sweep(args, cfg: Config, sweep_fn, grid, label: str):
     backend = _backend(args, cfg)
     sweep = sweep_fn(questions, backend, grid, cfg.policy(), dataset_name=args.dataset, workers=cfg.workers)
     fit = None
-    if not args.no_fit:
-        with contextlib.suppress(FitRefusedError):
-            # regression runs on percent values, matching the plotted axis
-            fit = fit_linear_with_ci([(p.x, 100.0 * p.accuracy) for p in sweep.points])
+    with contextlib.suppress(FitRefusedError):
+        # regression runs on percent values, matching the plotted axis
+        fit = fit_linear_with_ci([(p.x, 100.0 * p.accuracy) for p in sweep.points])
     # the summary and the sweep JSON for later plotting are the same document
     payload = {**sweep.to_dict(), "fit": fit.to_dict() if fit else None}
     artifacts = {args.out_json: payload, args.summary: payload, args.out_csv: plotting.emit_plot(sweep, fit, plotting.FORMAT_CSV)}
@@ -321,12 +313,16 @@ def cmd_force_sweep(args, cfg: Config):
 
 
 def cmd_plot(args):
+    fmt = os.path.splitext(args.out)[1][1:]
+    if fmt not in (plotting.FORMAT_CSV, plotting.FORMAT_SVG):
+        raise ConfigError(f"{args.out}: plot writes a .csv or .svg file, named by the suffix of --out")
+
     def build(payload: dict):
-        fit = RegressionFit.from_dict(payload["fit"]) if not args.no_fit and payload.get("fit") else None
+        fit = RegressionFit.from_dict(payload["fit"]) if payload.get("fit") else None
         return SweepResult.from_dict(payload), fit
 
     sweep, fit = read_json(args.sweep, build)
-    return {args.out: plotting.emit_plot(sweep, fit, args.format)}, [f"wrote {args.out}"], None
+    return {args.out: plotting.emit_plot(sweep, fit, fmt)}, [f"wrote {args.out}"], None
 
 
 def cmd_report(args):
@@ -335,7 +331,7 @@ def cmd_report(args):
     lines = ["\t".join(["stage", *sources, "total"])]
     lines += ["\t".join([s.name, *(str(s.counts.get(src, 0)) for src in sources), str(s.total)]) for s in report.stages]
     lines += [f"{s.name} params: {json.dumps(s.params, sort_keys=True)}" for s in report.stages if s.params]
-    return {args.out: report.to_dict()}, lines, None
+    return {}, lines, None
 
 
 def run(argv: list[str]) -> int:

@@ -273,15 +273,12 @@ class ScriptedModel:
     def from_dict(cls, data: dict) -> "ScriptedModel":
         from .jsonl import json_shape
 
-        entries = tuple(
-            ScriptEntry(
-                trigger=item.get("trigger", ""),
-                emission=item.get("emission", ""),
-                terminal_marker=item.get("terminal_marker"),
-            )
-            for item in json_shape("entries", data["entries"], list)
-        )
-        return cls(entries)
+        items = json_shape("entries", json_shape("top level", data, dict, ["entries"])["entries"], list)
+        for i, item in enumerate(items):
+            # a misspelt key would otherwise leave its entry empty
+            if unknown := sorted(item.keys() - set(ScriptEntry._fields)):
+                raise ValueError(f"entries[{i}] has unknown fields {unknown}")
+        return cls(tuple(ScriptEntry(**{"trigger": "", "emission": "", **item}) for item in items))
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedModel":

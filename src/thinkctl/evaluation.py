@@ -113,7 +113,7 @@ class SweepResult:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepResult":
         points = [SweepPoint(**p) for p in json_shape("points", data["points"], list, [f.name for f in fields(SweepPoint)])]
-        return cls(dataset=data["dataset"], kind=data.get("kind", KIND_BUDGET), points=points)
+        return cls(dataset=data["dataset"], kind=data["kind"], points=points)
 
 
 def _run_question(question: McqQuestion, backend, policy: BudgetPolicy) -> EvalOutcome:

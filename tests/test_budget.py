@@ -141,30 +141,23 @@ def test_empty_answer_sets_flag():
     assert transcript.termination == TERMINATION_NATURAL
 
 
-def test_backend_error_carries_partial_transcript():
+@pytest.mark.parametrize("failing_call, phase", [(1, "thinking"), (2, "answer")])
+def test_backend_error_names_its_phase_and_stays_retryable(failing_call, phase):
     class Flaky:
         def __init__(self):
             self.calls = 0
 
         def raw_stream(self, req):
             self.calls += 1
-            if self.calls == 1:
-                yield from ["some", "thinking"]
-                return
-            raise ConnectionFailure("died")
+            if self.calls == failing_call:
+                raise ConnectionFailure("died")
+            yield from ["some", "thinking"]
 
-    model = ScriptedModel(
-        (
-            ScriptEntry("Wait.", "", None),
-            ScriptEntry("", "a b c", ANSWER_MARKER),
-        )
-    )
-    backend = Flaky()
     with pytest.raises(BudgetRunError) as excinfo:
-        run_with_budget("Q?", BudgetPolicy(thinking_budget=100), backend)
+        run_with_budget("Q?", BudgetPolicy(thinking_budget=100), Flaky())
     err = excinfo.value
     assert err.retryable
-    assert "answer phase" in str(err)
+    assert str(err) == f"backend failed during {phase} phase: died"
 
 
 def test_prefix_stability_when_forcing_count_grows():

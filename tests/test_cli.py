@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import socket
 import subprocess
 import sys
@@ -308,7 +309,7 @@ def test_plot_from_saved_sweep(tmp_path, dataset, oracle_script):
         == 0
     )
     replot = tmp_path / "replot.csv"
-    assert run(["plot", "--sweep", str(sweep_json), "--format", "csv", "--out", str(replot)]) == 0
+    assert run(["plot", "--sweep", str(sweep_json), "--out", str(replot)]) == 0
     assert replot.read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
@@ -342,7 +343,6 @@ def test_force_sweep_flip(tmp_path, dataset):
             "--max-forcings", "1",
             "--out-csv", str(tmp_path / "force.csv"),
             "--summary", str(summary),
-            "--no-fit",
         ]
     )
     assert code == 0
@@ -378,6 +378,10 @@ def test_curate_sample_deterministic_bytes(tmp_path):
     assert len(sampled) == 20
     report = json.loads((tmp_path / "report-a.json").read_text())
     assert report["stages"][-1]["total"] == 20
+    # the sampler's rng and seed are in its row, and the seed in the config, not in the header too
+    assert report["header"] == {}
+    assert report["stages"][-1]["params"] == {"rng": curation.SAMPLER_RNG, "seed": 42, "target_n": 20}
+    assert report["_provenance"]["config"] == {"seed": 42}
 
 
 def test_curate_filter_with_mock_graders(tmp_path):
@@ -672,33 +676,14 @@ def test_report_validates_and_prints(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"stages": [{"name": "s", "counts": {"a": 1}, "total": 9}]}))
     assert run(["report", "--in", str(bad)]) == 1
-    # an input named by byte 0xff reaches the output's provenance as U+DCFF:
-    # the write fails, citing its line, before any of the table is printed
+    # report writes nothing, so an input named by byte 0xff, which no
+    # provenance could record, prints as any other does
     odd = tmp_path / os.fsdecode(b"\xff.json")
     odd.write_bytes(report_path.read_bytes())
-    norm = tmp_path / "norm.json"
     capsys.readouterr()
-    assert run(["report", "--in", str(odd), "--out", str(norm)]) == 1
-    assert capsys.readouterr() == ("", f"error: {norm}:4: lone surrogate \\udcff (not encodable as UTF-8)\n")
-    assert not norm.exists()
-
-
-def test_report_out_cites_its_input(tmp_path, dataset, oracle_script, capsys):
-    data_path, _ = dataset
-    ledger = tmp_path / "r1.json"
-    argv = ["curate", "filter", "--pool", str(data_path), "--mock", str(oracle_script), "--out", str(tmp_path / "hard.jsonl")]
-    assert run([*argv, "--report", str(ledger)]) == 0
-    normalized = tmp_path / "normalized.json"
-    assert run(["report", "--in", str(ledger), "--out", str(normalized)]) == 0
-    payload = json.loads(normalized.read_text())
-    assert payload["_provenance"] == {"inputs": {str(ledger): cli.sha256_file(str(ledger))}}
-    assert [stage["name"] for stage in payload["stages"]] == ["initial_collection", "difficulty_filter"]
-    # the normalized report is itself a report, and prints as its input does
-    capsys.readouterr()
-    assert run(["report", "--in", str(normalized)]) == 0
-    printed = capsys.readouterr().out
-    assert run(["report", "--in", str(ledger)]) == 0
-    assert capsys.readouterr().out == printed
+    assert run(["report", "--in", str(odd)]) == 0
+    assert capsys.readouterr() == (out, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([report_path.name, bad.name, odd.name])
 
 
 GOOD_FIT = {"slope": 1.0, "intercept": 0.0, "residual_se": 0.5, "n": 3, "x_mean": 2.0, "sxx": 2.0, "t_crit": 12.7}
@@ -707,12 +692,12 @@ GOOD_POINT = {"x": 1, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_to
 
 def _sweep_with_fit(**fit) -> str:
     """A drawable sweep JSON whose fit has ``fit`` in place of a good one."""
-    return json.dumps({"dataset": "d", "points": [GOOD_POINT], "fit": {**GOOD_FIT, **fit}})
+    return json.dumps({"dataset": "d", "kind": "budget", "points": [GOOD_POINT], "fit": {**GOOD_FIT, **fit}})
 
 
 def _sweep_with_point(**point) -> str:
     """A sweep JSON of one point, with ``point`` in place of a good one's fields."""
-    return json.dumps({"dataset": "d", "points": [{**GOOD_POINT, **point}]})
+    return json.dumps({"dataset": "d", "kind": "budget", "points": [{**GOOD_POINT, **point}]})
 
 
 @pytest.mark.parametrize(
@@ -751,10 +736,10 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--in", '{"stages": [{"name": "s", "counts": {"x": 1.5, "y": true}}]}', id="report-count-not-integer"),
         pytest.param(
             "--sweep",
-            '{"dataset": 5, "points": [{"x": 1, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
+            '{"dataset": 5, "kind": "budget", "points": [{"x": 1, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
             id="sweep-dataset-not-string",
         ),
-        pytest.param("--sweep-svg", json.dumps({"dataset": 5, "points": [GOOD_POINT]}), id="sweep-dataset-not-string-svg"),
+        pytest.param("--sweep-svg", json.dumps({"dataset": 5, "kind": "budget", "points": [GOOD_POINT]}), id="sweep-dataset-not-string-svg"),
         pytest.param(
             "--sweep",
             '{"dataset": "d", "points": [{"x": Infinity, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
@@ -801,8 +786,8 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--sweep-svg", _sweep_with_fit(sxx=-2.0), id="fit-sxx-negative-svg"),
         pytest.param("--sweep", _sweep_with_fit(slope=float("nan")), id="fit-slope-nan"),
         pytest.param("--sweep-svg", _sweep_with_fit(slope=float("nan")), id="fit-slope-nan-svg"),
-        pytest.param("--sweep", '{"dataset": "d", "points": []}', id="sweep-points-empty"),
-        pytest.param("--sweep-svg", '{"dataset": "d", "points": []}', id="sweep-points-empty-svg"),
+        pytest.param("--sweep", '{"dataset": "d", "kind": "budget", "points": []}', id="sweep-points-empty"),
+        pytest.param("--sweep-svg", '{"dataset": "d", "kind": "budget", "points": []}', id="sweep-points-empty-svg"),
     ],
 )
 def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset, oracle_script, option, content):
@@ -818,8 +803,8 @@ def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset,
         path.write_text(content)
     out = str(tmp_path / "out")
     argv = {
-        "--sweep": ["plot", "--sweep", str(path), "--format", "csv", "--out", out],
-        "--sweep-svg": ["plot", "--sweep", str(path), "--format", "svg", "--out", out],
+        "--sweep": ["plot", "--sweep", str(path), "--out", out + ".csv"],
+        "--sweep-svg": ["plot", "--sweep", str(path), "--out", out + ".svg"],
         "--in": ["report", "--in", str(path)],
         "--mock": ["eval", "--dataset", str(data_path), "--mock", str(path)],
         "--lexicon": ["curate", "annotate", "--pool", str(data_path), "--lexicon", str(path), "--out", out],
@@ -847,6 +832,9 @@ def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset,
         pytest.param("--sweep", _sweep_with_point(bogus=1), "points[0] has unknown fields ['bogus']", id="sweep-point-unknown-field"),
         pytest.param("--sweep", json.dumps({"dataset": "d", "points": [GOOD_POINT], "fit": "x"}), "fit must be an object, not a string", id="fit-not-object"),
         pytest.param("--sweep", json.dumps({"dataset": "d", "points": [GOOD_POINT], "fit": {"slope": 1}}), "fit lacks field 'intercept'", id="fit-lacks-field"),
+        # a sweep names its kind: read as a budget sweep, a forcing sweep would fail at x=0 or get the wrong axis
+        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [GOOD_POINT]}), "missing field 'kind'", id="sweep-no-kind"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [{**GOOD_POINT, "x": 0}]}), "missing field 'kind'", id="sweep-forcing-no-kind"),
     ],
 )
 def test_a_json_field_of_the_wrong_shape_is_named(tmp_path, capsys, dataset, option, content, message):
@@ -856,10 +844,37 @@ def test_a_json_field_of_the_wrong_shape_is_named(tmp_path, capsys, dataset, opt
     argv = {
         "--in": ["report", "--in", str(path)],
         "--mock": ["eval", "--dataset", str(data_path), "--mock", str(path)],
-        "--sweep": ["plot", "--sweep", str(path), "--format", "csv", "--out", str(tmp_path / "out.csv")],
+        "--sweep": ["plot", "--sweep", str(path), "--out", str(tmp_path / "out.csv")],
     }[option]
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"error: {path}:1: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        pytest.param({"entries": [{"trigger": "", "emision": "\\boxed{B}"}]}, "entries[0] has unknown fields ['emision']", id="entry-key"),
+        pytest.param({"entries": [{"trigger": ""}], "entry": []}, "top level has unknown fields ['entry']", id="top-level-key"),
+    ],
+)
+def test_a_misspelt_mock_key_exits_1_and_writes_nothing(tmp_path, capsys, dataset, script, message):
+    # the misspelt entry would emit nothing, and every run would count incorrect
+    data_path, _ = dataset
+    mock = tmp_path / "m.json"
+    mock.write_text(json.dumps(script))
+    argv = ["eval", "--dataset", str(data_path), "--mock", str(mock), "--out", str(tmp_path / "o.jsonl")]
+    assert run([*argv, "--summary", str(tmp_path / "s.json")]) == 1
+    assert capsys.readouterr() == ("", f"error: {mock}:1: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([data_path.name, mock.name])
+
+
+@pytest.mark.parametrize("name", ["replot.png", "replot", "replot.CSV", "csv"])
+def test_plot_exits_1_on_an_out_suffix_that_names_no_format(tmp_path, capsys, name):
+    # checked before the sweep is read, so the missing sweep goes unnamed
+    out = tmp_path / name
+    assert run(["plot", "--sweep", str(tmp_path / "missing.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {out}: plot writes a .csv or .svg file, named by the suffix of --out\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_and_flag_precedence(tmp_path, dataset, oracle_script):
@@ -989,16 +1004,22 @@ def test_run_builds_arguments_only_for_the_command_it_runs(tmp_path, dataset, mo
 
 
 def test_plot_and_report_take_no_config(capsys):
-    assert _help_options(["plot"], capsys) == {"--sweep", "--format", "--out", "--no-fit"}
-    assert _help_options(["report"], capsys) == {"--in", "--out"}
+    assert _help_options(["plot"], capsys) == {"--sweep", "--out"}
+    assert _help_options(["report"], capsys) == {"--in"}
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param(["plot", "--sweep", "s.json", "--format", "csv", "--out", "o.csv", "--config", "c.ini"], id="plot-config"),
-        pytest.param(["plot", "--sweep", "s.json", "--format", "csv", "--out", "o.csv", "--seed", "1"], id="plot-seed"),
-        pytest.param(["plot", "--sweep", "s.json", "--format", "csv", "--out", "o.csv", "--mock", "m.json"], id="plot-mock"),
+        pytest.param(["plot", "--sweep", "s.json", "--out", "o.csv", "--config", "c.ini"], id="plot-config"),
+        pytest.param(["plot", "--sweep", "s.json", "--out", "o.csv", "--seed", "1"], id="plot-seed"),
+        pytest.param(["plot", "--sweep", "s.json", "--out", "o.csv", "--mock", "m.json"], id="plot-mock"),
+        # the suffix of --out names the format, a sweep JSON holds its fit, and report writes nothing
+        pytest.param(["plot", "--sweep", "s.json", "--format", "csv", "--out", "o.csv"], id="plot-format"),
+        pytest.param(["plot", "--sweep", "s.json", "--out", "o.csv", "--no-fit"], id="plot-no-fit"),
+        pytest.param(["sweep", "--dataset", "d.jsonl", "--out-csv", "o.csv", "--no-fit"], id="sweep-no-fit"),
+        pytest.param(["force-sweep", "--dataset", "d.jsonl", "--max-forcings", "1", "--out-csv", "o.csv", "--no-fit"], id="force-sweep-no-fit"),
+        pytest.param(["report", "--in", "r.json", "--out", "o.json"], id="report-out"),
         pytest.param(["report", "--in", "r.json", "--budget", "8"], id="report-budget"),
         pytest.param(["report", "--in", "r.json", "--base-url", "http://localhost:1"], id="report-base-url"),
         pytest.param(["curate", "dedup", "--pool", "p.jsonl", "--out", "o.jsonl", "--mock", "m.json"], id="dedup-mock"),
@@ -1015,9 +1036,9 @@ def test_removed_flags_are_usage_errors(argv, capsys):
 def test_plot_and_report_ignore_a_malformed_base_url(tmp_path, monkeypatch, capsys):
     # neither reads the config, so a bad M1_BASE_URL must not stop them
     monkeypatch.setenv("M1_BASE_URL", "localhost:8000")
-    sweep = {"dataset": "d", "points": [{"x": 8, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 4.0}]}
+    sweep = {"dataset": "d", "kind": "budget", "points": [{"x": 8, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 4.0}]}
     (tmp_path / "sweep.json").write_text(json.dumps(sweep))
-    assert run(["plot", "--sweep", str(tmp_path / "sweep.json"), "--format", "csv", "--out", str(tmp_path / "o.csv")]) == 0
+    assert run(["plot", "--sweep", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "o.csv")]) == 0
     ledger = {"stages": [{"name": "initial", "counts": {"a": 1}, "total": 1}]}
     (tmp_path / "ledger.json").write_text(json.dumps(ledger))
     assert run(["report", "--in", str(tmp_path / "ledger.json")]) == 0
@@ -1269,7 +1290,7 @@ def test_sweep_against_the_loopback_server(tmp_path, dataset, sse_server):
     _SSEHandler.deltas = ["ponder ", "\\boxed{B}"]
     curve = tmp_path / "curve.csv"
     argv = ["sweep", "--dataset", str(data_path), "--budgets", "1,2", "--base-url", sse_server, "--workers", "1"]
-    assert run([*argv, "--out-csv", str(curve), "--no-fit"]) == 0
+    assert run([*argv, "--out-csv", str(curve)]) == 0
     rows = curve.read_text().splitlines()
     assert [row.split(",")[:3] for row in rows[1:]] == [["1", "25.0", "8"], ["2", "25.0", "8"]]
     bodies = _SSEHandler.requests_seen
@@ -1305,8 +1326,7 @@ def test_eval_records_a_persistent_non_object_chunk(tmp_path, dataset, sse_serve
 @pytest.mark.parametrize("failure", ["bad-chunk", "refused"])
 def test_filter_ledger_counts_the_probes_that_fail(tmp_path, dataset, sse_server, monkeypatch, capsys, caplog, failure):
     # every probe fails through its retries: each question counts missed and
-    # is kept, and the ledger's filter row, normalized too, counts the
-    # failures, which report prints
+    # is kept, and the ledger's filter row counts the failures, which report prints
     monkeypatch.setattr(client, "BACKOFF_S", 0.0)
     data_path, records = dataset
     if failure == "bad-chunk":
@@ -1319,18 +1339,17 @@ def test_filter_ledger_counts_the_probes_that_fail(tmp_path, dataset, sse_server
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             base_url, requests = f"http://127.0.0.1:{sock.getsockname()[1]}", 0
-    hard, ledger, normalized = tmp_path / "hard.jsonl", tmp_path / "r.json", tmp_path / "n.json"
+    hard, ledger = tmp_path / "hard.jsonl", tmp_path / "r.json"
     argv = ["curate", "filter", "--pool", str(data_path), "--base-url", base_url, "--out", str(hard), "--report", str(ledger)]
     assert run(argv) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert caplog.text.count("counted incorrect") == len(records)
     assert len(load_questions(str(hard))) == len(records)
     assert len(_SSEHandler.requests_seen) == requests
-    assert run(["report", "--in", str(ledger), "--out", str(normalized)]) == 0
+    assert run(["report", "--in", str(ledger)]) == 0
     assert f'difficulty_filter params: {{"grader_failures": {len(records)}}}\n' in capsys.readouterr().out
-    for path in (ledger, normalized):
-        row = json.loads(path.read_text())["stages"][1]
-        assert (row["name"], row["params"]) == ("difficulty_filter", {"grader_failures": len(records)})
+    row = json.loads(ledger.read_text())["stages"][1]
+    assert (row["name"], row["params"]) == ("difficulty_filter", {"grader_failures": len(records)})
 
 
 def test_unparsable_budgets_exit_1(tmp_path, dataset, oracle_script, capsys):
@@ -1512,3 +1531,20 @@ def test_module_entry_point_runs_the_cli(tmp_path, dataset, oracle_script):
     assert out.returncode == 1
     assert f"{cfg}:2:" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_parse(monkeypatch):
+    # every thinkctl line of README's bash blocks, continuations joined, is
+    # a valid invocation; each handler is stubbed, so no file is read
+    blocks = re.findall(r"^```bash\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("thinkctl ")]
+    monkeypatch.delenv("M1_BASE_URL", raising=False)
+    for words in cli.COMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + "_".join(words).replace("-", "_"), lambda *args: ({}, [], None))
+    assert [argv for argv in commands if run(argv) != 0] == []
+    # and together they show every command
+    assert [w for w in cli.COMMANDS if not any(argv[: len(w)] == list(w) for argv in commands)] == []
