@@ -16,6 +16,7 @@ from thinkctl import (
     SamplingPlan,
     ScriptEntry,
     ScriptedModel,
+    StageCount,
     annotate_domains,
     decontaminate,
     difficulty_filter,
@@ -61,7 +62,7 @@ grader_entries = [
 grader = ScriptedModel(tuple(grader_entries))
 
 report = CurationReport(header={"demo": True})
-report.add_stage("initial_collection", source_counts(pool))
+report.stages.append(StageCount("initial_collection", source_counts(pool)))
 
 kept, row = difficulty_filter(pool, [grader])
 report.stages.append(row)

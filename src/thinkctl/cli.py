@@ -27,6 +27,7 @@ from .curation import CurationReport, SamplingPlan
 from .evaluation import SweepResult
 from .jsonl import (
     atomic_write_bytes,
+    json_shape,
     load_questions,
     load_traces,
     outcome_to_record,
@@ -318,7 +319,9 @@ def cmd_plot(args):
         raise ConfigError(f"{args.out}: plot writes a .csv or .svg file, named by the suffix of --out")
 
     def build(payload: dict):
-        fit = RegressionFit.from_dict(payload["fit"]) if payload.get("fit") else None
+        # a sweep JSON names its fit, null when the sweep has no band
+        fit = json_shape("sweep", payload, dict, ["dataset", "kind", "points", "fit"], ["_provenance"]).pop("fit")
+        fit = None if fit is None else RegressionFit.from_dict(fit)
         return SweepResult.from_dict(payload), fit
 
     sweep, fit = read_json(args.sweep, build)

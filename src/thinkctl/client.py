@@ -273,11 +273,9 @@ class ScriptedModel:
     def from_dict(cls, data: dict) -> "ScriptedModel":
         from .jsonl import json_shape
 
-        items = json_shape("entries", json_shape("top level", data, dict, ["entries"])["entries"], list)
-        for i, item in enumerate(items):
-            # a misspelt key would otherwise leave its entry empty
-            if unknown := sorted(item.keys() - set(ScriptEntry._fields)):
-                raise ValueError(f"entries[{i}] has unknown fields {unknown}")
+        entries = json_shape("top level", data, dict, ["entries"])["entries"]
+        # every key of an entry is optional, so a misspelt one would leave it empty
+        items = json_shape("entries", entries, list, optional=ScriptEntry._fields)
         return cls(tuple(ScriptEntry(**{"trigger": "", "emission": "", **item}) for item in items))
 
     @classmethod

@@ -90,7 +90,7 @@ class StageCount:
 
     def to_dict(self) -> dict:
         out: dict = {"name": self.name, "counts": dict(self.counts), "total": self.total}
-        if self.params:
+        if self.params is not None:
             out["params"] = dict(self.params)
         return out
 
@@ -101,11 +101,6 @@ class CurationReport:
 
     stages: list[StageCount] = field(default_factory=list)
     header: dict = field(default_factory=dict)
-
-    def add_stage(self, name: str, counts: Mapping[str, int], params: dict | None = None) -> StageCount:
-        row = StageCount(name, dict(counts), params)
-        self.stages.append(row)
-        return row
 
     def validate(self) -> None:
         """Check the ledger identities: totals equal per-source sums and
@@ -126,18 +121,17 @@ class CurationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CurationReport":
-        report = cls(header=dict(json_shape("ledger header", data.get("header", {}), dict)))
-        rows = json_shape("stages", data["stages"], list)
+        json_shape("ledger", data, dict, ["stages"], ["header", "_provenance"])
+        rows = json_shape("stages", data["stages"], list, ["name", "counts", "total"], ["params"])
+        report = cls(header=dict(json_shape("ledger header", data["header"], dict)) if "header" in data else {})
         for row in rows:
             name = json_shape("stage name", row["name"], str)
-            params = row.get("params")
-            if params is not None:
-                json_shape(f"stage {name!r} params", params, dict)
-            report.add_stage(name, json_shape(f"stage {name!r} counts", row["counts"], dict), params)
+            params = json_shape(f"stage {name!r} params", row["params"], dict) if "params" in row else None
+            report.stages.append(StageCount(name, dict(json_shape(f"stage {name!r} counts", row["counts"], dict)), params))
         # a count that is no integer would fail the sum of a stage's total
         report.validate()
         for row, stage in zip(rows, report.stages):
-            if "total" in row and row["total"] != stage.total:
+            if row["total"] != stage.total:
                 raise CurationError(
                     f"stage {stage.name!r}: recorded total {row['total']} does not equal per-source sum {stage.total}"
                 )

@@ -112,6 +112,7 @@ class SweepResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepResult":
+        json_shape("sweep", data, dict, ["dataset", "kind", "points"], ["_provenance"])
         points = [SweepPoint(**p) for p in json_shape("points", data["points"], list, [f.name for f in fields(SweepPoint)])]
         return cls(dataset=data["dataset"], kind=data["kind"], points=points)
 

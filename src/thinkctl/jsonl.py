@@ -96,25 +96,24 @@ def read_json(path: str, build):
         raise SchemaError(path, 1, "top level is not a JSON object")
     try:
         return build(payload)
-    except KeyError as exc:
-        raise SchemaError(path, 1, f"missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(path, 1, str(exc)) from exc
 
 
-def json_shape(what: str, value, kind: type, fields: Collection[str] = ()):
+def json_shape(what: str, value, kind: type, fields: Collection[str] = (), optional: Collection[str] = ()):
     """``value`` if it is a JSON value of ``kind``: str, dict (an object,
-    which must hold exactly ``fields`` if they are given) or list (an array
-    of such objects). Any other shape raises ValueError naming ``what``."""
+    which, if ``fields`` or ``optional`` are given, must hold every key in
+    ``fields`` and no key outside both) or list (an array of such objects).
+    Any other shape raises ValueError naming ``what``."""
     if not isinstance(value, kind):
         found = _JSON_TYPES.get(type(value), type(value).__name__)
         raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not {found}")
     if kind is list:
         for i, item in enumerate(value):
-            json_shape(f"{what}[{i}]", item, dict, fields)
-    elif fields and value.keys() != set(fields):
+            json_shape(f"{what}[{i}]", item, dict, fields, optional)
+    elif (fields or optional) and not set(fields) <= value.keys() <= {*fields, *optional}:
         missing = [name for name in fields if name not in value]
-        extra = sorted(value.keys() - set(fields))
+        extra = sorted(value.keys() - {*fields, *optional})
         raise ValueError(f"{what} lacks field {missing[0]!r}" if missing else f"{what} has unknown fields {extra}")
     return value
 

@@ -3,13 +3,16 @@ from __future__ import annotations
 import json
 import os
 import random
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import strategies as st
 
 from thinkctl.budget import ANSWER_MARKER
 from thinkctl.client import ScriptEntry, ScriptedModel
+from thinkctl.jsonl import read_json, write_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -23,6 +26,30 @@ def load_fixture(name: str):
         if name.endswith(".jsonl"):
             return [json.loads(line) for line in fh if line.strip()]
         return json.load(fh)
+
+
+# text UTF-8 can encode: no lone surrogate
+json_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | json_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_text, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def assert_json_round_trip(value, to_document, from_document, provenance) -> None:
+    """``to_document(value)``, written by ``write_json`` beside a
+    ``_provenance`` key, reads back through ``read_json`` and
+    ``from_document`` as a value equal to ``value``, which writes the same
+    bytes again."""
+    with tempfile.TemporaryDirectory() as directory:
+        first, second = os.path.join(directory, "first.json"), os.path.join(directory, "second.json")
+        write_json(first, {**to_document(value), "_provenance": provenance})
+        back = read_json(first, from_document)
+        assert back == value
+        write_json(second, {**to_document(back), "_provenance": provenance})
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
 
 @pytest.fixture

@@ -12,9 +12,10 @@ output flag on paths relative to its directory. Two checks:
   writes equal its entry in ``PINNED``.
 
 Each file a row reads is also mutated, and every row that reads it must
-exit 0 or 1, on 1 with one error line citing that file. Each row's writes
-are counted and then failed one at a time: a failed write prints nothing
-to stdout and leaves no temp file.
+exit 0 or 1, on 1 with one error line citing that file; a key renamed in
+one of thinkctl's own JSON documents must exit 1 naming the key. Each
+row's writes are counted and then failed one at a time: a failed write
+prints nothing to stdout and leaves no temp file.
 
 A change that alters an artifact on purpose updates that entry and lists
 it in CHANGES.md. ``PYTHONPATH=src python tests/test_artifacts.py`` prints
@@ -229,12 +230,14 @@ def _reads() -> dict[str, list[str]]:
     return readers
 
 
-def _slots(value, found: list) -> list:
-    """``found`` plus a ``(container, key)`` pair for every value nested in ``value``."""
+def _slots(value, found: list, skip: tuple[str, ...] = ()) -> list:
+    """``found`` plus a ``(container, key)`` pair for every value nested in
+    ``value``, but none inside the value of an object key in ``skip``."""
     items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
     for key, child in items:
         found.append((value, key))
-        _slots(child, found)
+        if key not in skip:
+            _slots(child, found, skip)
     return found
 
 
@@ -253,27 +256,42 @@ _VALUE_OPERATORS = {
 }
 # a JSON string literal, escapes included
 _JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+# keys whose values map free names, not fields: a source's counts, a
+# stage's params, the ledger header and provenance
+_FREE_KEYS = ("_provenance", "header", "counts", "params")
+# JSON inputs whose keys are free names; every other .json file is one of thinkctl's own strict documents
+_OPEN_DOCUMENTS = ("lexicon.json",)
 
 
-def _mutants(name: str, data: bytes) -> list[tuple[str, bytes]]:
-    """One mutant of the file ``name`` per operator: six on its bytes, five
-    on one value of one record (a JSONL line, or the whole of a JSON file),
-    and a lone surrogate escape put into one JSON string. The choices are
-    drawn from a generator seeded by ``name``."""
+def _mutants(name: str, data: bytes) -> list[tuple[str, bytes, tuple[str, ...]]]:
+    """One ``(operator, mutant, keys)`` triple of the file ``name`` per
+    operator, thirteen in all: six on its bytes, five on one value of one
+    record (a JSONL line, or the whole of a JSON file), a lone surrogate
+    escape put into one JSON string, and one key of an object of the record
+    renamed to a near miss (outside the values of ``_FREE_KEYS``), whose
+    ``keys`` are the old and new names. The choices are drawn from a
+    generator seeded by ``name``."""
     rng = random.Random(name)
     lines = data.splitlines(keepends=True)
     at = rng.randrange(len(data))
     i = rng.randrange(len(lines))
     mutants = [
-        ("flip", data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1 :]),
-        ("truncate", data[:at]),
-        ("repeat-line", b"".join(lines[: i + 1] + lines[i:])),
-        ("bom", b"\xef\xbb\xbf" + data),
-        ("nul", data[:at] + b"\0" + data[at:]),
-        ("blank-lines", data + b"\n\n\n"),
+        ("flip", data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1 :], ()),
+        ("truncate", data[:at], ()),
+        ("repeat-line", b"".join(lines[: i + 1] + lines[i:]), ()),
+        ("bom", b"\xef\xbb\xbf" + data, ()),
+        ("nul", data[:at] + b"\0" + data[at:], ()),
+        ("blank-lines", data + b"\n\n\n", ()),
     ]
     jsonl = name.endswith(".jsonl")
     i = rng.choice([k for k, line in enumerate(lines) if line.strip()]) if jsonl else 0
+
+    def put(record) -> bytes:
+        """``data`` with ``record`` in place of the chosen record."""
+        if jsonl:
+            return b"".join(lines[:i] + [(json.dumps(record) + "\n").encode()] + lines[i + 1 :])
+        return json.dumps(record, indent=2).encode()
+
     for op in ["deleted-key", *_VALUE_OPERATORS]:
         record = json.loads(lines[i] if jsonl else data)
         slots = _slots(record, [])
@@ -282,11 +300,15 @@ def _mutants(name: str, data: bytes) -> list[tuple[str, bytes]]:
             del container[key]
         else:
             container[key] = _VALUE_OPERATORS[op](container[key])
-        text = json.dumps(record) + "\n" if jsonl else json.dumps(record, indent=2)
-        mutants.append((op, b"".join(lines[:i] + [text.encode()] + lines[i + 1 :]) if jsonl else text.encode()))
+        mutants.append((op, put(record), ()))
     text = data.decode()
     at = rng.choice(list(_JSON_STRING.finditer(text))).start() + 1
-    mutants.append(("lone-surrogate", (text[:at] + "\\ud800" + text[at:]).encode()))
+    mutants.append(("lone-surrogate", (text[:at] + "\\ud800" + text[at:]).encode(), ()))
+    record = json.loads(lines[i] if jsonl else data)
+    container, key = rng.choice([s for s in _slots(record, [], _FREE_KEYS) if isinstance(s[0], dict)])
+    near_miss = key + key[-1:] or "_"
+    container[near_miss] = container.pop(key)
+    mutants.append(("renamed-key", put(record), (key, near_miss)))
     return mutants
 
 
@@ -305,7 +327,7 @@ def test_every_mutated_input_exits_0_or_1_citing_its_file(tmp_path, monkeypatch)
     rows = dict(COMMANDS)
     for name, readers in _reads().items():
         original = (tmp_path / name).read_bytes()
-        for op, mutant in _mutants(name, original):
+        for op, mutant, keys in _mutants(name, original):
             (tmp_path / name).write_bytes(mutant)
             for row in readers:
                 argv = rows[row]
@@ -322,6 +344,9 @@ def test_every_mutated_input_exits_0_or_1_citing_its_file(tmp_path, monkeypatch)
                     cited = re.search(rf"(?<![\w.-]){re.escape(name)}:\d+: ", message)
                     assert cited or name in message and any(m in message for m in _WHOLE_FILE), (case, message)
                     assert not any(m in message for m in _PYTHON_MESSAGES), (case, message)
+                if op == "renamed-key" and name.endswith(".json") and name not in _OPEN_DOCUMENTS:
+                    # a strict document names the key: the old one if it is required, else the near miss
+                    assert code == 1 and any(repr(key) in message for key in keys), (case, message)
                 for output, data in outputs.items():
                     (tmp_path / output).write_bytes(data)
         (tmp_path / name).write_bytes(original)

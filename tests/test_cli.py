@@ -691,13 +691,18 @@ GOOD_POINT = {"x": 1, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_to
 
 
 def _sweep_with_fit(**fit) -> str:
-    """A drawable sweep JSON whose fit has ``fit`` in place of a good one."""
-    return json.dumps({"dataset": "d", "kind": "budget", "points": [GOOD_POINT], "fit": {**GOOD_FIT, **fit}})
+    """A drawable sweep JSON whose fit has ``fit`` in place of a good one's fields."""
+    return _sweep_with_fit_value({**GOOD_FIT, **fit})
+
+
+def _sweep_with_fit_value(fit, **keys) -> str:
+    """A sweep JSON of one good point whose ``fit`` is ``fit``, plus ``keys``."""
+    return json.dumps({"dataset": "d", "kind": "budget", "points": [GOOD_POINT], "fit": fit, **keys})
 
 
 def _sweep_with_point(**point) -> str:
     """A sweep JSON of one point, with ``point`` in place of a good one's fields."""
-    return json.dumps({"dataset": "d", "kind": "budget", "points": [{**GOOD_POINT, **point}]})
+    return json.dumps({"dataset": "d", "kind": "budget", "points": [{**GOOD_POINT, **point}], "fit": None})
 
 
 @pytest.mark.parametrize(
@@ -705,7 +710,7 @@ def _sweep_with_point(**point) -> str:
     [
         pytest.param("--sweep", "{}", id="sweep-no-points"),
         pytest.param("--sweep", "[]", id="sweep-not-object"),
-        pytest.param("--sweep", '{"points": [{"x": 1}]}', id="sweep-partial-point"),
+        pytest.param("--sweep", '{"dataset": "d", "kind": "budget", "points": [{"x": 1}], "fit": null}', id="sweep-partial-point"),
         pytest.param("--sweep", "not json", id="sweep-not-json"),
         pytest.param("--in", "{}", id="report-no-stages"),
         pytest.param("--in", '{"stages": [{"name": "a"}]}', id="report-no-counts"),
@@ -719,7 +724,7 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--dataset", None, id="dataset-directory"),
         pytest.param(
             "--sweep",
-            '{"dataset": "d", "points": [{"x": "a", "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
+            '{"dataset": "d", "kind": "budget", "points": [{"x": "a", "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}], "fit": null}',
             id="sweep-point-field-wrong-type",
         ),
         pytest.param("--sweep", b"\xff\xfe{}", id="sweep-not-utf8"),
@@ -732,27 +737,27 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--pool", b"\xef\xbb\xbf" + json.dumps(question_record("q1")).encode(), id="pool-bom"),
         pytest.param("--pool", json.dumps(question_record("q1")) + " " + json.dumps(question_record("q1")), id="pool-two-objects"),
         pytest.param("--pool", json.dumps({"_meta": "stray", **question_record("q1")}), id="pool-meta-beside-fields"),
-        pytest.param("--sweep", '{"dataset": "d", "kind": "bogus", "points": []}', id="sweep-unknown-kind"),
-        pytest.param("--in", '{"stages": [{"name": "s", "counts": {"x": 1.5, "y": true}}]}', id="report-count-not-integer"),
+        pytest.param("--sweep", '{"dataset": "d", "kind": "bogus", "points": [], "fit": null}', id="sweep-unknown-kind"),
+        pytest.param("--in", '{"stages": [{"name": "s", "counts": {"x": 1.5, "y": true}, "total": 2.5}]}', id="report-count-not-integer"),
         pytest.param(
             "--sweep",
-            '{"dataset": 5, "kind": "budget", "points": [{"x": 1, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
+            '{"dataset": 5, "kind": "budget", "points": [{"x": 1, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}], "fit": null}',
             id="sweep-dataset-not-string",
         ),
-        pytest.param("--sweep-svg", json.dumps({"dataset": 5, "kind": "budget", "points": [GOOD_POINT]}), id="sweep-dataset-not-string-svg"),
+        pytest.param("--sweep-svg", json.dumps({"dataset": 5, "kind": "budget", "points": [GOOD_POINT], "fit": None}), id="sweep-dataset-not-string-svg"),
         pytest.param(
             "--sweep",
-            '{"dataset": "d", "points": [{"x": Infinity, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
+            '{"dataset": "d", "kind": "budget", "points": [{"x": Infinity, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}], "fit": null}',
             id="sweep-x-infinite",
         ),
         pytest.param(
             "--sweep",
-            '{"dataset": "d", "points": [{"x": NaN, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}]}',
+            '{"dataset": "d", "kind": "budget", "points": [{"x": NaN, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 1}], "fit": null}',
             id="sweep-x-nan",
         ),
         pytest.param(
             "--sweep",
-            '{"dataset": "d", "points": [{"x": 1, "accuracy": 0.5, "n": -2, "n_correct": -1, "mean_thinking_tokens": 1}]}',
+            '{"dataset": "d", "kind": "budget", "points": [{"x": 1, "accuracy": 0.5, "n": -2, "n_correct": -1, "mean_thinking_tokens": 1}], "fit": null}',
             id="sweep-count-negative",
         ),
         # a point of no questions, which no sweep makes, would draw any accuracy
@@ -761,14 +766,14 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--sweep", _sweep_with_point(mean_thinking_tokens=-5), id="sweep-mean-tokens-negative"),
         pytest.param("--sweep-svg", _sweep_with_point(mean_thinking_tokens=-5), id="sweep-mean-tokens-negative-svg"),
         # an x no sweep of its kind makes: a budget is an integer >= 1, a forcing count one >= 0
-        pytest.param("--sweep", json.dumps({"dataset": "d", "kind": "forcing", "points": [{**GOOD_POINT, "x": -5}]}), id="sweep-forcing-x-negative"),
-        pytest.param("--sweep-svg", json.dumps({"dataset": "d", "kind": "forcing", "points": [{**GOOD_POINT, "x": -5}]}), id="sweep-forcing-x-negative-svg"),
-        pytest.param("--sweep-svg", json.dumps({"dataset": "d", "kind": "forcing", "points": [{**GOOD_POINT, "x": 2.5}]}), id="sweep-forcing-x-fractional-svg"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "kind": "forcing", "points": [{**GOOD_POINT, "x": -5}], "fit": None}), id="sweep-forcing-x-negative"),
+        pytest.param("--sweep-svg", json.dumps({"dataset": "d", "kind": "forcing", "points": [{**GOOD_POINT, "x": -5}], "fit": None}), id="sweep-forcing-x-negative-svg"),
+        pytest.param("--sweep-svg", json.dumps({"dataset": "d", "kind": "forcing", "points": [{**GOOD_POINT, "x": 2.5}], "fit": None}), id="sweep-forcing-x-fractional-svg"),
         pytest.param("--sweep", _sweep_with_point(x=0), id="sweep-budget-x-zero"),
         pytest.param("--sweep-svg", _sweep_with_point(x=0), id="sweep-budget-x-zero-svg"),
-        pytest.param("--in", '{"stages": [{"name": ["x"], "counts": {"a": 1}}]}', id="report-name-not-string"),
-        pytest.param("--in", '{"stages": [{"name": "s", "counts": {"a": 1}, "params": [1]}]}', id="report-params-not-object"),
-        pytest.param("--in", '{"stages": [{"name": "s", "counts": [["a", 1]]}]}', id="report-counts-not-object"),
+        pytest.param("--in", '{"stages": [{"name": ["x"], "counts": {"a": 1}, "total": 1}]}', id="report-name-not-string"),
+        pytest.param("--in", '{"stages": [{"name": "s", "counts": {"a": 1}, "total": 1, "params": [1]}]}', id="report-params-not-object"),
+        pytest.param("--in", '{"stages": [{"name": "s", "counts": [["a", 1]], "total": 1}]}', id="report-counts-not-object"),
         pytest.param("--in", '{"header": [["a", 1]], "stages": []}', id="report-header-not-object"),
         # past sys.get_int_max_str_digits() the decoder raises a bare ValueError
         pytest.param("--pool", '{"id": "q1", "question": "x", "options": {"A": "x"}, "answer": "A", "n": %s}' % ("1" * 5001), id="pool-int-too-long"),
@@ -786,8 +791,8 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--sweep-svg", _sweep_with_fit(sxx=-2.0), id="fit-sxx-negative-svg"),
         pytest.param("--sweep", _sweep_with_fit(slope=float("nan")), id="fit-slope-nan"),
         pytest.param("--sweep-svg", _sweep_with_fit(slope=float("nan")), id="fit-slope-nan-svg"),
-        pytest.param("--sweep", '{"dataset": "d", "kind": "budget", "points": []}', id="sweep-points-empty"),
-        pytest.param("--sweep-svg", '{"dataset": "d", "kind": "budget", "points": []}', id="sweep-points-empty-svg"),
+        pytest.param("--sweep", '{"dataset": "d", "kind": "budget", "points": [], "fit": null}', id="sweep-points-empty"),
+        pytest.param("--sweep-svg", '{"dataset": "d", "kind": "budget", "points": [], "fit": null}', id="sweep-points-empty-svg"),
     ],
 )
 def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset, oracle_script, option, content):
@@ -827,14 +832,44 @@ def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset,
         pytest.param("--in", '{"stages": [{"name": "s", "counts": {"a": "1"}, "total": 1}]}', "stage 's': a count is not a non-negative integer", id="report-count-string"),
         pytest.param("--mock", '{"entries": [{"trigger": ""}, "x"]}', "entries[1] must be an object, not a string", id="mock-entry-not-object"),
         pytest.param("--mock", '{"entries": {"trigger": ""}}', "entries must be an array, not an object", id="mock-entries-not-array"),
-        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [None]}), "points[0] must be an object, not null", id="sweep-point-null"),
-        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [{"x": 1}]}), "points[0] lacks field 'accuracy'", id="sweep-point-lacks-field"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "kind": "budget", "points": [None], "fit": None}), "points[0] must be an object, not null", id="sweep-point-null"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "kind": "budget", "points": [{"x": 1}], "fit": None}), "points[0] lacks field 'accuracy'", id="sweep-point-lacks-field"),
         pytest.param("--sweep", _sweep_with_point(bogus=1), "points[0] has unknown fields ['bogus']", id="sweep-point-unknown-field"),
-        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [GOOD_POINT], "fit": "x"}), "fit must be an object, not a string", id="fit-not-object"),
-        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [GOOD_POINT], "fit": {"slope": 1}}), "fit lacks field 'intercept'", id="fit-lacks-field"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "kind": "budget", "points": [GOOD_POINT], "fit": "x"}), "fit must be an object, not a string", id="fit-not-object"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "kind": "budget", "points": [GOOD_POINT], "fit": {"slope": 1}}), "fit lacks field 'intercept'", id="fit-lacks-field"),
         # a sweep names its kind: read as a budget sweep, a forcing sweep would fail at x=0 or get the wrong axis
-        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [GOOD_POINT]}), "missing field 'kind'", id="sweep-no-kind"),
-        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [{**GOOD_POINT, "x": 0}]}), "missing field 'kind'", id="sweep-forcing-no-kind"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [GOOD_POINT], "fit": None}), "sweep lacks field 'kind'", id="sweep-no-kind"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "points": [{**GOOD_POINT, "x": 0}], "fit": None}), "sweep lacks field 'kind'", id="sweep-forcing-no-kind"),
+        # only null means a sweep has no band: any other fit is read as one
+        pytest.param("--sweep", _sweep_with_fit_value({}), "fit lacks field 'slope'", id="fit-empty-object"),
+        pytest.param("--sweep", _sweep_with_fit_value(False), "fit must be an object, not a boolean", id="fit-false"),
+        pytest.param("--sweep", _sweep_with_fit_value(0), "fit must be an object, not a number", id="fit-zero"),
+        pytest.param("--sweep", _sweep_with_fit_value(""), "fit must be an object, not a string", id="fit-empty-string"),
+        pytest.param("--sweep", _sweep_with_fit_value([]), "fit must be an object, not an array", id="fit-empty-array"),
+        pytest.param("--sweep", json.dumps({"dataset": "d", "kind": "budget", "points": [GOOD_POINT]}), "sweep lacks field 'fit'", id="sweep-no-fit"),
+        # a misspelt key is named, not read as absent
+        pytest.param(
+            "--sweep",
+            json.dumps({"dataset": "d", "kind": "budget", "points": [GOOD_POINT], "fitt": GOOD_FIT, "pointz": []}),
+            "sweep lacks field 'fit'",
+            id="sweep-fit-misspelt",
+        ),
+        pytest.param("--sweep", _sweep_with_fit_value(None, pointz=[]), "sweep has unknown fields ['pointz']", id="sweep-unknown-key"),
+        pytest.param(
+            "--in",
+            '{"headr": {"a": 1}, "stages": [{"name": "s", "counts": {"a": 1}, "totl": 5}]}',
+            "ledger has unknown fields ['headr']",
+            id="report-header-misspelt",
+        ),
+        pytest.param(
+            "--in", '{"header": {}, "stages": [{"name": "s", "counts": {"a": 1}, "totl": 5}]}', "stages[0] lacks field 'total'", id="report-total-misspelt"
+        ),
+        pytest.param(
+            "--in",
+            '{"stages": [{"name": "s", "counts": {"a": 1}, "total": 1, "totl": 5}]}',
+            "stages[0] has unknown fields ['totl']",
+            id="report-stage-unknown-key",
+        ),
     ],
 )
 def test_a_json_field_of_the_wrong_shape_is_named(tmp_path, capsys, dataset, option, content, message):
@@ -1036,7 +1071,7 @@ def test_removed_flags_are_usage_errors(argv, capsys):
 def test_plot_and_report_ignore_a_malformed_base_url(tmp_path, monkeypatch, capsys):
     # neither reads the config, so a bad M1_BASE_URL must not stop them
     monkeypatch.setenv("M1_BASE_URL", "localhost:8000")
-    sweep = {"dataset": "d", "kind": "budget", "points": [{"x": 8, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 4.0}]}
+    sweep = {"dataset": "d", "kind": "budget", "points": [{"x": 8, "accuracy": 0.5, "n": 2, "n_correct": 1, "mean_thinking_tokens": 4.0}], "fit": None}
     (tmp_path / "sweep.json").write_text(json.dumps(sweep))
     assert run(["plot", "--sweep", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "o.csv")]) == 0
     ledger = {"stages": [{"name": "initial", "counts": {"a": 1}, "total": 1}]}

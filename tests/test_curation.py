@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture
+from conftest import assert_json_round_trip, json_text, json_values, load_fixture
 from thinkctl.budget import ANSWER_MARKER, THINK_MARKER
 from thinkctl import client
 from thinkctl.client import ConnectionFailure, ScriptEntry, ScriptedModel
@@ -625,8 +625,7 @@ def test_stage_total_is_per_source_sum():
 
 def test_report_validate_rejects_increasing_totals():
     report = CurationReport()
-    report.add_stage("first", {"a": 5})
-    report.add_stage("second", {"a": 9})
+    report.stages += [StageCount("first", {"a": 5}), StageCount("second", {"a": 9})]
     with pytest.raises(CurationError):
         report.validate()
 
@@ -634,7 +633,7 @@ def test_report_validate_rejects_increasing_totals():
 @pytest.mark.parametrize("count", [-1, 1.5, 2.0, True, "3", None])
 def test_report_validate_rejects_a_count_that_is_not_a_nonnegative_int(count):
     report = CurationReport()
-    report.add_stage("first", {"a": 5, "b": count})
+    report.stages.append(StageCount("first", {"a": 5, "b": count}))
     with pytest.raises(CurationError, match="not a non-negative integer"):
         report.validate()
 
@@ -646,12 +645,26 @@ def test_report_from_dict_rejects_wrong_total():
         )
 
 
-def test_report_round_trip():
-    report = CurationReport(header={"seed": 42})
-    report.add_stage("first", {"a": 5, "b": 2})
-    report.add_stage("second", {"a": 3, "b": 1}, params={"k": 1})
-    back = CurationReport.from_dict(report.to_dict())
-    assert back.to_dict() == report.to_dict()
+# stage rows whose totals never increase, as the ledger requires
+stage_rows = st.lists(
+    st.builds(
+        StageCount,
+        json_text,
+        st.dictionaries(json_text, st.integers(0, 10**12), max_size=3),
+        st.none() | st.dictionaries(json_text, json_values, max_size=3),
+    ),
+    max_size=4,
+).map(lambda rows: sorted(rows, key=lambda row: -row.total))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(report=st.builds(CurationReport, stage_rows, st.dictionaries(json_text, json_values, max_size=3)), provenance=json_values)
+@example(
+    report=CurationReport([StageCount("first", {"a": 5, "b": 2}), StageCount("second", {"a": 3, "b": 1}, {"k": 1})], {"seed": 42}),
+    provenance={},
+)
+def test_report_round_trip(report, provenance):
+    assert_json_round_trip(report, CurationReport.to_dict, CurationReport.from_dict, provenance)
 
 
 def test_live_pipeline_ledger_conservation():
@@ -667,7 +680,7 @@ def test_live_pipeline_ledger_conservation():
     graders = [grader_for({"q1": True, "q2": False, "q3": False, "q4": False, "q5": False}, pool)]
 
     report = CurationReport()
-    report.add_stage("initial_collection", source_counts(pool))
+    report.stages.append(StageCount("initial_collection", source_counts(pool)))
     kept, row = difficulty_filter(pool, graders)
     report.stages.append(row)
     clean, row = decontaminate(kept, [eval_set])

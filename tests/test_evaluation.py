@@ -7,12 +7,17 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import assert_json_round_trip, json_text, json_values
 from thinkctl.budget import ANSWER_CUE, ANSWER_MARKER, THINK_MARKER, BudgetPolicy
 from thinkctl import client
 from thinkctl.client import ConnectionFailure, GenerationRequest, ScriptEntry, ScriptedModel
 from thinkctl.evaluation import (
     DEFAULT_BUDGET_GRID,
+    KIND_BUDGET,
+    KIND_FORCING,
     SweepPoint,
     SweepResult,
     budget_sweep,
@@ -393,11 +398,24 @@ def test_sweep_result_validation():
     assert SweepResult("d", "forcing", [SweepPoint(**{**good.to_dict(), "x": 0})]).points[0].x == 0
 
 
-def test_sweep_result_round_trip(make_questions):
-    questions = make_questions(3)
-    sweep = budget_sweep(questions, oracle_model(questions), [16, 32], BudgetPolicy())
-    back = SweepResult.from_dict(sweep.to_dict())
-    assert back.to_dict() == sweep.to_dict()
+@st.composite
+def sweep_results(draw) -> SweepResult:
+    kind = draw(st.sampled_from([KIND_BUDGET, KIND_FORCING]))
+    xs = sorted(draw(st.sets(st.integers(1 if kind == KIND_BUDGET else 0, 10**6), min_size=1, max_size=4)))
+    points = []
+    for x in xs:
+        n = draw(st.integers(1, 10**6))
+        n_correct = draw(st.integers(0, n))
+        x = draw(st.sampled_from([x, float(x)]))
+        points.append(SweepPoint(x, n_correct / n, n, n_correct, draw(st.floats(0, 1e9))))
+    return SweepResult(draw(json_text), kind, points)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sweep=sweep_results(), provenance=json_values)
+@example(sweep=SweepResult("d", KIND_BUDGET, [SweepPoint(16, 1.0, 3, 3, 2.0), SweepPoint(32, 2 / 3, 3, 2, 2.5)]), provenance={})
+def test_sweep_result_round_trip(sweep, provenance):
+    assert_json_round_trip(sweep, SweepResult.to_dict, SweepResult.from_dict, provenance)
 
 
 # --- one worker pool per sweep ------------------------------------------------------

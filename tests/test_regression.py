@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_json_round_trip, json_values
 from thinkctl.regression import FitRefusedError, RegressionFit, _t_abs_cdf, _t_critical, fit_linear_with_ci
 
 
@@ -107,10 +108,28 @@ def test_t_abs_cdf_closed_forms(t):
     assert _t_abs_cdf(t, 2) == pytest.approx(t / math.sqrt(2 + t * t), rel=1e-12)
 
 
-def test_fit_serialization_round_trip():
-    fit = fit_linear_with_ci([(0, 0.1), (1, 1.2), (2, 1.9), (3, 3.2)])
-    back = RegressionFit.from_dict(fit.to_dict())
-    assert back == fit
+finite = st.floats(allow_nan=False, allow_infinity=False)
+above_zero = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    fit=st.builds(
+        RegressionFit,
+        slope=finite,
+        intercept=finite,
+        residual_se=st.floats(min_value=0, allow_infinity=False),
+        n=st.integers(3, 10**9),
+        x_mean=finite,
+        sxx=above_zero,
+        t_crit=above_zero,
+    ),
+    provenance=json_values,
+)
+@example(fit=fit_linear_with_ci([(0, 0.1), (1, 1.2), (2, 1.9), (3, 3.2)]), provenance={})
+def test_fit_serialization_round_trip(fit, provenance):
+    # a saved fit is the "fit" of a sweep JSON
+    assert_json_round_trip(fit, lambda f: {"fit": f.to_dict()}, lambda doc: RegressionFit.from_dict(doc["fit"]), provenance)
 
 
 def test_coverage_of_mean_response_band():
