@@ -61,7 +61,7 @@ grader_entries = [
 ]
 grader = ScriptedModel(tuple(grader_entries))
 
-report = CurationReport(header={"demo": True})
+report = CurationReport()
 report.stages.append(StageCount("initial_collection", source_counts(pool)))
 
 kept, row = difficulty_filter(pool, [grader])

@@ -44,12 +44,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 
 
-def _add_config(parser: argparse.ArgumentParser, sections, mock: str) -> None:
-    """``--config``, a flag per key of the config ``sections``, and ``--mock``."""
+def _add_config(parser: argparse.ArgumentParser, keys, mock: str) -> None:
+    """``--config``, a flag per config key named in ``keys``, and ``--mock``."""
     parser.add_argument("--config", help="INI config file")
-    for section in sections:
-        for key in (CONFIG_FIELDS[name] for name in SECTION_KEYS[section]):
-            parser.add_argument(flag_for(key), dest=key.name, type=type(key.default), help=key.metadata["help"])
+    for key in (CONFIG_FIELDS[name] for name in keys):
+        parser.add_argument(flag_for(key), dest=key.name, type=type(key.default), help=key.metadata["help"])
     parser.add_argument("--mock", action="append", help=mock)
 
 
@@ -153,17 +152,21 @@ SWEEP_OUTPUTS = (
     ("--out-json", {"help": "sweep result JSON for later plotting"}),
     ("--summary", {}),
 )
-# the config of a command that runs a policy: every section, one scripted model
-POLICY_CONFIG = (SECTION_KEYS, "scripted-model JSON in place of the wire backend")
 
-# Every command in help order: its words -> (its help, (the config sections
-# it takes flags for, its --mock help) or None, its other arguments). run
-# adds arguments only to the command it runs, and calls cmd_<words>.
+
+def _policy_config(kind: str | None = None):
+    """A policy command's config: a flag per key but the one a ``kind`` sweep's grid sets, one scripted model."""
+    return [k for k in CONFIG_FIELDS if k != evaluation.SWEPT_KEY.get(kind)], "scripted-model JSON in place of the wire backend"
+
+
+# Every command in help order: its words -> (its help, (the config keys it
+# takes flags for, its --mock help) or None, its other arguments). run adds
+# arguments only to the command it runs, and calls cmd_<words>.
 COMMANDS = {
     # the filter sends no reasoning policy, so it takes no [policy] flag
     ("curate", "filter"): (
         "keep questions every grader misses",
-        ((BACKEND_SECTION, RUN_SECTION), "scripted grader JSON in place of the wire graders; repeatable"),
+        (SECTION_KEYS[BACKEND_SECTION] + SECTION_KEYS[RUN_SECTION], "scripted grader JSON in place of the wire graders; repeatable"),
         (POOL, OUT, REPORT, ("--grader-model", {"action": "append", "help": "wire grader model; repeatable"})),
     ),
     # the other curate stages send no request, so they read no config
@@ -187,17 +190,17 @@ COMMANDS = {
         POOL, ("--lexicon", {"required": True, "help": "JSON object mapping term -> qualifier"}), OUT
     )),
     ("curate", "format-sft"): ("render verified traces as training text", None, (TRACES, OUT)),
-    ("eval",): ("accuracy per dataset under a policy, plus the macro average", POLICY_CONFIG, (
+    ("eval",): ("accuracy per dataset under a policy, plus the macro average", _policy_config(), (
         ("--dataset", {"action": "append", "required": True, "dest": "datasets", "help": "repeatable"}),
         ("--out", {"help": "one trace record per run, JSONL"}),
         ("--summary", {"help": "summary JSON"}),
     )),
-    ("sweep",): ("accuracy vs thinking budget", POLICY_CONFIG, (
+    ("sweep",): ("accuracy vs thinking budget", _policy_config(evaluation.KIND_BUDGET), (
         DATASET,
         ("--budgets", {"default": ",".join(map(str, evaluation.DEFAULT_BUDGET_GRID)), "help": "comma-separated budgets"}),
         *SWEEP_OUTPUTS,
     )),
-    ("force-sweep",): ("accuracy vs forcing count", POLICY_CONFIG, (
+    ("force-sweep",): ("accuracy vs forcing count", _policy_config(evaluation.KIND_FORCING), (
         DATASET, ("--max-forcings", {"type": int, "required": True}), *SWEEP_OUTPUTS
     )),
     # plot and report read no config either
@@ -338,15 +341,17 @@ def cmd_report(args):
 
 
 def run(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="thinkctl", description=__doc__)
+    # an option is spelled in full: no parser reads a prefix of one as the option
+    parser = argparse.ArgumentParser(prog="thinkctl", description=__doc__, allow_abbrev=False)
     commands = parser.add_subparsers(dest="command", required=True)
-    stages = commands.add_parser("curate", help="data curation pipeline stages").add_subparsers(dest="stage", required=True)
+    curate = commands.add_parser("curate", help="data curation pipeline stages", allow_abbrev=False)
+    stages = curate.add_subparsers(dest="stage", required=True)
     # argparse reads the first argument that is no option as the command
     # and, under curate, the next one as the stage
     named = [arg for arg in argv if not arg.startswith("-")]
     words = next((w for w in COMMANDS if list(w) == named[: len(w)]), None)
     for key, (text, config, arguments) in COMMANDS.items():
-        p = (stages if key[0] == "curate" else commands).add_parser(key[-1], help=text)
+        p = (stages if key[0] == "curate" else commands).add_parser(key[-1], help=text, allow_abbrev=False)
         if key == words:
             if config:
                 _add_config(p, *config)

@@ -378,9 +378,16 @@ class WireBackend:
                     # the objects read here, is as retryable as a cut stream
                     try:
                         chunk = payload.decode("utf-8")
-                        choices = json.loads(chunk).get("choices") or []
+                        event = json.loads(chunk)
+                        choices = event.get("choices") or []
                         if not choices:
-                            continue
+                            if (error := event.get("error")) is None:
+                                continue
+                            # as for a status, an integer code other than 429 or 5xx makes it final
+                            code = error.get("code")
+                            exc = BackendError(f"backend stream error: {str(error.get('message', ''))[:200]}")
+                            exc.retryable = type(code) is not int or code == 429 or code >= 500
+                            raise exc
                         text = (choices[0].get("delta") or {}).get("content") or ""
                         finished = choices[0].get("finish_reason")
                         if not isinstance(text, str):

@@ -100,7 +100,6 @@ class CurationReport:
     """The provenance ledger: ordered stage rows keyed by source dataset."""
 
     stages: list[StageCount] = field(default_factory=list)
-    header: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         """Check the ledger identities: totals equal per-source sums and
@@ -117,13 +116,13 @@ class CurationReport:
             previous = stage
 
     def to_dict(self) -> dict:
-        return {"header": dict(self.header), "stages": [s.to_dict() for s in self.stages]}
+        return {"stages": [s.to_dict() for s in self.stages]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CurationReport":
-        json_shape("ledger", data, dict, ["stages"], ["header", "_provenance"])
+        json_shape("ledger", data, dict, ["stages"], ["_provenance"])
         rows = json_shape("stages", data["stages"], list, ["name", "counts", "total"], ["params"])
-        report = cls(header=dict(json_shape("ledger header", data["header"], dict)) if "header" in data else {})
+        report = cls()
         for row in rows:
             name = json_shape("stage name", row["name"], str)
             params = json_shape(f"stage {name!r} params", row["params"], dict) if "params" in row else None
@@ -131,6 +130,9 @@ class CurationReport:
         # a count that is no integer would fail the sum of a stage's total
         report.validate()
         for row, stage in zip(rows, report.stages):
+            # held to the rule for a count, so that no true or 1.0 stands for 1
+            if isinstance(row["total"], bool) or not isinstance(row["total"], int) or row["total"] < 0:
+                raise CurationError(f"stage {stage.name!r}: recorded total is not a non-negative integer")
             if row["total"] != stage.total:
                 raise CurationError(
                     f"stage {stage.name!r}: recorded total {row['total']} does not equal per-source sum {stage.total}"

@@ -29,6 +29,7 @@ DEFAULT_BUDGET_GRID = (512, 1024, 2048, 4096, 8192)
 
 KIND_BUDGET = "budget"
 KIND_FORCING = "forcing"
+SWEPT_KEY = {KIND_BUDGET: "thinking_budget", KIND_FORCING: "forcing_count"}  # the policy key a kind's grid sets
 
 
 @dataclass
@@ -177,19 +178,18 @@ def _sweep(
     questions: Sequence[McqQuestion],
     backend,
     policy: BudgetPolicy,
-    knob: str,
     xs: Sequence[int],
     dataset_name: str,
     kind: str,
     workers: int,
 ) -> SweepResult:
-    """Evaluate once per value of the policy field ``knob``, in the order
-    given, so every point is what a run at that value gives.
+    """Evaluate once per value of the policy field ``SWEPT_KEY[kind]``, in
+    the order given, so every point is what a run at that value gives.
 
     One ``in_order`` runner takes every point's runs, so on a pool a point's
     slowest run overlaps the next point's; each point is one ``evaluate``.
     """
-    policies = [replace(policy, **{knob: x}) for x in xs]
+    policies = [replace(policy, **{SWEPT_KEY[kind]: x}) for x in xs]
 
     def point(x, at: BudgetPolicy, runs: Iterable[EvalOutcome]) -> SweepPoint:
         # a function, so that a point's outcomes are freed before the next point is gathered
@@ -216,7 +216,7 @@ def budget_sweep(
         raise ValueError("need at least one budget")
     if len(set(budgets)) != len(budgets):
         raise ValueError("budgets must be distinct")
-    return _sweep(questions, backend, policy, "thinking_budget", sorted(budgets), dataset_name, KIND_BUDGET, workers)
+    return _sweep(questions, backend, policy, sorted(budgets), dataset_name, KIND_BUDGET, workers)
 
 
 def forcing_sweep(
@@ -236,4 +236,4 @@ def forcing_sweep(
     """
     if max_forcings < 0:
         raise ValueError("max_forcings must be >= 0")
-    return _sweep(questions, backend, policy, "forcing_count", range(max_forcings + 1), dataset_name, KIND_FORCING, workers)
+    return _sweep(questions, backend, policy, range(max_forcings + 1), dataset_name, KIND_FORCING, workers)

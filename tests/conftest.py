@@ -100,6 +100,16 @@ def random_scripted_model(rng: random.Random) -> tuple[ScriptedModel, int]:
 UTF8_CHUNKS = ["5 µg", " at 37 °C", " then 39°C"]
 STATUS_BODY = "server exploded"
 OK_DELTAS = ["Hello", " world", "!"]
+STREAM_ERROR = "CUDA out of memory"
+
+
+def error_stream(code=None, message: str = STREAM_ERROR) -> bytes:
+    """A raw-mode body: one content chunk, then an error object with
+    ``code`` (none if None), as a server reports an exception raised
+    mid-stream, then the sentinel."""
+    error = {"message": message} if code is None else {"message": message, "code": code}
+    content = {"choices": [{"delta": {"content": "The answer "}, "finish_reason": None}]}
+    return f"data: {json.dumps(content)}\n\ndata: {json.dumps({'error': error})}\n\ndata: [DONE]\n\n".encode()
 
 
 class _SSEHandler(BaseHTTPRequestHandler):

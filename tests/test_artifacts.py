@@ -257,8 +257,8 @@ _VALUE_OPERATORS = {
 # a JSON string literal, escapes included
 _JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 # keys whose values map free names, not fields: a source's counts, a
-# stage's params, the ledger header and provenance
-_FREE_KEYS = ("_provenance", "header", "counts", "params")
+# stage's params and provenance
+_FREE_KEYS = ("_provenance", "counts", "params")
 # JSON inputs whose keys are free names; every other .json file is one of thinkctl's own strict documents
 _OPEN_DOCUMENTS = ("lexicon.json",)
 
@@ -476,7 +476,7 @@ PINNED = {'eval': (0,
            'eval_summary.json': 'dd74b489b5a1c8082c6b73ba8a03083e571ce41c6d4cd06dd8aa4e19812d3662'}),
  'eval-validate': (0,
                    'verified 3 of 9 traces\n',
-                   {'eval_validate_report.json': '9e3a0407077d2e36a5994c231018b1af7c0b281dbf5760f73d42e64c5157ad46',
+                   {'eval_validate_report.json': 'e1191ca13403629f1709c0f73d7f3824588107454b0b43e37f93bb3253786a0e',
                     'eval_verified.jsonl': '7b29a3a3ea7e3d9a5726d7157dfa72c921cbac7d2b6e8c3d9156220d50350b52'}),
  'eval-format-sft': (0,
                      'formatted 3 examples\n',
@@ -488,17 +488,17 @@ PINNED = {'eval': (0,
            'budget 4: accuracy 0.3333 (2/6)\n'
            'budget 6: accuracy 0.5000 (3/6)\n',
            {'sweep.csv': 'b7ac6ac7a73fd36f7548d2783589044e637e8ce34033b3cbafb39ba4ad2a7eb3',
-            'sweep.json': 'd422ba9fcfb46350211d5ec650b515b0ef1a24c0854362018d06c0ca28e7cea5',
+            'sweep.json': 'ba4c98e5b4b48b702c2528d2a48cd9fd5c1580efe399d5f2d338449cb26ccb00',
             'sweep.svg': '44200bb0e0b029ec9466f2b656ed03898f6f87ea01f95b329427d54a3150069f',
-            'sweep_summary.json': 'd422ba9fcfb46350211d5ec650b515b0ef1a24c0854362018d06c0ca28e7cea5'}),
+            'sweep_summary.json': 'ba4c98e5b4b48b702c2528d2a48cd9fd5c1580efe399d5f2d338449cb26ccb00'}),
  'force-sweep': (0,
                  'forcings 0: accuracy 0.5000 (3/6)\n'
                  'forcings 1: accuracy 0.6667 (4/6)\n'
                  'forcings 2: accuracy 0.1667 (1/6)\n',
                  {'force.csv': 'd806a1929e0c0ca8dfba7c3e998bb593b44860a04d42f1ec42a6aebf65f965fd',
-                  'force.json': '5fbca5d510474fe3bf0192023f2314d140a111db5e087cabec6542d59ff2b35c',
+                  'force.json': 'f956178f3dcb578826ddd52b46c361f5716a7e25b2c41068deb0c19bf6544f16',
                   'force.svg': '0a2f7bca5ba341d5a3a91e88f546316df68095515dfebaf9e3db6f89c09583bb',
-                  'force_summary.json': '5fbca5d510474fe3bf0192023f2314d140a111db5e087cabec6542d59ff2b35c'}),
+                  'force_summary.json': 'f956178f3dcb578826ddd52b46c361f5716a7e25b2c41068deb0c19bf6544f16'}),
  'plot-csv': (0,
               'wrote replot.csv\n',
               {'replot.csv': 'b7ac6ac7a73fd36f7548d2783589044e637e8ce34033b3cbafb39ba4ad2a7eb3'}),
@@ -507,29 +507,29 @@ PINNED = {'eval': (0,
               {'replot.svg': '0a2f7bca5ba341d5a3a91e88f546316df68095515dfebaf9e3db6f89c09583bb'}),
  'curate-filter': (0,
                    'kept 20 of 30 questions\n',
-                   {'filter_report.json': 'e0d97ebfd3fa3e0cf75744244698ffaa2f42dcc9f65b8d5cfcf585d69d218fef',
+                   {'filter_report.json': '0e707c76bd653694dacdcfeecae4ed9e293617eb4ccb4c3fa828f3fd54f63cc4',
                     'filtered.jsonl': 'f2c9e6ad067ac691f415c15e4a893e52de319f3f8ee7d20b4394533ad027e6e3'}),
  'curate-decontaminate': (0,
                           'kept 15 of 20 questions\n',
                           {'clean.jsonl': 'c22cf2946a05ccec3f37c66ed6499d327c9c947f5189c4dcebc373b7faa70f18',
-                           'decontaminate_report.json': '96603ac1ab9175ea386c5b190924ab18f45b827b3e4c7862dd29ec4753f97ca3'}),
+                           'decontaminate_report.json': '36834520d145049a1580bad01be7103086ac8091bb87c1a9078facc918d8953c'}),
  'curate-dedup': (0,
                   'kept 29 of 30 questions\n',
                   {'dedup.jsonl': '75ef1429676a2e17fd38e16a3dd5415266e289997526631d92e75849eaad55a4',
-                   'dedup_report.json': '600f53ea9fccf2df9dde7dd7939620c3059d1edb1af8316e287fb8f0a9f0de4c'}),
+                   'dedup_report.json': 'eb9afe7cee0aff523e532ff084f883c23e4792d9860512546aa7fc29e5f07929'}),
  'curate-annotate': (0,
                      'annotated 15 questions\n',
                      {'annotated.jsonl': '671c55221a9b1aba366a405ec4cb567397865d166daa81a158386232e53eaa68'}),
  'curate-sample': (0,
                    'sampled 8 of 15 questions\n',
                    {'sample.jsonl': 'e39f5b24eb27b14ac64b171de6547b35fc282ac022bfaf821a4b1347ffa3a150',
-                    'sample_report.json': '64ac8e6d31c605ae6bcd8767fb70c647b5361a0da0408682b6513d3ed98d6ae6'}),
+                    'sample_report.json': '7bb799dfd3284ea8770cec5ca8af4ff49c435497c82685e415c8082764d48597'}),
  'curate-sample-default-seed': (0,
                                 'sampled 12 of 15 questions\n',
                                 {'sample42.jsonl': 'cc84057483a8c138e1496fd339b452b00a12042aec819b749475bb505abd998b'}),
  'curate-validate': (0,
                      'verified 2 of 4 traces\n',
-                     {'validate_report.json': '73ff775a0252975b27d0e6da56c140d187377537b9d6a49394860db1fb7560b4',
+                     {'validate_report.json': 'e97f1d4317106a46eeada76e84417d57131214c08ffbf485603ec25c9904b525',
                       'verified.jsonl': 'a30cf477e63c8e63d4e0f5eca93cade685ae346c1ac56fe615ad9b28dd2908ba'}),
  'curate-format-sft': (0,
                        'formatted 2 examples\n',

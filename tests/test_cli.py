@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _SSEHandler
+from conftest import STREAM_ERROR, _SSEHandler, error_stream
 from thinkctl.budget import ANSWER_MARKER
 from thinkctl import cli, client, curation, evaluation
 from thinkctl.cli import run
@@ -222,7 +222,7 @@ def test_a_sweep_json_that_fails_to_encode_leaves_no_plot(tmp_path, dataset, cap
     csv_path, json_path = tmp_path / "sc.csv", tmp_path / "sj.json"
     argv = ["sweep", "--dataset", str(odd), "--mock", str(mock), "--budgets", "1,2,3"]
     assert run([*argv, "--out-csv", str(csv_path), "--out-json", str(json_path)]) == 1
-    assert capsys.readouterr() == ("", f"error: {json_path}:12: lone surrogate \\udcff (not encodable as UTF-8)\n")
+    assert capsys.readouterr() == ("", f"error: {json_path}:11: lone surrogate \\udcff (not encodable as UTF-8)\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([data_path.name, odd.name, mock.name])
 
 
@@ -378,8 +378,8 @@ def test_curate_sample_deterministic_bytes(tmp_path):
     assert len(sampled) == 20
     report = json.loads((tmp_path / "report-a.json").read_text())
     assert report["stages"][-1]["total"] == 20
-    # the sampler's rng and seed are in its row, and the seed in the config, not in the header too
-    assert report["header"] == {}
+    # the sampler's rng and seed are in its row, and the seed in the config
+    assert set(report) == {"stages", "_provenance"}
     assert report["stages"][-1]["params"] == {"rng": curation.SAMPLER_RNG, "seed": 42, "target_n": 20}
     assert report["_provenance"]["config"] == {"seed": 42}
 
@@ -661,7 +661,6 @@ def test_report_validates_and_prints(tmp_path, capsys):
     report_path.write_text(
         json.dumps(
             {
-                "header": {},
                 "stages": [
                     {"name": "initial", "counts": {"a": 5, "b": 3}, "total": 8},
                     {"name": "filtered", "counts": {"a": 2, "b": 1}, "total": 3},
@@ -733,7 +732,7 @@ def _sweep_with_point(**point) -> str:
         pytest.param("--mock", '{"entries": [{"trigger": "", "emission": "x\\ud800"}]}', id="mock-lone-surrogate"),
         pytest.param("--lexicon", '{"tachycardia": "Diag\\ud800"}', id="lexicon-lone-surrogate"),
         pytest.param("--sweep", json.dumps({"dataset": "d\ud800", "points": [GOOD_POINT]}), id="sweep-lone-surrogate"),
-        pytest.param("--in", '{"header": {}, "stages": [{"name": "a\\ud800", "counts": {"x": 1}}]}', id="report-lone-surrogate"),
+        pytest.param("--in", '{"stages": [{"name": "a\\ud800", "counts": {"x": 1}}]}', id="report-lone-surrogate"),
         pytest.param("--pool", b"\xef\xbb\xbf" + json.dumps(question_record("q1")).encode(), id="pool-bom"),
         pytest.param("--pool", json.dumps(question_record("q1")) + " " + json.dumps(question_record("q1")), id="pool-two-objects"),
         pytest.param("--pool", json.dumps({"_meta": "stray", **question_record("q1")}), id="pool-meta-beside-fields"),
@@ -862,13 +861,28 @@ def test_malformed_json_input_exits_1_naming_the_file(tmp_path, capsys, dataset,
             id="report-header-misspelt",
         ),
         pytest.param(
-            "--in", '{"header": {}, "stages": [{"name": "s", "counts": {"a": 1}, "totl": 5}]}', "stages[0] lacks field 'total'", id="report-total-misspelt"
+            "--in", '{"stages": [{"name": "s", "counts": {"a": 1}, "totl": 5}]}', "stages[0] lacks field 'total'", id="report-total-misspelt"
         ),
         pytest.param(
             "--in",
             '{"stages": [{"name": "s", "counts": {"a": 1}, "total": 1, "totl": 5}]}',
             "stages[0] has unknown fields ['totl']",
             id="report-stage-unknown-key",
+        ),
+        # a ledger holds no header: report never printed it
+        pytest.param("--in", '{"header": {}, "stages": []}', "ledger has unknown fields ['header']", id="report-header"),
+        # a total is held to the rule for a count, so true or 1.0 does not stand for 1
+        pytest.param(
+            "--in",
+            '{"stages": [{"name": "s", "counts": {"a": 1}, "total": true}, {"name": "t", "counts": {"a": 1}, "total": 1.0}]}',
+            "stage 's': recorded total is not a non-negative integer",
+            id="report-total-true",
+        ),
+        pytest.param(
+            "--in",
+            '{"stages": [{"name": "s", "counts": {"a": 1}, "total": 1}, {"name": "t", "counts": {"a": 1}, "total": 1.0}]}',
+            "stage 't': recorded total is not a non-negative integer",
+            id="report-total-float",
         ),
     ],
 )
@@ -1043,6 +1057,13 @@ def test_plot_and_report_take_no_config(capsys):
     assert _help_options(["report"], capsys) == {"--in"}
 
 
+def test_each_sweep_takes_no_flag_for_the_key_its_grid_sets(capsys):
+    sweep, force_sweep = _help_options(["sweep"], capsys), _help_options(["force-sweep"], capsys)
+    assert "--budget" not in sweep and "--forcing-count" in sweep
+    assert "--forcing-count" not in force_sweep and "--budget" in force_sweep
+    assert sweep - {"--budgets", "--forcing-count"} == force_sweep - {"--max-forcings", "--budget"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1062,6 +1083,13 @@ def test_plot_and_report_take_no_config(capsys):
         pytest.param(["curate", "dedup", "--pool", "p.jsonl", "--out", "o.jsonl", "--seed", "1"], id="dedup-seed"),
         pytest.param(["curate", "sample", "--pool", "p.jsonl", "--n", "2", "--out", "o.jsonl", "--budget", "8"], id="sample-budget"),
         pytest.param(["curate", "filter", "--pool", "p.jsonl", "--out", "o.jsonl", "--budget", "8"], id="filter-budget"),
+        # each grid point sets the key a sweep sweeps, so the sweep takes no flag for it
+        pytest.param(["sweep", "--dataset", "d.jsonl", "--out-csv", "o.csv", "--budget", "8"], id="sweep-budget"),
+        pytest.param(["force-sweep", "--dataset", "d.jsonl", "--max-forcings", "1", "--out-csv", "o.csv", "--forcing-count", "1"], id="force-sweep-forcing-count"),
+        # an option is spelled in full: no prefix of it is read as the option
+        pytest.param(["force-sweep", "--dataset", "d.jsonl", "--max", "1", "--out-csv", "o.csv"], id="force-sweep-max-prefix"),
+        pytest.param(["eval", "--data", "d.jsonl"], id="eval-data-prefix"),
+        pytest.param(["sweep", "--dataset", "d.jsonl", "--out-c", "o.csv"], id="sweep-out-c-prefix"),
     ],
 )
 def test_removed_flags_are_usage_errors(argv, capsys):
@@ -1274,8 +1302,11 @@ def test_mock_run_records_no_backend_keys(tmp_path, dataset, oracle_script, monk
         assert config == {"workers": 8}
         return
     config = json.loads(out.read_text())["_provenance"]["config"]
-    assert set(config) == {"thinking_budget", "forcing_count", "per_forcing_cap", "forcing_text", "workers"}
-    assert config["thinking_budget"] == 99
+    # a sweep records no key its grid sets: the file's thinking_budget is checked, but no budget sweep reads it
+    policy = {"eval": {"thinking_budget", "forcing_count"}, "sweep": {"forcing_count"}, "force-sweep": {"thinking_budget"}}[command]
+    assert set(config) == {*policy, "per_forcing_cap", "forcing_text", "workers"}
+    if "thinking_budget" in policy:
+        assert config["thinking_budget"] == 99
 
 
 def test_wire_filter_records_each_grader_model(tmp_path, dataset, monkeypatch):
@@ -1356,6 +1387,26 @@ def test_eval_records_a_persistent_non_object_chunk(tmp_path, dataset, sse_serve
     # it loads as a trace that is never verified
     assert run(["curate", "validate", "--traces", str(out), "--out", str(tmp_path / "kept.jsonl")]) == 0
     assert capsys.readouterr().out == f"verified 0 of {len(records)} traces\n"
+
+
+@pytest.mark.parametrize("code, attempts", [(500, 1 + client.RETRIES), (400, 1)])
+def test_eval_records_an_error_chunk(tmp_path, dataset, sse_server, monkeypatch, capsys, code, attempts):
+    # each attempt sends some text, then an error object: the run fails, after
+    # its retries unless the code makes the error final, and keeps no text
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    data_path, records = dataset
+    _SSEHandler.mode = "raw"
+    _SSEHandler.raw = error_stream(code)
+    out = tmp_path / "outcomes.jsonl"
+    argv = ["eval", "--dataset", str(data_path), "--base-url", sse_server, "--workers", "1", "--out", str(out)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.endswith("macro average: 0.00%\n")
+    outcomes = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert [o["id"] for o in outcomes] == [r["id"] for r in records]
+    error = f"backend failed during thinking phase: backend stream error: {STREAM_ERROR}"
+    failed = {"thinking": "", "response": "", "verified": False, "error": error}
+    assert all({k: o[k] for k in failed} == failed for o in outcomes)
+    assert len(_SSEHandler.requests_seen) == len(records) * attempts
 
 
 @pytest.mark.parametrize("failure", ["bad-chunk", "refused"])

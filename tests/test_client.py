@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import STATUS_BODY, UTF8_CHUNKS, _SSEHandler
+from conftest import STATUS_BODY, STREAM_ERROR, UTF8_CHUNKS, _SSEHandler, error_stream
 from thinkctl import client
 from thinkctl.client import (
     CAUSE_BACKEND_STOP,
@@ -975,6 +975,7 @@ NON_OBJECT_CHUNKS = {
     # text that is not UTF-8, and an escape that decodes to a lone surrogate
     "not-utf8": b'{"choices": [{"delta": {"content": "a\xffb"}}]}',
     "lone-surrogate": b'{"choices": [{"delta": {"content": "a\\ud800b"}}]}',
+    "error-not-object": b'{"error": "boom"}',
 }
 
 
@@ -991,6 +992,34 @@ def test_wire_non_object_chunk_is_a_retried_truncated_stream(sse_server, monkeyp
     with pytest.raises(TruncatedStreamError):
         with_retries(partial(probe_answer, backend, "p"))
     assert len(_SSEHandler.requests_seen) == 1 + 1 + client.RETRIES
+
+
+# a code other than 429 or 5xx makes the error final, as a status does; with no integer code it is retried
+@pytest.mark.parametrize(
+    "code, retryable", [(500, True), (429, True), (None, True), (True, True), (400, False)], ids=["500", "429", "no-code", "code-true", "400"]
+)
+def test_wire_error_chunk_ends_the_stream_with_a_backend_error(sse_server, monkeypatch, code, retryable):
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    _SSEHandler.mode = "raw"
+    _SSEHandler.raw = error_stream(code)
+    backend = WireBackend(base_url=sse_server, model="m")
+    # the text read before the error is no reply: the call fails
+    with pytest.raises(BackendError) as excinfo:
+        collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16)))
+    assert str(excinfo.value) == f"backend stream error: {STREAM_ERROR}"
+    assert excinfo.value.retryable is retryable
+    with pytest.raises(BackendError):
+        with_retries(partial(probe_answer, backend, "p"))
+    assert len(_SSEHandler.requests_seen) == 1 + (1 + client.RETRIES if retryable else 1)
+
+
+def test_wire_error_chunk_quotes_200_characters_of_the_message(sse_server):
+    _SSEHandler.mode = "raw"
+    _SSEHandler.raw = error_stream(400, "\u20ac" * 300)
+    backend = WireBackend(base_url=sse_server, model="m")
+    with pytest.raises(BackendError) as excinfo:
+        collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16)))
+    assert str(excinfo.value) == "backend stream error: " + "\u20ac" * 200
 
 
 def test_wire_chunk_without_choices_is_skipped(sse_server):

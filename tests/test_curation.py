@@ -658,9 +658,9 @@ stage_rows = st.lists(
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(report=st.builds(CurationReport, stage_rows, st.dictionaries(json_text, json_values, max_size=3)), provenance=json_values)
+@given(report=st.builds(CurationReport, stage_rows), provenance=json_values)
 @example(
-    report=CurationReport([StageCount("first", {"a": 5, "b": 2}), StageCount("second", {"a": 3, "b": 1}, {"k": 1})], {"seed": 42}),
+    report=CurationReport([StageCount("first", {"a": 5, "b": 2}), StageCount("second", {"a": 3, "b": 1}, {"k": 1})]),
     provenance={},
 )
 def test_report_round_trip(report, provenance):

@@ -41,7 +41,7 @@ def run_demo(name: str) -> dict[str, str]:
 PINNED = {'01_scripted_streaming.py': {'stdout': '59726f048ca74e63fdb0b5f823c25abe348482a6e1e7e01d9eac3eac8349733a'},
  '02_budget_forcing.py': {'stdout': '1121d3cd8b5bf49cb26338139b6f6fca6c5c838d341ff3a658bcbbd7a6296af9'},
  '03_prompts_and_extraction.py': {'stdout': '167434e77a360d7fe13326469a39a70334c1086ab76c85779be521cd528d4aeb'},
- '04_curation_pipeline.py': {'stdout': '3ac54dc0c47c9a0d29bb8cbc0155ea2e0d9a01f2d7f36a838b1a4319edc78116'},
+ '04_curation_pipeline.py': {'stdout': 'bd2a1f965a685f7210bb34cb1d33a2afafcd53f103683b5cb17338ba6aeb3138'},
  '05_scaling_sweep.py': {'stdout': '0c15cb7033196261ed396672cf98053c7ae9dfc78f1ac4895bc2a25dfc910ab0',
                          'sweep_demo.csv': '04aeff7992314591476316a0cc9e55fdb07e8f48e601f6007ee9367548b45bc7',
                          'sweep_demo.svg': '6c968d44e910c56629cf0f84bed76f5a615026999991897fafbe42cfc477e2ff'}}  # fmt: skip
