@@ -108,9 +108,11 @@ OUTPUTS = ("--out", "--report", "--summary", "--out-csv", "--out-svg", "--out-js
 
 
 def _distinct(named: list[tuple[str, str]], reason: str) -> None:
-    """Exit 1 if two of the ``(flag, path)`` pairs ``named`` name one file."""
+    """Exit 1 if a ``(flag, path)`` pair of ``named`` names no file, or two name one."""
     seen: dict[str, str] = {}
     for flag, path in named:
+        if not path:
+            raise ConfigError(f"{flag} is given an empty path")
         key = os.path.realpath(path)
         if key in seen:
             raise ConfigError(f"{path} is named by {seen[key]} and by {flag}: {reason}")
@@ -260,9 +262,15 @@ def cmd_curate_annotate(args):
 
 def cmd_curate_format_sft(args):
     verified = [r for r in load_traces(args.traces) if r.verified]
+
+    def render(record) -> dict:
+        try:
+            return {"text": curation.format_sft_example(record)}
+        except curation.CurationError as exc:
+            raise curation.CurationError(f"{args.traces}: {exc}") from None
+
     # each example is rendered as it is written, so no list of texts is built
-    sft = ({"text": curation.format_sft_example(r)} for r in verified)
-    return {args.out: sft}, [f"formatted {len(verified)} examples"], None
+    return {args.out: map(render, verified)}, [f"formatted {len(verified)} examples"], None
 
 
 def cmd_eval(args, cfg: Config):
@@ -364,12 +372,12 @@ def run(argv: list[str]) -> int:
     handler = globals()["cmd_" + "_".join(words).replace("-", "_")]
     try:
         # checked before the handler runs, so a clash sends no request and writes nothing
-        outputs = [(flag, path) for flag in OUTPUTS if (path := getattr(args, flag[2:].replace("-", "_"), None))]
+        outputs = [(flag, path) for flag in OUTPUTS if (path := getattr(args, flag[2:].replace("-", "_"), None)) is not None]
         _distinct(outputs, "each output needs its own file")
         artifacts, lines, config = handler(args) if "config" not in args else handler(args, _effective_config(args))
         # each artifact whose flag was given; the JSON and JSONL ones carry the
         # provenance, which may fail to encode, so they are written before any plot
-        files = sorted(((path, data) for path, data in artifacts.items() if path), key=lambda f: isinstance(f[1], bytes))
+        files = sorted(((path, data) for path, data in artifacts.items() if path is not None), key=lambda f: isinstance(f[1], bytes))
         provenance = _provenance(args, config) if any(not isinstance(data, bytes) for _, data in files) else None
         for path, data in files:
             if isinstance(data, bytes):

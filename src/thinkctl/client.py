@@ -433,24 +433,18 @@ def _retry_delay(exc: BackendError, attempt: int) -> float | None:
 
 def with_retries(fn: Callable[[], T]) -> T:
     """Run ``fn`` on the calling thread as ``in_order`` runs a queued call,
-    retries and backoffs included; its final error propagates."""
-    results = in_order([fn], 1)
-    try:
-        return next(results)
-    finally:
-        results.close()
+    retries and backoffs included; its final error is raised."""
+    (result,) = in_order([fn], 1)
+    if isinstance(result, BackendError):
+        raise result
+    return result
 
 
 # the default pool size of evaluation and of the config's run.workers key
 DEFAULT_WORKERS = 8
 
 
-def in_order(
-    calls: Iterable[Callable[[], T]],
-    workers: int,
-    *,
-    failed: Callable[[int, BackendError], T] | None = None,
-) -> Iterator[T]:
+def in_order(calls: Iterable[Callable[[], T]], workers: int) -> Iterator[T | BackendError]:
     """Yield each call's result in the order given.
 
     A call that raises a retryable ``BackendError`` with retries left is
@@ -461,12 +455,12 @@ def in_order(
     calls, so ``workers`` bounds the calls in flight; at ``workers`` <= 1
     the calling thread runs the same loop until the next result is ready.
 
-    A call's final ``BackendError`` (not retryable, or out of retries)
-    becomes ``failed(index, error)``, the call's result, when ``failed`` is
-    given. Any other error is raised when the call's turn comes. Once the
-    iterator stops, by an error or by being closed, the calls not yet
-    started and the queued retries are dropped, and the calls in flight
-    are waited for.
+    A call's final ``BackendError`` (not retryable, or out of retries) is
+    yielded in the call's place, for its caller to handle next to the
+    call's input. Any other error is raised when the call's turn comes.
+    Once the iterator stops, by an error or by being closed, the calls not
+    yet started and the queued retries are dropped, and the calls in
+    flight are waited for.
     """
     import heapq  # imported here so that loading a question file does not load it
 
@@ -508,9 +502,7 @@ def in_order(
                         heapq.heappush(retries, (time.monotonic() + delay, i, attempt + 1))
                         queued.notify_all()
                     return
-                if failed is None:
-                    raise
-                outcome = True, failed(i, exc)
+                outcome = True, exc
         except caught as exc:
             outcome = False, exc
         with lock:

@@ -138,7 +138,7 @@ def load_config(
     """
     env = os.environ if env is None else env
     values: dict = {}
-    if path:
+    if path is not None:
         values.update(_read_file(path))
     if BASE_URL_ENV in env:
         values["base_url"] = env[BASE_URL_ENV]

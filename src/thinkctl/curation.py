@@ -169,16 +169,16 @@ def difficulty_filter(
     def correct(grader, question: McqQuestion) -> bool:
         return TraceRecord(question, "", probe_answer(grader, format_prompt(question))).verified
 
-    def failed(i: int, exc: BackendError) -> None:  # missed is the round's list until the round ends
-        import logging  # here, so that only a run that logs loads it
-
-        logging.getLogger(__name__).warning("grader failed on %s (%s); counted incorrect", missed[i].id, exc)
-
     missed, failures = pool, 0
     for grader in graders:
-        verdicts = list(in_order([partial(correct, grader, q) for q in missed], workers, failed=failed))
-        failures += verdicts.count(None)
-        missed = [q for q, verdict in zip(missed, verdicts) if not verdict]
+        verdicts = list(in_order([partial(correct, grader, q) for q in missed], workers))
+        for q, verdict in zip(missed, verdicts):
+            if isinstance(verdict, BackendError):
+                import logging  # here, so that only a run that logs loads it
+
+                logging.getLogger(__name__).warning("grader failed on %s (%s); counted incorrect", q.id, verdict)
+                failures += 1
+        missed = [q for q, verdict in zip(missed, verdicts) if verdict is not True]
     kept = sorted(missed, key=lambda q: q.id)
     return kept, StageCount("difficulty_filter", source_counts(kept), {"grader_failures": failures} if failures else None)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import islice
+from itertools import cycle, islice
 from statistics import fmean
 from typing import Iterable, Iterator, Sequence
 
@@ -132,11 +132,9 @@ def _runs(
     after policy, from one ``in_order`` runner that retries a failed run.
     A run whose backend error is final counts incorrect and records it."""
     tasks = [partial(_run_question, q, backend, p) for p in policies for q in questions]
-
-    def failed(i: int, exc: BackendError) -> EvalOutcome:
-        return EvalOutcome(questions[i % len(questions)], "", "", error=str(exc))
-
-    return in_order(tasks, workers, failed=failed)
+    with closing(in_order(tasks, workers)) as runs:
+        for question, run in zip(cycle(questions), runs):
+            yield EvalOutcome(question, "", "", error=str(run)) if isinstance(run, BackendError) else run
 
 
 def evaluate(
@@ -149,10 +147,10 @@ def evaluate(
 ) -> EvalResult:
     """Run every question through the budget controller and grade it.
 
-    Outcomes are merged in question-id order, so results do not depend on
-    worker completion order. A question whose backend calls fail after
-    retries is flagged and counted incorrect. ``runs``, when given, yields
-    each question's ``_run_question`` outcome from a sweep's runner.
+    Outcomes are merged in question-id order. A question whose backend
+    calls fail after retries is flagged and counted incorrect. ``runs``,
+    when given, yields each question's ``_run_question`` outcome from a
+    sweep's runner.
     """
     if not questions:
         raise ValueError("dataset is empty")

@@ -502,6 +502,13 @@ def test_curate_validate_and_format_sft(tmp_path, capsys):
         assert "Traceback" not in err
     assert not list(tmp_path.glob("*2.jsonl"))
 
+    # a marker in a trace is refused naming the file, in which the id locates the record
+    marked = tmp_path / "marked.jsonl"
+    write_jsonl_file(marked, [dict(good, thinking="x <|im_start|>answer")])
+    assert run(["curate", "format-sft", "--traces", str(marked), "--out", str(tmp_path / "sft3.jsonl")]) == 1
+    assert capsys.readouterr() == ("", f"error: {marked}: record 't1': thinking contains the literal marker '<|im_start|>answer'\n")
+    assert not (tmp_path / "sft3.jsonl").exists()
+
 
 def test_curate_decontaminate_and_dedup(tmp_path):
     def stem(seed):
@@ -997,6 +1004,10 @@ def test_malformed_config_exits_1_citing_file_and_line(tmp_path, dataset, oracle
         pytest.param("--workers", "-3", "workers must be >= 1", id="-3"),
         # json.dumps would put Infinity, which is not JSON, into the request body
         pytest.param("--temperature", "inf", "temperature must be a finite number", id="temperature-inf"),
+        # an empty path names no file: it is not read as a path not given
+        pytest.param("--config", "", "config file not found", id="config-empty"),
+        pytest.param("--out", "", "--out is given an empty path", id="out-empty"),
+        pytest.param("--summary", "", "--summary is given an empty path", id="summary-empty"),
     ],
 )
 def test_workers_flag_below_1_exits_1(dataset, monkeypatch, capsys, flag, value, message):

@@ -363,13 +363,32 @@ def test_in_order_runs_a_due_retry_first_on_a_pool(monkeypatch):
     assert starts.started[2:] == [0, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_in_order_yields_a_final_backend_error_in_its_calls_place(monkeypatch, workers):
+    """A nonretryable error, and a retryable one still failing after its
+    retries, each come back as the result of its call; later calls run."""
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    starts = _Starts()
+    missing, down = BackendStatusError(404, "missing"), ConnectionFailure("down")
+
+    def fails(exc):
+        def call():
+            raise exc
+
+        return call
+
+    calls = [starts.call(0), starts.call(1, fails(missing)), starts.call(2), starts.call(3, fails(down)), starts.call(4)]
+    assert list(in_order(calls, workers)) == [0, missing, 2, down, 4]
+    assert sorted(starts.started) == [0, 1, 2, 3, 3, 3, 4]
+
+
 def test_in_order_drops_the_calls_not_started_after_a_nonretryable_error():
     starts = _Starts()
     second = threading.Event()
 
     def fatal():
         assert second.wait(timeout=5)
-        raise BackendStatusError(404, "missing")
+        raise RuntimeError("not a backend error")
 
     def slow(i):
         second.set()
@@ -377,7 +396,7 @@ def test_in_order_drops_the_calls_not_started_after_a_nonretryable_error():
         return i
 
     calls = [starts.call(0, fatal)] + [starts.call(i, lambda i=i: slow(i)) for i in range(1, 10)]
-    with pytest.raises(BackendStatusError):
+    with pytest.raises(RuntimeError):
         list(in_order(calls, workers=2))
     assert set(starts.started) <= {0, 1, 2}
 

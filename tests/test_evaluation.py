@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_json_round_trip, json_text, json_values
 from thinkctl.budget import ANSWER_CUE, ANSWER_MARKER, THINK_MARKER, BudgetPolicy
-from thinkctl import client
+from thinkctl import client, evaluation
 from thinkctl.client import ConnectionFailure, GenerationRequest, ScriptEntry, ScriptedModel
 from thinkctl.evaluation import (
     DEFAULT_BUDGET_GRID,
@@ -304,6 +304,28 @@ def test_evaluate_counts_an_answer_that_keeps_failing_incorrect(make_questions, 
     sweep = budget_sweep(questions, backend, [8, 32], BudgetPolicy(), workers=workers)
     assert [(p.x, p.n, p.n_correct, p.mean_thinking_tokens) for p in sweep.points] == [(8, 4, 4, 8.0), (32, 4, 3, 15.0)]
     assert backend.answer_requests == 1 + 3  # budget 8, then budget 32's first try and 2 retries
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_final_failure_is_recorded_on_its_own_question_and_point(make_questions, monkeypatch, workers):
+    """q03's runs fail for good only at budget 12, whose capped thought alone
+    ends in "w11 ": of every point's outcomes, only that one carries the error."""
+    questions = make_questions(5, golds="B")
+    backend = AnswerOutage(always_right_model(20), "q03", "w11 ", failures=99)
+    monkeypatch.setattr(client, "BACKOFF_S", 0.0)
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    original = evaluation.evaluate
+    monkeypatch.setattr(evaluation, "evaluate", recorded)
+    sweep = budget_sweep(questions, backend, [8, 12, 16], BudgetPolicy(), workers=workers)
+    assert [p.n_correct for p in sweep.points] == [5, 4, 5]
+    failed = [(x, o.question.id) for x, r in zip([8, 12, 16], results) for o in r.outcomes if o.error is not None]
+    assert failed == [(12, "q03")]
+    assert all([o.question for o in r.outcomes] == questions for r in results)
 
 
 def flip_model(questions) -> ScriptedModel:
