@@ -57,7 +57,7 @@ def _effective_config(args: argparse.Namespace) -> Config:
     environment may set any key, which is checked. Beside ``--mock`` a
     backend flag would be recorded and never read, so it exits 1."""
     cfg = load_config(args.config, flags={name: getattr(args, name) for name in CONFIG_FIELDS if name in args})
-    given = [name for name in SECTION_KEYS[BACKEND_SECTION] if getattr(args, name) is not None]
+    given = [name for name in SECTION_KEYS[BACKEND_SECTION] if getattr(args, name, None) is not None]
     if args.mock and given:
         raise ConfigError(f"{flag_for(CONFIG_FIELDS[given[0]])} sets the wire backend; it cannot be combined with --mock")
     return cfg
@@ -76,8 +76,6 @@ def _graders(args: argparse.Namespace, cfg: Config) -> list:
         if args.grader_model:
             raise ConfigError("--grader-model names a wire grader; it cannot be combined with --mock")
         return [ScriptedModel.from_file(path) for path in args.mock]
-    if args.grader_model and args.model is not None:
-        raise ConfigError("--grader-model sets each grader's model; it cannot be combined with --model")
     return [replace(cfg, model=m).backend() for m in args.grader_model or [cfg.model]]
 
 
@@ -92,14 +90,19 @@ def _run_config(args: argparse.Namespace, cfg: Config) -> dict:
 INPUTS = ("pool", "traces", "eval_sets", "lexicon", "datasets", "dataset", "mock")
 
 
+def _paths(args: argparse.Namespace, names) -> set[str]:
+    """The paths that the arguments ``names`` of ``args`` give, each one once."""
+    paths = set()
+    for name in names:
+        value = getattr(args, name, None)
+        paths.update([value] if isinstance(value, str) else value or ())
+    return paths
+
+
 def _provenance(args: argparse.Namespace, config: dict | None = None) -> dict:
     """The digest of every input of ``args`` and, for a stage that has one, its config."""
     provenance = {} if config is None else {"config": config}
-    paths = set()
-    for name in INPUTS:
-        value = getattr(args, name, None)
-        paths.update([value] if isinstance(value, str) else value or ())
-    provenance["inputs"] = {path: sha256_file(path) for path in sorted(paths)}
+    provenance["inputs"] = {path: sha256_file(path) for path in sorted(_paths(args, INPUTS))}
     return provenance
 
 
@@ -165,11 +168,14 @@ def _policy_config(kind: str | None = None):
 # takes flags for, its --mock help) or None, its other arguments). run adds
 # arguments only to the command it runs, and calls cmd_<words>.
 COMMANDS = {
-    # the filter sends no reasoning policy, so it takes no [policy] flag
+    # the filter sends no reasoning policy, so it takes no [policy] flag, and
+    # each --grader-model names a grader's model, so it takes no --model
     ("curate", "filter"): (
         "keep questions every grader misses",
-        (SECTION_KEYS[BACKEND_SECTION] + SECTION_KEYS[RUN_SECTION], "scripted grader JSON in place of the wire graders; repeatable"),
-        (POOL, OUT, REPORT, ("--grader-model", {"action": "append", "help": "wire grader model; repeatable"})),
+        ([k for k in SECTION_KEYS[BACKEND_SECTION] + SECTION_KEYS[RUN_SECTION] if k != "model"],
+         "scripted grader JSON in place of the wire graders; repeatable"),
+        (POOL, OUT, REPORT,
+         ("--grader-model", {"action": "append", "help": "wire grader model; repeatable (default: the model key)"})),
     ),
     # the other curate stages send no request, so they read no config
     ("curate", "validate"): ("keep traces whose answer is correct", None, (TRACES, OUT, REPORT)),
@@ -218,8 +224,7 @@ def cmd_curate_filter(args, cfg: Config):
     graders = _graders(args, cfg)
     kept, row = curation.difficulty_filter(pool, graders, workers=cfg.workers)
     config = _run_config(args, cfg)
-    if "model" in config:
-        # the graders' models, which --grader-model sets in place of --model
+    if not args.mock:  # a wire filter records the models of its graders
         config["model"] = [g.model for g in graders]
     return _curated(args, pool, kept, row, config=config)
 
@@ -371,9 +376,14 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     handler = globals()["cmd_" + "_".join(words).replace("-", "_")]
     try:
-        # checked before the handler runs, so a clash sends no request and writes nothing
+        # checked before the handler runs, so a clash reads no input, sends no request and writes nothing
         outputs = [(flag, path) for flag in OUTPUTS if (path := getattr(args, flag[2:].replace("-", "_"), None)) is not None]
         _distinct(outputs, "each output needs its own file")
+        # the files the command reads, the inputs its provenance digests among them
+        reads = {os.path.realpath(path) for path in _paths(args, (*INPUTS, "config", "sweep")) if path}
+        for flag, path in outputs:
+            if os.path.realpath(path) in reads:
+                raise ConfigError(f"{flag} names {path}, which the command reads: an output may not replace an input")
         artifacts, lines, config = handler(args) if "config" not in args else handler(args, _effective_config(args))
         # each artifact whose flag was given; the JSON and JSONL ones carry the
         # provenance, which may fail to encode, so they are written before any plot

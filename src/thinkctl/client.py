@@ -36,6 +36,8 @@ CAUSE_BACKEND_STOP = "backend-stop"
 
 API_KEY_ENV = "M1_API_KEY"
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
+# seconds a wire request may wait to connect and for each read; read when a request is sent
+TIMEOUT_S = 120.0
 
 
 class BackendError(Exception):
@@ -291,11 +293,10 @@ class WireBackend:
     POSTs to ``base_url + /v1/chat/completions`` with body fields ``model``,
     ``messages``, ``temperature``, ``seed``, ``max_tokens`` and
     ``stream: true``; reads one ``data: <json>`` line per chunk until
-    ``data: [DONE]``. The bearer token comes from ``api_key`` or the
-    ``M1_API_KEY`` environment variable. Sampling is greedy with a fixed
-    seed unless ``temperature`` and ``seed`` say otherwise; every request
-    sends the same two. ``timeout`` bounds, in seconds, the connect and
-    each read.
+    ``data: [DONE]``. The bearer token comes from the ``M1_API_KEY``
+    environment variable. Sampling is greedy with a fixed seed unless
+    ``temperature`` and ``seed`` say otherwise; every request sends the
+    same two. ``TIMEOUT_S`` bounds, in seconds, the connect and each read.
 
     Built on ``urllib.request``: each call opens one connection and closes
     it when the stream ends or its consumer stops early. Proxies come from
@@ -304,17 +305,9 @@ class WireBackend:
     shareable across workers; each stream is owned by one consumer.
     """
 
-    __slots__ = ("base_url", "model", "temperature", "seed", "api_key", "timeout")
+    __slots__ = ("base_url", "model", "temperature", "seed")
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        temperature: float = DEFAULT_TEMPERATURE,
-        seed: int = DEFAULT_SEED,
-        api_key: str | None = None,
-        timeout: float = 120.0,
-    ) -> None:
+    def __init__(self, base_url: str, model: str, temperature: float = DEFAULT_TEMPERATURE, seed: int = DEFAULT_SEED) -> None:
         url = urlsplit(base_url)
         try:
             port_ok = url.port != 0  # raises ValueError unless a number in 0-65535
@@ -324,14 +317,10 @@ class WireBackend:
             raise ValueError(f"base_url must be an http(s):// URL with a host and a valid port, not {base_url!r}")
         if not 0 <= temperature < math.inf:  # json.dumps would send NaN or Infinity, not JSON
             raise ValueError(f"temperature must be a finite number >= 0, not {temperature}")
-        if not 0 < timeout < math.inf:  # else urllib fails at the first request, for -1 or NaN not as a BackendError
-            raise ValueError(f"timeout must be a finite number > 0, not {timeout}")
         self.base_url = base_url
         self.model = model
         self.temperature = temperature
         self.seed = seed
-        self.api_key = api_key
-        self.timeout = timeout
 
     def raw_stream(self, req: GenerationRequest) -> Iterator[str]:
         # imported here, not at module level, so that runs which send no
@@ -342,7 +331,7 @@ class WireBackend:
 
         url = self.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
         headers = {"Content-Type": "application/json"}
-        key = self.api_key if self.api_key is not None else os.environ.get(API_KEY_ENV)
+        key = os.environ.get(API_KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
         body = {
@@ -355,7 +344,7 @@ class WireBackend:
         }
         request = urllib.request.Request(url, data=json.dumps(body).encode(), headers=headers, method="POST")
         try:
-            resp = urllib.request.urlopen(request, timeout=self.timeout)
+            resp = urllib.request.urlopen(request, timeout=TIMEOUT_S)
         except HTTPError as exc:
             resp = exc  # the response to a status that is not 2xx
         except (OSError, http.client.HTTPException) as exc:

@@ -93,6 +93,8 @@ def _read_file(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc
+    if lines and lines[0][1].startswith("\ufeff"):
+        raise ConfigError(f"{path}:1: config starts with a UTF-8 byte order mark")
     section = None
     values = {}
     for lineno, line in lines:
@@ -126,22 +128,18 @@ def _read_file(path: str) -> dict:
     return values
 
 
-def load_config(
-    path: str | None = None,
-    env: Mapping[str, str] | None = None,
-    flags: Mapping[str, object] | None = None,
-) -> Config:
-    """Assemble the effective configuration.
+def load_config(path: str | None = None, flags: Mapping[str, object] | None = None) -> Config:
+    """Assemble the effective configuration from the file at ``path``,
+    ``M1_BASE_URL`` in ``os.environ`` and ``flags``.
 
     ``flags`` holds only explicitly supplied overrides. Unknown keys are
     rejected by name.
     """
-    env = os.environ if env is None else env
     values: dict = {}
     if path is not None:
         values.update(_read_file(path))
-    if BASE_URL_ENV in env:
-        values["base_url"] = env[BASE_URL_ENV]
+    if BASE_URL_ENV in os.environ:
+        values["base_url"] = os.environ[BASE_URL_ENV]
     for key, value in (flags or {}).items():
         if key not in CONFIG_FIELDS:
             raise ConfigError(f"unknown config key: {key}")

@@ -965,36 +965,44 @@ def test_unknown_config_key_exits_1(tmp_path, dataset, oracle_script, capsys):
     assert "temprature" in capsys.readouterr().err
 
 
+HEADER_EXPECTED = "expected 'key = value' under a [section] header"
+WORKERS_BELOW_1 = "workers must be >= 1"
+EMPTY_FORCING_TEXT = "forcing_text must be nonempty when forcing_count > 0"
+
+
 @pytest.mark.parametrize(
-    "content, line",
+    "content, line, message",
     [
-        pytest.param(b"seed = 1\n", 1, id="no-section-header"),
-        pytest.param(b"[backend]\nseed = 1\nseed = 2\n", 3, id="repeated-key"),
-        pytest.param(b"[backend]\nseed = abc\n", 2, id="bad-value"),
-        pytest.param(b"[policy]\nthinking_budget = 8\n[bogus]\n", 3, id="unknown-section"),
-        pytest.param(b"[backend]\nseed\n", 2, id="no-delimiter"),
-        pytest.param(b"[policy]\nforcing_text = \xff\n", 2, id="not-utf8"),
-        pytest.param(b"[policy]\nthinking_budget = 8\nper_forcing_cap = 0\n", 3, id="per-forcing-cap-below-1"),
-        pytest.param(b"[policy]\nforcing_count = -1\n", 2, id="forcing-count-below-0"),
-        pytest.param(b"[run]\nworkers = 0\n", 2, id="workers-0"),
-        pytest.param(b"# a comment\n\n; another\n[run]\nworkers = 0\n", 5, id="after-comments-and-a-blank-line"),
-        pytest.param(b"[run]\nworkers = -3\n", 2, id="workers-negative"),
-        pytest.param(b"[policy]\nforcing_count = 2\nforcing_text =\n", 3, id="forcing-text-empty-after-count"),
-        pytest.param(b"[policy]\nforcing_text =\nthinking_budget = 8\nforcing_count = 2\n", 4, id="forcing-count-after-empty-text"),
-        pytest.param(b"[backend]\nbase_url = localhost:8000\n", 2, id="base-url-without-scheme"),
-        pytest.param(b"[backend]\ntemperature = -0.5\n", 2, id="temperature-negative"),
-        pytest.param(b"[backend]\ntemperature = nan\n", 2, id="temperature-nan"),
+        pytest.param(b"seed = 1\n", 1, HEADER_EXPECTED, id="no-section-header"),
+        pytest.param(b"[backend]\nseed = 1\nseed = 2\n", 3, "repeated config key: seed", id="repeated-key"),
+        pytest.param(b"[backend]\nseed = abc\n", 2, "config key 'seed': cannot parse 'abc'", id="bad-value"),
+        pytest.param(b"[policy]\nthinking_budget = 8\n[bogus]\n", 3, "unknown config section: bogus", id="unknown-section"),
+        pytest.param(b"[backend]\nseed\n", 2, HEADER_EXPECTED, id="no-delimiter"),
+        pytest.param(b"[policy]\nforcing_text = \xff\n", 2, "not UTF-8 (invalid start byte)", id="not-utf8"),
+        # the JSON readers name a byte order mark too; read as text, it would make the header no header
+        pytest.param(b"\xef\xbb\xbf[run]\nworkers = 2", 1, "config starts with a UTF-8 byte order mark", id="byte-order-mark"),
+        pytest.param(b"[policy]\nthinking_budget = 8\nper_forcing_cap = 0\n", 3, "per_forcing_cap must be >= 1", id="per-forcing-cap-below-1"),
+        pytest.param(b"[policy]\nforcing_count = -1\n", 2, "forcing_count must be >= 0", id="forcing-count-below-0"),
+        pytest.param(b"[run]\nworkers = 0\n", 2, WORKERS_BELOW_1, id="workers-0"),
+        pytest.param(b"# a comment\n\n; another\n[run]\nworkers = 0\n", 5, WORKERS_BELOW_1, id="after-comments-and-a-blank-line"),
+        pytest.param(b"[run]\nworkers = -3\n", 2, WORKERS_BELOW_1, id="workers-negative"),
+        pytest.param(b"[policy]\nforcing_count = 2\nforcing_text =\n", 3, EMPTY_FORCING_TEXT, id="forcing-text-empty-after-count"),
+        pytest.param(b"[policy]\nforcing_text =\nthinking_budget = 8\nforcing_count = 2\n", 4, EMPTY_FORCING_TEXT, id="forcing-count-after-empty-text"),
+        pytest.param(
+            b"[backend]\nbase_url = localhost:8000\n", 2,
+            "base_url must be an http(s):// URL with a host and a valid port, not 'localhost:8000'", id="base-url-without-scheme",
+        ),
+        pytest.param(b"[backend]\ntemperature = -0.5\n", 2, "temperature must be a finite number >= 0, not -0.5", id="temperature-negative"),
+        pytest.param(b"[backend]\ntemperature = nan\n", 2, "temperature must be a finite number >= 0, not nan", id="temperature-nan"),
     ],
 )
-def test_malformed_config_exits_1_citing_file_and_line(tmp_path, dataset, oracle_script, capsys, content, line):
+def test_malformed_config_exits_1_citing_file_and_line(tmp_path, dataset, oracle_script, capsys, content, line, message):
     data_path, _ = dataset
     cfg = tmp_path / "cfg.ini"
     cfg.write_bytes(content)
     code = run(["eval", "--config", str(cfg), "--dataset", str(data_path), "--mock", str(oracle_script)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert f"{cfg}:{line}:" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr() == ("", f"error: {cfg}:{line}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -1094,6 +1102,8 @@ def test_each_sweep_takes_no_flag_for_the_key_its_grid_sets(capsys):
         pytest.param(["curate", "dedup", "--pool", "p.jsonl", "--out", "o.jsonl", "--seed", "1"], id="dedup-seed"),
         pytest.param(["curate", "sample", "--pool", "p.jsonl", "--n", "2", "--out", "o.jsonl", "--budget", "8"], id="sample-budget"),
         pytest.param(["curate", "filter", "--pool", "p.jsonl", "--out", "o.jsonl", "--budget", "8"], id="filter-budget"),
+        # each --grader-model names a wire grader's model, and the config's model is the default
+        pytest.param(["curate", "filter", "--pool", "p.jsonl", "--out", "o.jsonl", "--model", "m"], id="filter-model"),
         # each grid point sets the key a sweep sweeps, so the sweep takes no flag for it
         pytest.param(["sweep", "--dataset", "d.jsonl", "--out-csv", "o.csv", "--budget", "8"], id="sweep-budget"),
         pytest.param(["force-sweep", "--dataset", "d.jsonl", "--max-forcings", "1", "--out-csv", "o.csv", "--forcing-count", "1"], id="force-sweep-forcing-count"),
@@ -1206,6 +1216,39 @@ def test_two_output_flags_naming_one_file_exit_1_before_any_request(tmp_path, da
     assert sent == [] and sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "argv, flag, path",
+    [
+        pytest.param(["curate", "dedup", "--pool", "d.jsonl", "--out", "d.jsonl", "--report", "r.json"], "--out", "d.jsonl", id="dedup-pool"),
+        pytest.param(["eval", "--dataset", "d.jsonl", "--mock", "m.json", "--out", "m.json"], "--out", "m.json", id="eval-mock"),
+        # inputs may repeat among themselves, as two graders from one script do
+        pytest.param(
+            ["curate", "filter", "--pool", "d.jsonl", "--mock", "m.json", "--mock", "m.json", "--out", "o.jsonl", "--report", "./d.jsonl"],
+            "--report", "./d.jsonl", id="filter-report-pool",
+        ),
+        pytest.param(
+            ["curate", "decontaminate", "--pool", "d.jsonl", "--eval", "e.jsonl", "--out", "e.jsonl"], "--out", "e.jsonl", id="decontaminate-eval"
+        ),
+        pytest.param(
+            ["sweep", "--dataset", "d.jsonl", "--mock", "m.json", "--config", "c.ini", "--out-csv", "c.ini"], "--out-csv", "c.ini", id="sweep-config"
+        ),
+        pytest.param(["plot", "--sweep", "s.csv", "--out", "s.csv"], "--out", "s.csv", id="plot-sweep"),
+    ],
+)
+def test_an_output_naming_a_file_the_command_reads_exits_1(tmp_path, dataset, oracle_script, monkeypatch, capsys, argv, flag, path):
+    # the output would replace its own input, and the provenance would cite a digest no file has
+    data_path, _ = dataset
+    monkeypatch.chdir(tmp_path)
+    for name in ("d.jsonl", "e.jsonl", "s.csv"):
+        (tmp_path / name).write_bytes(data_path.read_bytes())
+    (tmp_path / "m.json").write_bytes(oracle_script.read_bytes())
+    (tmp_path / "c.ini").write_text("[run]\nworkers = 2\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} names {path}, which the command reads: an output may not replace an input\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_eval_of_one_dataset_named_twice_exits_1(tmp_path, dataset, monkeypatch, capsys):
     # the macro average would count the dataset twice without saying so
     data_path, _ = dataset
@@ -1266,25 +1309,19 @@ def test_grader_model_with_mock_exits_1(tmp_path, dataset, oracle_script, capsys
     assert not out.exists()
 
 
-def test_grader_model_with_model_exits_1(tmp_path, dataset, monkeypatch, capsys):
-    # --grader-model sets each wire grader's model, so --model would be dropped unread
-    data_path, _ = dataset
-    called = []
-    monkeypatch.setattr(WireBackend, "raw_stream", lambda self, req: called.append(self.model) or iter(["\\boxed{A}"]))
-    out = tmp_path / "kept.jsonl"
-    argv = ["curate", "filter", "--pool", str(data_path), "--model", "x", "--grader-model", "a", "--out", str(out)]
-    assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert "--grader-model" in err and "--model" in err
-    assert "Traceback" not in err
-    assert not out.exists() and called == []
-
-
 BACKEND_FLAGS = {"--base-url": "http://example.invalid:1", "--model": "gpt-x", "--temperature": "0.5", "--seed": "3"}
 
 
-@pytest.mark.parametrize("flag", list(BACKEND_FLAGS))
-@pytest.mark.parametrize("command", ["eval", "sweep", "force-sweep", "curate-filter"])
+@pytest.mark.parametrize(
+    "command, flag",
+    # curate filter takes no --model: each --grader-model names a grader's model
+    [
+        pytest.param(command, flag, id=f"{command}-{flag}")
+        for command in ["eval", "sweep", "force-sweep", "curate-filter"]
+        for flag in BACKEND_FLAGS
+        if (command, flag) != ("curate-filter", "--model")
+    ],
+)
 def test_backend_flag_with_mock_exits_1(tmp_path, dataset, oracle_script, capsys, command, flag):
     # --mock replaces the wire backend, so the flag would be recorded and never read
     data_path, _ = dataset
@@ -1339,6 +1376,19 @@ def test_wire_filter_records_each_grader_model(tmp_path, dataset, monkeypatch):
     config = json.loads(out.read_text().splitlines()[0])["_meta"]["config"]
     assert set(config) == {"base_url", "model", "temperature", "seed", "workers"}
     assert config["model"] == ["med-a", "med-b"]
+
+
+def test_wire_filter_grades_with_the_config_model_by_default(tmp_path, dataset, monkeypatch):
+    # without --grader-model, the one grader is the config's model
+    data_path, _ = dataset
+    called = set()
+    monkeypatch.setattr(WireBackend, "raw_stream", lambda self, req: called.add(self.model) or iter(["\\boxed{A}"]))
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[backend]\nmodel = med-a\n")
+    out = tmp_path / "kept.jsonl"
+    assert run(["curate", "filter", "--pool", str(data_path), "--config", str(cfg), "--out", str(out)]) == 0
+    assert called == {"med-a"}
+    assert json.loads(out.read_text().splitlines()[0])["_meta"]["config"]["model"] == ["med-a"]
 
 
 def test_eval_against_the_loopback_server(tmp_path, dataset, sse_server):

@@ -54,13 +54,6 @@ def test_wire_backend_rejects_a_temperature_that_is_not_finite_and_nonnegative(t
         WireBackend(base_url="http://localhost:8000", model="m", temperature=temperature)
 
 
-@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
-def test_wire_backend_rejects_a_timeout_that_is_not_finite_and_positive(timeout):
-    # urllib would fail only at the first request; at -1 or NaN with a bare ValueError, which the runner neither retries nor records
-    with pytest.raises(ValueError, match="timeout must be a finite number > 0"):
-        WireBackend(base_url="http://localhost:8000", model="m", timeout=timeout)
-
-
 def test_request_rejects_nonpositive_cap():
     with pytest.raises(ValueError):
         GenerationRequest(prompt="p", max_new_tokens=0)
@@ -875,6 +868,22 @@ def test_wire_protocol_fields_and_auth(sse_server, monkeypatch):
     assert auth == "Bearer sekret"
 
 
+def test_wire_request_reads_the_timeout_as_it_is_sent(sse_server, monkeypatch):
+    timeouts = []
+    urlopen = urllib.request.urlopen
+
+    def recording_urlopen(request, timeout):
+        timeouts.append(timeout)
+        return urlopen(request, timeout=timeout)
+
+    monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+    backend = WireBackend(base_url=sse_server, model="m")
+    # set after the backend is built: each request reads it, as a retry reads RETRIES and BACKOFF_S
+    monkeypatch.setattr(client, "TIMEOUT_S", 7.5)
+    assert probe_answer(backend, "p") == "Hello world!"
+    assert timeouts == [7.5]
+
+
 def test_wire_joined_text_has_no_inserted_spaces(sse_server):
     backend = WireBackend(base_url=sse_server, model="m")
     assert probe_answer(backend, "p") == "Hello world!"
@@ -1055,8 +1064,9 @@ def test_wire_chunk_without_choices_is_skipped(sse_server):
     assert collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=16))) == (["Hi", " \U0001f600"], CAUSE_BACKEND_STOP)
 
 
-def test_wire_connection_failure():
-    backend = WireBackend(base_url="http://127.0.0.1:9", model="m", timeout=0.5)
+def test_wire_connection_failure(monkeypatch):
+    monkeypatch.setattr(client, "TIMEOUT_S", 0.5)
+    backend = WireBackend(base_url="http://127.0.0.1:9", model="m")
     with pytest.raises(ConnectionFailure):
         collect(stream_generate(backend, GenerationRequest("p", max_new_tokens=4)))
 

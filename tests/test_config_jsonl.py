@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import stat
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thinkctl.config import Config, ConfigError, load_config
+from thinkctl.client import WireBackend
+from thinkctl.config import SECTION_KEYS, Config, ConfigError, load_config
 from thinkctl.jsonl import (
     META_KEY,
     SchemaError,
@@ -29,8 +31,9 @@ from thinkctl.jsonl import (
 from thinkctl.qa import McqQuestion
 
 
-def test_defaults_carry_paper_anchored_values():
-    cfg = load_config(env={})
+def test_defaults_carry_paper_anchored_values(monkeypatch):
+    monkeypatch.delenv("M1_BASE_URL", raising=False)
+    cfg = load_config()
     assert cfg.temperature == 0.0
     assert cfg.seed == 42
     assert cfg.thinking_budget == 4096
@@ -39,48 +42,55 @@ def test_defaults_carry_paper_anchored_values():
     assert cfg.forcing_count == 0
 
 
-def test_flags_override_file_and_env(tmp_path):
+def test_flags_override_file_and_env(tmp_path, monkeypatch):
     path = tmp_path / "cfg.ini"
     path.write_text("[backend]\nseed = 17\nbase_url = http://file.example\n")
-    cfg = load_config(
-        str(path),
-        env={"M1_BASE_URL": "http://env.example"},
-        flags={"seed": 7},
-    )
+    monkeypatch.setenv("M1_BASE_URL", "http://env.example")
+    cfg = load_config(str(path), flags={"seed": 7})
     assert cfg.seed == 7  # flag beats file
     assert cfg.base_url == "http://env.example"  # env beats file
 
 
-def test_file_beats_defaults(tmp_path):
+def test_file_beats_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv("M1_BASE_URL", raising=False)
     path = tmp_path / "cfg.ini"
     path.write_text("[policy]\nthinking_budget = 1024\nforcing_text = Hold on.\n")
-    cfg = load_config(str(path), env={})
+    cfg = load_config(str(path))
     assert cfg.thinking_budget == 1024
     assert cfg.forcing_text == "Hold on."
 
 
-def test_unknown_key_named_in_error(tmp_path):
+def test_unknown_key_named_in_error(tmp_path, monkeypatch):
+    monkeypatch.delenv("M1_BASE_URL", raising=False)
     path = tmp_path / "cfg.ini"
     path.write_text("[backend]\ntemprature = 1\n")
     with pytest.raises(ConfigError, match="temprature"):
-        load_config(str(path), env={})
+        load_config(str(path))
 
 
-def test_unknown_flag_rejected():
+def test_unknown_flag_rejected(monkeypatch):
+    monkeypatch.delenv("M1_BASE_URL", raising=False)
     with pytest.raises(ConfigError, match="bogus"):
-        load_config(env={}, flags={"bogus": 1})
+        load_config(flags={"bogus": 1})
 
 
-def test_wrong_section_for_key_rejected(tmp_path):
+def test_wrong_section_for_key_rejected(tmp_path, monkeypatch):
+    monkeypatch.delenv("M1_BASE_URL", raising=False)
     path = tmp_path / "cfg.ini"
     path.write_text("[run]\nseed = 1\n")
     with pytest.raises(ConfigError):
-        load_config(str(path), env={})
+        load_config(str(path))
 
 
-def test_missing_config_file_errors():
+def test_missing_config_file_errors(monkeypatch):
+    monkeypatch.delenv("M1_BASE_URL", raising=False)
     with pytest.raises(ConfigError):
-        load_config("/nonexistent/cfg.ini", env={})
+        load_config("/nonexistent/cfg.ini")
+
+
+def test_wire_backend_takes_exactly_the_backend_keys():
+    # Config.backend() passes the [backend] section as it is, so no setting reaches the backend another way
+    assert list(inspect.signature(WireBackend).parameters) == SECTION_KEYS["backend"]
 
 
 def test_config_policy_export():
